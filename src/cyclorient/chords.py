@@ -18,16 +18,17 @@ chord is a single point.  Two intersection predicates are implemented:
 
 ``has_chord_property`` asks whether a map sends every intersecting chord
 pair to an intersecting pair; this holds exactly for the maps that preserve
-or reverse orientation.
+or reverse orientation.  It scans only the interleaved chords {a, c},
+{b, d} of the C(n, 4) sorted quadruples a < b < c < d, and builds no table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .mappings import Mapping
+from .membership import first_unoriented_image
 from .sequences import Seq, orientation
 
 METHODS = ("combinatorial", "geometric")
@@ -137,51 +138,34 @@ class ChordPropertyResult:
         return self.holds
 
 
-@lru_cache(maxsize=None)
-def _pair_table(n: int, method: str) -> tuple[tuple[bool, ...], ...]:
-    """Intersection verdicts for all normalized chord pairs, indexed p*n+q."""
-    table = [[False] * (n * n) for _ in range(n * n)]
-    for p in range(n):
-        for q in range(p, n):
-            left = Chord(n, p, q)
-            for r in range(n):
-                for s in range(r, n):
-                    table[p * n + q][r * n + s] = chords_intersect(
-                        left, Chord(n, r, s), method
-                    )
-    return tuple(tuple(row) for row in table)
-
-
-@lru_cache(maxsize=None)
-def _intersecting_quadruples(
-    n: int, method: str
-) -> tuple[tuple[int, int, int, int], ...]:
-    """All (a, b, c, d) whose chords {a,c}, {b,d} intersect, in lexicographic order."""
-    return tuple(
-        (a, b, c, d)
-        for a, b, c, d in itertools.product(range(n), repeat=4)
-        if chords_intersect(Chord(n, a, c), Chord(n, b, d), method)
-    )
+def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
+    """The first sorted quadruple a < b < c < d whose image chords
+    {ia, ic}, {ib, id} are disjoint by exact geometry; None when there is none."""
+    placed = [_place(v) for v in m.images]
+    for a, b, c, d in itertools.combinations(range(m.n), 4):
+        if not _segments_intersect(placed[a], placed[c], placed[b], placed[d]):
+            return a, b, c, d
+    return None
 
 
 def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordPropertyResult:
     """Whether the images of every intersecting chord pair still intersect.
 
-    On failure the returned counterexample is the source pair of the first
-    violating (a, b, c, d) in lexicographic order.
+    Only the interleaved, hence intersecting, chords {a, c}, {b, d} of the
+    C(n, 4) sorted quadruples a < b < c < d are scanned, in O(n) memory: any
+    other intersecting pair shares an endpoint, and so does its image, or is
+    one of the 8 dihedral arrangements of a sorted quadruple.  The image
+    pair is decided by the quadruple test's scan (``combinatorial``) or by
+    exact geometry, independent of the orientation kernel (``geometric``).
+
+    On failure the counterexample is the source pair of the first violating
+    (a, b, c, d) in lexicographic order over [n]^4, which is sorted.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    n = m.n
-    imgs = m.images
-    table = _pair_table(n, method)
-    for a, b, c, d in _intersecting_quadruples(n, method):
-        ia, ic = imgs[a], imgs[c]
-        if ia > ic:
-            ia, ic = ic, ia
-        ib, id_ = imgs[b], imgs[d]
-        if ib > id_:
-            ib, id_ = id_, ib
-        if not table[ia * n + ic][ib * n + id_]:
-            return ChordPropertyResult(False, (Chord(n, a, c), Chord(n, b, d)))
-    return ChordPropertyResult(True)
+    scan = first_unoriented_image if method == "combinatorial" else _first_disjoint_image
+    quad = scan(m)
+    if quad is None:
+        return ChordPropertyResult(True)
+    a, b, c, d = quad
+    return ChordPropertyResult(False, (Chord(m.n, a, c), Chord(m.n, b, d)))

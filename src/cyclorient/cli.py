@@ -71,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(SUITES),
         help=f"comma-separated subset of {','.join(SUITES)}",
     )
-    p.add_argument("--threads", type=int, default=1, help="parallel workers")
+    p.add_argument("--threads", type=int, default=1, help="workers, capped at the CPUs")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.add_argument("--lemma-max-len", type=int, default=4)
-    p.add_argument("--lemma-budget", type=int, default=200)
+    p.add_argument("--lemma-budget", type=int, default=200, help="sample size, >= 1")
 
     p = sub.add_parser("count", help="count the orientation classes exactly")
     p.add_argument("--n", type=int, required=True)

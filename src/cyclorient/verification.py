@@ -19,6 +19,8 @@ format).
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import random
 import time
 from collections import Counter
@@ -94,15 +96,24 @@ class ClassCounts:
     low_rank_in_p: int
 
     def invariant_failures(self) -> tuple[str, ...]:
+        """One line per count that breaks an identity, including closed forms
+        no membership route feeds: |OP_n| = |OR_n| = n·C(2n−1, n−1) − n(n−1)
+        (Catarino & Higgins, Semigroup Forum 58, 1999), |OP_n ∩ OR_n| =
+        n + C(n, 2)·n(n−1) and |P_n| = 2|OP_n| − |OP_n ∩ OR_n|."""
+        n, op, or_, p, both = self.n, self.op, self.or_, self.p, self.op_and_or
+        op_form = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
+        both_form = n + math.comb(n, 2) * n * (n - 1)
+        wants = (
+            ("op", op, {"closed form": op_form}),
+            ("or", or_, {"closed form": op_form}),
+            ("p", p, {"op+or-op_and_or": op + or_ - both, "closed form": 2 * op_form - both_form}),
+            ("op_and_or", both, {"low_rank_in_p": self.low_rank_in_p, "closed form": both_form}),
+        )
         problems = []
-        if self.p != self.op + self.or_ - self.op_and_or:
-            problems.append(
-                f"p={self.p} != op+or-op_and_or={self.op + self.or_ - self.op_and_or}"
-            )
-        if self.op_and_or != self.low_rank_in_p:
-            problems.append(
-                f"op_and_or={self.op_and_or} != low_rank_in_p={self.low_rank_in_p}"
-            )
+        for name, value, expected in wants:
+            wrong = [f"{label}={want}" for label, want in expected.items() if want != value]
+            if wrong:
+                problems.append(f"{name}={value} != " + ", ".join(wrong))
         return tuple(problems)
 
 
@@ -184,38 +195,13 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
-def _checked_triple(m: Mapping, mode: str) -> tuple[bool, str]:
-    """Extract a triple witness and re-validate it from scratch."""
-    expected = (
-        Orientation.ANTI_CYCLIC_ONLY if mode == "preserve" else Orientation.CYCLIC_ONLY
-    )
+def _checked(extract, *args) -> tuple[bool, str]:
+    """Extract a witness; every extractor re-validates its witness with the
+    orientation predicates and raises RuntimeError when the check fails."""
     try:
-        w = witness_triple(m, mode)
+        extract(*args)
     except (ValueError, RuntimeError) as exc:
         return False, f"extraction failed: {exc}"
-    if len(set(w.points)) != 3:
-        return False, f"repeated points in {w.points}"
-    if orientation(Seq(m.n, w.points)) is not Orientation.CYCLIC_ONLY:
-        return False, f"source {w.points} not cyclic-only"
-    image = Seq(m.n, tuple(m.images[p] for p in w.points))
-    if orientation(image) is not expected:
-        return False, f"image {image.items} not {expected.value}"
-    return True, ""
-
-
-def _checked_quad(m: Mapping) -> tuple[bool, str]:
-    """Extract a quadruple witness and re-validate it from scratch."""
-    try:
-        w = witness_quad(m)
-    except (ValueError, RuntimeError) as exc:
-        return False, f"extraction failed: {exc}"
-    if len(set(w.points)) != 4:
-        return False, f"repeated points in {w.points}"
-    if orientation(Seq(m.n, w.points)) is not Orientation.CYCLIC_ONLY:
-        return False, f"source {w.points} not cyclic-only"
-    image = Seq(m.n, tuple(m.images[p] for p in w.points))
-    if orientation(image) is not Orientation.NEITHER:
-        return False, f"image {image.items} not neither-oriented"
     return True, ""
 
 
@@ -281,16 +267,23 @@ def _equivalence_range(args: tuple[int, int, int, bool]) -> dict:
             )
 
         if not report.in_op and report.image_size >= 3:
-            ok, detail = _checked_triple(m, "preserve")
+            ok, detail = _checked(witness_triple, m, "preserve")
             _record(tally, "witness-triple-preserve", ok, index, witness, detail)
         if not report.in_or and report.image_size >= 3:
-            ok, detail = _checked_triple(m, "reverse")
+            ok, detail = _checked(witness_triple, m, "reverse")
             _record(tally, "witness-triple-reverse", ok, index, witness, detail)
         if not report.in_p:
-            ok, detail = _checked_quad(m)
+            ok, detail = _checked(witness_quad, m)
             _record(tally, "witness-quad", ok, index, witness, detail)
         index += 1
     return tally
+
+
+def _worker_count(workers: int) -> int:
+    """A validated worker count, clamped to the machine's CPU count."""
+    if workers < 1:
+        raise ValueError(f"thread count must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def equivalence_suite(
@@ -300,10 +293,12 @@ def equivalence_suite(
     and that witness extraction succeeds wherever a witness must exist.
 
     ``geometric`` additionally runs the exact-geometry chord oracle per map
-    (defaults to on for n <= 5, where it stays cheap).
+    (defaults to on for n <= 5, where it stays cheap).  ``workers`` must be
+    at least 1 and is clamped to ``os.cpu_count()``.
     """
     if n < 1:
         raise ValueError(f"cycle size must be positive, got n={n}")
+    workers = _worker_count(workers)
     if geometric is None:
         geometric = n <= 5
     started = time.perf_counter()
@@ -452,6 +447,11 @@ def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientat
     return pool
 
 
+def _check_lemma_budget(sample_budget: int | None) -> None:
+    if sample_budget is not None and sample_budget < 1:
+        raise ValueError(f"lemma sample budget must be positive, got {sample_budget}")
+
+
 def lemma_suite(
     n: int, max_len: int = 4, sample_budget: int | None = None
 ) -> SuiteReport:
@@ -463,12 +463,14 @@ def lemma_suite(
     All oriented sequences of length 3..max_len over [n] are candidates.
     Each member checks all of them when there are at most ``sample_budget``
     (or the budget is None); otherwise it checks a pseudorandom sample
-    seeded by (n, map index), so reports are reproducible.
+    seeded by (n, map index), so reports are reproducible.  A budget must be
+    positive: a zero budget would skip every image-orientation check.
     """
     if not 1 <= n <= LEMMA_MAX_N:
         raise ValueError(f"lemma suite supports 1 <= n <= {LEMMA_MAX_N}, got {n}")
     if not 1 <= max_len <= 6:
         raise ValueError(f"max_len must be within 1..6, got {max_len}")
+    _check_lemma_budget(sample_budget)
     started = time.perf_counter()
     tally = _new_tally()
     pool = _oriented_pool(n, max_len)
@@ -558,6 +560,9 @@ def run_verify(
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES}")
+    # Reject bad sizes before any suite runs.
+    workers = _worker_count(workers)
+    _check_lemma_budget(lemma_budget)
     reports = []
     if "equivalence" in suites:
         for n in range(1, n_max + 1):

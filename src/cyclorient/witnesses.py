@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mappings import Mapping, compose, reversal
-from .membership import classify
+from .membership import TRIPLE_MODES, classify
 from .sequences import Orientation, Seq, orientation
-
-TRIPLE_MODES = ("preserve", "reverse")
 
 TRIPLE_CASE_LABELS = (
     "1",

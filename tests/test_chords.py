@@ -15,6 +15,7 @@ from cyclorient import (
     image_chord,
     quad_test,
 )
+from cyclorient.chords import METHODS
 
 
 def test_chord_normalization_and_parse():
@@ -130,3 +131,51 @@ def test_chord_property_matches_quad_test():
     for _ in range(150):
         m = Mapping(5, tuple(rng.randrange(5) for _ in range(5)))
         assert has_chord_property(m).holds == quad_test(m) == classify(m).in_p
+
+
+def first_failing_pair_oracle(n, method):
+    """Brute force over [n]^4, repeats included: returns a function giving
+    the source chords {a, c}, {b, d} of the lexicographically first
+    intersecting (a, b, c, d) whose image chords are disjoint, or None."""
+    meets = {
+        quad: chords_intersect(Chord(n, quad[0], quad[2]), Chord(n, quad[1], quad[3]), method)
+        for quad in itertools.product(range(n), repeat=4)
+    }
+    sources = [quad for quad, ok in meets.items() if ok]
+
+    def first_failure(m):
+        imgs = m.images
+        for a, b, c, d in sources:
+            if not meets[imgs[a], imgs[b], imgs[c], imgs[d]]:
+                return Chord(n, a, c), Chord(n, b, d)
+        return None
+
+    return first_failure
+
+
+def test_chord_property_matches_brute_force_up_to_n6():
+    for n in range(1, 7):
+        for method in METHODS:
+            oracle = first_failing_pair_oracle(n, method)
+            for m in enumerate_all(n):
+                res = has_chord_property(m, method)
+                assert res.counterexample == oracle(m), (m, method)
+                assert res.holds == (res.counterexample is None), (m, method)
+
+
+def test_sorted_quadruples_cover_every_intersecting_pair():
+    # The premise of the reduced chord scan, decided by exact geometry: the
+    # chords {a, c}, {b, d} of distinct a, b, c, d intersect exactly when
+    # (a, b, c, d) is one of the 8 dihedral arrangements of its sorted form;
+    # with a repeated entry they intersect only through a shared endpoint,
+    # whose image every map shares too.
+    for n in range(1, 13):
+        for quad in itertools.product(range(n), repeat=4):
+            a, b, c, d = quad
+            meets = chords_intersect(Chord(n, a, c), Chord(n, b, d), "geometric")
+            if len(set(quad)) < 4:
+                assert meets == bool({a, c} & {b, d}), quad
+                continue
+            s = sorted(quad)
+            arrangements = {tuple(r[i:] + r[:i]) for r in (s, s[::-1]) for i in range(4)}
+            assert meets == (quad in arrangements), quad

@@ -173,3 +173,42 @@ def test_entry_raises_system_exit(capsys):
     with pytest.raises(SystemExit):
         entry()
     capsys.readouterr()
+
+
+def test_verify_rejects_non_positive_sizes(capsys):
+    cases = (
+        ("--threads", "0", "thread count must be at least 1, got 0"),
+        ("--threads", "-2", "thread count must be at least 1, got -2"),
+        ("--lemma-budget", "0", "lemma sample budget must be positive, got 0"),
+        ("--lemma-budget", "-5", "lemma sample budget must be positive, got -5"),
+    )
+    for flag, value, words in cases:
+        code, out, err = run_cli(capsys, "verify", "--n-max", "6", flag, value)
+        assert code == 2 and not out, (flag, value)
+        assert err == f"error: {words}\n", (flag, value)
+
+
+def test_verify_clamps_threads_to_cpu_count(capsys, monkeypatch):
+    from contextlib import nullcontext
+    from types import SimpleNamespace
+
+    from cyclorient import verification
+
+    created = []
+
+    def recording_pool(max_workers):
+        # Records the request and starts no process; every job yields an
+        # empty tally.
+        created.append(max_workers)
+        return nullcontext(
+            SimpleNamespace(map=lambda fn, jobs: [verification._new_tally() for _ in jobs])
+        )
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(
+        capsys, "verify", "--n-max", "6", "--suites", "equivalence", "--threads", "100000"
+    )
+    # n = 1..5 fall below the pool threshold; only n = 6 asks for a pool.
+    assert created == [2]
+    assert code == 0 and "suite equivalence, n=6" in out

@@ -235,3 +235,35 @@ def test_members_preserve_oriented_sequences():
                 tag = orientation(s)
                 want = tag if r.in_op else tag.swapped()
                 assert orientation(image) is want, (m, s)
+
+
+def first_failing_quad_oracle(n):
+    """Brute force over [n]^4, repeats included: returns a function giving
+    the lexicographically first oriented quadruple with a neither-oriented
+    image, or None."""
+    oriented = {
+        quad: orientation(Seq(n, quad)).oriented
+        for quad in itertools.product(range(n), repeat=4)
+    }
+    sources = [quad for quad, ok in oriented.items() if ok]
+
+    def first_failure(m):
+        imgs = m.images
+        for a, b, c, d in sources:
+            if not oriented[imgs[a], imgs[b], imgs[c], imgs[d]]:
+                return a, b, c, d
+        return None
+
+    return first_failure
+
+
+def test_quad_test_matches_brute_force_up_to_n6():
+    from cyclorient.membership import first_unoriented_image
+
+    for n in range(1, 7):
+        oracle = first_failing_quad_oracle(n)
+        for m in enumerate_all(n):
+            first = oracle(m)
+            assert quad_test(m) == (first is None), m
+            # The reduced scan's first sorted failure is the first in [n]^4.
+            assert first_unoriented_image(m) == first, m

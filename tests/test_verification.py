@@ -263,3 +263,70 @@ def test_class_counts_invariants_reporting():
     broken = ClassCounts(n=3, total=27, op=24, or_=24, p=30, op_and_or=20, low_rank_in_p=21)
     problems = broken.invariant_failures()
     assert len(problems) == 2
+
+
+def test_class_counts_match_closed_forms():
+    import math
+
+    for n in range(1, 7):
+        counts = count_classes(n)
+        op = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
+        both = n + math.comb(n, 2) * n * (n - 1)
+        assert (counts.op, counts.or_, counts.op_and_or, counts.p) == (
+            op,
+            op,
+            both,
+            2 * op - both,
+        ), n
+        assert not counts.invariant_failures(), n
+
+
+def test_closed_forms_catch_a_consistent_miscount():
+    import dataclasses
+
+    # A bug shared by every route could miscount OP and OR alike while
+    # inclusion-exclusion and the low-rank identity still hold; only the
+    # closed forms notice.
+    counts = count_classes(5)
+    wrong = dataclasses.replace(counts, op=counts.op + 1, or_=counts.or_ + 1, p=counts.p + 2)
+    problems = wrong.invariant_failures()
+    assert [p.split("=")[0] for p in problems] == ["op", "or", "p"]
+    assert all("closed form" in p for p in problems)
+
+
+def test_lemma_budget_must_be_positive():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="lemma sample budget must be positive"):
+            lemma_suite(4, sample_budget=budget)
+        # Rejected before any suite runs.
+        with pytest.raises(ValueError, match="lemma sample budget must be positive"):
+            run_verify(6, suites=("equivalence",), lemma_budget=budget)
+
+
+def test_worker_count_is_validated_and_clamped(monkeypatch):
+    from contextlib import nullcontext
+    from types import SimpleNamespace
+
+    from cyclorient import verification
+
+    created = []
+
+    def recording_pool(max_workers):
+        # Records the request and starts no process; every job yields an
+        # empty tally.
+        created.append(max_workers)
+        return nullcontext(
+            SimpleNamespace(map=lambda fn, jobs: [verification._new_tally() for _ in jobs])
+        )
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
+    equivalence_suite(6, workers=2)
+    equivalence_suite(6, workers=100_000)
+    assert created == [2, 3]
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="thread count must be at least 1"):
+            equivalence_suite(6, workers=workers)
+        with pytest.raises(ValueError, match="thread count must be at least 1"):
+            run_verify(6, workers=workers)
+    assert created == [2, 3]
