@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .mappings import Mapping
 from .membership import first_unoriented_image
-from .sequences import Seq, orientation
+from .sequences import _tag
 
 METHODS = ("combinatorial", "geometric")
 
@@ -59,7 +59,11 @@ class Chord:
         parts = text.strip().split("-")
         if len(parts) != 2:
             raise ValueError(f"chord must look like 'p-q', got {text!r}")
-        return cls(n, int(parts[0]), int(parts[1]))
+        try:
+            p, q = map(int, parts)
+        except ValueError:
+            raise ValueError(f"chord endpoints must be integers, got {text!r}") from None
+        return cls(n, p, q)
 
     def __str__(self) -> str:
         return f"{self.p}-{self.q}"
@@ -111,8 +115,7 @@ def chords_intersect(first: Chord, second: Chord, method: str = "combinatorial")
     if first.n != second.n:
         raise ValueError(f"cycle size mismatch: {first.n} vs {second.n}")
     if method == "combinatorial":
-        quad = Seq(first.n, (first.p, second.p, first.q, second.q))
-        return orientation(quad).oriented
+        return _tag((first.p, second.p, first.q, second.q)).oriented
     if method == "geometric":
         return _segments_intersect(
             _place(first.p), _place(first.q), _place(second.p), _place(second.q)

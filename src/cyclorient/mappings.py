@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .sequences import Seq
+from .sequences import Seq, _parse_ints
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Mapping:
     @classmethod
     def parse(cls, text: str) -> Mapping:
         """Parse a comma-separated image list, e.g. "0,1,3,2"; n is the list length."""
-        images = tuple(int(part) for part in text.strip().split(","))
+        images = _parse_ints(text.strip(), "map")
         return cls(len(images), images)
 
     def __call__(self, j: int) -> int:

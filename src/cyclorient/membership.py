@@ -5,8 +5,9 @@ A map is *orientation-preserving* when its image sequence (0a, 1a, ...,
 anti-cyclic, and belongs to the combined class when it is either.  Besides
 this O(n) definitional scan, two independent characterizations are
 implemented: one quantifying over distinct triples, one over oriented
-quadruples.  ``cross_check`` runs everything (including the chord test from
-:mod:`cyclorient.chords`) and reports any disagreement.
+quadruples.  ``cross_check`` is the per-map claim table: it runs every
+route once (including the chord test from :mod:`cyclorient.chords` and the
+witness extractors) and checks the claims the verification suite counts.
 
 The triple characterization has a genuine edge case: a map of rank <= 2
 sends every triple to a both-oriented image, so it passes the triple tests
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import neg
 
 from .mappings import Mapping
-from .sequences import Orientation, Seq, orientation
+from .sequences import Orientation, Seq, _tag
 
 TRIPLE_MODES = ("preserve", "reverse")
 
@@ -56,7 +58,9 @@ class Disagreement:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Agreement surface of all four membership tests for one map."""
+    """The claim table of one map: each route's verdict, one ``(claim, ok)``
+    row per checked claim, the triple ``gaps`` and the resulting
+    discrepancies."""
 
     definitional: MembershipReport
     triple_op: bool
@@ -64,6 +68,8 @@ class ConsistencyReport:
     quad_p: bool
     chord_p: bool
     discrepancies: tuple[Disagreement, ...]
+    claims: tuple[tuple[str, bool], ...]
+    gaps: tuple[str, ...]
 
     @property
     def unsanctioned(self) -> tuple[Disagreement, ...]:
@@ -81,7 +87,7 @@ def image_sequence(m: Mapping) -> Seq:
 
 def classify(m: Mapping) -> MembershipReport:
     """Definitional membership test via the orientation of the image sequence."""
-    tag = orientation(image_sequence(m))
+    tag = _tag(m.images)
     in_op = tag.admits_cyclic
     in_or = tag.admits_anti_cyclic
     return MembershipReport(
@@ -105,17 +111,12 @@ def triple_test(m: Mapping, mode: str) -> bool:
     """
     if mode not in TRIPLE_MODES:
         raise ValueError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
-    imgs = m.images
-    if mode == "preserve":
-        for i, j, k in itertools.combinations(range(m.n), 3):
-            w, x, y = imgs[i], imgs[j], imgs[k]
-            if (w > x) + (x > y) + (y > w) >= 2:
-                return False
-    else:
-        for i, j, k in itertools.combinations(range(m.n), 3):
-            w, x, y = imgs[i], imgs[j], imgs[k]
-            if (w < x) + (x < y) + (y < w) >= 2:
-                return False
+    # w < x is -w > -x, so the reverse test is the preserve scan on negated images.
+    imgs = m.images if mode == "preserve" else tuple(map(neg, m.images))
+    for i, j, k in itertools.combinations(range(m.n), 3):
+        w, x, y = imgs[i], imgs[j], imgs[k]
+        if (w > x) + (x > y) + (y > w) >= 2:
+            return False
     return True
 
 
@@ -126,7 +127,7 @@ def oriented_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(
         quad
         for quad in itertools.product(range(n), repeat=4)
-        if orientation(Seq(n, quad)).oriented
+        if _tag(quad).oriented
     )
 
 
@@ -156,63 +157,86 @@ def quad_test(m: Mapping) -> bool:
     return first_unoriented_image(m) is None
 
 
-def cross_check(m: Mapping) -> ConsistencyReport:
-    """Run all four membership tests and record every disagreement.
+def cross_check(m: Mapping, geometric: bool = False) -> ConsistencyReport:
+    """The per-map claim table: run every membership route and witness
+    extractor once and check each claim the equivalence suite checks.
 
-    Expected agreements: quadruple test == chord test == definitional
-    combined membership, always; triple tests == definitional flags whenever
-    the rank is at least 3.  Rank <= 2 triple disagreements are recorded as
-    sanctioned.
+    ``claims`` holds one ``(claim, ok)`` row per claim: the triple tests
+    agree with membership refined by rank (``triple-*-refined``), the
+    quadruple test and the chord property agree with membership
+    (``quad-vs-definitional``, ``chord-vs-definitional``, and with
+    ``geometric`` also ``chord-geometric-vs-definitional``), and every
+    non-member that must have a witness yields one (``witness-*``).
+    ``gaps`` lists the modes whose triple test passes outside the class.
+    Each failing row is an unsanctioned discrepancy; a gap at rank <= 2 is
+    the sanctioned ``triple-*-vs-definitional`` exemption.
     """
     from .chords import has_chord_property
+    from .witnesses import _witness_quad, _witness_triple
 
     report = classify(m)
+    low_rank = report.image_size <= 2
     triple_op = triple_test(m, "preserve")
     triple_or = triple_test(m, "reverse")
     quad_p = quad_test(m)
     chord_p = has_chord_property(m).holds
+    # (claim, route, its verdict, the verdict membership implies)
+    routes = [
+        ("triple-preserve-refined", "triple test (preserve)", triple_op, report.in_op or low_rank),
+        ("triple-reverse-refined", "triple test (reverse)", triple_or, report.in_or or low_rank),
+        ("quad-vs-definitional", "quad test", quad_p, report.in_p),
+        ("chord-vs-definitional", "chord property", chord_p, report.in_p),
+    ]
+    if geometric:
+        holds = has_chord_property(m, "geometric").holds
+        routes.append(
+            ("chord-geometric-vs-definitional", "geometric chord property", holds, report.in_p)
+        )
+    claims = [(claim, got == want) for claim, _, got, want in routes]
+    found = [
+        Disagreement(
+            claim,
+            f"{name} = {got} but definitional membership says {want};"
+            f" image size {report.image_size}",
+            sanctioned=False,
+        )
+        for claim, name, got, want in routes
+        if got != want
+    ]
 
-    found: list[Disagreement] = []
-    low_rank = report.image_size <= 2
-    if triple_op != report.in_op:
-        found.append(
-            Disagreement(
-                claim="triple-preserve-vs-definitional",
-                detail=(
-                    f"triple test (preserve) = {triple_op} but in_op = {report.in_op};"
-                    f" image size {report.image_size}"
-                    + (" <= 2: sanctioned exemption" if low_rank else "")
-                ),
-                sanctioned=low_rank,
-            )
+    extractions = (
+        ("witness-triple-preserve", not (report.in_op or low_rank), _witness_triple, ("preserve",)),
+        ("witness-triple-reverse", not (report.in_or or low_rank), _witness_triple, ("reverse",)),
+        ("witness-quad", not report.in_p, _witness_quad, ()),
+    )
+    for claim, needed, extract, args in extractions:
+        if not needed:
+            continue
+        try:
+            extract(m, report, *args)
+        except (ValueError, RuntimeError) as exc:
+            claims.append((claim, False))
+            found.append(Disagreement(claim, f"extraction failed: {exc}", sanctioned=False))
+        else:
+            claims.append((claim, True))
+
+    gaps = tuple(
+        mode
+        for mode, passed, member in (
+            ("preserve", triple_op, report.in_op),
+            ("reverse", triple_or, report.in_or),
         )
-    if triple_or != report.in_or:
-        found.append(
+        if passed and not member
+    )
+    if low_rank:
+        found.extend(
             Disagreement(
-                claim="triple-reverse-vs-definitional",
-                detail=(
-                    f"triple test (reverse) = {triple_or} but in_or = {report.in_or};"
-                    f" image size {report.image_size}"
-                    + (" <= 2: sanctioned exemption" if low_rank else "")
-                ),
-                sanctioned=low_rank,
+                f"triple-{mode}-vs-definitional",
+                f"triple test ({mode}) passes outside the class;"
+                f" image size {report.image_size} <= 2: sanctioned exemption",
+                sanctioned=True,
             )
-        )
-    if quad_p != report.in_p:
-        found.append(
-            Disagreement(
-                claim="quad-vs-definitional",
-                detail=f"quad test = {quad_p} but in_p = {report.in_p}",
-                sanctioned=False,
-            )
-        )
-    if chord_p != quad_p:
-        found.append(
-            Disagreement(
-                claim="chord-vs-quad",
-                detail=f"chord property = {chord_p} but quad test = {quad_p}",
-                sanctioned=False,
-            )
+            for mode in gaps
         )
     return ConsistencyReport(
         definitional=report,
@@ -221,4 +245,6 @@ def cross_check(m: Mapping) -> ConsistencyReport:
         quad_p=quad_p,
         chord_p=chord_p,
         discrepancies=tuple(found),
+        claims=tuple(claims),
+        gaps=gaps,
     )

@@ -77,7 +77,7 @@ class Seq:
         When ``n`` is omitted it defaults to 1 + max(value).
         """
         text = text.strip()
-        items = tuple(int(part) for part in text.split(",")) if text else ()
+        items = _parse_ints(text, "sequence") if text else ()
         if n is None:
             n = max(items) + 1 if items else 1
         return cls(n, items)
@@ -95,6 +95,46 @@ class Seq:
         return ",".join(str(v) for v in self.items)
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Split a comma-separated list of integers, naming ``what`` on error."""
+    items = []
+    for part in text.split(","):
+        try:
+            items.append(int(part))
+        except ValueError:
+            raise ValueError(f"{what} entry {part.strip()!r} is not an integer") from None
+    return tuple(items)
+
+
+def _steps(items: tuple[int, ...]) -> tuple[int, int]:
+    """The orientation kernel: (descents, ascents) over the circular steps
+    of a nonempty tuple, the last item stepping back to the first."""
+    descents = ascents = 0
+    prev = items[-1]
+    for cur in items:
+        if prev > cur:
+            descents += 1
+        elif prev < cur:
+            ascents += 1
+        prev = cur
+    return descents, ascents
+
+
+# Indexed by 2 * cyclic + anti-cyclic.
+_TAGS = (
+    Orientation.NEITHER,
+    Orientation.ANTI_CYCLIC_ONLY,
+    Orientation.CYCLIC_ONLY,
+    Orientation.BOTH,
+)
+
+
+def _tag(items: tuple[int, ...]) -> Orientation:
+    """The orientation :func:`_steps` implies for a nonempty tuple."""
+    descents, ascents = _steps(items)
+    return _TAGS[2 * (descents <= 1) + (ascents <= 1)]
+
+
 def _require_nonempty(s: Seq) -> None:
     if not s.items:
         raise ValueError("empty sequence has no orientation")
@@ -103,17 +143,13 @@ def _require_nonempty(s: Seq) -> None:
 def circular_descents(s: Seq) -> int:
     """Number of positions i with item[i] > item[i+1], indices wrapping around."""
     _require_nonempty(s)
-    items = s.items
-    t = len(items)
-    return sum(items[i] > items[(i + 1) % t] for i in range(t))
+    return _steps(s.items)[0]
 
 
 def circular_ascents(s: Seq) -> int:
     """Number of positions i with item[i] < item[i+1], indices wrapping around."""
     _require_nonempty(s)
-    items = s.items
-    t = len(items)
-    return sum(items[i] < items[(i + 1) % t] for i in range(t))
+    return _steps(s.items)[1]
 
 
 def is_cyclic(s: Seq) -> bool:
@@ -129,25 +165,7 @@ def is_anti_cyclic(s: Seq) -> bool:
 def orientation(s: Seq) -> Orientation:
     """Classify a nonempty sequence as cyclic-only, anti-cyclic-only, both or neither."""
     _require_nonempty(s)
-    items = s.items
-    t = len(items)
-    descents = 0
-    ascents = 0
-    for i in range(t):
-        a, b = items[i], items[(i + 1) % t]
-        if a > b:
-            descents += 1
-        elif a < b:
-            ascents += 1
-    cyclic = descents <= 1
-    anti = ascents <= 1
-    if cyclic and anti:
-        return Orientation.BOTH
-    if cyclic:
-        return Orientation.CYCLIC_ONLY
-    if anti:
-        return Orientation.ANTI_CYCLIC_ONLY
-    return Orientation.NEITHER
+    return _tag(s.items)
 
 
 def cyclic_variant(s: Seq, i: int) -> Seq:

@@ -27,16 +27,16 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .chords import has_chord_property
-from .mappings import Mapping, enumerate_all, mapping_count
-from .membership import classify, quad_test, triple_test
-from .sequences import Orientation, Seq, orientation
-from .witnesses import witness_quad, witness_triple
+from .mappings import enumerate_all, mapping_count
+from .membership import classify, cross_check
+from .sequences import Orientation, _steps, _tag
 
 SUITES = ("equivalence", "identity", "lemma")
 
 IDENTITY_MAX_N = 5
 LEMMA_MAX_N = 6
+LEMMA_MIN_LEN = 3
+LEMMA_MAX_LEN = 6
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,22 @@ def _new_tally() -> dict:
     return {"checks": Counter(), "violations": {}, "sanctioned": []}
 
 
+def _fail(
+    tally: dict, claim: str, index: int, witness: str, detail: str, count: int = 1
+) -> None:
+    """Record ``count`` failed checks; the claim keeps its lowest-index witness.
+
+    Only failures reach here, so witness and detail text is built only for
+    them; suites count their checks in bulk."""
+    cur = tally["violations"].get(claim)
+    if cur is None:
+        tally["violations"][claim] = [index, witness, detail, count]
+    else:
+        cur[3] += count
+        if index < cur[0]:
+            cur[0], cur[1], cur[2] = index, witness, detail
+
+
 def _record(
     tally: dict,
     claim: str,
@@ -137,13 +153,7 @@ def _record(
 ) -> None:
     tally["checks"][claim] += weight
     if not ok:
-        cur = tally["violations"].get(claim)
-        if cur is None:
-            tally["violations"][claim] = [index, witness, detail, 1]
-        else:
-            cur[3] += 1
-            if index < cur[0]:
-                cur[0], cur[1], cur[2] = index, witness, detail
+        _fail(tally, claim, index, witness, detail)
 
 
 def _merge_tallies(parts: list[dict]) -> dict:
@@ -151,13 +161,7 @@ def _merge_tallies(parts: list[dict]) -> dict:
     for part in parts:
         total["checks"].update(part["checks"])
         for claim, (idx, wit, det, cnt) in part["violations"].items():
-            cur = total["violations"].get(claim)
-            if cur is None:
-                total["violations"][claim] = [idx, wit, det, cnt]
-            else:
-                cur[3] += cnt
-                if idx < cur[0]:
-                    cur[0], cur[1], cur[2] = idx, wit, det
+            _fail(total, claim, idx, wit, det, cnt)
         total["sanctioned"].extend(part["sanctioned"])
     return total
 
@@ -195,87 +199,17 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
-def _checked(extract, *args) -> tuple[bool, str]:
-    """Extract a witness; every extractor re-validates its witness with the
-    orientation predicates and raises RuntimeError when the check fails."""
-    try:
-        extract(*args)
-    except (ValueError, RuntimeError) as exc:
-        return False, f"extraction failed: {exc}"
-    return True, ""
-
-
 def _equivalence_range(args: tuple[int, int, int, bool]) -> dict:
     n, start, stop, geometric = args
     tally = _new_tally()
-    index = start
-    for m in enumerate_all(n, start, stop):
-        witness = str(m)
-        report = classify(m)
-        low_rank = report.image_size <= 2
-
-        tp = triple_test(m, "preserve")
-        _record(
-            tally,
-            "triple-preserve-refined",
-            tp == (report.in_op or low_rank),
-            index,
-            witness,
-            f"triple test (preserve) = {tp}, in_op = {report.in_op},"
-            f" image size = {report.image_size}",
-        )
-        if tp and not report.in_op:
-            tally["sanctioned"].append(("triple-preserve-literal", index, witness))
-
-        tr = triple_test(m, "reverse")
-        _record(
-            tally,
-            "triple-reverse-refined",
-            tr == (report.in_or or low_rank),
-            index,
-            witness,
-            f"triple test (reverse) = {tr}, in_or = {report.in_or},"
-            f" image size = {report.image_size}",
-        )
-        if tr and not report.in_or:
-            tally["sanctioned"].append(("triple-reverse-literal", index, witness))
-
-        _record(
-            tally,
-            "quad-vs-definitional",
-            quad_test(m) == report.in_p,
-            index,
-            witness,
-            "quad test disagrees with definitional membership",
-        )
-        _record(
-            tally,
-            "chord-vs-definitional",
-            has_chord_property(m).holds == report.in_p,
-            index,
-            witness,
-            "chord property disagrees with definitional membership",
-        )
-        if geometric:
-            _record(
-                tally,
-                "chord-geometric-vs-definitional",
-                has_chord_property(m, "geometric").holds == report.in_p,
-                index,
-                witness,
-                "geometric chord property disagrees with definitional membership",
-            )
-
-        if not report.in_op and report.image_size >= 3:
-            ok, detail = _checked(witness_triple, m, "preserve")
-            _record(tally, "witness-triple-preserve", ok, index, witness, detail)
-        if not report.in_or and report.image_size >= 3:
-            ok, detail = _checked(witness_triple, m, "reverse")
-            _record(tally, "witness-triple-reverse", ok, index, witness, detail)
-        if not report.in_p:
-            ok, detail = _checked(witness_quad, m)
-            _record(tally, "witness-quad", ok, index, witness, detail)
-        index += 1
+    checks = tally["checks"]
+    for index, m in enumerate(enumerate_all(n, start, stop), start):
+        report = cross_check(m, geometric)
+        checks.update(claim for claim, _ in report.claims)
+        for d in report.unsanctioned:
+            _fail(tally, d.claim, index, str(m), d.detail)
+        for mode in report.gaps:
+            tally["sanctioned"].append((f"triple-{mode}-literal", index, str(m)))
     return tally
 
 
@@ -400,21 +334,15 @@ def identity_suite(n: int) -> SuiteReport:
 def count_classes(n: int) -> ClassCounts:
     """Exact class cardinalities by enumerating all n^n maps.
 
-    The scan inlines the circular descent/ascent counts; agreement with the
-    per-map classifier is covered by the test suite.  Intended for n <= 8.
+    Each image list goes straight through the orientation kernel, with no
+    ``Mapping`` built; agreement with the per-map classifier is covered by
+    the test suite.  Intended for n <= 8.
     """
     if n < 1:
         raise ValueError(f"cycle size must be positive, got n={n}")
     op = or_ = p = both = low = 0
     for images in itertools.product(range(n), repeat=n):
-        descents = ascents = 0
-        prev = images[-1]
-        for cur in images:
-            if prev > cur:
-                descents += 1
-            elif prev < cur:
-                ascents += 1
-            prev = cur
+        descents, ascents = _steps(images)
         cyclic = descents <= 1
         anti = ascents <= 1
         if cyclic:
@@ -439,15 +367,21 @@ def count_classes(n: int) -> ClassCounts:
 
 def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientation]]:
     pool = []
-    for length in range(3, max_len + 1):
+    for length in range(LEMMA_MIN_LEN, max_len + 1):
         for items in itertools.product(range(n), repeat=length):
-            tag = orientation(Seq(n, items))
+            tag = _tag(items)
             if tag.oriented:
                 pool.append((items, tag))
     return pool
 
 
-def _check_lemma_budget(sample_budget: int | None) -> None:
+def _check_lemma_args(max_len: int, sample_budget: int | None) -> None:
+    # Below length 3 the pool holds no sequence the lemma constrains, so the
+    # suite would pass on zero checks.
+    if not LEMMA_MIN_LEN <= max_len <= LEMMA_MAX_LEN:
+        raise ValueError(
+            f"lemma max length must be within {LEMMA_MIN_LEN}..{LEMMA_MAX_LEN}, got {max_len}"
+        )
     if sample_budget is not None and sample_budget < 1:
         raise ValueError(f"lemma sample budget must be positive, got {sample_budget}")
 
@@ -460,19 +394,19 @@ def lemma_suite(
     image keeps at least three distinct values, plus subsequence
     inheritance of orientation on a sample of oriented sequences.
 
-    All oriented sequences of length 3..max_len over [n] are candidates.
-    Each member checks all of them when there are at most ``sample_budget``
-    (or the budget is None); otherwise it checks a pseudorandom sample
-    seeded by (n, map index), so reports are reproducible.  A budget must be
+    All oriented sequences of length 3..max_len (within 3..6) over [n] are
+    candidates.  Each member checks all of them when there are at most
+    ``sample_budget`` (or the budget is None); otherwise it checks a
+    pseudorandom sample seeded by (n, map index), so reports are
+    reproducible.  A budget must be
     positive: a zero budget would skip every image-orientation check.
     """
     if not 1 <= n <= LEMMA_MAX_N:
         raise ValueError(f"lemma suite supports 1 <= n <= {LEMMA_MAX_N}, got {n}")
-    if not 1 <= max_len <= 6:
-        raise ValueError(f"max_len must be within 1..6, got {max_len}")
-    _check_lemma_budget(sample_budget)
+    _check_lemma_args(max_len, sample_budget)
     started = time.perf_counter()
     tally = _new_tally()
+    checks = tally["checks"]
     pool = _oriented_pool(n, max_len)
 
     for index, m in enumerate(enumerate_all(n)):
@@ -492,23 +426,19 @@ def lemma_suite(
         claim = (
             "image-orientation-preserved" if report.in_op else "image-orientation-reversed"
         )
-        expect_swap = not report.in_op
+        flip = not report.in_op
         for items, tag in chosen:
             image = tuple(map(imgs.__getitem__, items))
-            if len(set(image)) >= 3:
-                image_tag = orientation(Seq(n, image))
-                want = tag.swapped() if expect_swap else tag
-                ok = image_tag is want
-            else:
-                ok = True  # too few distinct image values: nothing is claimed
-            _record(
-                tally,
-                claim,
-                ok,
-                index,
-                f"map={m};seq={','.join(map(str, items))}",
-                "image orientation does not match the source",
-            )
+            # Fewer than three distinct image values: nothing is claimed.
+            if len(set(image)) >= 3 and _tag(image) is not (tag.swapped() if flip else tag):
+                _fail(
+                    tally,
+                    claim,
+                    index,
+                    f"map={m};seq={','.join(map(str, items))}",
+                    "image orientation does not match the source",
+                )
+        checks[claim] += len(chosen)
 
     # Subsequence inheritance on a deterministic sample of the pool.
     rng = random.Random(1_000_003 * n)
@@ -519,21 +449,18 @@ def lemma_suite(
     for items, tag in sample:
         t = len(items)
         for mask in range(1, 1 << t):
-            sub = tuple(items[b] for b in range(t) if mask >> b & 1)
-            sub_tag = orientation(Seq(n, sub))
-            ok = True
-            if tag.admits_cyclic and not sub_tag.admits_cyclic:
-                ok = False
-            if tag.admits_anti_cyclic and not sub_tag.admits_anti_cyclic:
-                ok = False
-            _record(
-                tally,
-                "subsequence-inheritance",
-                ok,
-                0,
-                f"seq={','.join(map(str, items))};mask={mask}",
-                "subsequence lost an orientation admitted by the full sequence",
-            )
+            sub_tag = _tag(tuple(items[b] for b in range(t) if mask >> b & 1))
+            if (tag.admits_cyclic and not sub_tag.admits_cyclic) or (
+                tag.admits_anti_cyclic and not sub_tag.admits_anti_cyclic
+            ):
+                _fail(
+                    tally,
+                    "subsequence-inheritance",
+                    0,
+                    f"seq={','.join(map(str, items))};mask={mask}",
+                    "subsequence lost an orientation admitted by the full sequence",
+                )
+        checks["subsequence-inheritance"] += (1 << t) - 1
     return _finish("lemma", n, tally, started)
 
 
@@ -562,7 +489,7 @@ def run_verify(
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES}")
     # Reject bad sizes before any suite runs.
     workers = _worker_count(workers)
-    _check_lemma_budget(lemma_budget)
+    _check_lemma_args(lemma_max_len, lemma_budget)
     reports = []
     if "equivalence" in suites:
         for n in range(1, n_max + 1):

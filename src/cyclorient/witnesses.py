@@ -6,8 +6,11 @@ class, there is a cyclic quadruple whose image is neither cyclic nor
 anti-cyclic.  The constructions below extract one such witness by a
 deterministic case analysis: smallest indices win, scans take their first
 hit, and every "without loss" swap is performed explicitly and recorded in
-the case label.  Witnesses are re-validated with the orientation predicates
-before being returned, never trusted from construction.
+the case label.  Each witness is classified once and checked by one
+validator, on the orientation kernel, before it is returned: it is never
+trusted from construction.  The reverse-mode triple runs the preserve
+construction on the map composed with the reversal and is validated
+against the original map.
 
 Rank <= 2 maps outside the preserving class have no counterexample triple
 (all their triple images are both-oriented), so the triple extractor
@@ -17,10 +20,11 @@ requires rank >= 3.  The quadruple extractor works for every rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
-from .mappings import Mapping, compose, reversal
-from .membership import TRIPLE_MODES, classify
-from .sequences import Orientation, Seq, orientation
+from .mappings import Mapping
+from .membership import TRIPLE_MODES, MembershipReport, classify
+from .sequences import Orientation, _steps, _tag
 
 TRIPLE_CASE_LABELS = (
     "1",
@@ -55,70 +59,29 @@ class QuadWitness:
     case_label: str
 
 
-def _validate_triple(m: Mapping, w: TripleWitness, expected_image: Orientation) -> None:
-    if len(set(w.points)) != 3:
-        raise RuntimeError(f"witness points {w.points} are not pairwise distinct")
-    source_tag = orientation(Seq(m.n, w.points))
+def _validate(m: Mapping, points: tuple[int, ...], expected_image: Orientation) -> None:
+    """The one witness validator: the points are pairwise distinct and
+    cyclic-only, and their image under ``m`` carries ``expected_image``."""
+    if len(set(points)) != len(points):
+        raise RuntimeError(f"witness points {points} are not pairwise distinct")
+    source_tag = _tag(points)
     if source_tag is not Orientation.CYCLIC_ONLY:
         raise RuntimeError(
-            f"witness source {w.points} should be cyclic-only, got {source_tag.value}"
+            f"witness source {points} should be cyclic-only, got {source_tag.value}"
         )
-    image = tuple(m.images[p] for p in w.points)
-    image_tag = orientation(Seq(m.n, image))
+    image = tuple(map(m.images.__getitem__, points))
+    image_tag = _tag(image)
     if image_tag is not expected_image:
         raise RuntimeError(
             f"witness image {image} should be {expected_image.value}, got {image_tag.value}"
         )
 
 
-def _validate_quad(m: Mapping, w: QuadWitness) -> None:
-    if len(set(w.points)) != 4:
-        raise RuntimeError(f"witness points {w.points} are not pairwise distinct")
-    source_tag = orientation(Seq(m.n, w.points))
-    if source_tag is not Orientation.CYCLIC_ONLY:
-        raise RuntimeError(
-            f"witness source {w.points} should be cyclic-only, got {source_tag.value}"
-        )
-    image = tuple(m.images[p] for p in w.points)
-    image_tag = orientation(Seq(m.n, image))
-    if image_tag is not Orientation.NEITHER:
-        raise RuntimeError(
-            f"witness image {image} should be neither-oriented, got {image_tag.value}"
-        )
-
-
-def witness_triple(m: Mapping, mode: str) -> TripleWitness:
-    """Extract a cyclic triple whose image is anti-cyclic (mode "preserve")
-    or cyclic (mode "reverse").
-
-    Preconditions: the map must fail the corresponding definitional test and
-    have rank >= 3 (below that no witness exists).
-    """
-    if mode not in TRIPLE_MODES:
-        raise ValueError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
-    report = classify(m)
-    if report.image_size < 3:
-        raise ValueError(
-            f"image size {report.image_size} <= 2: the triple condition holds"
-            " vacuously, no witness exists"
-        )
-
-    if mode == "reverse":
-        if report.in_or:
-            raise ValueError("map is orientation-reversing; no witness exists")
-        # Composing with the order reversal turns the problem into the
-        # preserve case; reversing twice is the identity, so the original
-        # images form a cyclic-only triple.
-        base = witness_triple(compose(m, reversal(m.n)), "preserve")
-        witness = TripleWitness(base.points, "gamma-composed")
-        _validate_triple(m, witness, Orientation.CYCLIC_ONLY)
-        return witness
-
-    if report.in_op:
-        raise ValueError("map is orientation-preserving; no witness exists")
-
-    n = m.n
-    imgs = m.images
+def _preserve_triple(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int], str]:
+    """Points and case label of a cyclic triple whose image under the map
+    with image list ``imgs`` is anti-cyclic; the map must be outside the
+    preserving class with rank >= 3."""
+    n = len(imgs)
     descents = [t for t in range(n) if imgs[t] > imgs[(t + 1) % n]]
     # Non-membership guarantees at least two descents; the first pair always
     # admits one of the three cases below.
@@ -146,11 +109,11 @@ def witness_triple(m: Mapping, mode: str) -> TripleWitness:
         top, bottom = imgs[i], imgs[(i + 1) % n]
         k = min(v for v in range(n) if imgs[v] != top and imgs[v] != bottom)
         five = (i, (i + 1) % n, k, j, (j + 1) % n)
-        if not orientation(Seq(n, five)).admits_cyclic:
+        if _steps(five)[0] > 1:
             i, j = j, i
             swapped = True
             five = (i, (i + 1) % n, k, j, (j + 1) % n)
-            if not orientation(Seq(n, five)).admits_cyclic:
+            if _steps(five)[0] > 1:
                 raise RuntimeError(
                     f"neither ordering of {five} is cyclic; construction is broken"
                 )
@@ -166,12 +129,48 @@ def witness_triple(m: Mapping, mode: str) -> TripleWitness:
 
     if swapped:
         label += "-swapped"
-    witness = TripleWitness(points, label)
-    _validate_triple(m, witness, Orientation.ANTI_CYCLIC_ONLY)
-    return witness
+    return points, label
 
 
-def _first(positions: list[int], predicate) -> int | None:
+def witness_triple(m: Mapping, mode: str) -> TripleWitness:
+    """Extract a cyclic triple whose image is anti-cyclic (mode "preserve")
+    or cyclic (mode "reverse").
+
+    Preconditions: the map must fail the corresponding definitional test and
+    have rank >= 3 (below that no witness exists).
+    """
+    return _witness_triple(m, classify(m), mode)
+
+
+def _witness_triple(m: Mapping, report: MembershipReport, mode: str) -> TripleWitness:
+    """:func:`witness_triple` for a map already classified as ``report``."""
+    if mode not in TRIPLE_MODES:
+        raise ValueError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
+    if report.image_size < 3:
+        raise ValueError(
+            f"image size {report.image_size} <= 2: the triple condition holds"
+            " vacuously, no witness exists"
+        )
+    if mode == "preserve":
+        if report.in_op:
+            raise ValueError("map is orientation-preserving; no witness exists")
+        points, label = _preserve_triple(m.images)
+        expected = Orientation.ANTI_CYCLIC_ONLY
+    else:
+        if report.in_or:
+            raise ValueError("map is orientation-reversing; no witness exists")
+        # Composing with the order reversal turns the problem into the
+        # preserve case; reversing twice is the identity, so the original
+        # images form a cyclic-only triple.  Negated images order exactly as
+        # those of compose(m, reversal(n)), so the construction runs on them.
+        points, _ = _preserve_triple(tuple(map(neg, m.images)))
+        label = "gamma-composed"
+        expected = Orientation.CYCLIC_ONLY
+    _validate(m, points, expected)
+    return TripleWitness(points, label)
+
+
+def _first(positions, predicate) -> int | None:
     for p in positions:
         if predicate(p):
             return p
@@ -185,7 +184,11 @@ def witness_quad(m: Mapping) -> QuadWitness:
     Precondition: the map is neither orientation-preserving nor
     orientation-reversing.  Works for every rank.
     """
-    report = classify(m)
+    return _witness_quad(m, classify(m))
+
+
+def _witness_quad(m: Mapping, report: MembershipReport) -> QuadWitness:
+    """:func:`witness_quad` for a map already classified as ``report``."""
     if report.in_p:
         raise ValueError(
             "map preserves or reverses orientation; no counterexample quadruple exists"
@@ -194,7 +197,7 @@ def witness_quad(m: Mapping) -> QuadWitness:
     imgs = m.images
     lo, hi = min(imgs), max(imgs)
 
-    i = _first(list(range(n)), lambda p: imgs[p] == lo and imgs[p] < imgs[(p + 1) % n])
+    i = _first(range(n), lambda p: imgs[p] == lo and imgs[p] < imgs[(p + 1) % n])
     if i is None:
         # Every minimum position would have a non-rising successor, forcing a
         # constant map, which the precondition excludes.
@@ -204,7 +207,7 @@ def witness_quad(m: Mapping) -> QuadWitness:
     if j is None:
         raise RuntimeError("no descent after the rising minimum; construction is broken")
 
-    i2 = _first(list(range(n)), lambda p: imgs[p] == hi and imgs[p] > imgs[(p + 1) % n])
+    i2 = _first(range(n), lambda p: imgs[p] == hi and imgs[p] > imgs[(p + 1) % n])
     if i2 is None:
         raise RuntimeError("no falling maximum position; construction is broken")
     span2 = [(i2 + 1 + t) % n for t in range(n - 2)]
@@ -233,6 +236,5 @@ def witness_quad(m: Mapping) -> QuadWitness:
         points = (i, (i + 1) % n, i2, (i2 + 1) % n)
         label = "case2"
 
-    witness = QuadWitness(points, label)
-    _validate_quad(m, witness)
-    return witness
+    _validate(m, points, Orientation.NEITHER)
+    return QuadWitness(points, label)

@@ -179,3 +179,8 @@ def test_sorted_quadruples_cover_every_intersecting_pair():
             s = sorted(quad)
             arrangements = {tuple(r[i:] + r[:i]) for r in (s, s[::-1]) for i in range(4)}
             assert meets == (quad in arrangements), quad
+
+
+def test_chord_parse_names_bad_endpoints():
+    with pytest.raises(ValueError, match="chord endpoints must be integers, got '1-x'"):
+        Chord.parse("1-x", 4)

@@ -212,3 +212,46 @@ def test_verify_clamps_threads_to_cpu_count(capsys, monkeypatch):
     # n = 1..5 fall below the pool threshold; only n = 6 asks for a pool.
     assert created == [2]
     assert code == 0 and "suite equivalence, n=6" in out
+
+
+def test_bad_numbers_are_reported_in_library_words(capsys):
+    cases = (
+        (("classify", "--map", "a,b"), "error: bad map 'a,b': map entry 'a' is not an integer\n"),
+        (("classify", "--map", "0,,1"), "error: bad map '0,,1': map entry '' is not an integer\n"),
+        (
+            ("chords", "--n", "4", "--pair", "1-x:0-2"),
+            "error: chord endpoints must be integers, got '1-x'\n",
+        ),
+    )
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err == message and "invalid literal" not in err, argv
+
+
+def test_classify_map_size_limit(capsys, monkeypatch):
+    from cyclorient import cli
+
+    assert cli.CLASSIFY_MAX_N == 128
+    calls = []
+
+    def stub(m):
+        # Stands in for the O(n^4) routes so the limit is tested cheaply.
+        calls.append(m.n)
+        raise ValueError("routes skipped")
+
+    monkeypatch.setattr(cli, "cross_check", stub)
+    code, _, err = run_cli(capsys, "classify", "--map", ",".join(["0"] * 129))
+    assert code == 2 and calls == []
+    assert err == "error: classify supports maps of length at most 128, got 129\n"
+    code, _, err = run_cli(capsys, "classify", "--map", ",".join(["0"] * 128))
+    assert code == 2 and calls == [128] and "routes skipped" in err
+
+
+def test_verify_rejects_lemma_max_len_out_of_range(capsys):
+    for value in ("0", "2", "7"):
+        code, out, err = run_cli(
+            capsys, "verify", "--n-max", "3", "--suites", "lemma", "--lemma-max-len", value
+        )
+        assert code == 2 and not out, value
+        assert err == f"error: lemma max length must be within 3..6, got {value}\n"

@@ -142,3 +142,9 @@ def test_enumerate_all_splits_into_ranges():
         list(enumerate_all(3, 5, 30))
     with pytest.raises(ValueError):
         list(enumerate_all(0))
+
+
+def test_mapping_parse_names_a_bad_entry():
+    for text, entry in (("a,b", "'a'"), ("0,,1", "''"), ("", "''")):
+        with pytest.raises(ValueError, match=f"map entry {entry} is not an integer"):
+            Mapping.parse(text)

@@ -267,3 +267,57 @@ def test_quad_test_matches_brute_force_up_to_n6():
             assert quad_test(m) == (first is None), m
             # The reduced scan's first sorted failure is the first in [n]^4.
             assert first_unoriented_image(m) == first, m
+
+
+def test_cross_check_claim_table_and_gaps():
+    clean = cross_check(Mapping.parse("0,1,3,2"))
+    assert dict(clean.claims) == {
+        "triple-preserve-refined": True,
+        "triple-reverse-refined": True,
+        "quad-vs-definitional": True,
+        "chord-vs-definitional": True,
+        "witness-triple-preserve": True,
+        "witness-triple-reverse": True,
+        "witness-quad": True,
+    }
+    assert clean.gaps == ()
+    gapped = cross_check(Mapping.parse("0,1,0,1"), geometric=True)
+    assert gapped.gaps == ("preserve", "reverse")
+    # Rank 2: no triple witness exists, so none is claimed.
+    assert [claim for claim, _ in gapped.claims] == [
+        "triple-preserve-refined",
+        "triple-reverse-refined",
+        "quad-vs-definitional",
+        "chord-vs-definitional",
+        "chord-geometric-vs-definitional",
+        "witness-quad",
+    ]
+    assert all(ok for _, ok in gapped.claims)
+
+
+def test_cross_check_flags_a_low_rank_triple_failure(monkeypatch):
+    # A rank <= 2 non-member must pass the triple tests; one that fails them
+    # breaks the refined statement even though it agrees with in_op.
+    from cyclorient import membership
+
+    monkeypatch.setattr(membership, "triple_test", lambda m, mode: False)
+    report = cross_check(Mapping.parse("0,1,0,1"))
+    assert not report.consistent
+    assert report.gaps == ()
+    assert {d.claim for d in report.unsanctioned} == {
+        "triple-preserve-refined",
+        "triple-reverse-refined",
+    }
+    assert ("triple-preserve-refined", False) in report.claims
+
+
+def test_cross_check_reports_a_witness_that_fails_validation(monkeypatch):
+    from cyclorient import witnesses
+
+    # (0, 1, 2) maps to the cyclic (0, 1, 3) under 0,1,3,2: not a witness.
+    monkeypatch.setattr(witnesses, "_preserve_triple", lambda imgs: ((0, 1, 2), "1"))
+    report = cross_check(Mapping.parse("0,1,3,2"))
+    [failure] = report.unsanctioned
+    assert failure.claim == "witness-triple-preserve"
+    assert failure.detail.startswith("extraction failed: witness image (0, 1, 3)")
+    assert ("witness-triple-preserve", False) in report.claims

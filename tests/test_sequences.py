@@ -186,3 +186,8 @@ def test_subsequence_inheritance_exhaustive():
                 assert sub_tag.admits_cyclic, (items, sub)
             if tag.admits_anti_cyclic:
                 assert sub_tag.admits_anti_cyclic, (items, sub)
+
+
+def test_seq_parse_names_a_bad_entry():
+    with pytest.raises(ValueError, match="sequence entry 'x' is not an integer"):
+        Seq.parse("0,x")

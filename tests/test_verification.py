@@ -1,5 +1,7 @@
 """Suite reports: correctness, determinism, merging, serialization."""
 
+from pathlib import Path
+
 import pytest
 
 from cyclorient import (
@@ -330,3 +332,76 @@ def test_worker_count_is_validated_and_clamped(monkeypatch):
         with pytest.raises(ValueError, match="thread count must be at least 1"):
             run_verify(6, workers=workers)
     assert created == [2, 3]
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_n6.machine"
+
+
+def test_machine_report_matches_golden_up_to_n5():
+    # The golden file is `verify --n-max 6 --format machine --threads 2`;
+    # without its n = 6 lines it is exactly the n <= 5 report, in order.
+    golden = [line for line in GOLDEN.read_text().splitlines() if " n=6 " not in line]
+    assert format_machine(run_verify(5)).splitlines() == golden
+
+
+def test_lemma_max_len_must_be_3_to_6():
+    for max_len in (0, 2, 7):
+        words = f"lemma max length must be within 3..6, got {max_len}"
+        with pytest.raises(ValueError, match=words):
+            lemma_suite(4, max_len=max_len)
+        # Rejected before any suite runs, even one that never reads it.
+        with pytest.raises(ValueError, match=words):
+            run_verify(6, suites=("equivalence",), lemma_max_len=max_len)
+    for max_len in (3, 6):
+        assert lemma_suite(3, max_len=max_len, sample_budget=20).checks_run > 0
+
+
+def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
+    from cyclorient import membership
+
+    real = membership.quad_test
+    broken = (0, 1, 3, 2)
+    monkeypatch.setattr(
+        membership, "quad_test", lambda m: real(m) != (m.images == broken)
+    )
+    report = equivalence_suite(4, workers=1)
+    assert not report.passed
+    [violation] = report.violations
+    assert (violation.claim, violation.witness, violation.count) == (
+        "quad-vs-definitional",
+        "0,1,3,2",
+        1,
+    )
+    claims = {c.claim: c for c in report.claims}
+    assert claims["quad-vs-definitional"].checks == 4**4
+
+
+def test_lemma_suite_reports_a_flipped_orientation(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._oriented_pool
+
+    def flipped_pool(n, max_len):
+        return [
+            (items, tag.swapped() if items == (0, 1, 2) else tag)
+            for items, tag in real(n, max_len)
+        ]
+
+    monkeypatch.setattr(verification, "_oriented_pool", flipped_pool)
+    report = lemma_suite(3, max_len=3, sample_budget=None)
+    assert not report.passed
+    by_claim = {v.claim: v for v in report.violations}
+    preserved = by_claim["image-orientation-preserved"]
+    # The three rotations of the identity each send 0,1,2 to a cyclic image.
+    assert (preserved.witness, preserved.count) == ("map=0,1,2;seq=0,1,2", 3)
+    assert preserved.detail == "image orientation does not match the source"
+    assert by_claim["subsequence-inheritance"].witness == "seq=0,1,2;mask=7"
+
+
+def test_claim_table_names_match_equivalence_suite():
+    from cyclorient import cross_check
+
+    table = {
+        claim for m in enumerate_all(4) for claim, _ in cross_check(m, geometric=True).claims
+    }
+    assert table == {c.claim for c in equivalence_suite(4).claims}
