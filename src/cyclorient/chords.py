@@ -19,12 +19,11 @@ chord is a single point.  Two intersection predicates are implemented:
 ``has_chord_property`` asks whether a map sends every intersecting chord
 pair to an intersecting pair; this holds exactly for the maps that preserve
 or reverse orientation.  It scans only the interleaved chords {a, c},
-{b, d} of the C(n, 4) sorted quadruples a < b < c < d, and builds no table.
+{b, d} of the C(n, 4) sorted quadruples a < b < c < d; no table outlives a call.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .mappings import Mapping
@@ -143,11 +142,53 @@ class ChordPropertyResult:
 
 def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords
-    {ia, ic}, {ib, id} are disjoint by exact geometry; None when there is none."""
-    placed = [_place(v) for v in m.images]
-    for a, b, c, d in itertools.combinations(range(m.n), 4):
-        if not _segments_intersect(placed[a], placed[c], placed[b], placed[d]):
-            return a, b, c, d
+    {ia, ic}, {ib, id} are disjoint by exact geometry; None when there is none.
+
+    Per a, ``rows[k][j]`` is ``_cross_sign(placed[a], placed[k], placed[j])``
+    for k, j > a: the cross product of placed image j relative to image
+    chord a-k.  The signs of :func:`_segments_intersect` are then lookups:
+    d3 = rows[c][b], d4 = rows[c][d], d1 = rows[b][d], and
+    d2 = d1 - d4 + d3 (the triangle b, d, c split at a).  Strictly opposite
+    d3, d4 and d1, d2 are a proper crossing.  Image chords sharing an
+    endpoint meet (equal images place equal points) and are skipped, before
+    any arithmetic when ib is that endpoint; only point chords reach the
+    segment test.
+    """
+    imgs = m.images
+    n = m.n
+    placed = [_place(v) for v in imgs]
+    for a in range(n - 3):
+        w, (ax, ay) = imgs[a], placed[a]
+        rel = [(px - ax, py - ay) for px, py in placed[a + 1 :]]
+        pad = [0] * (a + 1)
+        # Built on first use, so a scan that stops early builds few; at most
+        # O(n^2) integers, and rebinding frees the previous a's.
+        rows = [None] * n
+
+        def row(k):
+            ex, ey = rel[k - a - 1]
+            rows[k] = pad + [ex * ry - ey * rx for rx, ry in rel]
+            return rows[k]
+
+        for b in range(a + 1, n - 2):
+            x = imgs[b]
+            if x == w:
+                continue
+            row_b = rows[b] or row(b)
+            for c in range(b + 1, n - 1):
+                y = imgs[c]
+                if y == x:
+                    continue
+                row_c = rows[c] or row(c)
+                d3 = row_c[b]
+                for d in range(c + 1, n):
+                    d4, d1 = row_c[d], row_b[d]
+                    if d3 * d4 < 0 and d1 * (d1 - d4 + d3) < 0 or imgs[d] in (w, y):
+                        continue
+                    if (d3 and d4 and d1 and d1 - d4 + d3) or not _segments_intersect(
+                        placed[a], placed[c], placed[b], placed[d]
+                    ):
+                        return a, b, c, d
     return None
 
 
@@ -155,11 +196,12 @@ def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordProper
     """Whether the images of every intersecting chord pair still intersect.
 
     Only the interleaved, hence intersecting, chords {a, c}, {b, d} of the
-    C(n, 4) sorted quadruples a < b < c < d are scanned, in O(n) memory: any
-    other intersecting pair shares an endpoint, and so does its image, or is
-    one of the 8 dihedral arrangements of a sorted quadruple.  The image
-    pair is decided by the quadruple test's scan (``combinatorial``) or by
-    exact geometry, independent of the orientation kernel (``geometric``).
+    C(n, 4) sorted quadruples a < b < c < d are considered: any other
+    intersecting pair shares an endpoint, and so does its image, or is one
+    of the 8 dihedral arrangements of a sorted quadruple.  The image pair is
+    decided by the quadruple test's scan (``combinatorial``, triples with a
+    value mask for d) or by exact geometry independent of the orientation
+    kernel (``geometric``, which skips image chords sharing an endpoint).
 
     On failure the counterexample is the source pair of the first violating
     (a, b, c, d) in lexicographic order over [n]^4, which is sorted.

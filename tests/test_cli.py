@@ -255,3 +255,44 @@ def test_verify_rejects_lemma_max_len_out_of_range(capsys):
         )
         assert code == 2 and not out, value
         assert err == f"error: lemma max length must be within 3..6, got {value}\n"
+
+
+def test_verify_refuses_n_max_above_8_before_any_suite(capsys, monkeypatch):
+    from cyclorient import verification
+
+    started = []
+    monkeypatch.setattr(
+        verification, "equivalence_suite", lambda n, **k: started.append(n)
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--n-max", "9", "--suites", "equivalence", "--threads", "2"
+    )
+    assert code == 2 and not out and started == []
+    assert err == (
+        "error: the equivalence suite enumerates n^n maps; n_max > 8 is not"
+        " supported, got 9\n"
+    )
+
+
+def test_chords_ascii_size_limit(capsys, monkeypatch):
+    from cyclorient import cli
+
+    assert cli.ASCII_MAX_N == 64
+    drawn = []
+
+    def stub(n, first, second):
+        # Stands in for the grid so the refusal is tested without allocating it.
+        drawn.append(n)
+        return "grid"
+
+    monkeypatch.setattr(cli, "_ascii_circle", stub)
+    code, out, err = run_cli(capsys, "chords", "--n", "100000", "--pair", "0-2:1-3", "--ascii")
+    assert code == 2 and not out and drawn == []
+    assert err == "error: --ascii draws circles of at most 64 points, got n=100000\n"
+    # The map's length is the size when --map is given.
+    code, out, _ = run_cli(
+        capsys, "chords", "--map", ",".join(["0"] * 65), "--pair", "0-2:1-3", "--ascii"
+    )
+    assert code == 2 and not out and drawn == []
+    code, out, _ = run_cli(capsys, "chords", "--n", "64", "--pair", "0-2:1-3", "--ascii")
+    assert code == 0 and drawn == [64] and "grid" in out

@@ -1,0 +1,112 @@
+"""The quadruple and geometric chord scans against their one-loop forms.
+
+Both production scans skip work (a value mask for the fourth point, cross
+products shared per a, a shared-endpoint shortcut).  The reference oracles
+below are the plain loops over ``combinations(range(n), 4)`` they replaced;
+each scan must return the same first quadruple, or None, on every map.
+"""
+
+import itertools
+import random
+
+from cyclorient import Mapping, enumerate_all
+from cyclorient.chords import _first_disjoint_image, _place, _segments_intersect
+from cyclorient.membership import first_unoriented_image
+
+
+def reference_first_unoriented_image(m):
+    imgs = m.images
+    for a, b, c, d in itertools.combinations(range(m.n), 4):
+        w, x, y, z = imgs[a], imgs[b], imgs[c], imgs[d]
+        if (w > x) + (x > y) + (y > z) + (z > w) >= 2 and (w < x) + (x < y) + (
+            y < z
+        ) + (z < w) >= 2:
+            return a, b, c, d
+    return None
+
+
+def reference_first_disjoint_image(m):
+    placed = [_place(v) for v in m.images]
+    for a, b, c, d in itertools.combinations(range(m.n), 4):
+        if not _segments_intersect(placed[a], placed[c], placed[b], placed[d]):
+            return a, b, c, d
+    return None
+
+
+def assert_scans_match(m):
+    assert first_unoriented_image(m) == reference_first_unoriented_image(m), m
+    assert _first_disjoint_image(m) == reference_first_disjoint_image(m), m
+
+
+def test_scans_match_reference_on_every_map_up_to_n6():
+    for n in range(1, 7):
+        for m in enumerate_all(n):
+            assert_scans_match(m)
+
+
+def member_images(rng, n):
+    """A rotated non-decreasing list (cyclic), reversed half the time."""
+    values = sorted(rng.randrange(n) for _ in range(n))
+    k = rng.randrange(n)
+    images = values[k:] + values[:k]
+    return images if rng.random() < 0.5 else images[::-1]
+
+
+def seeded_maps(seed=2022):
+    rng = random.Random(seed)
+    for n in range(7, 25):
+        for _ in range(3):
+            yield Mapping(n, member_images(rng, n))
+            near = member_images(rng, n)
+            j = rng.randrange(n)
+            near[j] = rng.choice([v for v in range(n) if v != near[j]])
+            yield Mapping(n, near)
+            yield Mapping(n, [rng.randrange(n) for _ in range(n)])
+            # Few values: repeated images, shared endpoints and point chords.
+            pool = rng.sample(range(n), rng.randrange(2, 4))
+            yield Mapping(n, [rng.choice(pool) for _ in range(n)])
+
+
+def test_scans_match_reference_on_seeded_maps_n7_to_n24():
+    members = point_chords = 0
+    for m in seeded_maps():
+        assert_scans_match(m)
+        first = reference_first_disjoint_image(m)
+        if first is None:
+            members += 1
+        else:
+            a, b, c, d = first
+            imgs = m.images
+            point_chords += imgs[a] == imgs[c] or imgs[b] == imgs[d]
+    # Every generated member reaches the full scan; many non-members reach
+    # the zero-sign (point chord) path.
+    assert members >= 18 * 3
+    assert point_chords >= 10
+
+
+def test_point_chord_images_are_disjoint_unless_they_share_a_point():
+    # 0,1,0,2: the image chords of (0, 1, 2, 3) are the point 0 and 1-2.
+    m = Mapping.parse("0,1,0,2")
+    assert _first_disjoint_image(m) == (0, 1, 2, 3)
+    assert first_unoriented_image(m) == (0, 1, 2, 3)
+    # 0,1,0,0: the point 0 is an endpoint of 1-0, so the images meet.
+    m = Mapping.parse("0,1,0,0")
+    assert _first_disjoint_image(m) is None
+    assert first_unoriented_image(m) is None
+
+
+def test_scans_keep_no_per_call_table():
+    import tracemalloc
+
+    from cyclorient import identity
+
+    m = identity(24)
+    for scan in (first_unoriented_image, _first_disjoint_image):
+        tracemalloc.start()
+        try:
+            assert scan(m) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A table over all n^2 chords of n values each would take ~380 KiB.
+        assert peak < 50 * 1024, (scan.__name__, peak)

@@ -405,3 +405,22 @@ def test_claim_table_names_match_equivalence_suite():
         claim for m in enumerate_all(4) for claim, _ in cross_check(m, geometric=True).claims
     }
     assert table == {c.claim for c in equivalence_suite(4).claims}
+
+
+def test_run_verify_refuses_equivalence_above_n8(monkeypatch):
+    from cyclorient import verification
+
+    started = []
+    for name in ("equivalence_suite", "identity_suite", "lemma_suite"):
+        monkeypatch.setattr(
+            verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
+        )
+    assert verification.EQUIVALENCE_MAX_N == 8
+    with pytest.raises(ValueError, match=r"n_max > 8 is not supported, got 9"):
+        run_verify(9)
+    with pytest.raises(ValueError, match=r"n_max > 8"):
+        run_verify(9, suites=("equivalence",))
+    assert started == []
+    # Without the equivalence suite the other suites keep their own caps.
+    run_verify(9, suites=("identity",))
+    assert started == [("identity_suite", n) for n in range(1, 6)]
