@@ -17,6 +17,7 @@ from .mappings import Mapping
 from .membership import cross_check
 from .sequences import Seq, orientation
 from .verification import (
+    EQUIVALENCE_MAX_N,
     SUITES,
     count_classes,
     format_machine,
@@ -247,8 +248,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.n > 8:
-        raise ValueError("count enumerates n^n maps; n > 8 is not supported")
+    if args.n > EQUIVALENCE_MAX_N:
+        raise ValueError(f"count enumerates n^n maps; n > {EQUIVALENCE_MAX_N} is not supported")
     counts = count_classes(args.n)
     print(
         f"n={counts.n} total={counts.total} op={counts.op} or={counts.or_}"

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .mappings import enumerate_all, mapping_count
+from .mappings import Mapping, enumerate_all, mapping_count
 from .membership import classify, cross_check
 from .sequences import Orientation, _steps, _tag
 
@@ -229,6 +229,16 @@ def _worker_count(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def _check_enumerable(n: int, what: str) -> None:
+    """Refuse a cycle size whose n^n maps are not enumerable (n = 9 is 387M)."""
+    if n < 1:
+        raise ValueError(f"cycle size must be positive, got n={n}")
+    if n > EQUIVALENCE_MAX_N:
+        raise ValueError(
+            f"{what} enumerates n^n maps; n > {EQUIVALENCE_MAX_N} is not supported, got n={n}"
+        )
+
+
 def equivalence_suite(
     n: int, workers: int = 1, geometric: bool | None = None
 ) -> SuiteReport:
@@ -237,10 +247,10 @@ def equivalence_suite(
 
     ``geometric`` additionally runs the exact-geometry chord oracle per map
     (defaults to on for n <= 5, where it stays cheap).  ``workers`` must be
-    at least 1 and is clamped to ``os.cpu_count()``.
+    at least 1 and is clamped to ``os.cpu_count()``; n must lie within
+    1..``EQUIVALENCE_MAX_N``.
     """
-    if n < 1:
-        raise ValueError(f"cycle size must be positive, got n={n}")
+    _check_enumerable(n, "the equivalence suite")
     workers = _worker_count(workers)
     if geometric is None:
         geometric = n <= 5
@@ -346,10 +356,9 @@ def count_classes(n: int) -> ClassCounts:
 
     Each image list goes straight through the orientation kernel, with no
     ``Mapping`` built; agreement with the per-map classifier is covered by
-    the test suite.  Intended for n <= 8.
+    the test suite.  n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
-    if n < 1:
-        raise ValueError(f"cycle size must be positive, got n={n}")
+    _check_enumerable(n, "count_classes")
     op = or_ = p = both = low = 0
     for images in itertools.product(range(n), repeat=n):
         descents, ascents = _steps(images)
@@ -408,8 +417,15 @@ def lemma_suite(
     candidates.  Each member checks all of them when there are at most
     ``sample_budget`` (or the budget is None); otherwise it checks a
     pseudorandom sample seeded by (n, map index), so reports are
-    reproducible.  A budget must be
-    positive: a zero budget would skip every image-orientation check.
+    reproducible.  A budget must be positive: a zero budget would skip
+    every image-orientation check.
+
+    Image lists come straight from ``itertools.product`` in
+    :func:`enumerate_all`'s order and go through the orientation kernel;
+    a ``Mapping`` is built only for a failure's witness.  Each image's
+    orientation is looked up in a memo that lives for this call only and
+    holds at most sum(n**k for k = 3..max_len) entries (1,512 at n = 6
+    with max_len = 4).
     """
     if not 1 <= n <= LEMMA_MAX_N:
         raise ValueError(f"lemma suite supports 1 <= n <= {LEMMA_MAX_N}, got {n}")
@@ -418,34 +434,42 @@ def lemma_suite(
     tally = _new_tally()
     checks = tally["checks"]
     pool = _oriented_pool(n, max_len)
+    # Per pool entry: its image getter, its items and the tag a preserving
+    # member must give the image; a reversing member must give the swap.
+    preserve = [(itemgetter(*items), items, tag) for items, tag in pool]
+    reverse = [(getter, items, tag.swapped()) for getter, items, tag in preserve]
+    # image -> its tag, or None below three distinct values (nothing claimed).
+    memo: dict[tuple[int, ...], Orientation | None] = {}
 
-    for index, m in enumerate(enumerate_all(n)):
-        report = classify(m)
-        # Rank <= 2 members never produce three distinct image values, so
-        # every check on them is vacuous; skip them outright.
-        if not report.in_p or report.image_size < 3:
+    for index, imgs in enumerate(itertools.product(range(n), repeat=n)):
+        descents, ascents = _steps(imgs)
+        # Skip non-members.  Rank <= 2 members never produce three distinct
+        # image values, so every check on them is vacuous; skip them too.
+        if (descents > 1 and ascents > 1) or len(set(imgs)) < 3:
             continue
+        # Three distinct values make the member exactly one of OP and OR.
+        if descents <= 1:
+            claim, targets = "image-orientation-preserved", preserve
+        else:
+            claim, targets = "image-orientation-reversed", reverse
         if sample_budget is None or len(pool) <= sample_budget:
-            chosen = pool
+            chosen = targets
         else:
             rng = random.Random(1_000_003 * n + index)
             chosen = [
-                pool[t] for t in sorted(rng.sample(range(len(pool)), sample_budget))
+                targets[t] for t in sorted(rng.sample(range(len(pool)), sample_budget))
             ]
-        imgs = m.images
-        claim = (
-            "image-orientation-preserved" if report.in_op else "image-orientation-reversed"
-        )
-        flip = not report.in_op
-        for items, tag in chosen:
-            image = tuple(map(imgs.__getitem__, items))
-            # Fewer than three distinct image values: nothing is claimed.
-            if len(set(image)) >= 3 and _tag(image) is not (tag.swapped() if flip else tag):
+        for getter, items, want in chosen:
+            image = getter(imgs)
+            got = memo.get(image, memo)  # the memo itself marks an unseen image
+            if got is memo:
+                got = memo[image] = _tag(image) if len(set(image)) >= 3 else None
+            if got is not None and got is not want:
                 _fail(
                     tally,
                     claim,
                     index,
-                    f"map={m};seq={','.join(map(str, items))}",
+                    f"map={Mapping(n, imgs)};seq={','.join(map(str, items))}",
                     "image orientation does not match the source",
                 )
         checks[claim] += len(chosen)

@@ -272,7 +272,7 @@ def test_class_counts_match_closed_forms():
 
     for n in range(1, 7):
         counts = count_classes(n)
-        op = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
+        op = or_ = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
         both = n + math.comb(n, 2) * n * (n - 1)
         assert (counts.op, counts.or_, counts.op_and_or, counts.p) == (
             op,
@@ -424,3 +424,67 @@ def test_run_verify_refuses_equivalence_above_n8(monkeypatch):
     # Without the equivalence suite the other suites keep their own caps.
     run_verify(9, suites=("identity",))
     assert started == [("identity_suite", n) for n in range(1, 6)]
+
+
+def test_equivalence_suite_and_count_classes_refuse_n_above_8(monkeypatch):
+    from contextlib import nullcontext
+    from types import SimpleNamespace
+
+    from cyclorient import verification
+
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(("pool", max_workers))
+        return nullcontext(SimpleNamespace(map=lambda fn, jobs: []))
+
+    def no_enumeration(*args):
+        # Stands in for the per-map work: a missing bound fails here at once
+        # instead of walking 387M maps.
+        started.append(("enumeration", args))
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(verification, "_equivalence_range", no_enumeration)
+    monkeypatch.setattr(verification, "_steps", no_enumeration)
+    assert verification.EQUIVALENCE_MAX_N == 8
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"n > 8 is not supported, got n=9"):
+            equivalence_suite(9, workers=workers)
+    with pytest.raises(ValueError, match=r"n > 8 is not supported, got n=9"):
+        count_classes(9)
+    assert started == []
+
+
+def _oriented_by_definition(items):
+    # Some rotation is non-decreasing (cyclic) or non-increasing (anti-cyclic).
+    rotations = [items[i:] + items[:i] for i in range(len(items))]
+    return any(
+        all(a <= b for a, b in zip(r, r[1:])) or all(a >= b for a, b in zip(r, r[1:]))
+        for r in rotations
+    )
+
+
+def test_lemma_checks_match_closed_form_class_sizes():
+    import itertools
+    import math
+
+    # Each member of rank >= 3 checks the whole pool once: OP_n \ OR_n under
+    # the preserved claim and OR_n \ OP_n under the reversed one, and the
+    # rank <= 2 members (OP_n ∩ OR_n) are skipped.  The class sizes are the
+    # closed forms of ClassCounts.invariant_failures and the pool is counted
+    # from the definition, so a loop that skips or double-counts a map fails.
+    for n in range(1, 6):
+        op = or_ = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
+        both = n + math.comb(n, 2) * n * (n - 1)
+        for max_len in (3, 4):
+            pool = sum(
+                _oriented_by_definition(items)
+                for length in range(3, max_len + 1)
+                for items in itertools.product(range(n), repeat=length)
+            )
+            report = lemma_suite(n, max_len=max_len, sample_budget=None)
+            checks = {c.claim: c.checks for c in report.claims}
+            assert report.passed, (n, max_len)
+            assert checks.get("image-orientation-preserved", 0) == (op - both) * pool, (n, max_len)
+            assert checks.get("image-orientation-reversed", 0) == (or_ - both) * pool, (n, max_len)
