@@ -33,7 +33,6 @@ from .membership import (
     classify,
     cross_check,
     image_sequence,
-    oriented_quadruples,
     quad_test,
     triple_test,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "lemma_suite",
     "mapping_count",
     "orientation",
-    "oriented_quadruples",
     "quad_test",
     "reversal",
     "reverse",

@@ -19,15 +19,17 @@ chord is a single point.  Two intersection predicates are implemented:
 ``has_chord_property`` asks whether a map sends every intersecting chord
 pair to an intersecting pair; this holds exactly for the maps that preserve
 or reverse orientation.  It scans only the interleaved chords {a, c},
-{b, d} of the C(n, 4) sorted quadruples a < b < c < d; no table outlives a call.
+{b, d} of the C(n, 4) sorted quadruples a < b < c < d; the geometric scan,
+the chord claim of ``cross_check``, never calls the orientation kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .mappings import Mapping
-from .membership import first_unoriented_image
+from .membership import _images_after, first_unoriented_image
 from .sequences import _tag
 
 METHODS = ("combinatorial", "geometric")
@@ -140,55 +142,79 @@ class ChordPropertyResult:
         return self.holds
 
 
+@lru_cache(maxsize=4)
+def _side_table(n: int) -> tuple[list[list[int]], bytearray]:
+    """The rows ``L[v][k]`` of :func:`_first_disjoint_image` for the 4 latest n
+    (770 KiB at n = 128); row v is valid once ``done[v]`` is set."""
+    return [[0] * n for _ in range(n)], bytearray(n)
+
+
+def _fill_sides(sides: list[list[int]], done: bytearray, v: int) -> None:
+    """Fill ``L[v][k]`` and ``L[k][v]`` (the other side of the same line) for
+    every k whose row is not done, by one pass of exact cross products each."""
+    n = len(done)
+    ox, oy = _place(v)
+    rel = [(px - ox, py - oy) for px, py in map(_place, range(n))]
+    row = sides[v]
+    for k, (ex, ey) in enumerate(rel):
+        if done[k] or k == v:
+            continue
+        left = right = 0
+        for j, (rx, ry) in enumerate(rel):
+            cross = ex * ry - ey * rx
+            if cross > 0:
+                left |= 1 << j
+            elif cross < 0:
+                right |= 1 << j
+            elif j != v and j != k:
+                raise RuntimeError(f"placed points {v}, {k}, {j} are collinear")
+        row[k] = left
+        sides[k][v] = right
+    done[v] = 1
+
+
 def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords
     {ia, ic}, {ib, id} are disjoint by exact geometry; None when there is none.
 
-    Per a, ``rows[k][j]`` is ``_cross_sign(placed[a], placed[k], placed[j])``
-    for k, j > a: the cross product of placed image j relative to image
-    chord a-k.  The signs of :func:`_segments_intersect` are then lookups:
-    d3 = rows[c][b], d4 = rows[c][d], d1 = rows[b][d], and
-    d2 = d1 - d4 + d3 (the triangle b, d, c split at a).  Strictly opposite
-    d3, d4 and d1, d2 are a proper crossing.  Image chords sharing an
-    endpoint meet (equal images place equal points) and are skipped, before
-    any arithmetic when ib is that endpoint; only point chords reach the
-    segment test.
+    The loop runs over sorted triples with images w, x, y, skipping x = w
+    and y = x (chords sharing an endpoint meet).  ``L[v][k]`` is the bitmask
+    of the values j with ``_cross_sign(P(v), P(k), P(j)) > 0``.  The z for
+    which P(x)P(z) misses P(w)P(y) are every value but w when y = w, else
+    those on x's side of line wy or with w and y on one side of line xz:
+    ``(L[w][y] if x in L[w][y] else L[y][w]) | L[x][w] & L[x][y] | L[w][x] &
+    L[y][x]``, exact while no three placed points are collinear (the filler
+    checks it).  One AND with the images after c decides whether any d
+    exists, as in :func:`first_unoriented_image`; no orientation kernel call.
     """
     imgs = m.images
     n = m.n
-    placed = [_place(v) for v in imgs]
+    sides, done = _side_table(n)
+    after = _images_after(imgs)
     for a in range(n - 3):
-        w, (ax, ay) = imgs[a], placed[a]
-        rel = [(px - ax, py - ay) for px, py in placed[a + 1 :]]
-        pad = [0] * (a + 1)
-        # Built on first use, so a scan that stops early builds few; at most
-        # O(n^2) integers, and rebinding frees the previous a's.
-        rows = [None] * n
-
-        def row(k):
-            ex, ey = rel[k - a - 1]
-            rows[k] = pad + [ex * ry - ey * rx for rx, ry in rel]
-            return rows[k]
-
+        w = imgs[a]
+        if not done[w]:
+            _fill_sides(sides, done, w)
+        row_w = sides[w]
         for b in range(a + 1, n - 2):
             x = imgs[b]
             if x == w:
                 continue
-            row_b = rows[b] or row(b)
+            if not done[x]:
+                _fill_sides(sides, done, x)
+            row_x = sides[x]
+            xw, wx = row_x[w], row_w[x]
             for c in range(b + 1, n - 1):
                 y = imgs[c]
                 if y == x:
                     continue
-                row_c = rows[c] or row(c)
-                d3 = row_c[b]
-                for d in range(c + 1, n):
-                    d4, d1 = row_c[d], row_b[d]
-                    if d3 * d4 < 0 and d1 * (d1 - d4 + d3) < 0 or imgs[d] in (w, y):
-                        continue
-                    if (d3 and d4 and d1 and d1 - d4 + d3) or not _segments_intersect(
-                        placed[a], placed[c], placed[b], placed[d]
-                    ):
-                        return a, b, c, d
+                if y == w:
+                    wanted = ~(1 << w)
+                else:
+                    wy, row_y = row_w[y], sides[y]
+                    wanted = (wy if wy >> x & 1 else row_y[w]) | xw & row_x[y] | wx & row_y[x]
+                if after[c] & wanted:
+                    return a, b, c, next(d for d in range(c + 1, n) if wanted >> imgs[d] & 1)
     return None
 
 
@@ -199,9 +225,9 @@ def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordProper
     C(n, 4) sorted quadruples a < b < c < d are considered: any other
     intersecting pair shares an endpoint, and so does its image, or is one
     of the 8 dihedral arrangements of a sorted quadruple.  The image pair is
-    decided by the quadruple test's scan (``combinatorial``, triples with a
-    value mask for d) or by exact geometry independent of the orientation
-    kernel (``geometric``, which skips image chords sharing an endpoint).
+    decided by the quadruple test's scan (``combinatorial``, the paper's
+    definition) or by exact geometry off the orientation kernel
+    (``geometric``, the form ``cross_check`` checks).
 
     On failure the counterexample is the source pair of the first violating
     (a, b, c, d) in lexicographic order over [n]^4, which is sorted.

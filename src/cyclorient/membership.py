@@ -6,8 +6,9 @@ anti-cyclic, and belongs to the combined class when it is either.  Besides
 this O(n) definitional scan, two independent characterizations are
 implemented: one quantifying over distinct triples, one over oriented
 quadruples.  ``cross_check`` is the per-map claim table: it runs every
-route once (including the chord test from :mod:`cyclorient.chords` and the
-witness extractors) and checks the claims the verification suite counts.
+route once (including the exact-geometry chord test from
+:mod:`cyclorient.chords` and the witness extractors) and checks the claims
+the verification suite counts.
 
 The triple characterization has a genuine edge case: a map of rank <= 2
 sends every triple to a both-oriented image, so it passes the triple tests
@@ -120,15 +121,13 @@ def triple_test(m: Mapping, mode: str) -> bool:
     return True
 
 
-def oriented_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Brute-force oracle: all (a, b, c, d) in [n]^4 whose orientation is
-    not neither, in lexicographic order, repeated entries included.  No
-    production scan reads it; tests check :func:`quad_test` against it."""
-    return tuple(
-        quad
-        for quad in itertools.product(range(n), repeat=4)
-        if _tag(quad).oriented
-    )
+def _images_after(imgs: tuple[int, ...]) -> list[int]:
+    """``after[c]``: the bitmask of the image values at positions c + 1, ..., n - 1."""
+    after = [0]
+    for v in imgs[:0:-1]:
+        after.append(after[-1] | 1 << v)
+    after.reverse()
+    return after
 
 
 def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
@@ -147,11 +146,7 @@ def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
     """
     imgs = m.images
     n = m.n
-    # after[c]: bitmask of the image values at positions c + 1, ..., n - 1.
-    after = [0]
-    for v in imgs[:0:-1]:
-        after.append(after[-1] | 1 << v)
-    after.reverse()
+    after = _images_after(imgs)
     for a in range(n - 3):
         w = imgs[a]
         for b in range(a + 1, n - 2):
@@ -182,16 +177,16 @@ def quad_test(m: Mapping) -> bool:
     return first_unoriented_image(m) is None
 
 
-def cross_check(m: Mapping, geometric: bool = False) -> ConsistencyReport:
+def cross_check(m: Mapping) -> ConsistencyReport:
     """The per-map claim table: run every membership route and witness
     extractor once and check each claim the equivalence suite checks.
 
     ``claims`` holds one ``(claim, ok)`` row per claim: the triple tests
     agree with membership refined by rank (``triple-*-refined``), the
     quadruple test and the chord property agree with membership
-    (``quad-vs-definitional``, ``chord-vs-definitional``, and with
-    ``geometric`` also ``chord-geometric-vs-definitional``), and every
-    non-member that must have a witness yields one (``witness-*``).
+    (``quad-vs-definitional``, ``chord-vs-definitional``), and every
+    non-member that must have a witness yields one (``witness-*``); the
+    chord property is the exact-geometry one, off the orientation kernel.
     ``gaps`` lists the modes whose triple test passes outside the class.
     Each failing row is an unsanctioned discrepancy; a gap at rank <= 2 is
     the sanctioned ``triple-*-vs-definitional`` exemption.
@@ -204,7 +199,7 @@ def cross_check(m: Mapping, geometric: bool = False) -> ConsistencyReport:
     triple_op = triple_test(m, "preserve")
     triple_or = triple_test(m, "reverse")
     quad_p = quad_test(m)
-    chord_p = has_chord_property(m).holds
+    chord_p = has_chord_property(m, "geometric").holds
     # (claim, route, its verdict, the verdict membership implies)
     routes = [
         ("triple-preserve-refined", "triple test (preserve)", triple_op, report.in_op or low_rank),
@@ -212,11 +207,6 @@ def cross_check(m: Mapping, geometric: bool = False) -> ConsistencyReport:
         ("quad-vs-definitional", "quad test", quad_p, report.in_p),
         ("chord-vs-definitional", "chord property", chord_p, report.in_p),
     ]
-    if geometric:
-        holds = has_chord_property(m, "geometric").holds
-        routes.append(
-            ("chord-geometric-vs-definitional", "geometric chord property", holds, report.in_p)
-        )
     claims = [(claim, got == want) for claim, _, got, want in routes]
     found = [
         Disagreement(

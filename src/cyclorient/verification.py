@@ -200,17 +200,19 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
-def _equivalence_range(args: tuple[int, int, int, bool]) -> dict:
-    n, start, stop, geometric = args
+def _equivalence_range(args: tuple[int, int, int]) -> dict:
+    n, start, stop = args
     tally = _new_tally()
     checks = tally["checks"]
     for index, m in enumerate(enumerate_all(n, start, stop), start):
-        report = cross_check(m, geometric)
+        report = cross_check(m)
         checks.update(claim for claim, _ in report.claims)
         for d in report.unsanctioned:
             _fail(tally, d.claim, index, str(m), d.detail)
-        for mode in report.gaps:
-            tally["sanctioned"].append((f"triple-{mode}-literal", index, str(m)))
+        # A gap at rank >= 3 is a triple-*-refined violation, not an exemption.
+        if report.definitional.image_size <= 2:
+            for mode in report.gaps:
+                tally["sanctioned"].append((f"triple-{mode}-literal", index, str(m)))
     return tally
 
 
@@ -239,33 +241,25 @@ def _check_enumerable(n: int, what: str) -> None:
         )
 
 
-def equivalence_suite(
-    n: int, workers: int = 1, geometric: bool | None = None
-) -> SuiteReport:
+def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     """Check, for every self-map of [n], that all membership routes agree
     and that witness extraction succeeds wherever a witness must exist.
 
-    ``geometric`` additionally runs the exact-geometry chord oracle per map
-    (defaults to on for n <= 5, where it stays cheap).  ``workers`` must be
-    at least 1 and is clamped to ``os.cpu_count()``; n must lie within
+    The claims are those of :func:`cross_check`, so the chord property is
+    checked by exact geometry at every n.  ``workers`` must be at least 1
+    and is clamped to ``os.cpu_count()``; n must lie within
     1..``EQUIVALENCE_MAX_N``.
     """
     _check_enumerable(n, "the equivalence suite")
     workers = _worker_count(workers)
-    if geometric is None:
-        geometric = n <= 5
     started = time.perf_counter()
     total = mapping_count(n)
     if workers <= 1 or total < 4096:
-        parts = [_equivalence_range((n, 0, total, geometric))]
+        parts = [_equivalence_range((n, 0, total))]
     else:
         chunks = workers * 4
         bounds = [total * i // chunks for i in range(chunks + 1)]
-        jobs = [
-            (n, bounds[i], bounds[i + 1], geometric)
-            for i in range(chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
+        jobs = [(n, bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_equivalence_range, jobs))
     return _finish("equivalence", n, _merge_tallies(parts), started)

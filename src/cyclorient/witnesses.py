@@ -170,13 +170,6 @@ def _witness_triple(m: Mapping, report: MembershipReport, mode: str) -> TripleWi
     return TripleWitness(points, label)
 
 
-def _first(positions, predicate) -> int | None:
-    for p in positions:
-        if predicate(p):
-            return p
-    return None
-
-
 def witness_quad(m: Mapping) -> QuadWitness:
     """Extract a cyclic quadruple of distinct points whose image is
     neither-oriented.
@@ -195,42 +188,42 @@ def _witness_quad(m: Mapping, report: MembershipReport) -> QuadWitness:
         )
     n = m.n
     imgs = m.images
+    # Position p + 1 of the doubled tuple follows p around the cycle, so each
+    # scan below is a plain range; positions are reduced mod n at the end.
+    ext = imgs + imgs
     lo, hi = min(imgs), max(imgs)
 
-    i = _first(range(n), lambda p: imgs[p] == lo and imgs[p] < imgs[(p + 1) % n])
+    i = next((p for p in range(n) if imgs[p] == lo < ext[p + 1]), None)
     if i is None:
         # Every minimum position would have a non-rising successor, forcing a
         # constant map, which the precondition excludes.
         raise RuntimeError("no rising minimum position; construction is broken")
-    span = [(i + 1 + t) % n for t in range(n - 2)]
-    j = _first(span, lambda p: imgs[p] > imgs[(p + 1) % n])
+    # The positions i + 1, ..., i + n - 2: all but i and its predecessor.
+    j = next((p for p in range(i + 1, i + n - 1) if ext[p] > ext[p + 1]), None)
     if j is None:
         raise RuntimeError("no descent after the rising minimum; construction is broken")
 
-    i2 = _first(range(n), lambda p: imgs[p] == hi and imgs[p] > imgs[(p + 1) % n])
+    i2 = next((p for p in range(n) if imgs[p] == hi > ext[p + 1]), None)
     if i2 is None:
         raise RuntimeError("no falling maximum position; construction is broken")
-    span2 = [(i2 + 1 + t) % n for t in range(n - 2)]
-    j2 = _first(span2, lambda p: imgs[p] < imgs[(p + 1) % n])
+    j2 = next((p for p in range(i2 + 1, i2 + n - 1) if ext[p] < ext[p + 1]), None)
     if j2 is None:
         raise RuntimeError("no ascent after the falling maximum; construction is broken")
 
-    if imgs[(i + 1) % n] == imgs[j]:
+    if ext[i + 1] == ext[j]:
         # The stretch from i+1 to j is flat on top; the next ascent closes a
         # rise-fall-rise pattern around the minimum.
-        tail = span[span.index(j) + 1 :]
-        k = _first(tail, lambda p: imgs[p] < imgs[(p + 1) % n])
+        k = next((p for p in range(j + 1, i + n - 1) if ext[p] < ext[p + 1]), None)
         if k is None:
             raise RuntimeError("no ascent after the plateau; construction is broken")
-        points = (i, (i + 1) % n, k, (k + 1) % n)
+        points = (i, (i + 1) % n, k % n, (k + 1) % n)
         label = "case1-min"
-    elif imgs[(i2 + 1) % n] == imgs[j2]:
+    elif ext[i2 + 1] == ext[j2]:
         # Dual pattern around the maximum.
-        tail2 = span2[span2.index(j2) + 1 :]
-        k2 = _first(tail2, lambda p: imgs[p] > imgs[(p + 1) % n])
+        k2 = next((p for p in range(j2 + 1, i2 + n - 1) if ext[p] > ext[p + 1]), None)
         if k2 is None:
             raise RuntimeError("no descent after the plateau; construction is broken")
-        points = (i2, (i2 + 1) % n, k2, (k2 + 1) % n)
+        points = (i2, (i2 + 1) % n, k2 % n, (k2 + 1) % n)
         label = "case1-max"
     else:
         points = (i, (i + 1) % n, i2, (i2 + 1) % n)

@@ -184,3 +184,45 @@ def test_sorted_quadruples_cover_every_intersecting_pair():
 def test_chord_parse_names_bad_endpoints():
     with pytest.raises(ValueError, match="chord endpoints must be integers, got '1-x'"):
         Chord.parse("1-x", 4)
+
+
+@pytest.fixture
+def placement(monkeypatch):
+    """Swap the point placement for one test; the per-n side table is
+    cleared around it, since it caches cross products of the placement."""
+    from cyclorient import chords
+
+    def use(points):
+        monkeypatch.setattr(chords, "_place", points.__getitem__)
+        chords._side_table.cache_clear()
+
+    yield use
+    chords._side_table.cache_clear()
+
+
+def test_geometric_scan_mask_holds_off_the_convex_position(placement):
+    # Two points inside the hull of the others and no three collinear: the
+    # side of line wy holding x no longer decides disjointness alone.
+    from cyclorient.chords import _first_disjoint_image, _segments_intersect
+
+    points = [(0, 0), (6, 0), (3, 5), (3, 1), (1, 2), (5, 2)]
+    placement(points)
+    for m in enumerate_all(6):
+        placed = [points[v] for v in m.images]
+        first = next(
+            (
+                (a, b, c, d)
+                for a, b, c, d in itertools.combinations(range(6), 4)
+                if not _segments_intersect(placed[a], placed[c], placed[b], placed[d])
+            ),
+            None,
+        )
+        assert _first_disjoint_image(m) == first, m
+
+
+def test_geometric_scan_refuses_collinear_points(placement):
+    from cyclorient.chords import _first_disjoint_image
+
+    placement([(j, 2 * j) for j in range(5)])
+    with pytest.raises(RuntimeError, match="collinear"):
+        _first_disjoint_image(Mapping.parse("0,1,2,3,4"))

@@ -19,11 +19,11 @@ from cyclorient import (
     enumerate_all,
     image_sequence,
     orientation,
-    oriented_quadruples,
     quad_test,
     reversal,
     triple_test,
 )
+from oracles import oriented_quadruples
 
 
 def oracle_triple_test(m, mode):
@@ -281,7 +281,7 @@ def test_cross_check_claim_table_and_gaps():
         "witness-quad": True,
     }
     assert clean.gaps == ()
-    gapped = cross_check(Mapping.parse("0,1,0,1"), geometric=True)
+    gapped = cross_check(Mapping.parse("0,1,0,1"))
     assert gapped.gaps == ("preserve", "reverse")
     # Rank 2: no triple witness exists, so none is claimed.
     assert [claim for claim, _ in gapped.claims] == [
@@ -289,7 +289,6 @@ def test_cross_check_claim_table_and_gaps():
         "triple-reverse-refined",
         "quad-vs-definitional",
         "chord-vs-definitional",
-        "chord-geometric-vs-definitional",
         "witness-quad",
     ]
     assert all(ok for _, ok in gapped.claims)
@@ -309,6 +308,18 @@ def test_cross_check_flags_a_low_rank_triple_failure(monkeypatch):
         "triple-reverse-refined",
     }
     assert ("triple-preserve-refined", False) in report.claims
+
+
+def test_chord_claim_does_not_go_through_the_quadruple_scan(monkeypatch):
+    # With the geometric scan blind, only the chord claim may notice that
+    # 0,1,3,2,4,5 is outside P_6; the quadruple test still catches it.
+    from cyclorient import chords
+
+    monkeypatch.setattr(chords, "_first_disjoint_image", lambda m: None)
+    report = cross_check(Mapping.parse("0,1,3,2,4,5"))
+    assert [d.claim for d in report.unsanctioned] == ["chord-vs-definitional"]
+    assert ("quad-vs-definitional", True) in report.claims
+    assert not report.quad_p and report.chord_p
 
 
 def test_cross_check_reports_a_witness_that_fails_validation(monkeypatch):

@@ -74,7 +74,6 @@ def test_equivalence_claims_present():
         "triple-reverse-refined",
         "quad-vs-definitional",
         "chord-vs-definitional",
-        "chord-geometric-vs-definitional",
         "witness-triple-preserve",
         "witness-triple-reverse",
         "witness-quad",
@@ -376,6 +375,23 @@ def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
     assert claims["quad-vs-definitional"].checks == 4**4
 
 
+def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
+    # A rank-3 map passing the triple tests is a violation, not an exemption.
+    from cyclorient import membership
+
+    real = membership.triple_test
+    monkeypatch.setattr(
+        membership, "triple_test", lambda m, mode: m.images == (0, 1, 3, 2) or real(m, mode)
+    )
+    report = equivalence_suite(4, workers=1)
+    assert {(v.claim, v.witness, v.count) for v in report.violations} == {
+        ("triple-preserve-refined", "0,1,3,2", 1),
+        ("triple-reverse-refined", "0,1,3,2", 1),
+    }
+    assert "0,1,3,2" not in {s.witness for s in report.sanctioned_exceptions}
+    assert len(report.sanctioned_exceptions) == len(equivalence_suite(4).sanctioned_exceptions)
+
+
 def test_lemma_suite_reports_a_flipped_orientation(monkeypatch):
     from cyclorient import verification
 
@@ -402,7 +418,7 @@ def test_claim_table_names_match_equivalence_suite():
     from cyclorient import cross_check
 
     table = {
-        claim for m in enumerate_all(4) for claim, _ in cross_check(m, geometric=True).claims
+        claim for m in enumerate_all(4) for claim, _ in cross_check(m).claims
     }
     assert table == {c.claim for c in equivalence_suite(4).claims}
 
