@@ -60,8 +60,9 @@ class Disagreement:
 @dataclass(frozen=True)
 class ConsistencyReport:
     """The claim table of one map: each route's verdict, one ``(claim, ok)``
-    row per checked claim, the triple ``gaps`` and the resulting
-    discrepancies."""
+    row per checked claim, the triple ``gaps`` sanctioned at rank <= 2 (a
+    pass outside the class at rank >= 3 is a failing ``triple-*-refined``
+    row instead) and the resulting discrepancies."""
 
     definitional: MembershipReport
     triple_op: bool
@@ -186,12 +187,12 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     quadruple test and the chord property agree with membership
     (``quad-vs-definitional``, ``chord-vs-definitional``), and every
     non-member that must have a witness yields one (``witness-*``); the
-    chord property is the exact-geometry one, off the orientation kernel.
-    ``gaps`` lists the modes whose triple test passes outside the class.
-    Each failing row is an unsanctioned discrepancy; a gap at rank <= 2 is
-    the sanctioned ``triple-*-vs-definitional`` exemption.
+    chord property is the exact-geometry scan, off the orientation kernel.
+    Each failing row is an unsanctioned discrepancy.  ``gaps`` lists the
+    modes whose triple test passes outside the class at rank <= 2, each the
+    sanctioned ``triple-*-vs-definitional`` exemption.
     """
-    from .chords import has_chord_property
+    from . import chords
     from .witnesses import _witness_quad, _witness_triple
 
     report = classify(m)
@@ -199,7 +200,7 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     triple_op = triple_test(m, "preserve")
     triple_or = triple_test(m, "reverse")
     quad_p = quad_test(m)
-    chord_p = has_chord_property(m, "geometric").holds
+    chord_p = chords._first_disjoint_image(m) is None
     # (claim, route, its verdict, the verdict membership implies)
     routes = [
         ("triple-preserve-refined", "triple test (preserve)", triple_op, report.in_op or low_rank),
@@ -241,18 +242,17 @@ def cross_check(m: Mapping) -> ConsistencyReport:
             ("preserve", triple_op, report.in_op),
             ("reverse", triple_or, report.in_or),
         )
-        if passed and not member
+        if low_rank and passed and not member
     )
-    if low_rank:
-        found.extend(
-            Disagreement(
-                f"triple-{mode}-vs-definitional",
-                f"triple test ({mode}) passes outside the class;"
-                f" image size {report.image_size} <= 2: sanctioned exemption",
-                sanctioned=True,
-            )
-            for mode in gaps
+    found.extend(
+        Disagreement(
+            f"triple-{mode}-vs-definitional",
+            f"triple test ({mode}) passes outside the class;"
+            f" image size {report.image_size} <= 2: sanctioned exemption",
+            sanctioned=True,
         )
+        for mode in gaps
+    )
     return ConsistencyReport(
         definitional=report,
         triple_op=triple_op,

@@ -296,3 +296,11 @@ def test_chords_ascii_size_limit(capsys, monkeypatch):
     assert code == 2 and not out and drawn == []
     code, out, _ = run_cli(capsys, "chords", "--n", "64", "--pair", "0-2:1-3", "--ascii")
     assert code == 0 and drawn == [64] and "grid" in out
+
+
+@pytest.mark.parametrize("selection", ["", ","])
+def test_verify_empty_suite_selection_exits_2(capsys, selection):
+    code, out, err = run_cli(
+        capsys, "verify", "--n-max", "3", "--suites", selection, "--format", "machine"
+    )
+    assert code == 2 and out == "" and "no suite selected" in err

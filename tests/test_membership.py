@@ -332,3 +332,29 @@ def test_cross_check_reports_a_witness_that_fails_validation(monkeypatch):
     assert failure.claim == "witness-triple-preserve"
     assert failure.detail.startswith("extraction failed: witness image (0, 1, 3)")
     assert ("witness-triple-preserve", False) in report.claims
+
+
+def test_route_verdicts_are_symmetric_under_rotation_and_reversal():
+    # V(m) = (in_op, in_or, in_p, triple_op, triple_or, quad_p, chord_p).
+    # Composing with the rotation on either side keeps V; composing with the
+    # reversal on either side swaps OP with OR and the two triple tests.
+    from cyclorient import compose, rotation
+
+    def verdicts(m):
+        r = cross_check(m)
+        d = r.definitional
+        return (d.in_op, d.in_or, d.in_p, r.triple_op, r.triple_or, r.quad_p, r.chord_p)
+
+    for n in range(1, 6):
+        table = {m.images: verdicts(m) for m in enumerate_all(n)}
+        g, h = rotation(n), reversal(n)
+        for m in enumerate_all(n):
+            op, or_, p, t_op, t_or, quad, chord = table[m.images]
+            swapped = (or_, op, p, t_or, t_op, quad, chord)
+            for composite, want in (
+                (compose(g, m), table[m.images]),
+                (compose(m, g), table[m.images]),
+                (compose(h, m), swapped),
+                (compose(m, h), swapped),
+            ):
+                assert table[composite.images] == want, (m, composite)

@@ -504,3 +504,33 @@ def test_lemma_checks_match_closed_form_class_sizes():
             assert report.passed, (n, max_len)
             assert checks.get("image-orientation-preserved", 0) == (op - both) * pool, (n, max_len)
             assert checks.get("image-orientation-reversed", 0) == (or_ - both) * pool, (n, max_len)
+
+
+def test_run_verify_refuses_an_empty_suite_selection(monkeypatch):
+    from cyclorient import verification
+
+    started = []
+    for name in ("equivalence_suite", "identity_suite", "lemma_suite"):
+        monkeypatch.setattr(
+            verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
+        )
+    with pytest.raises(ValueError, match="no suite selected"):
+        run_verify(3, suites=())
+    assert started == []
+
+
+def test_readme_machine_example_matches_golden():
+    # Every concrete report/claim/sanctioned line of the README's machine
+    # format example is a line of the golden report; the `...` template
+    # line is skipped.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("### Machine report format", 1)[1].split("```text\n", 1)[1]
+    example = block.split("```", 1)[0].splitlines()
+    concrete = [
+        line
+        for line in example
+        if line.split(" ", 1)[0] in ("report", "claim", "sanctioned") and "..." not in line
+    ]
+    assert len(concrete) == 3
+    golden = set(GOLDEN.read_text().splitlines())
+    assert [line for line in concrete if line not in golden] == []
