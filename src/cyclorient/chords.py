@@ -144,7 +144,7 @@ class ChordPropertyResult:
 
 @lru_cache(maxsize=4)
 def _side_table(n: int) -> tuple[list[list[int]], bytearray]:
-    """The rows ``L[v][k]`` of :func:`_first_disjoint_image` for the 4 latest n
+    """The rows ``L[v][k]`` of :func:`_first_disjoint` for the 4 latest n
     (770 KiB at n = 128); row v is valid once ``done[v]`` is set."""
     return [[0] * n for _ in range(n)], bytearray(n)
 
@@ -174,8 +174,15 @@ def _fill_sides(sides: list[list[int]], done: bytearray, v: int) -> None:
 
 
 def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
+    """The first sorted quadruple a < b < c < d whose image chords under
+    ``m`` are disjoint, or None (the scan is :func:`_first_disjoint`)."""
+    return _first_disjoint(m.images, _images_after(m.images))
+
+
+def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords
-    {ia, ic}, {ib, id} are disjoint by exact geometry; None when there is none.
+    {ia, ic}, {ib, id} are disjoint by exact geometry, or None, given the
+    image tuple and its :func:`~cyclorient.membership._images_after` masks.
 
     The loop runs over sorted triples with images w, x, y, skipping x = w
     and y = x (chords sharing an endpoint meet).  ``L[v][k]`` is the bitmask
@@ -185,12 +192,11 @@ def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
     ``(L[w][y] if x in L[w][y] else L[y][w]) | L[x][w] & L[x][y] | L[w][x] &
     L[y][x]``, exact while no three placed points are collinear (the filler
     checks it).  One AND with the images after c decides whether any d
-    exists, as in :func:`first_unoriented_image`; no orientation kernel call.
+    exists, as in :func:`~cyclorient.membership._first_unoriented`; no
+    orientation kernel call.
     """
-    imgs = m.images
-    n = m.n
+    n = len(imgs)
     sides, done = _side_table(n)
-    after = _images_after(imgs)
     for a in range(n - 3):
         w = imgs[a]
         if not done[w]:

@@ -7,8 +7,9 @@ this O(n) definitional scan, two independent characterizations are
 implemented: one quantifying over distinct triples, one over oriented
 quadruples.  ``cross_check`` is the per-map claim table: it runs every
 route once (including the exact-geometry chord test from
-:mod:`cyclorient.chords` and the witness extractors) and checks the claims
-the verification suite counts.
+:mod:`cyclorient.chords` and the witness extractors) on the raw image
+tuple and checks the claims the verification suite counts, which reads
+the same table.
 
 The triple characterization has a genuine edge case: a map of rank <= 2
 sends every triple to a both-oriented image, so it passes the triple tests
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .mappings import Mapping
-from .sequences import Orientation, Seq, _tag
+from .sequences import _TAGS, Orientation, Seq, _steps, _tag
 
 TRIPLE_MODES = ("preserve", "reverse")
 
@@ -114,9 +115,13 @@ def triple_test(m: Mapping, mode: str) -> bool:
     if mode not in TRIPLE_MODES:
         raise ValueError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
     # w < x is -w > -x, so the reverse test is the preserve scan on negated images.
-    imgs = m.images if mode == "preserve" else tuple(map(neg, m.images))
-    for i, j, k in itertools.combinations(range(m.n), 3):
-        w, x, y = imgs[i], imgs[j], imgs[k]
+    return _keeps_triples(m.images if mode == "preserve" else tuple(map(neg, m.images)))
+
+
+def _keeps_triples(imgs: tuple[int, ...]) -> bool:
+    """The preserve triple test on an image tuple: no sorted triple's image
+    has two strict circular descents (is anti-cyclic-only)."""
+    for w, x, y in itertools.combinations(imgs, 3):
         if (w > x) + (x > y) + (y > w) >= 2:
             return False
     return True
@@ -132,8 +137,17 @@ def _images_after(imgs: tuple[int, ...]) -> list[int]:
 
 
 def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
+    """The lexicographically first a < b < c < d whose image under ``m`` is
+    neither-oriented, or None (the scan is :func:`_first_unoriented`)."""
+    return _first_unoriented(m.images, _images_after(m.images))
+
+
+def _first_unoriented(
+    imgs: tuple[int, ...], after: list[int]
+) -> tuple[int, int, int, int] | None:
     """The lexicographically first a < b < c < d whose image is
-    neither-oriented, or None.  Sorted quadruples suffice: an oriented one
+    neither-oriented, or None, given the image tuple and its
+    :func:`_images_after` masks.  Sorted quadruples suffice: an oriented one
     repeats an entry only in cyclically adjacent places, so its image has at
     most three runs and is oriented; and rotating or reversing a quadruple
     changes neither its own orientedness nor its image's.
@@ -145,9 +159,7 @@ def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
     with the bitmask of the images after c decides whether any d exists
     before d is scanned: C(n, 3) steps for a member, O(n) memory.
     """
-    imgs = m.images
-    n = m.n
-    after = _images_after(imgs)
+    n = len(imgs)
     for a in range(n - 3):
         w = imgs[a]
         for b in range(a + 1, n - 2):
@@ -173,14 +185,71 @@ def quad_test(m: Mapping) -> bool:
     Unlike the triple tests this characterizes membership in the combined
     class exactly, with no rank caveat.  It covers the C(n, 4) sorted
     quadruples by a loop over sorted triples with a value mask for the
-    fourth point (see :func:`first_unoriented_image`).
+    fourth point (see :func:`_first_unoriented`).
     """
     return first_unoriented_image(m) is None
 
 
+def _claims(imgs: tuple[int, ...]) -> tuple:
+    """:func:`cross_check`'s claim table on a raw image tuple, also read by
+    the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
+    failures, gaps)``, with the four route verdicts, the claims checked in
+    table order, ``(claim, detail)`` per failing claim and the sanctioned
+    triple gaps.  One kernel call, one ``set``, one negated tuple and one
+    :func:`_images_after` list serve every route and extractor."""
+    descents, ascents = _steps(imgs)
+    in_op, in_or = descents <= 1, ascents <= 1
+    rank = len(set(imgs))
+    low_rank = rank <= 2
+    negs = tuple(map(neg, imgs))
+    after = _images_after(imgs)
+    verdicts = (
+        _keeps_triples(imgs),
+        _keeps_triples(negs),
+        _first_unoriented(imgs, after) is None,
+        chords._first_disjoint(imgs, after) is None,
+    )
+    # Membership, refined by rank for the triple tests.
+    wants = (in_op or low_rank, in_or or low_rank, in_op or in_or, in_op or in_or)
+    checked = (
+        "triple-preserve-refined",
+        "triple-reverse-refined",
+        "quad-vs-definitional",
+        "chord-vs-definitional",
+    )
+    failures = []
+    if verdicts != wants:
+        names = ("triple test (preserve)", "triple test (reverse)", "quad test", "chord property")
+        failures = [
+            (claim, f"{name} = {got} but definitional membership says {want};"
+             f" image size {rank}")
+            for claim, name, got, want in zip(checked, names, verdicts, wants)
+            if got != want
+        ]
+    # Every map outside a class (at rank >= 3 for the triples) has a witness.
+    triple = witnesses._witness_triple
+    for claim, needed, extract, args in (
+        ("witness-triple-preserve", not wants[0], triple, (imgs, negs, "preserve")),
+        ("witness-triple-reverse", not wants[1], triple, (imgs, negs, "reverse")),
+        ("witness-quad", not wants[2], witnesses._witness_quad, (imgs,)),
+    ):
+        if needed:
+            checked += (claim,)
+            try:
+                extract(*args)
+            except (ValueError, RuntimeError) as exc:
+                failures.append((claim, f"extraction failed: {exc}"))
+    gaps = ()
+    if low_rank:
+        modes = (("preserve", verdicts[0], in_op), ("reverse", verdicts[1], in_or))
+        gaps = tuple(mode for mode, passed, member in modes if passed and not member)
+    return in_op, in_or, rank, verdicts, checked, failures, gaps
+
+
 def cross_check(m: Mapping) -> ConsistencyReport:
-    """The per-map claim table: run every membership route and witness
-    extractor once and check each claim the equivalence suite checks.
+    """The per-map claim table: every membership route and witness
+    extractor run once by :func:`_claims` on the image tuple, read back as a
+    report.
 
     ``claims`` holds one ``(claim, ok)`` row per claim: the triple tests
     agree with membership refined by rank (``triple-*-refined``), the
@@ -192,74 +261,26 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     modes whose triple test passes outside the class at rank <= 2, each the
     sanctioned ``triple-*-vs-definitional`` exemption.
     """
-    from . import chords
-    from .witnesses import _witness_quad, _witness_triple
-
-    report = classify(m)
-    low_rank = report.image_size <= 2
-    triple_op = triple_test(m, "preserve")
-    triple_or = triple_test(m, "reverse")
-    quad_p = quad_test(m)
-    chord_p = chords._first_disjoint_image(m) is None
-    # (claim, route, its verdict, the verdict membership implies)
-    routes = [
-        ("triple-preserve-refined", "triple test (preserve)", triple_op, report.in_op or low_rank),
-        ("triple-reverse-refined", "triple test (reverse)", triple_or, report.in_or or low_rank),
-        ("quad-vs-definitional", "quad test", quad_p, report.in_p),
-        ("chord-vs-definitional", "chord property", chord_p, report.in_p),
-    ]
-    claims = [(claim, got == want) for claim, _, got, want in routes]
-    found = [
-        Disagreement(
-            claim,
-            f"{name} = {got} but definitional membership says {want};"
-            f" image size {report.image_size}",
-            sanctioned=False,
-        )
-        for claim, name, got, want in routes
-        if got != want
-    ]
-
-    extractions = (
-        ("witness-triple-preserve", not (report.in_op or low_rank), _witness_triple, ("preserve",)),
-        ("witness-triple-reverse", not (report.in_or or low_rank), _witness_triple, ("reverse",)),
-        ("witness-quad", not report.in_p, _witness_quad, ()),
-    )
-    for claim, needed, extract, args in extractions:
-        if not needed:
-            continue
-        try:
-            extract(m, report, *args)
-        except (ValueError, RuntimeError) as exc:
-            claims.append((claim, False))
-            found.append(Disagreement(claim, f"extraction failed: {exc}", sanctioned=False))
-        else:
-            claims.append((claim, True))
-
-    gaps = tuple(
-        mode
-        for mode, passed, member in (
-            ("preserve", triple_op, report.in_op),
-            ("reverse", triple_or, report.in_or),
-        )
-        if low_rank and passed and not member
-    )
+    in_op, in_or, rank, verdicts, checked, failures, gaps = _claims(m.images)
+    failed = {claim for claim, _ in failures}
+    found = [Disagreement(claim, detail, sanctioned=False) for claim, detail in failures]
     found.extend(
         Disagreement(
             f"triple-{mode}-vs-definitional",
             f"triple test ({mode}) passes outside the class;"
-            f" image size {report.image_size} <= 2: sanctioned exemption",
+            f" image size {rank} <= 2: sanctioned exemption",
             sanctioned=True,
         )
         for mode in gaps
     )
     return ConsistencyReport(
-        definitional=report,
-        triple_op=triple_op,
-        triple_or=triple_or,
-        quad_p=quad_p,
-        chord_p=chord_p,
+        MembershipReport(in_op, in_or, in_op or in_or, rank, _TAGS[2 * in_op + in_or]),
+        *verdicts,
         discrepancies=tuple(found),
-        claims=tuple(claims),
+        claims=tuple((claim, claim not in failed) for claim in checked),
         gaps=gaps,
     )
+
+
+# Both build on this module, so they are imported once it is complete.
+from . import chords, witnesses  # noqa: E402

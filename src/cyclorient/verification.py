@@ -28,8 +28,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .mappings import Mapping, enumerate_all, mapping_count
-from .membership import cross_check
+from .mappings import Mapping, mapping_count
+from .membership import TRIPLE_MODES, _claims
 from .sequences import _TAGS, Orientation, _steps, _tag
 
 SUITES = ("equivalence", "identity", "lemma")
@@ -98,13 +98,10 @@ class ClassCounts:
     low_rank_in_p: int
 
     def invariant_failures(self) -> tuple[str, ...]:
-        """One line per count that breaks an identity, including closed forms
-        no membership route feeds: |OP_n| = |OR_n| = n·C(2n−1, n−1) − n(n−1)
-        (Catarino & Higgins, Semigroup Forum 58, 1999), |OP_n ∩ OR_n| =
-        n + C(n, 2)·n(n−1) and |P_n| = 2|OP_n| − |OP_n ∩ OR_n|."""
+        """One line per count that breaks an identity, including the closed
+        forms of :func:`_closed_forms` and |P_n| = 2|OP_n| − |OP_n ∩ OR_n|."""
         n, op, or_, p, both = self.n, self.op, self.or_, self.p, self.op_and_or
-        op_form = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
-        both_form = n + math.comb(n, 2) * n * (n - 1)
+        op_form, both_form = _closed_forms(n)
         wants = (
             ("op", op, {"closed form": op_form}),
             ("or", or_, {"closed form": op_form}),
@@ -117,6 +114,13 @@ class ClassCounts:
             if wrong:
                 problems.append(f"{name}={value} != " + ", ".join(wrong))
         return tuple(problems)
+
+
+def _closed_forms(n: int) -> tuple[int, int]:
+    """|OP_n| = |OR_n| = n·C(2n−1, n−1) − n(n−1) (Catarino & Higgins,
+    Semigroup Forum 58, 1999) and |OP_n ∩ OR_n| = n + C(n, 2)·n(n−1):
+    counts no membership route feeds."""
+    return n * math.comb(2 * n - 1, n - 1) - n * (n - 1), n + math.comb(n, 2) * n * (n - 1)
 
 
 def _oriented(n: int, length: int) -> Iterator[tuple[int, tuple[int, ...], bool, bool]]:
@@ -213,16 +217,24 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 
 
 def _equivalence_range(args: tuple[int, int, int]) -> dict:
+    """Tally the claim table of the maps with indices start..stop - 1, as raw
+    image tuples in :func:`enumerate_all`'s order; a ``Mapping`` is built
+    only for witness text.  Maps with the same checked claims (at most five
+    lists) are counted together and expanded into checks once per range."""
     n, start, stop = args
     tally = _new_tally()
-    checks = tally["checks"]
-    for index, m in enumerate(enumerate_all(n, start, stop), start):
-        report = cross_check(m)
-        checks.update(claim for claim, _ in report.claims)
-        for d in report.unsanctioned:
-            _fail(tally, d.claim, index, str(m), d.detail)
-        for mode in report.gaps:
-            tally["sanctioned"].append((f"triple-{mode}-literal", index, str(m)))
+    counts: dict[tuple[str, ...], int] = {}
+    maps = itertools.islice(itertools.product(range(n), repeat=n), start, stop)
+    for index, imgs in enumerate(maps, start):
+        _, _, _, _, checked, failures, gaps = _claims(imgs)
+        counts[checked] = counts.get(checked, 0) + 1
+        for claim, detail in failures:
+            _fail(tally, claim, index, str(Mapping(n, imgs)), detail)
+        for mode in gaps:
+            tally["sanctioned"].append((f"triple-{mode}-literal", index, str(Mapping(n, imgs))))
+    for checked, count in counts.items():
+        for claim in checked:
+            tally["checks"][claim] += count
     return tally
 
 
@@ -256,9 +268,10 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     and that witness extraction succeeds wherever a witness must exist.
 
     The claims are those of :func:`cross_check`, so the chord property is
-    checked by exact geometry at every n.  ``workers`` must be at least 1
-    and is clamped to ``os.cpu_count()``; n must lie within
-    1..``EQUIVALENCE_MAX_N``.
+    checked by exact geometry at every n, and the witness and gap tallies
+    must match their closed forms (:func:`_check_tallies`).  ``workers``
+    must be at least 1 and is clamped to ``os.cpu_count()``; n must lie
+    within 1..``EQUIVALENCE_MAX_N``.
     """
     _check_enumerable(n, "the equivalence suite")
     workers = _worker_count(workers)
@@ -272,7 +285,28 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
         jobs = [(n, bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_equivalence_range, jobs))
-    return _finish("equivalence", n, _merge_tallies(parts), started)
+    tally = _merge_tallies(parts)
+    _check_tallies(n, tally)
+    return _finish("equivalence", n, tally, started)
+
+
+def _check_tallies(n: int, tally: dict) -> None:
+    """Fail each equivalence tally that misses its closed form, which no
+    route feeds: every map outside P_n has a quadruple witness, and every
+    map outside OP_n (or OR_n) a triple witness, except the sanctioned
+    C(n, 2)(2^n − 2 − n(n−1)) of rank 2."""
+    op, both = _closed_forms(n)
+    gaps = math.comb(n, 2) * (2**n - 2 - n * (n - 1))
+    counts = tally["checks"] + Counter(claim for claim, _, _ in tally["sanctioned"])
+    wants = {"witness-quad": n**n - 2 * op + both}
+    for mode in TRIPLE_MODES:
+        wants[f"witness-triple-{mode}"] = n**n - op - gaps
+        wants[f"triple-{mode}-literal"] = gaps
+    for claim, want in wants.items():
+        if counts[claim] != want:
+            # Indexed past every map, so a failing map stays the witness.
+            detail = f"{counts[claim]} counted but the closed form gives {want}"
+            _fail(tally, claim, n**n, "closed-form", detail)
 
 
 # ----------------------------------------------------------------------

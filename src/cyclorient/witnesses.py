@@ -20,10 +20,10 @@ requires rank >= 3.  The quadruple extractor works for every rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import itemgetter, neg
 
 from .mappings import Mapping
-from .membership import TRIPLE_MODES, MembershipReport, classify
+from .membership import TRIPLE_MODES, classify
 from .sequences import Orientation, _steps, _tag
 
 TRIPLE_CASE_LABELS = (
@@ -59,9 +59,10 @@ class QuadWitness:
     case_label: str
 
 
-def _validate(m: Mapping, points: tuple[int, ...], expected_image: Orientation) -> None:
+def _validate(imgs: tuple[int, ...], points: tuple[int, ...], expected_image: Orientation) -> None:
     """The one witness validator: the points are pairwise distinct and
-    cyclic-only, and their image under ``m`` carries ``expected_image``."""
+    cyclic-only, and their image under the map with image tuple ``imgs``
+    carries ``expected_image``."""
     if len(set(points)) != len(points):
         raise RuntimeError(f"witness points {points} are not pairwise distinct")
     source_tag = _tag(points)
@@ -69,7 +70,10 @@ def _validate(m: Mapping, points: tuple[int, ...], expected_image: Orientation) 
         raise RuntimeError(
             f"witness source {points} should be cyclic-only, got {source_tag.value}"
         )
-    image = tuple(map(m.images.__getitem__, points))
+    # itemgetter builds the image at its final size; tuple(map(...)) shrinks
+    # a larger tuple, and the freed 3- and 4-tuples pile up on CPython's
+    # per-size free lists (about 130 KiB each, held for the process).
+    image = itemgetter(*points)(imgs)
     image_tag = _tag(image)
     if image_tag is not expected_image:
         raise RuntimeError(
@@ -139,35 +143,40 @@ def witness_triple(m: Mapping, mode: str) -> TripleWitness:
     Preconditions: the map must fail the corresponding definitional test and
     have rank >= 3 (below that no witness exists).
     """
-    return _witness_triple(m, classify(m), mode)
-
-
-def _witness_triple(m: Mapping, report: MembershipReport, mode: str) -> TripleWitness:
-    """:func:`witness_triple` for a map already classified as ``report``."""
     if mode not in TRIPLE_MODES:
         raise ValueError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
+    report = classify(m)
     if report.image_size < 3:
         raise ValueError(
             f"image size {report.image_size} <= 2: the triple condition holds"
             " vacuously, no witness exists"
         )
+    if mode == "preserve" and report.in_op:
+        raise ValueError("map is orientation-preserving; no witness exists")
+    if mode == "reverse" and report.in_or:
+        raise ValueError("map is orientation-reversing; no witness exists")
+    return TripleWitness(*_witness_triple(m.images, tuple(map(neg, m.images)), mode))
+
+
+def _witness_triple(
+    imgs: tuple[int, ...], negs: tuple[int, ...], mode: str
+) -> tuple[tuple[int, int, int], str]:
+    """Validated points and case label of the ``mode`` triple witness of the
+    map with image tuple ``imgs`` and negated images ``negs``, under the
+    preconditions of :func:`witness_triple`."""
     if mode == "preserve":
-        if report.in_op:
-            raise ValueError("map is orientation-preserving; no witness exists")
-        points, label = _preserve_triple(m.images)
+        points, label = _preserve_triple(imgs)
         expected = Orientation.ANTI_CYCLIC_ONLY
     else:
-        if report.in_or:
-            raise ValueError("map is orientation-reversing; no witness exists")
         # Composing with the order reversal turns the problem into the
         # preserve case; reversing twice is the identity, so the original
         # images form a cyclic-only triple.  Negated images order exactly as
         # those of compose(m, reversal(n)), so the construction runs on them.
-        points, _ = _preserve_triple(tuple(map(neg, m.images)))
+        points, _ = _preserve_triple(negs)
         label = "gamma-composed"
         expected = Orientation.CYCLIC_ONLY
-    _validate(m, points, expected)
-    return TripleWitness(points, label)
+    _validate(imgs, points, expected)
+    return points, label
 
 
 def witness_quad(m: Mapping) -> QuadWitness:
@@ -177,17 +186,17 @@ def witness_quad(m: Mapping) -> QuadWitness:
     Precondition: the map is neither orientation-preserving nor
     orientation-reversing.  Works for every rank.
     """
-    return _witness_quad(m, classify(m))
-
-
-def _witness_quad(m: Mapping, report: MembershipReport) -> QuadWitness:
-    """:func:`witness_quad` for a map already classified as ``report``."""
-    if report.in_p:
+    if classify(m).in_p:
         raise ValueError(
             "map preserves or reverses orientation; no counterexample quadruple exists"
         )
-    n = m.n
-    imgs = m.images
+    return QuadWitness(*_witness_quad(m.images))
+
+
+def _witness_quad(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int, int], str]:
+    """Validated points and case label of the quadruple witness of the map
+    with image tuple ``imgs``, which must lie outside both classes."""
+    n = len(imgs)
     # Position p + 1 of the doubled tuple follows p around the cycle, so each
     # scan below is a plain range; positions are reduced mod n at the end.
     ext = imgs + imgs
@@ -229,5 +238,5 @@ def _witness_quad(m: Mapping, report: MembershipReport) -> QuadWitness:
         points = (i, (i + 1) % n, i2, (i2 + 1) % n)
         label = "case2"
 
-    _validate(m, points, Orientation.NEITHER)
-    return QuadWitness(points, label)
+    _validate(imgs, points, Orientation.NEITHER)
+    return points, label

@@ -197,12 +197,10 @@ def test_verify_clamps_threads_to_cpu_count(capsys, monkeypatch):
     created = []
 
     def recording_pool(max_workers):
-        # Records the request and starts no process; every job yields an
-        # empty tally.
+        # Records the request and starts no process; the jobs run here, so
+        # the suite's closed-form tally check sees every map.
         created.append(max_workers)
-        return nullcontext(
-            SimpleNamespace(map=lambda fn, jobs: [verification._new_tally() for _ in jobs])
-        )
+        return nullcontext(SimpleNamespace(map=map))
 
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)

@@ -299,7 +299,7 @@ def test_cross_check_flags_a_low_rank_triple_failure(monkeypatch):
     # breaks the refined statement even though it agrees with in_op.
     from cyclorient import membership
 
-    monkeypatch.setattr(membership, "triple_test", lambda m, mode: False)
+    monkeypatch.setattr(membership, "_keeps_triples", lambda imgs: False)
     report = cross_check(Mapping.parse("0,1,0,1"))
     assert not report.consistent
     assert report.gaps == ()
@@ -315,7 +315,7 @@ def test_chord_claim_does_not_go_through_the_quadruple_scan(monkeypatch):
     # 0,1,3,2,4,5 is outside P_6; the quadruple test still catches it.
     from cyclorient import chords
 
-    monkeypatch.setattr(chords, "_first_disjoint_image", lambda m: None)
+    monkeypatch.setattr(chords, "_first_disjoint", lambda imgs, after: None)
     report = cross_check(Mapping.parse("0,1,3,2,4,5"))
     assert [d.claim for d in report.unsanctioned] == ["chord-vs-definitional"]
     assert ("quad-vs-definitional", True) in report.claims

@@ -88,6 +88,41 @@ def test_equivalence_worker_split_is_deterministic():
     assert format_machine([solo]) == format_machine([split])
 
 
+def test_equivalence_tallies_merge_across_uneven_chunks():
+    # In process, no pool: chunk edges must not change the merged report.
+    from itertools import pairwise
+
+    from cyclorient import verification
+
+    bounds = (0, 1, 17, 1000, 3124, 3125)
+    parts = [verification._equivalence_range((5, a, b)) for a, b in pairwise(bounds)]
+    merged = verification._finish("equivalence", 5, verification._merge_tallies(parts), 0.0)
+    assert format_machine([merged]) == format_machine([equivalence_suite(5, workers=1)])
+
+
+def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
+    # Drop the non-member 0,1,3,2,4 (index 214 in base 5) from the one range
+    # of n = 5.  Every route agrees on every map left, so only the closed
+    # forms notice: |P_5| = 1015, |OP_5| = 610 and 100 rank-2 gaps per mode.
+    from cyclorient import verification
+
+    real = verification._equivalence_range
+    assert real((5, 214, 215))["checks"]["witness-quad"] == 1
+    monkeypatch.setattr(
+        verification,
+        "_equivalence_range",
+        lambda args: verification._merge_tallies([real((5, 0, 214)), real((5, 215, 3125))]),
+    )
+    report = equivalence_suite(5, workers=1)
+    assert not report.passed
+    assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
+        ("witness-quad", "closed-form", 1, "2109 counted but the closed form gives 2110"),
+        ("witness-triple-preserve", "closed-form", 1, "2414 counted but the closed form gives 2415"),
+        ("witness-triple-reverse", "closed-form", 1, "2414 counted but the closed form gives 2415"),
+    }
+    assert len(report.sanctioned_exceptions) == 200
+
+
 def test_identity_degenerate_n2():
     report = identity_suite(2)
     assert report.passed
@@ -358,10 +393,12 @@ def test_lemma_max_len_must_be_3_to_6():
 def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
     from cyclorient import membership
 
-    real = membership.quad_test
+    real = membership._first_unoriented
     broken = (0, 1, 3, 2)
     monkeypatch.setattr(
-        membership, "quad_test", lambda m: real(m) != (m.images == broken)
+        membership,
+        "_first_unoriented",
+        lambda imgs, after: None if imgs == broken else real(imgs, after),
     )
     report = equivalence_suite(4, workers=1)
     assert not report.passed
@@ -379,9 +416,12 @@ def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
     # A rank-3 map passing the triple tests is a violation, not an exemption.
     from cyclorient import membership
 
-    real = membership.triple_test
+    # The reverse test runs the preserve scan on the negated images.
+    real = membership._keeps_triples
     monkeypatch.setattr(
-        membership, "triple_test", lambda m, mode: m.images == (0, 1, 3, 2) or real(m, mode)
+        membership,
+        "_keeps_triples",
+        lambda imgs: imgs in ((0, 1, 3, 2), (0, -1, -3, -2)) or real(imgs),
     )
     report = equivalence_suite(4, workers=1)
     assert {(v.claim, v.witness, v.count) for v in report.violations} == {

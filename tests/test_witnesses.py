@@ -165,3 +165,33 @@ def test_all_quad_cases_reachable():
         if not classify(m).in_p:
             seen.add(witness_quad(m).case_label)
     assert seen == set(QUAD_CASE_LABELS)
+
+
+def test_witnesses_move_with_rotation_and_reversal():
+    # Conjugating m by a symmetry s of the cycle gives the map sending s(j)
+    # to s(m(j)); it keeps OP, OR and P.  A witness of m moved through s
+    # (read backwards when s is the reversal, so its source stays
+    # cyclic-only) must then validate against the conjugated map.
+    from cyclorient.witnesses import _validate
+
+    for n in range(1, 6):
+        symmetries = (
+            (tuple((j + 1) % n for j in range(n)), False),
+            (tuple(n - 1 - j for j in range(n)), True),
+        )
+        for m in enumerate_all(n):
+            r = classify(m)
+            found = []
+            if not r.in_p:
+                found.append((witness_quad(m).points, Orientation.NEITHER))
+            if r.image_size >= 3 and not r.in_op:
+                found.append((witness_triple(m, "preserve").points, Orientation.ANTI_CYCLIC_ONLY))
+            if r.image_size >= 3 and not r.in_or:
+                found.append((witness_triple(m, "reverse").points, Orientation.CYCLIC_ONLY))
+            for s, backwards in symmetries:
+                conjugated = [0] * n
+                for j, v in enumerate(m.images):
+                    conjugated[s[j]] = s[v]
+                for points, expected in found:
+                    moved = tuple(s[p] for p in points)
+                    _validate(tuple(conjugated), moved[::-1] if backwards else moved, expected)
