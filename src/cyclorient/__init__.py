@@ -27,11 +27,8 @@ from .mappings import (
     rotation,
 )
 from .membership import (
-    ConsistencyReport,
-    Disagreement,
     MembershipReport,
     classify,
-    cross_check,
     image_sequence,
     quad_test,
     triple_test,
@@ -52,10 +49,13 @@ from .sequences import (
 from .verification import (
     ClaimResult,
     ClassCounts,
+    ConsistencyReport,
+    Disagreement,
     SanctionedException,
     SuiteReport,
     Violation,
     count_classes,
+    cross_check,
     equivalence_suite,
     format_machine,
     format_text,

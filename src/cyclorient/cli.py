@@ -14,11 +14,11 @@ import sys
 
 from .chords import Chord, chords_intersect, image_chord
 from .mappings import Mapping
-from .membership import cross_check
 from .sequences import Seq, orientation
 from .verification import (
     SUITES,
     count_classes,
+    cross_check,
     format_machine,
     format_text,
     run_verify,

@@ -7,6 +7,10 @@ the known rank <= 2 exceptions to the literal triple statement are listed
 separately as ``sanctioned_exceptions`` so they stay visible without
 failing the run.
 
+The per-map claim table, :func:`cross_check`, sits here above the routes
+it checks and spells every claim name; the equivalence suite tallies the
+same table over all n^n maps.
+
 Reports are deterministic: enumeration is lexicographic, sampling is seeded
 by (n, map index), and per-claim results keep the lexicographically
 smallest witness.  The map enumeration may be split into contiguous index
@@ -26,10 +30,11 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, neg
 
+from . import chords, membership, witnesses
 from .mappings import Mapping, mapping_count
-from .membership import TRIPLE_MODES, _claims
+from .membership import TRIPLE_MODES, MembershipReport, _images_after
 from .sequences import _TAGS, Orientation, _steps, _tag
 
 SUITES = ("equivalence", "identity", "lemma")
@@ -57,6 +62,44 @@ class SanctionedException:
 
     claim: str
     witness: str
+
+
+@dataclass(frozen=True)
+class Disagreement:
+    """One disagreement between two membership routes.
+
+    ``sanctioned`` marks the known rank <= 2 exemption of the literal
+    triple statement; anything unsanctioned would be a genuine bug.
+    """
+
+    claim: str
+    detail: str
+    sanctioned: bool
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """The claim table of one map: each route's verdict, one ``(claim, ok)``
+    row per checked claim, the triple ``gaps`` sanctioned at rank <= 2 (a
+    pass outside the class at rank >= 3 is a failing ``triple-*-refined``
+    row instead) and the resulting discrepancies."""
+
+    definitional: MembershipReport
+    triple_op: bool
+    triple_or: bool
+    quad_p: bool
+    chord_p: bool
+    discrepancies: tuple[Disagreement, ...]
+    claims: tuple[tuple[str, bool], ...]
+    gaps: tuple[str, ...]
+
+    @property
+    def unsanctioned(self) -> tuple[Disagreement, ...]:
+        return tuple(d for d in self.discrepancies if not d.sanctioned)
+
+    @property
+    def consistent(self) -> bool:
+        return not self.unsanctioned
 
 
 @dataclass(frozen=True)
@@ -212,8 +255,101 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 
 
 # ----------------------------------------------------------------------
-# Equivalence suite: the four membership routes agree, witnesses total.
+# The per-map claim table and its suite: the routes agree, witnesses total.
 # ----------------------------------------------------------------------
+
+
+def _claims(imgs: tuple[int, ...]) -> tuple:
+    """:func:`cross_check`'s claim table on a raw image tuple, also read by
+    the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
+    failures, gaps)``, with the four route verdicts, the claims checked in
+    table order, ``(claim, detail)`` per failing claim and the sanctioned
+    triple gaps.  One kernel call, one ``set``, one negated tuple and one
+    :func:`_images_after` list serve every route and extractor (called
+    through their modules, which tests patch)."""
+    descents, ascents = _steps(imgs)
+    in_op, in_or = descents <= 1, ascents <= 1
+    rank = len(set(imgs))
+    low_rank = rank <= 2
+    negs = tuple(map(neg, imgs))
+    after = _images_after(imgs)
+    verdicts = (
+        membership._keeps_triples(imgs),
+        membership._keeps_triples(negs),
+        membership._first_unoriented(imgs, after) is None,
+        chords._first_disjoint(imgs, after) is None,
+    )
+    # Membership, refined by rank for the triple tests.
+    wants = (in_op or low_rank, in_or or low_rank, in_op or in_or, in_op or in_or)
+    checked = (
+        "triple-preserve-refined",
+        "triple-reverse-refined",
+        "quad-vs-definitional",
+        "chord-vs-definitional",
+    )
+    failures = []
+    if verdicts != wants:
+        names = ("triple test (preserve)", "triple test (reverse)", "quad test", "chord property")
+        failures = [
+            (claim, f"{name} = {got} but definitional membership says {want};"
+             f" image size {rank}")
+            for claim, name, got, want in zip(checked, names, verdicts, wants)
+            if got != want
+        ]
+    # Every map outside a class (at rank >= 3 for the triples) has a witness.
+    triple = witnesses._witness_triple
+    for claim, needed, extract, args in (
+        ("witness-triple-preserve", not wants[0], triple, (imgs, negs, "preserve")),
+        ("witness-triple-reverse", not wants[1], triple, (imgs, negs, "reverse")),
+        ("witness-quad", not wants[2], witnesses._witness_quad, (imgs, negs)),
+    ):
+        if needed:
+            checked += (claim,)
+            try:
+                extract(*args)
+            except (ValueError, RuntimeError) as exc:
+                failures.append((claim, f"extraction failed: {exc}"))
+    gaps = ()
+    if low_rank:
+        modes = (("preserve", verdicts[0], in_op), ("reverse", verdicts[1], in_or))
+        gaps = tuple(mode for mode, passed, member in modes if passed and not member)
+    return in_op, in_or, rank, verdicts, checked, failures, gaps
+
+
+def cross_check(m: Mapping) -> ConsistencyReport:
+    """The per-map claim table: every membership route and witness
+    extractor run once by :func:`_claims` on the image tuple, read back as a
+    report.
+
+    ``claims`` holds one ``(claim, ok)`` row per claim: the triple tests
+    agree with membership refined by rank (``triple-*-refined``), the
+    quadruple test and the chord property agree with membership
+    (``quad-vs-definitional``, ``chord-vs-definitional``), and every
+    non-member that must have a witness yields one (``witness-*``); the
+    chord property is the exact-geometry scan, off the orientation kernel.
+    Each failing row is an unsanctioned discrepancy.  ``gaps`` lists the
+    modes whose triple test passes outside the class at rank <= 2, each the
+    sanctioned ``triple-*-vs-definitional`` exemption.
+    """
+    in_op, in_or, rank, verdicts, checked, failures, gaps = _claims(m.images)
+    failed = {claim for claim, _ in failures}
+    found = [Disagreement(claim, detail, sanctioned=False) for claim, detail in failures]
+    found.extend(
+        Disagreement(
+            f"triple-{mode}-vs-definitional",
+            f"triple test ({mode}) passes outside the class;"
+            f" image size {rank} <= 2: sanctioned exemption",
+            sanctioned=True,
+        )
+        for mode in gaps
+    )
+    return ConsistencyReport(
+        MembershipReport(in_op, in_or, in_op or in_or, rank, _TAGS[2 * in_op + in_or]),
+        *verdicts,
+        discrepancies=tuple(found),
+        claims=tuple((claim, claim not in failed) for claim in checked),
+        gaps=gaps,
+    )
 
 
 def _equivalence_range(args: tuple[int, int, int]) -> dict:

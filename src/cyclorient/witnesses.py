@@ -8,9 +8,11 @@ deterministic case analysis: smallest indices win, scans take their first
 hit, and every "without loss" swap is performed explicitly and recorded in
 the case label.  Each witness is classified once and checked by one
 validator, on the orientation kernel, before it is returned: it is never
-trusted from construction.  The reverse-mode triple runs the preserve
-construction on the map composed with the reversal and is validated
-against the original map.
+trusted from construction.  Negating the images swaps ascents with
+descents, so one construction serves each dual: the reverse-mode triple
+runs the preserve construction on the negated images (the map composed
+with the reversal), and the quadruple's maximum cases are its minimum
+cases on the negated images.  Both are validated against the original map.
 
 Rank <= 2 maps outside the preserving class have no counterexample triple
 (all their triple images are both-oriented), so the triple extractor
@@ -190,18 +192,19 @@ def witness_quad(m: Mapping) -> QuadWitness:
         raise ValueError(
             "map preserves or reverses orientation; no counterexample quadruple exists"
         )
-    return QuadWitness(*_witness_quad(m.images))
+    return QuadWitness(*_witness_quad(m.images, tuple(map(neg, m.images))))
 
 
-def _witness_quad(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int, int], str]:
-    """Validated points and case label of the quadruple witness of the map
-    with image tuple ``imgs``, which must lie outside both classes."""
+def _plateau_after_minimum(imgs: tuple[int, ...]) -> tuple[int, int | None]:
+    """The first rising minimum position i of the image tuple ``imgs`` of a
+    map outside both classes, and, when the stretch from i + 1 to the first
+    descent after it is flat, the next ascent k, unreduced mod n (else None):
+    (i, i + 1, k, k + 1) then rises, falls and rises around the minimum."""
     n = len(imgs)
     # Position p + 1 of the doubled tuple follows p around the cycle, so each
-    # scan below is a plain range; positions are reduced mod n at the end.
+    # scan below is a plain range.
     ext = imgs + imgs
-    lo, hi = min(imgs), max(imgs)
-
+    lo = min(imgs)
     i = next((p for p in range(n) if imgs[p] == lo < ext[p + 1]), None)
     if i is None:
         # Every minimum position would have a non-rising successor, forcing a
@@ -211,32 +214,29 @@ def _witness_quad(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int, int], str
     j = next((p for p in range(i + 1, i + n - 1) if ext[p] > ext[p + 1]), None)
     if j is None:
         raise RuntimeError("no descent after the rising minimum; construction is broken")
+    if ext[i + 1] != ext[j]:
+        return i, None
+    k = next((p for p in range(j + 1, i + n - 1) if ext[p] < ext[p + 1]), None)
+    if k is None:
+        raise RuntimeError("no ascent after the plateau; construction is broken")
+    return i, k
 
-    i2 = next((p for p in range(n) if imgs[p] == hi > ext[p + 1]), None)
-    if i2 is None:
-        raise RuntimeError("no falling maximum position; construction is broken")
-    j2 = next((p for p in range(i2 + 1, i2 + n - 1) if ext[p] < ext[p + 1]), None)
-    if j2 is None:
-        raise RuntimeError("no ascent after the falling maximum; construction is broken")
 
-    if ext[i + 1] == ext[j]:
-        # The stretch from i+1 to j is flat on top; the next ascent closes a
-        # rise-fall-rise pattern around the minimum.
-        k = next((p for p in range(j + 1, i + n - 1) if ext[p] < ext[p + 1]), None)
-        if k is None:
-            raise RuntimeError("no ascent after the plateau; construction is broken")
-        points = (i, (i + 1) % n, k % n, (k + 1) % n)
-        label = "case1-min"
-    elif ext[i2 + 1] == ext[j2]:
-        # Dual pattern around the maximum.
-        k2 = next((p for p in range(j2 + 1, i2 + n - 1) if ext[p] > ext[p + 1]), None)
-        if k2 is None:
-            raise RuntimeError("no descent after the plateau; construction is broken")
-        points = (i2, (i2 + 1) % n, k2 % n, (k2 + 1) % n)
-        label = "case1-max"
-    else:
-        points = (i, (i + 1) % n, i2, (i2 + 1) % n)
-        label = "case2"
-
+def _witness_quad(
+    imgs: tuple[int, ...], negs: tuple[int, ...]
+) -> tuple[tuple[int, int, int, int], str]:
+    """Validated points and case label of the quadruple witness of the map
+    with image tuple ``imgs`` and negated images ``negs``, which must lie
+    outside both classes.  Every case is a pair of steps (p, p + 1) and
+    (q, q + 1)."""
+    n = len(imgs)
+    p, q = _plateau_after_minimum(imgs)
+    label = "case1-min"
+    if q is None:
+        # Negation turns the falling maximum into the rising minimum and
+        # swaps ascents with descents: the dual pattern around the maximum.
+        top, k = _plateau_after_minimum(negs)
+        p, q, label = (p, top, "case2") if k is None else (top, k, "case1-max")
+    points = (p, (p + 1) % n, q % n, (q + 1) % n)
     _validate(imgs, points, Orientation.NEITHER)
     return points, label

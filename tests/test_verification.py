@@ -574,3 +574,25 @@ def test_readme_machine_example_matches_golden():
     assert len(concrete) == 3
     golden = set(GOLDEN.read_text().splitlines())
     assert [line for line in concrete if line not in golden] == []
+
+
+def test_readme_library_example_matches_its_comments():
+    # Each call of the README's library example prints the repr in its
+    # comment; a comment ending in "...)" gives a prefix of that repr.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library in three lines", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    calls = []
+    for line in block.split("```", 1)[0].splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            calls.append((code.strip(), comment))
+        else:
+            exec(code, namespace)
+    assert len(calls) == 3
+    for code, comment in calls:
+        got = repr(eval(code, namespace))
+        if comment.endswith("...)"):
+            assert got.startswith(comment[: -len("...)")]), code
+        else:
+            assert got == comment, code

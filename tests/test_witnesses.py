@@ -195,3 +195,20 @@ def test_witnesses_move_with_rotation_and_reversal():
                 for points, expected in found:
                     moved = tuple(s[p] for p in points)
                     _validate(tuple(conjugated), moved[::-1] if backwards else moved, expected)
+
+
+def test_quad_case_order_pinned_by_label_counts():
+    # Reachability alone would let the maximum pattern be tried first; the
+    # label counts over every non-member pin the order: the plateau after
+    # the rising minimum, then after the falling maximum, then the pair.
+    expected = {
+        4: {"case1-min": 52, "case1-max": 0, "case2": 24},
+        5: {"case1-min": 1310, "case1-max": 270, "case2": 530},
+        6: {"case1-min": 24562, "case1-max": 8504, "case2": 8562},
+    }
+    for n, want in expected.items():
+        counts = dict.fromkeys(QUAD_CASE_LABELS, 0)
+        for m in enumerate_all(n):
+            if not classify(m).in_p:
+                counts[witness_quad(m).case_label] += 1
+        assert counts == want, n
