@@ -12,7 +12,7 @@ it checks and spells every claim name; the equivalence suite tallies the
 same table over all n^n maps.
 
 Reports are deterministic: enumeration is lexicographic, sampling is seeded
-by (n, map index), and per-claim results keep the lexicographically
+by n and the map index, and per-claim results keep the lexicographically
 smallest witness.  The map enumeration may be split into contiguous index
 ranges and run on several workers; merging partial tallies is associative
 and commutative, so multi-worker runs reproduce the single-worker report
@@ -451,11 +451,22 @@ def _check_tallies(n: int, tally: dict) -> None:
 
 
 def _product_set(left: frozenset, right: frozenset) -> set:
-    # a then b is itemgetter(*a)(b), one C call per pair (a bare entry when n = 1).
-    out = set()
+    # a then b is (b[a[0]], ..., b[a[n-1]]): it reads b only on a's image set
+    # S.  So each S restricts every b once (distinct restrictions only), and
+    # each a composes with those through its entries' positions in S; a
+    # constant a (every a when n = 1) gives the constant maps b[s].
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a in left:
-        row = map(itemgetter(*a), right)
-        out.update(row if len(a) > 1 else ((v,) for v in row))
+        groups.setdefault(tuple(sorted(set(a))), []).append(a)
+    out = set()
+    for image, maps in groups.items():
+        if len(image) == 1:
+            out.update((b[image[0]],) * len(b) for b in right)
+            continue
+        restrictions = set(map(itemgetter(*image), right))
+        where = {s: k for k, s in enumerate(image)}
+        for a in maps:
+            out.update(map(itemgetter(*map(where.__getitem__, a)), restrictions))
     return out
 
 
@@ -573,9 +584,10 @@ def lemma_suite(
     All oriented sequences of length 3..max_len (within 3..6) over [n] are
     candidates.  Each member checks all of them when there are at most
     ``sample_budget`` (or the budget is None); otherwise it checks a
-    pseudorandom sample seeded by (n, map index), so reports are
-    reproducible.  A budget must be positive: a zero budget would skip
-    every image-orientation check.
+    uniform sample: ``sample_budget`` consecutive entries, from a start
+    seeded by (n, map index), of one shuffle of the pool seeded by n, so
+    reports are reproducible.  A budget must be positive: a zero budget
+    would skip every image-orientation check.
 
     The members come from :func:`_oriented` as raw image lists, with their
     :func:`enumerate_all` index seeding the sampler; a ``Mapping`` is built
@@ -596,6 +608,12 @@ def lemma_suite(
     reverse = [(getter, items, tag.swapped()) for getter, items, tag in preserve]
     # image -> its tag, or None below three distinct values (nothing claimed).
     memo: dict[tuple[int, ...], Orientation | None] = {}
+    # One seeded shuffle of the pool positions, doubled so a window can wrap.
+    order = None
+    if sample_budget is not None and len(pool) > sample_budget:
+        order = list(range(len(pool)))
+        random.Random(1_000_003 * n + n**n).shuffle(order)
+        order += order
 
     for index, imgs, cyclic, _ in _oriented(n, n):
         # Rank <= 2 members never produce three distinct image values, so
@@ -607,13 +625,11 @@ def lemma_suite(
             claim, targets = "image-orientation-preserved", preserve
         else:
             claim, targets = "image-orientation-reversed", reverse
-        if sample_budget is None or len(pool) <= sample_budget:
+        if order is None:
             chosen = targets
         else:
-            rng = random.Random(1_000_003 * n + index)
-            chosen = [
-                targets[t] for t in sorted(rng.sample(range(len(pool)), sample_budget))
-            ]
+            start = random.Random(1_000_003 * n + index).randrange(len(pool))
+            chosen = [targets[t] for t in sorted(order[start : start + sample_budget])]
         for getter, items, want in chosen:
             image = getter(imgs)
             got = memo.get(image, memo)  # the memo itself marks an unseen image

@@ -1,6 +1,7 @@
 """Brute-force oracles shared by the tests; no production path calls them."""
 
 import itertools
+from operator import itemgetter
 
 from cyclorient.sequences import _tag
 
@@ -13,3 +14,13 @@ def oriented_quadruples(n):
         for quad in itertools.product(range(n), repeat=4)
         if _tag(quad).oriented
     )
+
+
+def product_set(left, right):
+    """Every product "a then b" for a in ``left`` and b in ``right``, one
+    ``itemgetter(*a)(b)`` per pair (a bare entry when n = 1)."""
+    out = set()
+    for a in left:
+        row = map(itemgetter(*a), right)
+        out.update(row if len(a) > 1 else ((v,) for v in row))
+    return out

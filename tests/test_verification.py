@@ -596,3 +596,63 @@ def test_readme_library_example_matches_its_comments():
             assert got.startswith(comment[: -len("...)")]), code
         else:
             assert got == comment, code
+
+
+def test_lemma_sampled_checks_are_budget_per_member():
+    import math
+
+    from cyclorient import verification
+
+    # Each sampling member checks exactly ``budget`` pool entries, at the
+    # smallest budget (a one-entry window) and the largest one that still
+    # samples (a window of all but one entry).
+    n = 5
+    op = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
+    both = n + math.comb(n, 2) * n * (n - 1)
+    pool = len(verification._oriented_pool(n, 3))
+    for budget in (1, pool - 1):
+        report = lemma_suite(n, max_len=3, sample_budget=budget)
+        checks = {c.claim: c.checks for c in report.claims}
+        assert report.passed, budget
+        assert checks["image-orientation-preserved"] == (op - both) * budget, budget
+        assert checks["image-orientation-reversed"] == (op - both) * budget, budget
+
+
+def test_product_set_matches_the_pairwise_oracle():
+    import itertools
+
+    from oracles import product_set
+
+    from cyclorient import verification
+
+    for n in range(1, 6):
+        members = list(verification._oriented(n, n))
+        op = frozenset(images for _, images, cyclic, _ in members if cyclic)
+        or_ = frozenset(images for _, images, _, anti in members if anti)
+        for left, right in ((op, op), (or_, or_), (or_, op), (op, or_)):
+            assert verification._product_set(left, right) == product_set(left, right), n
+    # All maps by all maps mixes every rank on both sides.
+    for n in range(1, 4):
+        every = frozenset(itertools.product(range(n), repeat=n))
+        assert verification._product_set(every, every) == product_set(every, every), n
+
+
+def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._oriented_pool
+
+    def flipped_pool(n, max_len):
+        return [
+            (items, tag.swapped() if len(items) == 4 else tag)
+            for items, tag in real(n, max_len)
+        ]
+
+    monkeypatch.setattr(verification, "_oriented_pool", flipped_pool)
+    # 50 of the pool's entries per member, so every member samples.
+    assert len(flipped_pool(5, 4)) > 50
+    runs = [lemma_suite(5, max_len=4, sample_budget=50) for _ in range(2)]
+    found = [{v.claim: v for v in report.violations} for report in runs]
+    for claim in ("image-orientation-preserved", "image-orientation-reversed"):
+        assert found[0][claim].count > 0, claim
+        assert found[0][claim] == found[1][claim], claim
