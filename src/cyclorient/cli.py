@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help="workers, capped at the CPUs")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.add_argument("--lemma-max-len", type=int, default=4)
-    p.add_argument("--lemma-budget", type=int, default=200, help="sample size, >= 1")
 
     p = sub.add_parser("count", help="count the orientation classes exactly")
     p.add_argument("--n", type=int, required=True)
@@ -234,7 +233,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         suites=suites,
         workers=args.threads,
         lemma_max_len=args.lemma_max_len,
-        lemma_budget=args.lemma_budget,
     )
     if args.format == "machine":
         sys.stdout.write(format_machine(reports))

@@ -11,13 +11,12 @@ The per-map claim table, :func:`cross_check`, sits here above the routes
 it checks and spells every claim name; the equivalence suite tallies the
 same table over all n^n maps.
 
-Reports are deterministic: enumeration is lexicographic, sampling is seeded
-by n and the map index, and per-claim results keep the lexicographically
-smallest witness.  The map enumeration may be split into contiguous index
-ranges and run on several workers; merging partial tallies is associative
-and commutative, so multi-worker runs reproduce the single-worker report
-byte for byte (timings excluded — ``elapsed`` never enters the machine
-format).
+Reports are deterministic: enumeration is lexicographic and per-claim
+results keep the lexicographically smallest witness.  The map enumeration
+may be split into contiguous index ranges and run on several workers;
+merging partial tallies is associative and commutative, so multi-worker
+runs reproduce the single-worker report byte for byte (timings excluded —
+``elapsed`` never enters the machine format).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import random
 import time
 from collections import Counter
 from collections.abc import Iterator
@@ -562,102 +560,104 @@ def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientat
     ]
 
 
-def _check_lemma_args(max_len: int, sample_budget: int | None) -> None:
+def _check_lemma_args(max_len: int) -> None:
     # Below length 3 the pool holds no sequence the lemma constrains, so the
     # suite would pass on zero checks.
     if not LEMMA_MIN_LEN <= max_len <= LEMMA_MAX_LEN:
         raise ValueError(
             f"lemma max length must be within {LEMMA_MIN_LEN}..{LEMMA_MAX_LEN}, got {max_len}"
         )
-    if sample_budget is not None and sample_budget < 1:
-        raise ValueError(f"lemma sample budget must be positive, got {sample_budget}")
 
 
-def lemma_suite(
-    n: int, max_len: int = 4, sample_budget: int | None = None
-) -> SuiteReport:
+class _ImageTags(dict):
+    """image -> its tag, or None below three distinct values (nothing claimed)."""
+
+    def __missing__(self, image: tuple[int, ...]) -> Orientation | None:
+        tag = self[image] = _tag(image) if len(set(image)) >= 3 else None
+        return tag
+
+
+def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> SuiteReport:
     """Check that members map oriented sequences to sequences of the same
     (preserving case) or opposite (reversing case) orientation whenever the
     image keeps at least three distinct values, plus subsequence
-    inheritance of orientation on a sample of oriented sequences.
+    inheritance of orientation, exhaustively: every member of rank >= 3
+    against every oriented sequence of length 3..max_len (within 3..6) over
+    [n], and every nonempty subsequence of each such sequence.
 
-    All oriented sequences of length 3..max_len (within 3..6) over [n] are
-    candidates.  Each member checks all of them when there are at most
-    ``sample_budget`` (or the budget is None); otherwise it checks a
-    uniform sample: ``sample_budget`` consecutive entries, from a start
-    seeded by (n, map index), of one shuffle of the pool seeded by n, so
-    reports are reproducible.  A budget must be positive: a zero budget
-    would skip every image-orientation check.
-
-    The members come from :func:`_oriented` as raw image lists, with their
-    :func:`enumerate_all` index seeding the sampler; a ``Mapping`` is built
-    only for a failure's witness.  Each image's orientation is looked up in
-    a memo that lives for this call only and holds at most
-    sum(n**k for k = 3..max_len) entries (1,512 at n = 6 with max_len = 4).
+    A member's image of a sequence s reads the member only on the support S
+    of s, so each S checks its sequences against the distinct restrictions
+    of the members to S, and only a failing restriction goes back to its
+    members for the violation count and witness (the lowest member index,
+    then the first sequence).  Checks are counted as members times pool
+    size, and each image-orientation count must equal its closed form
+    (|OP_n| − |OP_n ∩ OR_n|)·|pool|.  ``sample_budget`` is accepted and
+    ignored: the suite once sampled the pool, and callers that still pass a
+    budget get the exhaustive report.  Image tags are memoized for this call
+    only, at most sum(n**k for k = 3..max_len) entries.
     """
     if not 1 <= n <= LEMMA_MAX_N:
         raise ValueError(f"lemma suite supports 1 <= n <= {LEMMA_MAX_N}, got {n}")
-    _check_lemma_args(max_len, sample_budget)
+    _check_lemma_args(max_len)
     started = time.perf_counter()
     tally = _new_tally()
-    checks = tally["checks"]
     pool = _oriented_pool(n, max_len)
-    # Per pool entry: its image getter, its items and the tag a preserving
-    # member must give the image; a reversing member must give the swap.
-    preserve = [(itemgetter(*items), items, tag) for items, tag in pool]
-    reverse = [(getter, items, tag.swapped()) for getter, items, tag in preserve]
-    # image -> its tag, or None below three distinct values (nothing claimed).
-    memo: dict[tuple[int, ...], Orientation | None] = {}
-    # One seeded shuffle of the pool positions, doubled so a window can wrap.
-    order = None
-    if sample_budget is not None and len(pool) > sample_budget:
-        order = list(range(len(pool)))
-        random.Random(1_000_003 * n + n**n).shuffle(order)
-        order += order
+    # Rank >= 3 members in index order, each exactly one of OP and OR; a
+    # rank <= 2 member never gives an image three distinct values.
+    preserving: list[tuple[int, ...]] = []
+    reversing: list[tuple[int, ...]] = []
+    for _, imgs, cyclic, _ in _oriented(n, n):
+        if len(set(imgs)) >= 3:
+            (preserving if cyclic else reversing).append(imgs)
+    # Per support S of at least three values: (pool position, getter of
+    # the image from a restriction to S, tag); smaller supports are vacuous.
+    supports: dict[tuple[int, ...], list] = {}
+    for position, (items, tag) in enumerate(pool):
+        support = tuple(sorted(set(items)))
+        if len(support) >= 3:
+            where = {s: k for k, s in enumerate(support)}
+            entry = (position, itemgetter(*map(where.__getitem__, items)), tag)
+            supports.setdefault(support, []).append(entry)
+    tags = _ImageTags()
+    checks = tally["checks"]
+    op, both = _closed_forms(n)
+    for claim, maps, flip in (
+        ("image-orientation-preserved", preserving, False),
+        ("image-orientation-reversed", reversing, True),
+    ):
+        failing = {}  # pool position -> (restrictor, failing restrictions)
+        for support, entries in supports.items():
+            restrict = itemgetter(*support)
+            restrictions = [r for r in set(map(restrict, maps)) if len(set(r)) >= 3]
+            for position, getter, tag in entries:
+                want = tag.swapped() if flip else tag
+                got = list(map(tags.__getitem__, map(getter, restrictions)))
+                if got.count(want) + got.count(None) != len(got):
+                    bad = {r for r, t in zip(restrictions, got) if t is not want and t is not None}
+                    failing[position] = (restrict, bad)
+        if maps:  # no claim line for a class without rank >= 3 members
+            checks[claim] += len(maps) * len(pool)
+        for index, imgs in enumerate(maps if failing else ()):
+            hits = [p for p, (restrict, bad) in sorted(failing.items()) if restrict(imgs) in bad]
+            if hits:
+                seq = ",".join(map(str, pool[hits[0]][0]))
+                detail = "image orientation does not match the source"
+                _fail(tally, claim, index, f"map={Mapping(n, imgs)};seq={seq}", detail, len(hits))
+        expected = (op - both) * len(pool)
+        if checks[claim] != expected:
+            # Indexed past every member, so a failing member stays the witness.
+            detail = f"{checks[claim]} counted but the closed form gives {expected}"
+            _fail(tally, claim, n**n, "closed-form", detail)
 
-    for index, imgs, cyclic, _ in _oriented(n, n):
-        # Rank <= 2 members never produce three distinct image values, so
-        # every check on them is vacuous; skip them.
-        if len(set(imgs)) < 3:
-            continue
-        # Three distinct values make the member exactly one of OP and OR.
-        if cyclic:
-            claim, targets = "image-orientation-preserved", preserve
-        else:
-            claim, targets = "image-orientation-reversed", reverse
-        if order is None:
-            chosen = targets
-        else:
-            start = random.Random(1_000_003 * n + index).randrange(len(pool))
-            chosen = [targets[t] for t in sorted(order[start : start + sample_budget])]
-        for getter, items, want in chosen:
-            image = getter(imgs)
-            got = memo.get(image, memo)  # the memo itself marks an unseen image
-            if got is memo:
-                got = memo[image] = _tag(image) if len(set(image)) >= 3 else None
-            if got is not None and got is not want:
-                _fail(
-                    tally,
-                    claim,
-                    index,
-                    f"map={Mapping(n, imgs)};seq={','.join(map(str, items))}",
-                    "image orientation does not match the source",
-                )
-        checks[claim] += len(chosen)
-
-    # Subsequence inheritance on a deterministic sample of the pool.
-    rng = random.Random(1_000_003 * n)
-    if len(pool) > 200:
-        sample = [pool[t] for t in sorted(rng.sample(range(len(pool)), 200))]
-    else:
-        sample = pool
-    for items, tag in sample:
-        t = len(items)
-        for mask in range(1, 1 << t):
-            sub_tag = _tag(tuple(items[b] for b in range(t) if mask >> b & 1))
-            if (tag.admits_cyclic and not sub_tag.admits_cyclic) or (
-                tag.admits_anti_cyclic and not sub_tag.admits_anti_cyclic
-            ):
+    # Subsequence inheritance: mask bit b keeps item b, for every pool entry.
+    selectors = {
+        t: [[mask >> b & 1 for b in range(t)] for mask in range(1, 1 << t)]
+        for t in range(LEMMA_MIN_LEN, max_len + 1)
+    }
+    for items, tag in pool:
+        for mask, selector in enumerate(selectors[len(items)], 1):
+            descents, ascents = _steps(tuple(itertools.compress(items, selector)))
+            if (descents > 1 and tag.admits_cyclic) or (ascents > 1 and tag.admits_anti_cyclic):
                 _fail(
                     tally,
                     "subsequence-inheritance",
@@ -665,7 +665,7 @@ def lemma_suite(
                     f"seq={','.join(map(str, items))};mask={mask}",
                     "subsequence lost an orientation admitted by the full sequence",
                 )
-        checks["subsequence-inheritance"] += (1 << t) - 1
+        checks["subsequence-inheritance"] += len(selectors[len(items)])
     return _finish("lemma", n, tally, started)
 
 
@@ -679,14 +679,14 @@ def run_verify(
     suites: tuple[str, ...] = SUITES,
     workers: int = 1,
     lemma_max_len: int = 4,
-    lemma_budget: int | None = 200,
 ) -> list[SuiteReport]:
     """Run the selected suites for n = 1..n_max and return their reports.
 
     The identity suite is capped at n = 5 and the lemma suite at n = 6
     (their brute-force preconditions); larger n_max only extends the
     equivalence suite, which enumerates n^n maps (16.8M at n = 8) and so
-    refuses n_max > 8.
+    refuses n_max > 8.  The lemma suite checks every member against every
+    oriented sequence of length 3..``lemma_max_len`` (within 3..6).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -702,7 +702,7 @@ def run_verify(
             f" is not supported, got {n_max}"
         )
     workers = _worker_count(workers)
-    _check_lemma_args(lemma_max_len, lemma_budget)
+    _check_lemma_args(lemma_max_len)
     reports = []
     if "equivalence" in suites:
         for n in range(1, n_max + 1):
@@ -712,7 +712,7 @@ def run_verify(
             reports.append(identity_suite(n))
     if "lemma" in suites:
         for n in range(1, min(n_max, LEMMA_MAX_N) + 1):
-            reports.append(lemma_suite(n, max_len=lemma_max_len, sample_budget=lemma_budget))
+            reports.append(lemma_suite(n, max_len=lemma_max_len))
     return reports
 
 

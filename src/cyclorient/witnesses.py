@@ -88,10 +88,16 @@ def _preserve_triple(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int], str]:
     with image list ``imgs`` is anti-cyclic; the map must be outside the
     preserving class with rank >= 3."""
     n = len(imgs)
-    descents = [t for t in range(n) if imgs[t] > imgs[(t + 1) % n]]
     # Non-membership guarantees at least two descents; the first pair always
-    # admits one of the three cases below.
-    i, j = descents[0], descents[1]
+    # admits one of the three cases below, so the scan stops at the second.
+    i = None
+    for j in range(n):
+        if imgs[j] > imgs[(j + 1) % n]:
+            if i is not None:
+                break
+            i = j
+    else:
+        raise ValueError("fewer than two circular descents: the map preserves orientation")
     swapped = False
 
     if imgs[i] != imgs[j]:

@@ -3,7 +3,7 @@
 import itertools
 from operator import itemgetter
 
-from cyclorient.sequences import _tag
+from cyclorient.sequences import Orientation, _tag
 
 
 def oriented_quadruples(n):
@@ -24,3 +24,27 @@ def product_set(left, right):
         row = map(itemgetter(*a), right)
         out.update(row if len(a) > 1 else ((v,) for v in row))
     return out
+
+
+def lemma_failures(n, pool):
+    """The lemma's image-orientation claims by the plain double loop: every
+    map of [n] whose image list is uniquely oriented (a member of OP_n or
+    OR_n of rank >= 3), in index order, against every ``(items, tag)`` of
+    ``pool`` in order.  Returns the checks per claim and, per failing claim,
+    ``(witness, count)`` with the first failing pair as the witness."""
+    checks, failures = {}, {}
+    for imgs in itertools.product(range(n), repeat=n):
+        member = _tag(imgs)
+        if not member.uniquely_oriented:
+            continue
+        preserving = member is Orientation.CYCLIC_ONLY
+        claim = "image-orientation-preserved" if preserving else "image-orientation-reversed"
+        for items, tag in pool:
+            checks[claim] = checks.get(claim, 0) + 1
+            image = tuple(imgs[x] for x in items)
+            want = tag if preserving else tag.swapped()
+            if len(set(image)) >= 3 and _tag(image) is not want:
+                first = f"map={','.join(map(str, imgs))};seq={','.join(map(str, items))}"
+                witness, count = failures.get(claim, (first, 0))
+                failures[claim] = (witness, count + 1)
+    return checks, failures

@@ -182,24 +182,17 @@ def test_count_classes_matches_classifier():
 
 def test_lemma_exhaustive_small():
     for n in (3, 4):
-        report = lemma_suite(n, max_len=4, sample_budget=None)
+        report = lemma_suite(n, max_len=4)
         assert report.passed
         assert report.checks_run > 0
 
 
-def test_lemma_seeded_sampling_is_reproducible():
-    a = lemma_suite(5, max_len=4, sample_budget=50)
-    b = lemma_suite(5, max_len=4, sample_budget=50)
-    assert format_machine([a]) == format_machine([b])
-    assert a.passed
-
-
-def test_lemma_budget_caps_work():
-    small = lemma_suite(5, max_len=3, sample_budget=10)
-    big = lemma_suite(5, max_len=3, sample_budget=40)
-    checks = {c.claim: c.checks for c in small.claims}
-    checks_big = {c.claim: c.checks for c in big.claims}
-    assert checks["image-orientation-preserved"] < checks_big["image-orientation-preserved"]
+def test_lemma_sample_budget_is_accepted_and_ignored():
+    # The benchmark still passes the old sampler's budget; the report is the
+    # exhaustive one.
+    for n in range(1, 7):
+        budgeted = format_machine([lemma_suite(n, max_len=4, sample_budget=200)])
+        assert budgeted == format_machine([lemma_suite(n, max_len=4)]), n
 
 
 def test_lemma_bounds():
@@ -330,15 +323,6 @@ def test_closed_forms_catch_a_consistent_miscount():
     assert all("closed form" in p for p in problems)
 
 
-def test_lemma_budget_must_be_positive():
-    for budget in (0, -5):
-        with pytest.raises(ValueError, match="lemma sample budget must be positive"):
-            lemma_suite(4, sample_budget=budget)
-        # Rejected before any suite runs.
-        with pytest.raises(ValueError, match="lemma sample budget must be positive"):
-            run_verify(6, suites=("equivalence",), lemma_budget=budget)
-
-
 def test_worker_count_is_validated_and_clamped(monkeypatch):
     from contextlib import nullcontext
     from types import SimpleNamespace
@@ -387,7 +371,7 @@ def test_lemma_max_len_must_be_3_to_6():
         with pytest.raises(ValueError, match=words):
             run_verify(6, suites=("equivalence",), lemma_max_len=max_len)
     for max_len in (3, 6):
-        assert lemma_suite(3, max_len=max_len, sample_budget=20).checks_run > 0
+        assert lemma_suite(3, max_len=max_len).checks_run > 0
 
 
 def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
@@ -444,7 +428,7 @@ def test_lemma_suite_reports_a_flipped_orientation(monkeypatch):
         ]
 
     monkeypatch.setattr(verification, "_oriented_pool", flipped_pool)
-    report = lemma_suite(3, max_len=3, sample_budget=None)
+    report = lemma_suite(3, max_len=3)
     assert not report.passed
     by_claim = {v.claim: v for v in report.violations}
     preserved = by_claim["image-orientation-preserved"]
@@ -539,7 +523,7 @@ def test_lemma_checks_match_closed_form_class_sizes():
                 for length in range(3, max_len + 1)
                 for items in itertools.product(range(n), repeat=length)
             )
-            report = lemma_suite(n, max_len=max_len, sample_budget=None)
+            report = lemma_suite(n, max_len=max_len)
             checks = {c.claim: c.checks for c in report.claims}
             assert report.passed, (n, max_len)
             assert checks.get("image-orientation-preserved", 0) == (op - both) * pool, (n, max_len)
@@ -598,26 +582,6 @@ def test_readme_library_example_matches_its_comments():
             assert got == comment, code
 
 
-def test_lemma_sampled_checks_are_budget_per_member():
-    import math
-
-    from cyclorient import verification
-
-    # Each sampling member checks exactly ``budget`` pool entries, at the
-    # smallest budget (a one-entry window) and the largest one that still
-    # samples (a window of all but one entry).
-    n = 5
-    op = n * math.comb(2 * n - 1, n - 1) - n * (n - 1)
-    both = n + math.comb(n, 2) * n * (n - 1)
-    pool = len(verification._oriented_pool(n, 3))
-    for budget in (1, pool - 1):
-        report = lemma_suite(n, max_len=3, sample_budget=budget)
-        checks = {c.claim: c.checks for c in report.claims}
-        assert report.passed, budget
-        assert checks["image-orientation-preserved"] == (op - both) * budget, budget
-        assert checks["image-orientation-reversed"] == (op - both) * budget, budget
-
-
 def test_product_set_matches_the_pairwise_oracle():
     import itertools
 
@@ -649,10 +613,67 @@ def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
         ]
 
     monkeypatch.setattr(verification, "_oriented_pool", flipped_pool)
-    # 50 of the pool's entries per member, so every member samples.
-    assert len(flipped_pool(5, 4)) > 50
-    runs = [lemma_suite(5, max_len=4, sample_budget=50) for _ in range(2)]
+    runs = [lemma_suite(5, max_len=4) for _ in range(2)]
     found = [{v.claim: v for v in report.violations} for report in runs]
     for claim in ("image-orientation-preserved", "image-orientation-reversed"):
         assert found[0][claim].count > 0, claim
         assert found[0][claim] == found[1][claim], claim
+
+
+def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
+    from oracles import lemma_failures
+
+    from cyclorient import verification
+
+    real = verification._oriented_pool
+
+    def flipped_pool(n, max_len):
+        # Every seventh entry's tag flipped, so members fail at scattered
+        # entries and the witness is not simply the first pair.
+        return [
+            (items, tag.swapped() if position % 7 == 3 else tag)
+            for position, (items, tag) in enumerate(real(n, max_len))
+        ]
+
+    failed = 0
+    for pool_of in (real, flipped_pool):
+        monkeypatch.setattr(verification, "_oriented_pool", pool_of)
+        for n in range(1, 6):
+            for max_len in (3, 4):
+                report = lemma_suite(n, max_len=max_len)
+                checks, failures = lemma_failures(n, pool_of(n, max_len))
+                image = [c for c in report.claims if c.claim.startswith("image-orientation-")]
+                assert {c.claim: c.checks for c in image} == checks, (n, max_len)
+                got = {
+                    v.claim: (v.witness, v.count)
+                    for v in report.violations
+                    if v.claim.startswith("image-orientation-")
+                }
+                assert got == failures, (n, max_len)
+                failed += len(failures)
+    assert failed > 0
+
+
+def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._oriented
+    dropped = (0, 1, 2, 3, 4)
+
+    def walk(n, length):
+        # The member walk skips one member of OP_5 of rank 5.
+        return (row for row in real(n, length) if row[1] != dropped)
+
+    monkeypatch.setattr(verification, "_oriented", walk)
+    report = lemma_suite(5, max_len=3)
+    pool = len(verification._oriented_pool(5, 3))
+    op, both = verification._closed_forms(5)
+    [violation] = report.violations
+    assert (violation.claim, violation.witness, violation.count) == (
+        "image-orientation-preserved",
+        "closed-form",
+        1,
+    )
+    assert violation.detail == (
+        f"{(op - both - 1) * pool} counted but the closed form gives {(op - both) * pool}"
+    )

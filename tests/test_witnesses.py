@@ -14,7 +14,7 @@ from cyclorient import (
     witness_quad,
     witness_triple,
 )
-from cyclorient.witnesses import QUAD_CASE_LABELS, TRIPLE_CASE_LABELS
+from cyclorient.witnesses import QUAD_CASE_LABELS, TRIPLE_CASE_LABELS, _preserve_triple
 
 
 def image_of(m, points):
@@ -78,6 +78,10 @@ def test_triple_witness_preconditions():
         witness_triple(Mapping.parse("0,1,0,1"), "reverse")
     with pytest.raises(ValueError):
         witness_triple(Mapping.parse("2,1,0,3"), "diagonal")
+    # The construction itself refuses a map with fewer than two descents.
+    for imgs in ((0, 1, 2, 3), (1, 2, 3, 0), (0, 0, 0)):
+        with pytest.raises(ValueError, match="fewer than two circular descents"):
+            _preserve_triple(imgs)
 
 
 def test_quad_witness_pinned_alternating():
