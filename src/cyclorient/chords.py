@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .mappings import Mapping
 from .membership import _images_after, first_unoriented_image
-from .sequences import _tag
+from .sequences import _points, _tag
 
 METHODS = ("combinatorial", "geometric")
 
@@ -44,15 +44,10 @@ class Chord:
     q: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"cycle size must be positive, got n={self.n}")
-        for v in (self.p, self.q):
-            if not 0 <= v < self.n:
-                raise ValueError(f"endpoint {v} outside [0, {self.n})")
-        if self.p > self.q:
-            p, q = self.q, self.p
-            object.__setattr__(self, "p", p)
-            object.__setattr__(self, "q", q)
+        n, ends = _points(self.n, (self.p, self.q), "endpoint")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", min(ends))
+        object.__setattr__(self, "q", max(ends))
 
     @classmethod
     def parse(cls, text: str, n: int) -> Chord:

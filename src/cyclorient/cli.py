@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from .chords import Chord, chords_intersect, image_chord
+from .chords import METHODS, Chord, chords_intersect, image_chord
 from .mappings import Mapping
 from .sequences import Seq, orientation
 from .verification import (
@@ -23,7 +23,7 @@ from .verification import (
     format_text,
     run_verify,
 )
-from .witnesses import witness_quad, witness_triple
+from .witnesses import TRIPLE_MODES, witness_quad, witness_triple
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="extract a counterexample triple")
     p.add_argument("--map", required=True, help='image list, e.g. "0,1,3,2"')
-    p.add_argument("--mode", choices=("preserve", "reverse"), default="preserve")
+    p.add_argument("--mode", choices=TRIPLE_MODES, default=TRIPLE_MODES[0])
 
     p = sub.add_parser("quadwitness", help="extract a counterexample quadruple")
     p.add_argument("--map", required=True, help='image list, e.g. "0,1,0,1"')
@@ -62,11 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="cycle size (required without --map)")
     p.add_argument("--pair", required=True, help='chord pair, e.g. "1-3:0-2"')
     p.add_argument("--map", help="image list; also reports the image chords")
-    p.add_argument(
-        "--method",
-        choices=("combinatorial", "geometric", "both"),
-        default="combinatorial",
-    )
+    p.add_argument("--method", choices=(*METHODS, "both"), default=METHODS[0])
     p.add_argument(
         "--ascii", action="store_true", help="draw the circle and chords as ASCII art"
     )
@@ -198,7 +194,7 @@ def _cmd_chords(args: argparse.Namespace) -> int:
         raise ValueError(f"pair must look like 'a-c:b-d', got {args.pair!r}")
     first = Chord.parse(parts[0], n)
     second = Chord.parse(parts[1], n)
-    methods = ("combinatorial", "geometric") if args.method == "both" else (args.method,)
+    methods = METHODS if args.method == "both" else (args.method,)
 
     status = EXIT_OK
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .sequences import Seq, _parse_ints
+from .sequences import Seq, _parse_ints, _points
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,11 @@ class Mapping:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"cycle size must be positive, got n={self.n}")
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.n:
-            raise ValueError(
-                f"image list has length {len(self.images)}, expected n={self.n}"
-            )
-        for v in self.images:
-            if not 0 <= v < self.n:
-                raise ValueError(f"image {v} outside [0, {self.n})")
+        n, images = _points(self.n, self.images, "image")
+        if len(images) != n:
+            raise ValueError(f"image list has length {len(images)}, expected n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def parse(cls, text: str) -> Mapping:
@@ -88,12 +83,12 @@ def mapping_count(n: int) -> int:
 def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[Mapping]:
     """Yield every self-map of [n] in lexicographic order of image lists.
 
-    ``start``/``stop`` select a contiguous index range, so the full
-    enumeration can be split across workers; index k is the map whose image
-    list is k written in base n, most significant digit first.
+    ``start``/``stop`` select a contiguous index range, which the
+    benchmark's prefix probe reads (the suites' workers slice
+    ``itertools.product`` themselves); index k is the map whose image list
+    is k written in base n, most significant digit first.
     """
-    if n < 1:
-        raise ValueError(f"cycle size must be positive, got n={n}")
+    n, _ = _points(n, (), "image")
     total = n**n
     if stop is None:
         stop = total

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 
 
 class Orientation(Enum):
@@ -63,12 +64,9 @@ class Seq:
     items: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"cycle size must be positive, got n={self.n}")
-        object.__setattr__(self, "items", tuple(self.items))
-        for v in self.items:
-            if not 0 <= v < self.n:
-                raise ValueError(f"value {v} outside [0, {self.n})")
+        n, items = _points(self.n, self.items, "value")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> Seq:
@@ -93,6 +91,21 @@ class Seq:
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.items)
+
+
+def _points(n: int, values, what: str) -> tuple[int, tuple[int, ...]]:
+    """The one point validator: the cycle size and ``values`` as plain ints,
+    each value in [0, n), or a ``ValueError`` naming the input."""
+    try:
+        n, points = index(n), tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"cycle size {n!r} and {what}s {values!r} must be integers") from None
+    if n < 1:
+        raise ValueError(f"cycle size must be positive, got n={n}")
+    for v in points:
+        if not 0 <= v < n:
+            raise ValueError(f"{what} {v} outside [0, {n})")
+    return n, points
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:

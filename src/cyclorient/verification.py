@@ -33,7 +33,7 @@ from operator import itemgetter, neg
 from . import chords, membership, witnesses
 from .mappings import Mapping, mapping_count
 from .membership import TRIPLE_MODES, MembershipReport, _images_after
-from .sequences import _TAGS, Orientation, _steps, _tag
+from .sequences import _TAGS, Orientation, _points, _steps, _tag
 
 SUITES = ("equivalence", "identity", "lemma")
 
@@ -167,8 +167,9 @@ def _closed_forms(n: int) -> tuple[int, int]:
 def _oriented(n: int, length: int) -> Iterator[tuple[int, tuple[int, ...], bool, bool]]:
     """Yield ``(index, items, cyclic, anti_cyclic)`` for each oriented
     ``length``-sequence over [n], lexicographically.  A map is in P_n exactly
-    when its image list is oriented, so ``_oriented(n, n)`` walks P_n; its
-    ``index`` counts every sequence, so it is :func:`enumerate_all`'s."""
+    when its image list is oriented, so ``_oriented(n, n)`` walks P_n.
+    ``index`` counts every sequence, as :func:`enumerate_all` does; no
+    production code reads it, and it is kept for the tests that unpack it."""
     for index, items in enumerate(itertools.product(range(n), repeat=length)):
         descents, ascents = _steps(items)
         if descents <= 1 or ascents <= 1:
@@ -389,8 +390,7 @@ def _worker_count(workers: int) -> int:
 
 def _check_enumerable(n: int, what: str) -> None:
     """Refuse a cycle size whose n^n maps are not enumerable (n = 9 is 387M)."""
-    if n < 1:
-        raise ValueError(f"cycle size must be positive, got n={n}")
+    _points(n, (), "image")
     if n > EQUIVALENCE_MAX_N:
         raise ValueError(
             f"{what} enumerates n^n maps; n > {EQUIVALENCE_MAX_N} is not supported, got n={n}"
@@ -436,6 +436,11 @@ def _check_tallies(n: int, tally: dict) -> None:
     for mode in TRIPLE_MODES:
         wants[f"witness-triple-{mode}"] = n**n - op - gaps
         wants[f"triple-{mode}-literal"] = gaps
+    _gate(tally, n, counts, wants)
+
+
+def _gate(tally: dict, n: int, counts: Counter, wants: dict) -> None:
+    """Fail each claim whose count misses the closed form ``wants`` gives it."""
     for claim, want in wants.items():
         if counts[claim] != want:
             # Indexed past every map, so a failing map stays the witness.
@@ -643,11 +648,7 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
                 seq = ",".join(map(str, pool[hits[0]][0]))
                 detail = "image orientation does not match the source"
                 _fail(tally, claim, index, f"map={Mapping(n, imgs)};seq={seq}", detail, len(hits))
-        expected = (op - both) * len(pool)
-        if checks[claim] != expected:
-            # Indexed past every member, so a failing member stays the witness.
-            detail = f"{checks[claim]} counted but the closed form gives {expected}"
-            _fail(tally, claim, n**n, "closed-form", detail)
+        _gate(tally, n, checks, {claim: (op - both) * len(pool)})
 
     # Subsequence inheritance: mask bit b keeps item b, for every pool entry.
     selectors = {

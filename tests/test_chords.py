@@ -28,6 +28,22 @@ def test_chord_normalization_and_parse():
         Chord(4, 0, 4)
     with pytest.raises(ValueError):
         Chord(0, 0, 0)
+    assert str(Chord(4, 3, 1)) == "1-3"
+    with pytest.raises(ValueError, match=r"endpoints \(0, 2\.0\) must be integers"):
+        Chord(4, 0, 2.0)
+    with pytest.raises(ValueError, match=r"endpoints \('0', 1\) must be integers"):
+        Chord(4, "0", 1)
+    with pytest.raises(ValueError, match=r"endpoints \(None, 1\) must be integers"):
+        Chord(4, None, 1)
+    with pytest.raises(ValueError, match=r"cycle size 3\.0 and endpoints"):
+        Chord(3.0, 0, 1)
+
+    class Index:
+        def __index__(self):
+            return 3
+
+    c = Chord(4, Index(), True)
+    assert (c.p, c.q) == (1, 3) and type(c.p) is type(c.q) is int
     with pytest.raises(ValueError):
         Chord.parse("1:3", 4)
 

@@ -19,6 +19,16 @@ from cyclorient import (
 )
 
 
+class Index:
+    """An integer-like object: not an int, but usable as an index."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_mapping_validation():
     assert Mapping(4, [0, 1, 3, 2]).images == (0, 1, 3, 2)
     with pytest.raises(ValueError):
@@ -29,6 +39,19 @@ def test_mapping_validation():
         Mapping(0, ())
     with pytest.raises(ValueError):
         Mapping(2, (0, -1))
+    # Sizes and entries must be integers, refused at construction by name.
+    with pytest.raises(ValueError, match=r"images \(0, 1, 2\.0\) must be integers"):
+        Mapping(3, (0, 1, 2.0))
+    with pytest.raises(ValueError, match=r"images \('0', 1, 2\) must be integers"):
+        Mapping(3, ("0", 1, 2))
+    with pytest.raises(ValueError, match=r"images \(0, None, 2\) must be integers"):
+        Mapping(3, (0, None, 2))
+    with pytest.raises(ValueError, match=r"cycle size 3\.0 and images"):
+        Mapping(3.0, (0, 1, 2))
+    m = Mapping(3, (True, Index(2), 0))
+    assert m.images == (1, 2, 0) and all(type(v) is int for v in m.images)
+    sized = Mapping(Index(2), (0, 1))
+    assert sized.n == 2 and type(sized.n) is int
 
 
 def test_mapping_parse_and_str():

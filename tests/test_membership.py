@@ -202,6 +202,14 @@ def test_cross_check_exhaustive_small():
             assert bool(report.discrepancies) == expects_gap, m
 
 
+def test_cross_check_definitional_report_is_classify():
+    # cross_check builds its MembershipReport from the claim table's own
+    # kernel call; classify builds it from the map's tag.
+    for n in range(1, 6):
+        for m in enumerate_all(n):
+            assert cross_check(m).definitional == classify(m), m
+
+
 def test_reversal_flips_an_oriented_sequence():
     from cyclorient import apply_seq, reverse
 

@@ -48,6 +48,26 @@ def test_seq_validation():
     s = Seq(4, [0, 1, 2])  # lists are accepted and frozen
     assert s.items == (0, 1, 2)
     assert len(s) == 3 and list(s) == [0, 1, 2] and s[1] == 1
+    # Sizes and entries must be integers, refused by name.
+    with pytest.raises(ValueError, match=r"values \(0, 2\.0\) must be integers"):
+        Seq(3, (0, 2.0))
+    with pytest.raises(ValueError, match=r"values \('0',\) must be integers"):
+        Seq(3, ("0",))
+    with pytest.raises(ValueError, match=r"values \(None,\) must be integers"):
+        Seq(3, (None,))
+    with pytest.raises(ValueError, match=r"cycle size 3\.0 and values"):
+        Seq(3.0, (0,))
+
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    t = Seq(Index(3), (True, Index(2)))
+    assert (t.n, t.items) == (3, (1, 2)) and type(t.n) is int
+    assert all(type(v) is int for v in t.items)
 
 
 def test_seq_parse():
