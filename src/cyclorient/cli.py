@@ -122,24 +122,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.consistent else EXIT_VIOLATION
 
 
-def _print_witness(m: Mapping, points: tuple[int, ...], label: str) -> None:
-    image = tuple(m.images[p] for p in points)
-    print(f"witness points: {points}   case {label}")
-    print(f"source orientation: {orientation(Seq(m.n, points)).value}")
-    print(f"image: {image}   ({orientation(Seq(m.n, image)).value})")
-
-
 def _cmd_witness(args: argparse.Namespace) -> int:
+    """``witness`` and ``quadwitness``: they differ only in the extractor."""
     m = _parse_mapping(args.map)
-    w = witness_triple(m, args.mode)
-    _print_witness(m, w.points, w.case_label)
-    return EXIT_OK
-
-
-def _cmd_quadwitness(args: argparse.Namespace) -> int:
-    m = _parse_mapping(args.map)
-    w = witness_quad(m)
-    _print_witness(m, w.points, w.case_label)
+    w = witness_triple(m, args.mode) if args.verb == "witness" else witness_quad(m)
+    image = tuple(m.images[p] for p in w.points)
+    print(f"witness points: {w.points}   case {w.case_label}")
+    print(f"source orientation: {orientation(Seq(m.n, w.points)).value}")
+    print(f"image: {image}   ({orientation(Seq(m.n, image)).value})")
     return EXIT_OK
 
 
@@ -196,30 +186,24 @@ def _cmd_chords(args: argparse.Namespace) -> int:
     second = Chord.parse(parts[1], n)
     methods = METHODS if args.method == "both" else (args.method,)
 
-    status = EXIT_OK
-
-    def report_pair(label: str, a: Chord, b: Chord) -> None:
-        nonlocal status
+    def report_pair(label: str, a: Chord, b: Chord) -> bool:
         print(f"{label}: chords {a} : {b}")
-        verdicts = {}
+        verdicts = []
         for method in methods:
-            verdicts[method] = chords_intersect(a, b, method)
-            word = "intersect" if verdicts[method] else "disjoint"
-            print(f"  {method}: {word}")
+            verdicts.append(chords_intersect(a, b, method))
+            print(f"  {method}: {'intersect' if verdicts[-1] else 'disjoint'}")
+        agree = len(set(verdicts)) == 1
         if len(verdicts) == 2:
-            values = set(verdicts.values())
-            marker = "agree" if len(values) == 1 else "MISMATCH"
-            print(f"  oracles: {marker}")
-            if len(values) != 1:
-                status = EXIT_VIOLATION
+            print(f"  oracles: {'agree' if agree else 'MISMATCH'}")
         if args.ascii:
             print(_ascii_circle(n, a, b))
+        return agree
 
-    report_pair(f"n={n} source", first, second)
+    agree = report_pair(f"n={n} source", first, second)
     if m is not None:
         print(f"map: {m}")
-        report_pair(f"n={n} image", image_chord(m, first), image_chord(m, second))
-    return status
+        agree &= report_pair(f"n={n} image", image_chord(m, first), image_chord(m, second))
+    return EXIT_OK if agree else EXIT_VIOLATION
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -258,7 +242,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "classify": _cmd_classify,
     "witness": _cmd_witness,
-    "quadwitness": _cmd_quadwitness,
+    "quadwitness": _cmd_witness,
     "chords": _cmd_chords,
     "verify": _cmd_verify,
     "count": _cmd_count,

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .sequences import Seq, _parse_ints, _points
+from .sequences import Seq, _parse_ints, _points, _within
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,19 @@ class Mapping:
 
 def identity(n: int) -> Mapping:
     """The identity map j -> j."""
+    n, _ = _points(n, (), "image")
     return Mapping(n, tuple(range(n)))
 
 
 def rotation(n: int) -> Mapping:
     """The unit clockwise rotation j -> j+1 (mod n)."""
+    n, _ = _points(n, (), "image")
     return Mapping(n, tuple((j + 1) % n for j in range(n)))
 
 
 def reversal(n: int) -> Mapping:
     """The order-reversing involution j -> n-1-j."""
+    n, _ = _points(n, (), "image")
     return Mapping(n, tuple(n - 1 - j for j in range(n)))
 
 
@@ -90,10 +93,8 @@ def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[M
     """
     n, _ = _points(n, (), "image")
     total = n**n
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) for {total} maps")
+    start = _within(start, 0, total, "range start")
+    stop = _within(total if stop is None else stop, start, total, "range stop")
     maps = itertools.product(range(n), repeat=n)
     for images in itertools.islice(maps, start, stop):
         yield Mapping(n, images)

@@ -108,6 +108,19 @@ def _points(n: int, values, what: str) -> tuple[int, tuple[int, ...]]:
     return n, points
 
 
+def _within(value: int, low: int, high: int | None, what: str) -> int:
+    """The one bound check: ``value`` as a plain int within low..high (no
+    upper bound when ``high`` is None), or a ``ValueError`` naming ``what``."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value > high:
+        span = f"at least {low}" if high is None else f"within {low}..{high}"
+        raise ValueError(f"{what} must be {span}, got {value}")
+    return value
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Split a comma-separated list of integers, naming ``what`` on error."""
     items = []

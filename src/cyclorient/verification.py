@@ -33,13 +33,14 @@ from operator import itemgetter, neg
 from . import chords, membership, witnesses
 from .mappings import Mapping, mapping_count
 from .membership import TRIPLE_MODES, MembershipReport, _images_after
-from .sequences import _TAGS, Orientation, _points, _steps, _tag
+from .sequences import _TAGS, Orientation, _points, _steps, _tag, _within
 
 SUITES = ("equivalence", "identity", "lemma")
 
 EQUIVALENCE_MAX_N = 8
 IDENTITY_MAX_N = 5
 LEMMA_MAX_N = 6
+# Below length 3 the lemma constrains no sequence: the suite would check nothing.
 LEMMA_MIN_LEN = 3
 LEMMA_MAX_LEN = 6
 
@@ -383,18 +384,17 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the cla
 
 def _worker_count(workers: int) -> int:
     """A validated worker count, clamped to the machine's CPU count."""
-    if workers < 1:
-        raise ValueError(f"thread count must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+    return min(_within(workers, 1, None, "thread count"), os.cpu_count() or 1)
 
 
-def _check_enumerable(n: int, what: str) -> None:
-    """Refuse a cycle size whose n^n maps are not enumerable (n = 9 is 387M)."""
-    _points(n, (), "image")
+def _check_enumerable(n: int, what: str) -> int:
+    """n as a plain int, refused when its n^n maps are not enumerable (n = 9 is 387M)."""
+    n, _ = _points(n, (), "image")
     if n > EQUIVALENCE_MAX_N:
         raise ValueError(
             f"{what} enumerates n^n maps; n > {EQUIVALENCE_MAX_N} is not supported, got n={n}"
         )
+    return n
 
 
 def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
@@ -407,7 +407,7 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     must be at least 1 and is clamped to ``os.cpu_count()``; n must lie
     within 1..``EQUIVALENCE_MAX_N``.
     """
-    _check_enumerable(n, "the equivalence suite")
+    n = _check_enumerable(n, "the equivalence suite")
     workers = _worker_count(workers)
     started = time.perf_counter()
     total = mapping_count(n)
@@ -492,8 +492,7 @@ def identity_suite(n: int) -> SuiteReport:
     force: compose every relevant pair of maps and compare the resulting
     product sets.  Practical for n <= 5 only.
     """
-    if not 1 <= n <= IDENTITY_MAX_N:
-        raise ValueError(f"identity suite supports 1 <= n <= {IDENTITY_MAX_N}, got {n}")
+    n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
     started = time.perf_counter()
     tally = _new_tally()
 
@@ -539,7 +538,7 @@ def count_classes(n: int) -> ClassCounts:
     no ``Mapping`` built; agreement with the per-map classifier is covered
     by the test suite.  n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
-    _check_enumerable(n, "count_classes")
+    n = _check_enumerable(n, "count_classes")
     op = or_ = p = both = low = 0
     for _, images, cyclic, anti in _oriented(n, n):
         p += 1
@@ -565,20 +564,12 @@ def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientat
     ]
 
 
-def _check_lemma_args(max_len: int) -> None:
-    # Below length 3 the pool holds no sequence the lemma constrains, so the
-    # suite would pass on zero checks.
-    if not LEMMA_MIN_LEN <= max_len <= LEMMA_MAX_LEN:
-        raise ValueError(
-            f"lemma max length must be within {LEMMA_MIN_LEN}..{LEMMA_MAX_LEN}, got {max_len}"
-        )
-
-
 class _ImageTags(dict):
-    """image -> its tag, or None below three distinct values (nothing claimed)."""
+    """image -> its tag.  Each pool entry covers its support and only rank >= 3
+    restrictions are looked up, so every image has >= 3 distinct values."""
 
-    def __missing__(self, image: tuple[int, ...]) -> Orientation | None:
-        tag = self[image] = _tag(image) if len(set(image)) >= 3 else None
+    def __missing__(self, image: tuple[int, ...]) -> Orientation:
+        tag = self[image] = _tag(image)
         return tag
 
 
@@ -601,9 +592,8 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     budget get the exhaustive report.  Image tags are memoized for this call
     only, at most sum(n**k for k = 3..max_len) entries.
     """
-    if not 1 <= n <= LEMMA_MAX_N:
-        raise ValueError(f"lemma suite supports 1 <= n <= {LEMMA_MAX_N}, got {n}")
-    _check_lemma_args(max_len)
+    n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
+    max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
     started = time.perf_counter()
     tally = _new_tally()
     pool = _oriented_pool(n, max_len)
@@ -637,8 +627,8 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
             for position, getter, tag in entries:
                 want = tag.swapped() if flip else tag
                 got = list(map(tags.__getitem__, map(getter, restrictions)))
-                if got.count(want) + got.count(None) != len(got):
-                    bad = {r for r, t in zip(restrictions, got) if t is not want and t is not None}
+                if got.count(want) != len(got):
+                    bad = {r for r, t in zip(restrictions, got) if t is not want}
                     failing[position] = (restrict, bad)
         if maps:  # no claim line for a class without rank >= 3 members
             checks[claim] += len(maps) * len(pool)
@@ -683,38 +673,38 @@ def run_verify(
 ) -> list[SuiteReport]:
     """Run the selected suites for n = 1..n_max and return their reports.
 
-    The identity suite is capped at n = 5 and the lemma suite at n = 6
-    (their brute-force preconditions); larger n_max only extends the
-    equivalence suite, which enumerates n^n maps (16.8M at n = 8) and so
-    refuses n_max > 8.  The lemma suite checks every member against every
-    oriented sequence of length 3..``lemma_max_len`` (within 3..6).
+    One table holds a ``(suite, cap, runner)`` row per suite, in ``SUITES``
+    order, and each selected suite runs for n = 1..min(n_max, cap): the
+    identity suite stops at n = 5 and the lemma suite at n = 6 (their
+    brute-force preconditions), while the equivalence suite, which
+    enumerates n^n maps (16.8M at n = 8), refuses n_max > 8 outright.  The
+    lemma suite checks every member against every oriented sequence of
+    length 3..``lemma_max_len`` (within 3..6).  Every argument is checked
+    before any suite runs.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    n_max = _within(n_max, 1, None, "n_max")
     if not suites:
         raise ValueError(f"no suite selected; choose from {SUITES}")
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES}")
-    # Reject bad sizes before any suite runs.
     if "equivalence" in suites and n_max > EQUIVALENCE_MAX_N:
         raise ValueError(
             f"the equivalence suite enumerates n^n maps; n_max > {EQUIVALENCE_MAX_N}"
             f" is not supported, got {n_max}"
         )
     workers = _worker_count(workers)
-    _check_lemma_args(lemma_max_len)
-    reports = []
-    if "equivalence" in suites:
-        for n in range(1, n_max + 1):
-            reports.append(equivalence_suite(n, workers=workers))
-    if "identity" in suites:
-        for n in range(1, min(n_max, IDENTITY_MAX_N) + 1):
-            reports.append(identity_suite(n))
-    if "lemma" in suites:
-        for n in range(1, min(n_max, LEMMA_MAX_N) + 1):
-            reports.append(lemma_suite(n, max_len=lemma_max_len))
-    return reports
+    max_len = _within(lemma_max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
+    table = (
+        ("equivalence", EQUIVALENCE_MAX_N, lambda n: equivalence_suite(n, workers=workers)),
+        ("identity", IDENTITY_MAX_N, identity_suite),
+        ("lemma", LEMMA_MAX_N, lambda n: lemma_suite(n, max_len=max_len)),
+    )
+    return [
+        runner(n)
+        for suite, cap, runner in table if suite in suites
+        for n in range(1, min(n_max, cap) + 1)
+    ]
 
 
 def _token(text: str) -> str:

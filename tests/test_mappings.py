@@ -75,6 +75,13 @@ def test_special_maps():
     assert reversal(5).images == (4, 3, 2, 1, 0)
     assert rotation(4).images == (1, 2, 3, 0)
     assert identity(3).images == (0, 1, 2)
+    # Sizes must be integers, refused before any image is built.
+    for special in (identity, rotation, reversal):
+        with pytest.raises(ValueError, match=r"cycle size 3\.0 and images"):
+            special(3.0)
+        with pytest.raises(ValueError, match="cycle size must be positive"):
+            special(0)
+    assert rotation(Index(3)).images == (1, 2, 0)
 
 
 def test_compose():
@@ -165,6 +172,14 @@ def test_enumerate_all_splits_into_ranges():
         list(enumerate_all(3, 5, 30))
     with pytest.raises(ValueError):
         list(enumerate_all(0))
+    # Range ends must be integers within 0..n^n, refused in the library's words.
+    with pytest.raises(ValueError, match=r"range start must be an integer, got 1\.5"):
+        list(enumerate_all(3, 1.5))
+    with pytest.raises(ValueError, match=r"range stop must be an integer, got 1\.5"):
+        list(enumerate_all(3, 0, 1.5))
+    with pytest.raises(ValueError, match=r"range stop must be within 5\.\.27, got 30"):
+        list(enumerate_all(3, 5, 30))
+    assert list(enumerate_all(3, Index(25))) == full[25:]
 
 
 def test_mapping_parse_names_a_bad_entry():

@@ -146,6 +146,11 @@ def test_identity_bounds():
         identity_suite(6)
     with pytest.raises(ValueError):
         identity_suite(0)
+    # Sizes must be integers, refused in the library's words.
+    with pytest.raises(ValueError, match=r"identity suite n must be an integer, got 3\.0"):
+        identity_suite(3.0)
+    n = identity_suite(True).n
+    assert n == 1 and type(n) is int
 
 
 def test_count_classes_small():
@@ -158,6 +163,9 @@ def test_count_classes_small():
     assert not c3.invariant_failures()
     with pytest.raises(ValueError):
         count_classes(0)
+    # An __index__ size is reported as a plain int.
+    assert type(count_classes(True).n) is int
+    assert format_machine([equivalence_suite(True)]).startswith("report suite=equivalence n=1 ")
 
 
 def test_count_classes_matches_classifier():
@@ -200,6 +208,8 @@ def test_lemma_bounds():
         lemma_suite(7)
     with pytest.raises(ValueError):
         lemma_suite(4, max_len=9)
+    with pytest.raises(ValueError, match=r"lemma suite n must be an integer, got 3\.0"):
+        lemma_suite(3.0)
 
 
 def test_run_verify_collects_reports():
@@ -221,6 +231,10 @@ def test_run_verify_collects_reports():
         run_verify(2, suites=("equivalence", "nonsense"))
     with pytest.raises(ValueError):
         run_verify(0)
+    with pytest.raises(ValueError, match=r"n_max must be an integer, got 3\.0"):
+        run_verify(3.0)
+    with pytest.raises(ValueError, match=r"lemma max length must be an integer, got 3\.5"):
+        run_verify(2, lemma_max_len=3.5)
 
 
 def test_run_verify_caps_identity_and_lemma():
@@ -349,6 +363,8 @@ def test_worker_count_is_validated_and_clamped(monkeypatch):
             equivalence_suite(6, workers=workers)
         with pytest.raises(ValueError, match="thread count must be at least 1"):
             run_verify(6, workers=workers)
+    with pytest.raises(ValueError, match=r"thread count must be an integer, got 1\.5"):
+        equivalence_suite(6, workers=1.5)
     assert created == [2, 3]
 
 
@@ -372,6 +388,15 @@ def test_lemma_max_len_must_be_3_to_6():
             run_verify(6, suites=("equivalence",), lemma_max_len=max_len)
     for max_len in (3, 6):
         assert lemma_suite(3, max_len=max_len).checks_run > 0
+    with pytest.raises(ValueError, match=r"lemma max length must be an integer, got 3\.5"):
+        lemma_suite(3, max_len=3.5)
+
+    class Index:
+        def __index__(self):
+            return 3
+
+    by_index = format_machine([lemma_suite(3, max_len=Index())])
+    assert by_index == format_machine([lemma_suite(3, max_len=3)])
 
 
 def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
