@@ -199,6 +199,10 @@ def cyclic_variant(s: Seq, i: int) -> Seq:
 
     Rotations never change the orientation classification.
     """
+    try:
+        i = index(i)
+    except TypeError:
+        raise ValueError(f"rotation index must be an integer, got {i!r}") from None
     t = len(s.items)
     if not 0 <= i < t:
         raise IndexError(f"rotation index {i} outside [0, {t})")

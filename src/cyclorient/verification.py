@@ -165,16 +165,14 @@ def _closed_forms(n: int) -> tuple[int, int]:
     return n * math.comb(2 * n - 1, n - 1) - n * (n - 1), n + math.comb(n, 2) * n * (n - 1)
 
 
-def _oriented(n: int, length: int) -> Iterator[tuple[int, tuple[int, ...], bool, bool]]:
-    """Yield ``(index, items, cyclic, anti_cyclic)`` for each oriented
-    ``length``-sequence over [n], lexicographically.  A map is in P_n exactly
-    when its image list is oriented, so ``_oriented(n, n)`` walks P_n.
-    ``index`` counts every sequence, as :func:`enumerate_all` does; no
-    production code reads it, and it is kept for the tests that unpack it."""
-    for index, items in enumerate(itertools.product(range(n), repeat=length)):
+def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
+    """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
+    its :class:`Orientation`, lexicographically.  A map is in P_n exactly
+    when its image list is oriented, so ``_oriented(n, n)`` walks P_n."""
+    for items in itertools.product(range(n), repeat=length):
         descents, ascents = _steps(items)
         if descents <= 1 or ascents <= 1:
-            yield index, items, descents <= 1, ascents <= 1
+            yield items, _TAGS[2 * (descents <= 1) + (ascents <= 1)]
 
 
 # ----------------------------------------------------------------------
@@ -497,8 +495,8 @@ def identity_suite(n: int) -> SuiteReport:
     tally = _new_tally()
 
     members = list(_oriented(n, n))
-    op_set = frozenset(images for _, images, cyclic, _ in members if cyclic)
-    or_set = frozenset(images for _, images, _, anti in members if anti)
+    op_set = frozenset(images for images, tag in members if tag.admits_cyclic)
+    or_set = frozenset(images for images, tag in members if tag.admits_anti_cyclic)
     p_set = op_set | or_set
     low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
 
@@ -540,15 +538,13 @@ def count_classes(n: int) -> ClassCounts:
     """
     n = _check_enumerable(n, "count_classes")
     op = or_ = p = both = low = 0
-    for _, images, cyclic, anti in _oriented(n, n):
+    for images, tag in _oriented(n, n):
         p += 1
-        op += cyclic
-        or_ += anti
-        both += cyclic and anti
+        op += tag.admits_cyclic
+        or_ += tag.admits_anti_cyclic
+        both += tag is Orientation.BOTH
         low += len(set(images)) <= 2
-    return ClassCounts(
-        n=n, total=n**n, op=op, or_=or_, p=p, op_and_or=both, low_rank_in_p=low
-    )
+    return ClassCounts(n=n, total=n**n, op=op, or_=or_, p=p, op_and_or=both, low_rank_in_p=low)
 
 
 # ----------------------------------------------------------------------
@@ -557,11 +553,8 @@ def count_classes(n: int) -> ClassCounts:
 
 
 def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientation]]:
-    return [
-        (items, _TAGS[2 * cyclic + anti])
-        for length in range(LEMMA_MIN_LEN, max_len + 1)
-        for _, items, cyclic, anti in _oriented(n, length)
-    ]
+    """The lemma pool: the ``(items, tag)`` rows of :func:`_oriented` at lengths 3..max_len."""
+    return [row for length in range(LEMMA_MIN_LEN, max_len + 1) for row in _oriented(n, length)]
 
 
 class _ImageTags(dict):
@@ -601,9 +594,9 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     # rank <= 2 member never gives an image three distinct values.
     preserving: list[tuple[int, ...]] = []
     reversing: list[tuple[int, ...]] = []
-    for _, imgs, cyclic, _ in _oriented(n, n):
+    for imgs, tag in _oriented(n, n):
         if len(set(imgs)) >= 3:
-            (preserving if cyclic else reversing).append(imgs)
+            (preserving if tag.admits_cyclic else reversing).append(imgs)
     # Per support S of at least three values: (pool position, getter of
     # the image from a restriction to S, tag); smaller supports are vacuous.
     supports: dict[tuple[int, ...], list] = {}

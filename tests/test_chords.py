@@ -129,6 +129,8 @@ def test_has_chord_property_examples():
     assert has_chord_property(Mapping.parse("0,0,3,2")).holds
     assert has_chord_property(Mapping(4, tuple(range(4)))).holds
     assert has_chord_property(Mapping(4, tuple(range(4)))).counterexample is None
+    with pytest.raises(ValueError, match=r"^method must be one of \('combinatorial', "):
+        has_chord_property(m, "bogus")
 
 
 def test_has_chord_property_first_violation_is_lexicographic():

@@ -77,6 +77,12 @@ def test_chords_pair_query(capsys):
     assert "combinatorial: intersect" in out
 
 
+def test_chords_pair_needs_two_chords(capsys):
+    code, out, err = run_cli(capsys, "chords", "--n", "4", "--pair", "1-3")
+    assert code == 2 and not out
+    assert "pair must look like 'a-c:b-d', got '1-3'" in err
+
+
 def test_chords_with_map_reports_images(capsys):
     code, out, _ = run_cli(
         capsys, "chords", "--n", "4", "--pair", "1-3:0-2", "--map", "0,1,3,2"
@@ -127,6 +133,31 @@ def test_count_line(capsys):
         f"n=3 total={counts.total} op={counts.op} or={counts.or_} p={counts.p}"
         f" op_and_or={counts.op_and_or} low_rank_in_p={counts.low_rank_in_p}"
     ) in out
+
+
+def test_count_reports_invariant_violations(capsys, monkeypatch):
+    from cyclorient import cli
+    from cyclorient.verification import ClassCounts
+
+    # |OR| != |OP| and p != op + or - both: the count line is printed as
+    # computed, then each broken identity, and the exit code is 1.
+    broken = ClassCounts(n=3, total=27, op=1, or_=2, p=9, op_and_or=0, low_rank_in_p=0)
+    monkeypatch.setattr(cli, "count_classes", lambda n: broken)
+    code, out, _ = run_cli(capsys, "count", "--n", "3")
+    assert code == 1
+    assert out.startswith("n=3 total=27 op=1 or=2 p=9 op_and_or=0 low_rank_in_p=0\n")
+    assert "INVARIANT VIOLATION: " in out
+
+
+def test_witness_failing_its_own_validation_exits_1(capsys, monkeypatch):
+    from cyclorient import witnesses
+
+    # (0, 1, 2) maps to the cyclic 0,1,3, not the anti-cyclic image a
+    # preserve witness must have.
+    monkeypatch.setattr(witnesses, "_preserve_triple", lambda imgs: ((0, 1, 2), "1"))
+    code, out, err = run_cli(capsys, "witness", "--map", "0,1,3,2")
+    assert code == 1 and not out
+    assert err.startswith("invariant failure: witness image (0, 1, 3) should be anti-cyclic-only")
 
 
 def test_count_rejects_huge_n(capsys):

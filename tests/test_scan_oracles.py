@@ -95,6 +95,14 @@ def test_point_chord_images_are_disjoint_unless_they_share_a_point():
     assert first_unoriented_image(m) is None
 
 
+def test_reference_segment_test_off_the_parabola():
+    # An endpoint of the second segment lies on the first, at either end.
+    assert _segments_intersect((0, 0), (4, 0), (2, 0), (2, 5))
+    assert _segments_intersect((0, 0), (4, 0), (2, 5), (2, 0))
+    # Collinear and apart.
+    assert not _segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
+
+
 def test_scans_keep_no_per_call_table():
     import tracemalloc
 

@@ -142,6 +142,9 @@ def test_cyclic_variant_examples():
         cyclic_variant(Seq(3, (0, 1)), 2)
     with pytest.raises(IndexError):
         cyclic_variant(Seq(3, (0, 1)), -1)
+    assert cyclic_variant(Seq(3, (0, 1, 2)), True).items == (2, 0, 1)
+    with pytest.raises(ValueError, match=r"^rotation index must be an integer, got 1\.0$"):
+        cyclic_variant(Seq(3, (0, 1, 2)), 1.0)
 
 
 def test_cyclic_variant_preserves_orientation():

@@ -616,8 +616,8 @@ def test_product_set_matches_the_pairwise_oracle():
 
     for n in range(1, 6):
         members = list(verification._oriented(n, n))
-        op = frozenset(images for _, images, cyclic, _ in members if cyclic)
-        or_ = frozenset(images for _, images, _, anti in members if anti)
+        op = frozenset(images for images, tag in members if tag.admits_cyclic)
+        or_ = frozenset(images for images, tag in members if tag.admits_anti_cyclic)
         for left, right in ((op, op), (or_, or_), (or_, op), (op, or_)):
             assert verification._product_set(left, right) == product_set(left, right), n
     # All maps by all maps mixes every rank on both sides.
@@ -687,7 +687,7 @@ def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
 
     def walk(n, length):
         # The member walk skips one member of OP_5 of rank 5.
-        return (row for row in real(n, length) if row[1] != dropped)
+        return (row for row in real(n, length) if row[0] != dropped)
 
     monkeypatch.setattr(verification, "_oriented", walk)
     report = lemma_suite(5, max_len=3)

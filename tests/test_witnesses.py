@@ -84,6 +84,18 @@ def test_triple_witness_preconditions():
             _preserve_triple(imgs)
 
 
+@pytest.mark.parametrize(
+    "points, refusal",
+    [((0, 0, 1), "not pairwise distinct"), ((2, 1, 0), "should be cyclic-only")],
+)
+def test_triple_witness_validator_refuses_a_bad_construction(monkeypatch, points, refusal):
+    from cyclorient import witnesses
+
+    monkeypatch.setattr(witnesses, "_preserve_triple", lambda imgs: (points, "1"))
+    with pytest.raises(RuntimeError, match=refusal):
+        witness_triple(Mapping.parse("0,1,3,2"), "preserve")
+
+
 def test_quad_witness_pinned_alternating():
     w = witness_quad(Mapping.parse("0,1,0,1"))
     assert w.points == (0, 1, 2, 3)
