@@ -26,30 +26,35 @@ class Orientation(Enum):
     @property
     def admits_cyclic(self) -> bool:
         """True when the sequence is cyclic (possibly anti-cyclic as well)."""
-        return self is Orientation.CYCLIC_ONLY or self is Orientation.BOTH
+        return self is _CYCLIC_ONLY or self is _BOTH
 
     @property
     def admits_anti_cyclic(self) -> bool:
         """True when the sequence is anti-cyclic (possibly cyclic as well)."""
-        return self is Orientation.ANTI_CYCLIC_ONLY or self is Orientation.BOTH
+        return self is _ANTI_CYCLIC_ONLY or self is _BOTH
 
     @property
     def oriented(self) -> bool:
         """Cyclic or anti-cyclic (or both)."""
-        return self is not Orientation.NEITHER
+        return self is not _NEITHER
 
     @property
     def uniquely_oriented(self) -> bool:
         """Exactly one of cyclic / anti-cyclic."""
-        return self is Orientation.CYCLIC_ONLY or self is Orientation.ANTI_CYCLIC_ONLY
+        return self is _CYCLIC_ONLY or self is _ANTI_CYCLIC_ONLY
 
     def swapped(self) -> Orientation:
         """Orientation of the reversed sequence: cyclic and anti-cyclic trade places."""
-        if self is Orientation.CYCLIC_ONLY:
-            return Orientation.ANTI_CYCLIC_ONLY
-        if self is Orientation.ANTI_CYCLIC_ONLY:
-            return Orientation.CYCLIC_ONLY
+        if self is _CYCLIC_ONLY:
+            return _ANTI_CYCLIC_ONLY
+        if self is _ANTI_CYCLIC_ONLY:
+            return _CYCLIC_ONLY
         return self
+
+
+# The predicates read these module globals: an Enum class-attribute read goes
+# through the metaclass and costs over ten times a global lookup.
+_CYCLIC_ONLY, _ANTI_CYCLIC_ONLY, _BOTH, _NEITHER = Orientation
 
 
 @dataclass(frozen=True)
@@ -147,12 +152,7 @@ def _steps(items: tuple[int, ...]) -> tuple[int, int]:
 
 
 # Indexed by 2 * cyclic + anti-cyclic.
-_TAGS = (
-    Orientation.NEITHER,
-    Orientation.ANTI_CYCLIC_ONLY,
-    Orientation.CYCLIC_ONLY,
-    Orientation.BOTH,
-)
+_TAGS = (_NEITHER, _ANTI_CYCLIC_ONLY, _CYCLIC_ONLY, _BOTH)
 
 
 def _tag(items: tuple[int, ...]) -> Orientation:

@@ -257,6 +257,14 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
+# (claim, index into _claims' wants, triple mode or None for the quadruple).
+_WITNESS_CLAIMS = (
+    ("witness-triple-preserve", 0, "preserve"),
+    ("witness-triple-reverse", 1, "reverse"),
+    ("witness-quad", 2, None),
+)
+
+
 def _claims(imgs: tuple[int, ...]) -> tuple:
     """:func:`cross_check`'s claim table on a raw image tuple, also read by
     the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
@@ -295,16 +303,14 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
             if got != want
         ]
     # Every map outside a class (at rank >= 3 for the triples) has a witness.
-    triple = witnesses._witness_triple
-    for claim, needed, extract, args in (
-        ("witness-triple-preserve", not wants[0], triple, (imgs, negs, "preserve")),
-        ("witness-triple-reverse", not wants[1], triple, (imgs, negs, "reverse")),
-        ("witness-quad", not wants[2], witnesses._witness_quad, (imgs, negs)),
-    ):
-        if needed:
+    for claim, want, mode in _WITNESS_CLAIMS:
+        if not wants[want]:
             checked += (claim,)
             try:
-                extract(*args)
+                if mode is None:
+                    witnesses._witness_quad(imgs, negs)
+                else:
+                    witnesses._witness_triple(imgs, negs, mode)
             except (ValueError, RuntimeError) as exc:
                 failures.append((claim, f"extraction failed: {exc}"))
     gaps = ()

@@ -1,5 +1,8 @@
 """Witness extraction: pinned traces plus exhaustive totality sweeps."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from cyclorient import (
@@ -14,7 +17,12 @@ from cyclorient import (
     witness_quad,
     witness_triple,
 )
-from cyclorient.witnesses import QUAD_CASE_LABELS, TRIPLE_CASE_LABELS, _preserve_triple
+from cyclorient.witnesses import (
+    QUAD_CASE_LABELS,
+    TRIPLE_CASE_LABELS,
+    _plateau_after_minimum,
+    _preserve_triple,
+)
 
 
 def image_of(m, points):
@@ -228,3 +236,38 @@ def test_quad_case_order_pinned_by_label_counts():
             if not classify(m).in_p:
                 counts[witness_quad(m).case_label] += 1
         assert counts == want, n
+
+
+def test_every_witness_up_to_n6_pinned_by_digest():
+    # No report prints witness points, so one digest over every witness the
+    # extractors return for n <= 6, in enumeration order, pins each point
+    # and case label.
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for images in itertools.product(range(n), repeat=n):
+            m = Mapping(n, images)
+            r = classify(m)
+            found = []
+            if r.image_size >= 3 and not r.in_op:
+                found.append(witness_triple(m, "preserve"))
+            if r.image_size >= 3 and not r.in_or:
+                found.append(witness_triple(m, "reverse"))
+            if not r.in_p:
+                found.append(witness_quad(m))
+            for w in found:
+                digest.update(repr((w.points, w.case_label)).encode())
+    assert digest.hexdigest() == "a930329c52609dc2484ef9ac41726195d5925d969929bfec4ffc34bc589b64b6"
+
+
+@pytest.mark.parametrize(
+    "imgs, refusal",
+    [
+        ((0, 0, 0), "no rising minimum position"),
+        ((0, 1), "no descent after the rising minimum"),
+        ((0, 2, 2, 1), "no ascent after the plateau"),
+    ],
+)
+def test_plateau_after_minimum_guards(imgs, refusal):
+    # Tuples outside the helper's precondition reach each of its guards.
+    with pytest.raises(RuntimeError, match=refusal):
+        _plateau_after_minimum(imgs)
