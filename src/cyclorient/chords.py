@@ -183,11 +183,11 @@ def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, 
     and y = x (chords sharing an endpoint meet).  ``L[v][k]`` is the bitmask
     of the values j with ``_cross_sign(P(v), P(k), P(j)) > 0``.  The z for
     which P(x)P(z) misses P(w)P(y) are every value but w when y = w, else
-    those on x's side of line wy or with w and y on one side of line xz:
-    ``(L[w][y] if x in L[w][y] else L[y][w]) | L[x][w] & L[x][y] | L[w][x] &
-    L[y][x]``, exact while no three placed points are collinear (the filler
-    checks it).  One AND with the images after c decides whether any d
-    exists, as in :func:`~cyclorient.membership._first_unoriented`; no
+    those strictly on x's side of line wy: ``L[w][y] if x in L[w][y] else
+    L[y][w]``, exact for points in strictly convex position (pinned by
+    ``test_placement_is_in_strictly_convex_position``).  Filling row w also
+    sets ``L[y][w]``.  One AND with the images after c decides whether any
+    d exists, as in :func:`~cyclorient.membership._first_unoriented`; no
     orientation kernel call.
     """
     n = len(imgs)
@@ -201,10 +201,6 @@ def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, 
             x = imgs[b]
             if x == w:
                 continue
-            if not done[x]:
-                _fill_sides(sides, done, x)
-            row_x = sides[x]
-            xw, wx = row_x[w], row_w[x]
             for c in range(b + 1, n - 1):
                 y = imgs[c]
                 if y == x:
@@ -212,8 +208,8 @@ def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, 
                 if y == w:
                     wanted = ~(1 << w)
                 else:
-                    wy, row_y = row_w[y], sides[y]
-                    wanted = (wy if wy >> x & 1 else row_y[w]) | xw & row_x[y] | wx & row_y[x]
+                    wy = row_w[y]
+                    wanted = wy if wy >> x & 1 else sides[y][w]
                 if after[c] & wanted:
                     # A loop, not next(genexpr): its frames cost ~17 % of the one-core n = 6 suite.
                     for d in range(c + 1, n):

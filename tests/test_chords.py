@@ -204,6 +204,18 @@ def test_chord_parse_names_bad_endpoints():
         Chord.parse("1-x", 4)
 
 
+def test_placement_is_in_strictly_convex_position():
+    # The precondition of the geometric scan's one-line rule: every sorted
+    # triple of placed points turns left, so the points lie in strictly
+    # convex position in the circular order, for every n the CLI accepts.
+    from cyclorient.chords import _cross_sign, _place
+    from cyclorient.cli import CLASSIFY_MAX_N
+
+    points = [_place(j) for j in range(CLASSIFY_MAX_N)]
+    for p, q, r in itertools.combinations(points, 3):
+        assert _cross_sign(p, q, r) > 0, (p, q, r)
+
+
 @pytest.fixture
 def placement(monkeypatch):
     """Swap the point placement for one test; the per-n side table is
@@ -216,26 +228,6 @@ def placement(monkeypatch):
 
     yield use
     chords._side_table.cache_clear()
-
-
-def test_geometric_scan_mask_holds_off_the_convex_position(placement):
-    # Two points inside the hull of the others and no three collinear: the
-    # side of line wy holding x no longer decides disjointness alone.
-    from cyclorient.chords import _first_disjoint_image, _segments_intersect
-
-    points = [(0, 0), (6, 0), (3, 5), (3, 1), (1, 2), (5, 2)]
-    placement(points)
-    for m in enumerate_all(6):
-        placed = [points[v] for v in m.images]
-        first = next(
-            (
-                (a, b, c, d)
-                for a, b, c, d in itertools.combinations(range(6), 4)
-                if not _segments_intersect(placed[a], placed[c], placed[b], placed[d])
-            ),
-            None,
-        )
-        assert _first_disjoint_image(m) == first, m
 
 
 def test_geometric_scan_refuses_collinear_points(placement):

@@ -1,9 +1,10 @@
 """The quadruple and geometric chord scans against their one-loop forms.
 
-Both production scans skip work (a value mask for the fourth point, cross
-products shared per a, a shared-endpoint shortcut).  The reference oracles
-below are the plain loops over ``combinations(range(n), 4)`` they replaced;
-each scan must return the same first quadruple, or None, on every map.
+Both production scans skip work (a value mask for the fourth point, one
+cached side row per first image, a shared-endpoint shortcut).  The
+reference oracles below are the plain loops over
+``combinations(range(n), 4)`` they replaced; each scan must return the same
+first quadruple, or None, on every map.
 """
 
 import itertools
@@ -52,15 +53,20 @@ def member_images(rng, n):
     return images if rng.random() < 0.5 else images[::-1]
 
 
+def near_member_images(rng, n):
+    """A member's images with one entry changed."""
+    images = member_images(rng, n)
+    j = rng.randrange(n)
+    images[j] = rng.choice([v for v in range(n) if v != images[j]])
+    return images
+
+
 def seeded_maps(seed=2022):
     rng = random.Random(seed)
     for n in range(7, 25):
         for _ in range(3):
             yield Mapping(n, member_images(rng, n))
-            near = member_images(rng, n)
-            j = rng.randrange(n)
-            near[j] = rng.choice([v for v in range(n) if v != near[j]])
-            yield Mapping(n, near)
+            yield Mapping(n, near_member_images(rng, n))
             yield Mapping(n, [rng.randrange(n) for _ in range(n)])
             # Few values: repeated images, shared endpoints and point chords.
             pool = rng.sample(range(n), rng.randrange(2, 4))
@@ -82,6 +88,24 @@ def test_scans_match_reference_on_seeded_maps_n7_to_n24():
     # the zero-sign (point chord) path.
     assert members >= 18 * 3
     assert point_chords >= 10
+
+
+def test_scans_agree_above_the_reference_range():
+    # The one-loop references stop at n = 24, but classify accepts up to
+    # n = 128: there the two production scans check each other.
+    rng = random.Random(2024)
+    near_failing = 0
+    for n in (48, 96, 128):
+        for _ in range(3):
+            m = Mapping(n, member_images(rng, n))
+            assert _first_disjoint_image(m) is None, m
+            assert first_unoriented_image(m) is None, m
+            near = Mapping(n, near_member_images(rng, n))
+            near_failing += first_unoriented_image(near) is not None
+            for m in (near, Mapping(n, [rng.randrange(n) for _ in range(n)])):
+                assert _first_disjoint_image(m) == first_unoriented_image(m), m
+    # Every near-member here leaves the class, so the scans agree on a hit.
+    assert near_failing == 9
 
 
 def test_point_chord_images_are_disjoint_unless_they_share_a_point():
