@@ -25,18 +25,16 @@ the chord claim of ``cross_check``, never calls the orientation kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .mappings import Mapping
 from .membership import _images_after, first_unoriented_image
-from .sequences import _points, _tag
+from .sequences import _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(_Record):
     """An unordered pair of circle points, normalized so p <= q."""
 
     n: int
@@ -126,8 +124,7 @@ def image_chord(m: Mapping, chord: Chord) -> Chord:
     return Chord(chord.n, m.images[chord.p], m.images[chord.q])
 
 
-@dataclass(frozen=True)
-class ChordPropertyResult:
+class ChordPropertyResult(_Record):
     """Outcome of the chord-preservation test, with the first failing pair."""
 
     holds: bool

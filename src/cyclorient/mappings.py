@@ -8,14 +8,12 @@ on the right, so composition is left-to-right: ``compose(a, b)`` applies
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .sequences import Seq, _parse_ints, _points, _within
+from .sequences import Seq, _parse_ints, _points, _Record, _within
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(_Record):
     """A total self-map of [n], stored as the tuple (0a, 1a, ..., (n-1)a)."""
 
     n: int

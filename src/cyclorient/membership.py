@@ -22,17 +22,15 @@ reported as sanctioned rather than hidden.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import neg
 
 from .mappings import Mapping
-from .sequences import Orientation, Seq, _tag
+from .sequences import Orientation, Seq, _Record, _tag
 
 TRIPLE_MODES = ("preserve", "reverse")
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(_Record):
     """Definitional membership flags plus image-sequence metadata."""
 
     in_op: bool
@@ -52,13 +50,7 @@ def classify(m: Mapping) -> MembershipReport:
     tag = _tag(m.images)
     in_op = tag.admits_cyclic
     in_or = tag.admits_anti_cyclic
-    return MembershipReport(
-        in_op=in_op,
-        in_or=in_or,
-        in_p=in_op or in_or,
-        image_size=len(set(m.images)),
-        image_orientation=tag,
-    )
+    return MembershipReport(in_op, in_or, in_op or in_or, len(set(m.images)), tag)
 
 
 def triple_test(m: Mapping, mode: str) -> bool:

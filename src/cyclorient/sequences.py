@@ -10,7 +10,6 @@ the two, in which case we call the sequence uniquely oriented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import index
 
@@ -56,9 +55,91 @@ class Orientation(Enum):
 # through the metaclass and costs over ten times a global lookup.
 _CYCLIC_ONLY, _ANTI_CYCLIC_ONLY, _BOTH, _NEITHER = Orientation
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class Seq:
+
+class _Record:
+    """The package's frozen value records.
+
+    A subclass declares its fields as class annotations, in order; a class
+    attribute of the same name is that field's default.  A record is built
+    positionally or by keyword, compares and hashes by its exact type and
+    field values, refuses assignment and deletion, and has the repr
+    ``Name(field=value, ...)``.  A subclass may define ``__post_init__`` to
+    normalise the stored fields, storing each with ``object.__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        fields = tuple(own.get("__annotations__", ()))
+        cls._fields = cls.__match_args__ = fields
+        cls._defaults = {name: own[name] for name in fields if name in own}
+        # The class's own __init__ closes over its fields, so a positional
+        # call of the right arity reads no class attribute before storing.
+        arity, normalise = len(fields), hasattr(cls, "__post_init__")
+
+        def __init__(self, *args, **kwargs) -> None:
+            if kwargs or len(args) != arity:
+                args = self._bind(args, kwargs)
+            # object.__setattr__ keeps the fields in the instance's inline
+            # values; a write through self.__dict__ would make every later
+            # read a dict lookup.  The indexed loop is cheaper than zip.
+            i = 0
+            for name in fields:
+                _setattr(self, name, args[i])
+                i += 1
+            if normalise:
+                self.__post_init__()
+
+        cls.__init__ = __init__
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords or defaults, in field
+        order, or the ``TypeError`` a function with these parameters raises."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        values = {**cls._defaults, **values}
+        missing = ", ".join(repr(key) for key in fields if key not in values)
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {missing}")
+        return tuple(values[key] for key in fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Seq(_Record):
     """A finite sequence of values drawn from [n], with the cycle size recorded.
 
     The empty sequence is a valid value but has no orientation; the

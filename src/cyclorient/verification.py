@@ -27,13 +27,12 @@ import os
 import time
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import itemgetter, neg
 
 from . import chords, membership, witnesses
 from .mappings import Mapping, mapping_count
 from .membership import TRIPLE_MODES, MembershipReport, _images_after
-from .sequences import _TAGS, Orientation, _points, _steps, _tag, _within
+from .sequences import _TAGS, Orientation, _points, _Record, _steps, _tag, _within
 
 SUITES = ("equivalence", "identity", "lemma")
 
@@ -45,8 +44,7 @@ LEMMA_MIN_LEN = 3
 LEMMA_MAX_LEN = 6
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A violated claim, carrying its lexicographically first witness."""
 
     claim: str
@@ -55,16 +53,14 @@ class Violation:
     count: int
 
 
-@dataclass(frozen=True)
-class SanctionedException:
+class SanctionedException(_Record):
     """A map exempted from the literal triple statement (rank <= 2 regime)."""
 
     claim: str
     witness: str
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(_Record):
     """One disagreement between two membership routes.
 
     ``sanctioned`` marks the known rank <= 2 exemption of the literal
@@ -76,8 +72,7 @@ class Disagreement:
     sanctioned: bool
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Record):
     """The claim table of one map: each route's verdict, one ``(claim, ok)``
     row per checked claim, the triple ``gaps`` sanctioned at rank <= 2 (a
     pass outside the class at rank >= 3 is a failing ``triple-*-refined``
@@ -101,8 +96,7 @@ class ConsistencyReport:
         return not self.unsanctioned
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(_Record):
     claim: str
     checks: int
     violations: int
@@ -112,8 +106,7 @@ class ClaimResult:
         return self.violations == 0
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(_Record):
     suite: str
     n: int
     checks_run: int
@@ -127,8 +120,7 @@ class SuiteReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(_Record):
     """Exact sizes of the orientation classes inside the n^n self-maps."""
 
     n: int
@@ -337,22 +329,23 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     """
     in_op, in_or, rank, verdicts, checked, failures, gaps = _claims(m.images)
     failed = {claim for claim, _ in failures}
-    found = [Disagreement(claim, detail, sanctioned=False) for claim, detail in failures]
+    # Positional construction: a record's keyword path binds by name.
+    found = [Disagreement(claim, detail, False) for claim, detail in failures]
     found.extend(
         Disagreement(
             f"triple-{mode}-vs-definitional",
             f"triple test ({mode}) passes outside the class;"
             f" image size {rank} <= 2: sanctioned exemption",
-            sanctioned=True,
+            True,
         )
         for mode in gaps
     )
     return ConsistencyReport(
         MembershipReport(in_op, in_or, in_op or in_or, rank, _TAGS[2 * in_op + in_or]),
         *verdicts,
-        discrepancies=tuple(found),
-        claims=tuple((claim, claim not in failed) for claim in checked),
-        gaps=gaps,
+        tuple(found),
+        tuple((claim, claim not in failed) for claim in checked),
+        gaps,
     )
 
 

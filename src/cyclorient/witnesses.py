@@ -21,12 +21,19 @@ requires rank >= 3.  The quadruple extractor works for every rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, neg
 
 from .mappings import Mapping
 from .membership import TRIPLE_MODES, classify
-from .sequences import _ANTI_CYCLIC_ONLY, _CYCLIC_ONLY, _NEITHER, Orientation, _steps, _tag
+from .sequences import (
+    _ANTI_CYCLIC_ONLY,
+    _CYCLIC_ONLY,
+    _NEITHER,
+    Orientation,
+    _Record,
+    _steps,
+    _tag,
+)
 
 TRIPLE_CASE_LABELS = (
     "1",
@@ -45,16 +52,14 @@ TRIPLE_CASE_LABELS = (
 QUAD_CASE_LABELS = ("case1-min", "case1-max", "case2")
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class TripleWitness(_Record):
     """A cyclic triple of distinct points whose image breaks the triple condition."""
 
     points: tuple[int, int, int]
     case_label: str
 
 
-@dataclass(frozen=True)
-class QuadWitness:
+class QuadWitness(_Record):
     """A cyclic quadruple of distinct points whose image is neither-oriented."""
 
     points: tuple[int, int, int, int]

@@ -1,6 +1,9 @@
-"""The package's import graph: acyclic, with every import at the top."""
+"""The package's import graph: acyclic, with every import at the top, and a
+CLI import that loads no heavy standard-library module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "cyclorient"
@@ -53,3 +56,18 @@ def test_no_import_below_the_first_definition():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 where = f"{name}.py line {node.lineno}"
                 assert not seen_definition, f"{where} imports below a definition"
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # -S skips site, so no .pth file can preload a module and hide a new import.
+    heavy = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cyclorient.cli;"
+        f" print(','.join(name for name in {heavy!r} if name in sys.modules))"
+    )
+    src = str(PACKAGE.parent)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "", f"import cyclorient.cli loads {result.stdout.strip()}"

@@ -325,13 +325,21 @@ def test_class_counts_match_closed_forms():
 
 
 def test_closed_forms_catch_a_consistent_miscount():
-    import dataclasses
+    from cyclorient import ClassCounts
 
     # A bug shared by every route could miscount OP and OR alike while
     # inclusion-exclusion and the low-rank identity still hold; only the
     # closed forms notice.
     counts = count_classes(5)
-    wrong = dataclasses.replace(counts, op=counts.op + 1, or_=counts.or_ + 1, p=counts.p + 2)
+    wrong = ClassCounts(
+        n=counts.n,
+        total=counts.total,
+        op=counts.op + 1,
+        or_=counts.or_ + 1,
+        p=counts.p + 2,
+        op_and_or=counts.op_and_or,
+        low_rank_in_p=counts.low_rank_in_p,
+    )
     problems = wrong.invariant_failures()
     assert [p.split("=")[0] for p in problems] == ["op", "or", "p"]
     assert all("closed form" in p for p in problems)
