@@ -41,11 +41,10 @@ class Chord(_Record):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        n, ends = _points(self.n, (self.p, self.q), "endpoint")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", min(ends))
-        object.__setattr__(self, "q", max(ends))
+    @staticmethod
+    def _normalise(n, p, q) -> tuple[int, int, int]:
+        n, (p, q) = _points(n, (p, q), "endpoint")
+        return n, min(p, q), max(p, q)
 
     @classmethod
     def parse(cls, text: str, n: int) -> Chord:

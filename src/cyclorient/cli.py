@@ -2,8 +2,10 @@
 
 Every verb is a thin adapter over the library: parse arguments, call one
 function, format the result.  Exit status 0 means success (all checks
-passed), 1 means a verification suite found a violation or a witness
-failed its own validation, and 2 means invalid input.
+passed), 2 invalid input, and 1 a failed check: a suite violation, an
+unsanctioned ``classify`` discrepancy, a ``chords --method both``
+MISMATCH, a ``count`` INVARIANT VIOLATION, or any ``invariant failure:``
+(such as a witness failing its own validation).
 """
 
 from __future__ import annotations

@@ -19,12 +19,12 @@ class Mapping(_Record):
     n: int
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n, images = _points(self.n, self.images, "image")
+    @staticmethod
+    def _normalise(n, images) -> tuple[int, tuple[int, ...]]:
+        n, images = _points(n, images, "image")
         if len(images) != n:
             raise ValueError(f"image list has length {len(images)}, expected n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "images", images)
+        return n, images
 
     @classmethod
     def parse(cls, text: str) -> Mapping:

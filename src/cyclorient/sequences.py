@@ -55,67 +55,42 @@ class Orientation(Enum):
 # through the metaclass and costs over ten times a global lookup.
 _CYCLIC_ONLY, _ANTI_CYCLIC_ONLY, _BOTH, _NEITHER = Orientation
 
-_setattr = object.__setattr__
-
 
 class _Record:
     """The package's frozen value records.
 
     A subclass declares its fields as class annotations, in order; a class
-    attribute of the same name is that field's default.  A record is built
-    positionally or by keyword, compares and hashes by its exact type and
+    attribute of the same name is that field's default, and a defaulted
+    field must follow the required ones.  Each subclass gets one compiled
+    ``__init__`` with its fields as parameters (as ``collections.namedtuple``
+    builds ``__new__``), so Python binds the arguments and raises its own
+    ``TypeError``.  An optional ``_normalise(*fields)`` staticmethod returns
+    the values to store.  A record compares and hashes by its exact type and
     field values, refuses assignment and deletion, and has the repr
-    ``Name(field=value, ...)``.  A subclass may define ``__post_init__`` to
-    normalise the stored fields, storing each with ``object.__setattr__``.
+    ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         fields = tuple(own.get("__annotations__", ()))
         cls._fields = cls.__match_args__ = fields
-        cls._defaults = {name: own[name] for name in fields if name in own}
-        # The class's own __init__ closes over its fields, so a positional
-        # call of the right arity reads no class attribute before storing.
-        arity, normalise = len(fields), hasattr(cls, "__post_init__")
-
-        def __init__(self, *args, **kwargs) -> None:
-            if kwargs or len(args) != arity:
-                args = self._bind(args, kwargs)
-            # object.__setattr__ keeps the fields in the instance's inline
-            # values; a write through self.__dict__ would make every later
-            # read a dict lookup.  The indexed loop is cheaper than zip.
-            i = 0
-            for name in fields:
-                _setattr(self, name, args[i])
-                i += 1
-            if normalise:
-                self.__post_init__()
-
-        cls.__init__ = __init__
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values of a call with keywords or defaults, in field
-        order, or the ``TypeError`` a function with these parameters raises."""
-        fields, name = cls._fields, cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        values = {**cls._defaults, **values}
-        missing = ", ".join(repr(key) for key in fields if key not in values)
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {missing}")
-        return tuple(values[key] for key in fields)
+        params = ", ".join(f"{name}=_cls.{name}" if name in own else name for name in fields)
+        lines = [f"def __init__(self, {params}):"]
+        namespace = {"_cls": cls, "_setattr": object.__setattr__}
+        if hasattr(cls, "_normalise"):
+            namespace["_normalise"] = cls._normalise
+            values = ", ".join(fields)
+            lines.append(f"    ({values},) = _normalise({values})")
+        # object.__setattr__ keeps the fields in the instance's inline
+        # values; a write through self.__dict__ would make every later read
+        # a dict lookup.
+        lines += [f"    _setattr(self, {name!r}, {name})" for name in fields]
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -149,10 +124,9 @@ class Seq(_Record):
     n: int
     items: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n, items = _points(self.n, self.items, "value")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "items", items)
+    @staticmethod
+    def _normalise(n, items) -> tuple[int, tuple[int, ...]]:
+        return _points(n, items, "value")
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> Seq:

@@ -329,7 +329,6 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     """
     in_op, in_or, rank, verdicts, checked, failures, gaps = _claims(m.images)
     failed = {claim for claim, _ in failures}
-    # Positional construction: a record's keyword path binds by name.
     found = [Disagreement(claim, detail, False) for claim, detail in failures]
     found.extend(
         Disagreement(

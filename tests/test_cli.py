@@ -135,6 +135,28 @@ def test_count_line(capsys):
     ) in out
 
 
+def test_classify_with_an_unsanctioned_discrepancy_exits_1(capsys, monkeypatch):
+    from cyclorient import chords
+
+    # A chord scan that finds a disjoint pair for the identity contradicts
+    # membership, a discrepancy no exemption covers.
+    monkeypatch.setattr(chords, "_first_disjoint", lambda imgs, after: (0, 1, 2, 3))
+    code, out, _ = run_cli(capsys, "classify", "--map", "0,1,2,3")
+    assert code == 1
+    assert "consistency VIOLATION: chord-vs-definitional" in out
+
+
+def test_chords_method_both_exits_1_on_a_mismatch(capsys, monkeypatch):
+    from cyclorient import cli
+
+    monkeypatch.setattr(cli, "chords_intersect", lambda a, b, method: method == "geometric")
+    code, out, _ = run_cli(
+        capsys, "chords", "--n", "5", "--pair", "2-2:0-3", "--method", "both"
+    )
+    assert code == 1
+    assert "oracles: MISMATCH" in out
+
+
 def test_count_reports_invariant_violations(capsys, monkeypatch):
     from cyclorient import cli
     from cyclorient.verification import ClassCounts

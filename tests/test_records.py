@@ -3,6 +3,7 @@ positionally or by keyword, compared and hashed by exact type and field
 values, with a stable repr and pickle and deepcopy round trips."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -24,6 +25,7 @@ from cyclorient import (
     TripleWitness,
     Violation,
 )
+from cyclorient.sequences import _Record
 
 _REPORT = MembershipReport(True, False, True, 3, Orientation.CYCLIC_ONLY)
 _REPORT_REPR = (
@@ -225,3 +227,26 @@ def test_fields_match_positionally_in_a_case_pattern():
             assert (n, images) == (3, (0, 2, 1))
         case _:
             pytest.fail("Mapping(n, images) did not match")
+
+
+@pytest.mark.parametrize("kind, names, values, text", RECORDS, ids=IDS)
+def test_the_signature_lists_the_fields(kind, names, values, text):
+    parameters = inspect.signature(kind).parameters
+    assert tuple(parameters) == names
+    assert kind.__match_args__ == names
+    with pytest.raises(TypeError, match=kind.__name__):
+        kind()  # every record has a required field
+
+
+def test_the_signature_shows_a_default():
+    parameter = inspect.signature(ChordPropertyResult).parameters["counterexample"]
+    assert str(parameter) == "counterexample=None"
+
+
+def test_a_default_before_a_required_field_is_refused():
+    # Whatever Python raises for a def whose defaulted parameter comes first.
+    with pytest.raises(SyntaxError):
+
+        class Unordered(_Record):
+            first: int = 0
+            second: int
