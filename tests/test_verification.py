@@ -141,6 +141,42 @@ def test_identity_n4():
     assert identity_suite(4).passed
 
 
+def test_identity_suite_reports_a_product_outside_p(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._product_set
+    monkeypatch.setattr(
+        verification, "_product_set", lambda left, right: real(left, right) | {(0, 1, 0, 1)}
+    )
+    report = identity_suite(4)
+    assert not report.passed
+    products = {"or-or-equals-op", "or-op-equals-or", "op-or-equals-or", "op-closed", "p-closed"}
+    assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
+        (claim, "0,1,0,1", 1, "1 offending map(s)") for claim in products
+    }
+    claims = {c.claim: c for c in report.claims}
+    assert claims["op-and-or-is-low-rank-p"].violations == 0
+    assert claims["p-closed"].checks == 181  # P.P counts its distinct products
+
+
+def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._product_set
+    monkeypatch.setattr(
+        verification, "_product_set", lambda left, right: real(left, right) - {(0, 1, 2, 3)}
+    )
+    report = identity_suite(4)
+    # The identity is in OP_4 but not OR_4, and no inclusion misses a map.
+    [violation] = report.violations
+    assert (violation.claim, violation.witness, violation.count, violation.detail) == (
+        "or-or-equals-op",
+        "0,1,2,3",
+        1,
+        "1 offending map(s)",
+    )
+
+
 def test_identity_bounds():
     with pytest.raises(ValueError):
         identity_suite(6)
