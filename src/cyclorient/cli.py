@@ -4,14 +4,16 @@ Every verb is a thin adapter over the library: parse arguments, call one
 function, format the result.  Exit status 0 means success (all checks
 passed), 2 invalid input, and 1 a failed check: a suite violation, an
 unsanctioned ``classify`` discrepancy, a ``chords --method both``
-MISMATCH, a ``count`` INVARIANT VIOLATION, or any ``invariant failure:``
-(such as a witness failing its own validation).
+MISMATCH, a ``count`` INVARIANT VIOLATION, any ``invariant failure:``
+(such as a witness failing its own validation), or a stdout its reader
+closed early (``| head``), which exits without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .chords import METHODS, Chord, chords_intersect, image_chord
@@ -169,7 +171,7 @@ def _ascii_circle(n: int, first: Chord, second: Chord) -> str:
 
 
 def _cmd_chords(args: argparse.Namespace) -> int:
-    m = _parse_mapping(args.map) if args.map else None
+    m = _parse_mapping(args.map) if args.map is not None else None
     if m is not None:
         n = m.n
         if args.n is not None and args.n != n:
@@ -269,7 +271,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_VIOLATION
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """The CLI is a thin adapter: outputs mirror direct library calls."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cyclorient import (
@@ -113,6 +118,14 @@ def test_chords_n_inference_and_conflicts(capsys):
         capsys, "chords", "--n", "5", "--pair", "1-3:0-2", "--map", "0,1,3,2"
     )
     assert code == 2 and "conflicts" in err
+
+
+def test_chords_empty_map_is_bad_input(capsys):
+    code, out, err = run_cli(
+        capsys, "chords", "--n", "4", "--pair", "1-3:0-2", "--map", ""
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: bad map ''")
 
 
 def test_chords_ascii(capsys):
@@ -353,3 +366,31 @@ def test_verify_empty_suite_selection_exits_2(capsys, selection):
         capsys, "verify", "--n-max", "3", "--suites", selection, "--format", "machine"
     )
     assert code == 2 and out == "" and "no suite selected" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--map", "0,1,3,2"),
+        ("verify", "--n-max", "2"),
+        ("count", "--n", "3"),
+    ],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # A pipe whose read end is closed before the child starts: every write
+    # fails, as it does once ``| head`` has read its lines.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cyclorient.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")

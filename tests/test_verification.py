@@ -167,7 +167,8 @@ def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatc
         verification, "_product_set", lambda left, right: real(left, right) - {(0, 1, 2, 3)}
     )
     report = identity_suite(4)
-    # The identity is in OP_4 but not OR_4, and no inclusion misses a map.
+    # Only an equality notices a missing map, and the identity is in OP_4
+    # but not OR_4.
     [violation] = report.violations
     assert (violation.claim, violation.witness, violation.count, violation.detail) == (
         "or-or-equals-op",
