@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .mappings import Mapping
-from .membership import _images_after, first_unoriented_image
+from .membership import _first_apart, _images_after, first_unoriented_image
 from .sequences import _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
@@ -135,14 +135,15 @@ class ChordPropertyResult(_Record):
 
 @lru_cache(maxsize=4)
 def _side_table(n: int) -> tuple[list[list[int]], bytearray]:
-    """The rows ``L[v][k]`` of :func:`_first_disjoint` for the 4 latest n
-    (770 KiB at n = 128); row v is valid once ``done[v]`` is set."""
+    """The lazy side table of :func:`_first_disjoint` for the 4 latest n
+    (780 KiB at n = 128); row v is valid once ``done[v]`` is set."""
     return [[0] * n for _ in range(n)], bytearray(n)
 
 
 def _fill_sides(sides: list[list[int]], done: bytearray, v: int) -> None:
-    """Fill ``L[v][k]`` and ``L[k][v]`` (the other side of the same line) for
-    every k whose row is not done, by one pass of exact cross products each."""
+    """Fill ``L[v][k]`` (the values left of line P(v)P(k)) and ``L[k][v]``
+    (those right of it) for every k whose row is not done, by one pass of
+    exact cross products each, and ``L[v][v]``, every value but v."""
     n = len(done)
     ox, oy = _place(v)
     rel = [(px - ox, py - oy) for px, py in map(_place, range(n))]
@@ -161,57 +162,24 @@ def _fill_sides(sides: list[list[int]], done: bytearray, v: int) -> None:
                 raise RuntimeError(f"placed points {v}, {k}, {j} are collinear")
         row[k] = left
         sides[k][v] = right
+    row[v] = (1 << n) - 1 - (1 << v)
     done[v] = 1
 
 
 def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords under
-    ``m`` are disjoint, or None (the scan is :func:`_first_disjoint`)."""
+    ``m`` are disjoint, or None (the scan is :func:`_first_apart`)."""
     return _first_disjoint(m.images, _images_after(m.images))
 
 
 def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:
-    """The first sorted quadruple a < b < c < d whose image chords
-    {ia, ic}, {ib, id} are disjoint by exact geometry, or None, given the
-    image tuple and its :func:`~cyclorient.membership._images_after` masks.
-
-    The loop runs over sorted triples with images w, x, y, skipping x = w
-    and y = x (chords sharing an endpoint meet).  ``L[v][k]`` is the bitmask
-    of the values j with ``_cross_sign(P(v), P(k), P(j)) > 0``.  The z for
-    which P(x)P(z) misses P(w)P(y) are every value but w when y = w, else
-    those strictly on x's side of line wy: ``L[w][y] if x in L[w][y] else
-    L[y][w]``, exact for points in strictly convex position (pinned by
-    ``test_placement_is_in_strictly_convex_position``).  Filling row w also
-    sets ``L[y][w]``.  One AND with the images after c decides whether any
-    d exists, as in :func:`~cyclorient.membership._first_unoriented`; no
-    orientation kernel call.
+    """The first sorted quadruple a < b < c < d whose image chords are
+    disjoint by exact geometry, or None: :func:`_first_apart` on the sides
+    of the lines through the placed points, with no orientation kernel
+    call.  A side of line wy is a side of chord wy because the points are in
+    strictly convex position (``test_placement_is_in_strictly_convex_position``).
     """
-    n = len(imgs)
-    sides, done = _side_table(n)
-    for a in range(n - 3):
-        w = imgs[a]
-        if not done[w]:
-            _fill_sides(sides, done, w)
-        row_w = sides[w]
-        for b in range(a + 1, n - 2):
-            x = imgs[b]
-            if x == w:
-                continue
-            for c in range(b + 1, n - 1):
-                y = imgs[c]
-                if y == x:
-                    continue
-                if y == w:
-                    wanted = ~(1 << w)
-                else:
-                    wy = row_w[y]
-                    wanted = wy if wy >> x & 1 else sides[y][w]
-                if after[c] & wanted:
-                    # A loop, not next(genexpr): its frames cost ~17 % of the one-core n = 6 suite.
-                    for d in range(c + 1, n):
-                        if wanted >> imgs[d] & 1:
-                            return a, b, c, d
-    return None
+    return _first_apart(imgs, after, _side_table(len(imgs)), _fill_sides)
 
 
 def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordPropertyResult:

@@ -82,17 +82,17 @@ def mapping_count(n: int) -> int:
 
 
 def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[Mapping]:
-    """Yield every self-map of [n] in lexicographic order of image lists.
+    """An iterator over every self-map of [n] in lexicographic order of image lists.
 
     ``start``/``stop`` select a contiguous index range, which the
     benchmark's prefix probe reads (the suites' workers slice
     ``itertools.product`` themselves); index k is the map whose image list
-    is k written in base n, most significant digit first.
+    is k written in base n, most significant digit first.  The arguments
+    are checked at the call, not at the first ``next()``.
     """
     n, _ = _points(n, (), "image")
     total = n**n
     start = _within(start, 0, total, "range start")
     stop = _within(total if stop is None else stop, start, total, "range stop")
     maps = itertools.product(range(n), repeat=n)
-    for images in itertools.islice(maps, start, stop):
-        yield Mapping(n, images)
+    return (Mapping(n, images) for images in itertools.islice(maps, start, stop))

@@ -22,6 +22,7 @@ reported as sanctioned rather than hidden.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import neg
 
 from .mappings import Mapping
@@ -89,30 +90,56 @@ def _images_after(imgs: tuple[int, ...]) -> list[int]:
 
 def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
     """The lexicographically first a < b < c < d whose image under ``m`` is
-    neither-oriented, or None (the scan is :func:`_first_unoriented`)."""
+    neither-oriented, or None (the scan is :func:`_first_apart`)."""
     return _first_unoriented(m.images, _images_after(m.images))
 
 
-def _first_unoriented(
-    imgs: tuple[int, ...], after: list[int]
-) -> tuple[int, int, int, int] | None:
-    """The lexicographically first a < b < c < d whose image is
-    neither-oriented, or None, given the image tuple and its
-    :func:`_images_after` masks.  Sorted quadruples suffice: an oriented one
-    repeats an entry only in cyclically adjacent places, so its image has at
-    most three runs and is oriented; and rotating or reversing a quadruple
-    changes neither its own orientedness nor its image's.
+@lru_cache(maxsize=4)
+def _order_sides(n: int) -> tuple[list[list[int]], bytes]:
+    """The complete side table of :func:`_first_apart` for the circular
+    order, kept for the 4 latest n (780 KiB at n = 128): ``L[w][y]`` holds
+    the values outside [w, y] if w <= y, else those strictly between."""
+    full = (1 << n) - 1
+    rows = [
+        [full & ~((2 << y) - (1 << w)) if w <= y else (1 << w) - (2 << y) for y in range(n)]
+        for w in range(n)
+    ]
+    return rows, b"\1" * n
 
-    The loop runs over sorted triples with images w, x, y.  The z making
-    (w, x, y, z) neither-oriented (two strict ascents, two strict descents)
-    form a value set: none if w = x or x = y, strictly between w and y if x
-    is, else outside [min(w, y), max(w, y)].  One AND of that value mask
-    with the bitmask of the images after c decides whether any d exists
-    before d is scanned: C(n, 3) steps for a member, O(n) memory.
+
+def _first_unoriented(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:
+    """The lexicographically first a < b < c < d whose image is
+    neither-oriented, or None: :func:`_first_apart` on the order's sides.
+    Sorted quadruples suffice: an oriented one repeats an entry only in
+    cyclically adjacent places, so its image has at most three runs and is
+    oriented; and rotating or reversing a quadruple changes neither its own
+    orientedness nor its image's."""
+    return _first_apart(imgs, after, _order_sides(len(imgs)))
+
+
+def _first_apart(imgs, after, table, fill=None) -> tuple[int, int, int, int] | None:
+    """The first sorted quadruple a < b < c < d whose image chords
+    {ia, ic}, {ib, id} are disjoint, or None, given the image tuple and its
+    :func:`_images_after` masks: the one scan of the quadruple and chord
+    routes, which differ only in the side table ``(L, done)`` they pass.
+
+    ``L[v][k]`` is the mask of the values strictly on one fixed side of
+    chord v -> k, ``L[k][v]`` of the other side, and ``L[v][v]`` of every
+    value but v.  ``fill(L, done, v)`` completes row v of a lazy table.
+    The loop runs over sorted triples with images w, x, y, skipping x = w
+    and y = x (chords sharing an endpoint meet).  The z for which {x, z}
+    misses {w, y} lie strictly on x's side of chord wy, ``L[w][y] if x in
+    L[w][y] else L[y][w]``; in the order, (w, x, y, z) is then
+    neither-oriented.  One AND with the images after c decides whether any
+    d exists before d is scanned: C(n, 3) steps for a member.
     """
     n = len(imgs)
+    sides, done = table
     for a in range(n - 3):
         w = imgs[a]
+        if not done[w]:
+            fill(sides, done, w)
+        row_w = sides[w]
         for b in range(a + 1, n - 2):
             x = imgs[b]
             if x == w:
@@ -121,10 +148,8 @@ def _first_unoriented(
                 y = imgs[c]
                 if y == x:
                     continue
-                if w < x < y or y < x < w:
-                    wanted = (1 << y) - (2 << w) if y > w else (1 << w) - (2 << y)
-                else:
-                    wanted = ~((2 << y) - (1 << w)) if y > w else ~((2 << w) - (1 << y))
+                wy = row_w[y]
+                wanted = wy if wy >> x & 1 else sides[y][w]
                 if after[c] & wanted:
                     # A loop, not next(genexpr): its frames cost ~17 % of the one-core n = 6 suite.
                     for d in range(c + 1, n):
@@ -139,6 +164,6 @@ def quad_test(m: Mapping) -> bool:
     Unlike the triple tests this characterizes membership in the combined
     class exactly, with no rank caveat.  It covers the C(n, 4) sorted
     quadruples by a loop over sorted triples with a value mask for the
-    fourth point (see :func:`_first_unoriented`).
+    fourth point (see :func:`_first_apart`).
     """
     return first_unoriented_image(m) is None

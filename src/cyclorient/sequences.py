@@ -132,12 +132,12 @@ class Seq(_Record):
     def parse(cls, text: str, n: int | None = None) -> Seq:
         """Parse a comma-separated value list, e.g. "0,1,0,1".
 
-        When ``n`` is omitted it defaults to 1 + max(value).
+        When ``n`` is omitted it defaults to 1 + max(0, values).
         """
         text = text.strip()
         items = _parse_ints(text, "sequence") if text else ()
         if n is None:
-            n = max(items) + 1 if items else 1
+            n = max((0, *items)) + 1
         return cls(n, items)
 
     def __len__(self) -> int:

@@ -660,6 +660,8 @@ def run_verify(
     before any suite runs.
     """
     n_max = _within(n_max, 1, None, "n_max")
+    if isinstance(suites, str):
+        raise ValueError(f"suites must be a sequence of suite names, not the string {suites!r}")
     if not suites:
         raise ValueError(f"no suite selected; choose from {SUITES}")
     unknown = [s for s in suites if s not in SUITES]

@@ -216,6 +216,21 @@ def test_placement_is_in_strictly_convex_position():
         assert _cross_sign(p, q, r) > 0, (p, q, r)
 
 
+def test_geometric_and_order_side_tables_agree():
+    # The chord scan's sides come from exact cross products, the quadruple
+    # scan's from the circular order; the shared scan needs them equal,
+    # diagonal included, at every n up to the 128 points classify accepts.
+    from cyclorient.chords import _fill_sides, _side_table
+    from cyclorient.membership import _order_sides
+
+    for n in (*range(1, 65), 96, 128):
+        sides, done = _side_table(n)
+        for v in range(n):
+            if not done[v]:
+                _fill_sides(sides, done, v)
+        assert sides == _order_sides(n)[0], n
+
+
 @pytest.fixture
 def placement(monkeypatch):
     """Swap the point placement for one test; the per-n side table is

@@ -152,6 +152,13 @@ def test_enumerate_all_bounds_n6():
     assert len(last) == 1 and last[0].images == (5, 5, 5, 5, 5, 5)
 
 
+def test_enumerate_all_checks_its_arguments_at_the_call():
+    # No next() here: a bad size or range is refused before any iteration.
+    for args in ((2, 5), (2.5,), (0,)):
+        with pytest.raises(ValueError):
+            enumerate_all(*args)
+
+
 def test_enumerate_all_index_is_base_n():
     # The map at lexicographic index k has k's base-n digits as images.
     maps = list(enumerate_all(3))

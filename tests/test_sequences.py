@@ -79,6 +79,14 @@ def test_seq_parse():
         Seq.parse("2", n=2)
 
 
+def test_seq_parse_names_a_negative_value_not_the_size():
+    # The default size counts from 0, so a negative value is the one refused.
+    for text in ("-1", "-3,-1"):
+        with pytest.raises(ValueError, match=r"value -[13] outside \[0, 1\)"):
+            Seq.parse(text)
+    assert Seq.parse("").n == 1
+
+
 def test_circular_descents_examples():
     assert circular_descents(Seq.parse("0,1,0,1")) == 2
     assert circular_ascents(Seq.parse("0,1,0,1")) == 2

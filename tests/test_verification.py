@@ -613,6 +613,19 @@ def test_run_verify_refuses_an_empty_suite_selection(monkeypatch):
     assert started == []
 
 
+def test_run_verify_refuses_a_bare_suite_string(monkeypatch):
+    from cyclorient import verification
+
+    started = []
+    for name in ("equivalence_suite", "identity_suite", "lemma_suite"):
+        monkeypatch.setattr(
+            verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
+        )
+    with pytest.raises(ValueError, match="not the string 'lemma'"):
+        run_verify(2, suites="lemma")
+    assert started == []
+
+
 def test_readme_machine_example_matches_golden():
     # Every concrete report/claim/sanctioned line of the README's machine
     # format example is a line of the golden report; the `...` template
