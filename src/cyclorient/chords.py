@@ -20,16 +20,18 @@ chord is a single point.  Two intersection predicates are implemented:
 pair to an intersecting pair; this holds exactly for the maps that preserve
 or reverse orientation.  It scans only the interleaved chords {a, c},
 {b, d} of the C(n, 4) sorted quadruples a < b < c < d; the geometric scan,
-the chord claim of ``cross_check``, never calls the orientation kernel.
+the chord claim of ``cross_check``, never calls the orientation kernel:
+its side table comes from sorting the placed points around each one by
+exact cross-product signs.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .mappings import Mapping
 from .membership import _first_apart, _images_after, first_unoriented_image
-from .sequences import _points, _Record, _tag
+from .sequences import _parse_int, _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
 
@@ -53,7 +55,7 @@ class Chord(_Record):
         if len(parts) != 2:
             raise ValueError(f"chord must look like 'p-q', got {text!r}")
         try:
-            p, q = map(int, parts)
+            p, q = map(_parse_int, parts)
         except ValueError:
             raise ValueError(f"chord endpoints must be integers, got {text!r}") from None
         return cls(n, p, q)
@@ -134,36 +136,36 @@ class ChordPropertyResult(_Record):
 
 
 @lru_cache(maxsize=4)
-def _side_table(n: int) -> tuple[list[list[int]], bytearray]:
-    """The lazy side table of :func:`_first_disjoint` for the 4 latest n
-    (780 KiB at n = 128); row v is valid once ``done[v]`` is set."""
-    return [[0] * n for _ in range(n)], bytearray(n)
+def _placed_sides(n: int) -> list[list[int]]:
+    """The side table of :func:`_first_disjoint` for the 4 latest n (780
+    KiB at n = 128): ``L[v][v]`` holds every value but v, and ``L[v][k]``
+    the values left of line P(v)P(k), those after k once the other points
+    are sorted by angle around P(v) by the sign of one exact cross product.
+    A row whose points are not all strictly left of the ray to its first
+    point is refused, so a placement off strictly convex position is never
+    mis-sorted; a sort compares each pair it leaves adjacent, so any
+    points collinear with P(v) are refused too."""
+    placed = [_place(j) for j in range(n)]
+    sides = []
+    for v, (ox, oy) in enumerate(placed):
+        rel = {k: (px - ox, py - oy) for k, (px, py) in enumerate(placed) if k != v}
 
-
-def _fill_sides(sides: list[list[int]], done: bytearray, v: int) -> None:
-    """Fill ``L[v][k]`` (the values left of line P(v)P(k)) and ``L[k][v]``
-    (those right of it) for every k whose row is not done, by one pass of
-    exact cross products each, and ``L[v][v]``, every value but v."""
-    n = len(done)
-    ox, oy = _place(v)
-    rel = [(px - ox, py - oy) for px, py in map(_place, range(n))]
-    row = sides[v]
-    for k, (ex, ey) in enumerate(rel):
-        if done[k] or k == v:
-            continue
-        left = right = 0
-        for j, (rx, ry) in enumerate(rel):
+        def turn(k: int, j: int) -> int:
+            (ex, ey), (rx, ry) = rel[k], rel[j]
             cross = ex * ry - ey * rx
-            if cross > 0:
-                left |= 1 << j
-            elif cross < 0:
-                right |= 1 << j
-            elif j != v and j != k:
+            if not cross:
                 raise RuntimeError(f"placed points {v}, {k}, {j} are collinear")
-        row[k] = left
-        sides[k][v] = right
-    row[v] = (1 << n) - 1 - (1 << v)
-    done[v] = 1
+            return -cross
+
+        order = sorted(rel, key=cmp_to_key(turn))
+        if any(turn(order[0], j) > 0 for j in order[1:]):
+            raise RuntimeError(f"placed point {v} is not in strictly convex position")
+        row, later = [0] * n, 0
+        for k in reversed(order):
+            row[k], later = later, later | 1 << k
+        row[v] = later
+        sides.append(row)
+    return sides
 
 
 def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
@@ -179,7 +181,7 @@ def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, 
     call.  A side of line wy is a side of chord wy because the points are in
     strictly convex position (``test_placement_is_in_strictly_convex_position``).
     """
-    return _first_apart(imgs, after, _side_table(len(imgs)), _fill_sides)
+    return _first_apart(imgs, after, _placed_sides(len(imgs)))
 
 
 def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordPropertyResult:

@@ -34,9 +34,9 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
 # classify runs the one chord scan twice, C(n, 3) triples each: on the
-# order's side table (n^2 masks) and on the geometric one, whose filler
-# first takes n^3/2 cross products; the 128-point identity map, a worst
-# case, takes 0.5-0.7 s as a fresh process on a 2-vCPU x86-64 box.
+# order's side table (n^2 masks) and on the geometric one, built by n
+# sorts of exact cross products; the 128-point identity map, a worst
+# case, takes 0.2-0.3 s as a fresh process on a 2-vCPU x86-64 box.
 CLASSIFY_MAX_N = 128
 ASCII_MAX_N = 64  # --ascii draws a (2n+3) x (4n+5) grid per chord pair
 

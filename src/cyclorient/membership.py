@@ -5,7 +5,8 @@ A map is *orientation-preserving* when its image sequence (0a, 1a, ...,
 anti-cyclic, and belongs to the combined class when it is either.  Besides
 this O(n) definitional scan, two independent characterizations are
 implemented: one quantifying over distinct triples, one over oriented
-quadruples.  Each route also runs on the raw image tuple, the form the
+quadruples, scanned by pairs and by triples on one side table of the
+circular order.  Each route also runs on the raw image tuple, the form the
 claim table :func:`cyclorient.verification.cross_check` calls.
 
 The triple characterization has a genuine edge case: a map of rank <= 2
@@ -21,9 +22,7 @@ reported as sanctioned rather than hidden.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from operator import neg
 
 from .mappings import Mapping
 from .sequences import Orientation, Seq, _Record, _tag
@@ -62,20 +61,28 @@ def triple_test(m: Mapping, mode: str) -> bool:
     most two distinct values, hence are both-oriented) and are skipped.
     Rotating a triple changes neither its own orientation nor its image's,
     so the sorted representative i < j < k covers all cyclic triples, and
-    anti-cyclic sources are covered by the reversed relabelling.
+    anti-cyclic sources are covered by the reversed relabelling.  The
+    sorted triples are decided a pair at a time (see :func:`_keeps_triples`).
     """
     if mode not in TRIPLE_MODES:
         raise ValueError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
-    # w < x is -w > -x, so the reverse test is the preserve scan on negated images.
-    return _keeps_triples(m.images if mode == "preserve" else tuple(map(neg, m.images)))
+    return _keeps_triples(m.images, _images_after(m.images), mode == "reverse")
 
 
-def _keeps_triples(imgs: tuple[int, ...]) -> bool:
-    """The preserve triple test on an image tuple: no sorted triple's image
-    has two strict circular descents (is anti-cyclic-only)."""
-    for w, x, y in itertools.combinations(imgs, 3):
-        if (w > x) + (x > y) + (y > w) >= 2:
-            return False
+def _keeps_triples(imgs: tuple[int, ...], after: list[int], reverse: bool) -> bool:
+    """The triple test on an image tuple and its :func:`_images_after`
+    masks, one pair a < b at a time.  For images w != x, the third images
+    giving an anti-cyclic-only image are those outside [x, w] if x < w, else
+    those strictly between: ``L[x][w]`` of :func:`_order_sides`; mirrored,
+    ``L[w][x]`` gives the cyclic-only ones, which fail ``reverse``.  Equal
+    images never fail.  One AND per pair: C(n, 2) steps for a member."""
+    sides = _order_sides(len(imgs))
+    for b in range(1, len(imgs) - 1):
+        x, tail = imgs[b], after[b]
+        row = sides[x]
+        for w in imgs[:b]:
+            if w != x and tail & (sides[w][x] if reverse else row[w]):
+                return False
     return True
 
 
@@ -95,16 +102,16 @@ def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
 
 
 @lru_cache(maxsize=4)
-def _order_sides(n: int) -> tuple[list[list[int]], bytes]:
-    """The complete side table of :func:`_first_apart` for the circular
-    order, kept for the 4 latest n (780 KiB at n = 128): ``L[w][y]`` holds
-    the values outside [w, y] if w <= y, else those strictly between."""
+def _order_sides(n: int) -> list[list[int]]:
+    """The side table of the circular order, read by the triple tests and
+    by :func:`_first_apart` for the quadruple route, kept for the 4 latest
+    n (780 KiB at n = 128): ``L[w][y]`` holds the values outside [w, y] if
+    w <= y, else those strictly between."""
     full = (1 << n) - 1
-    rows = [
+    return [
         [full & ~((2 << y) - (1 << w)) if w <= y else (1 << w) - (2 << y) for y in range(n)]
         for w in range(n)
     ]
-    return rows, b"\1" * n
 
 
 def _first_unoriented(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:
@@ -117,28 +124,24 @@ def _first_unoriented(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int
     return _first_apart(imgs, after, _order_sides(len(imgs)))
 
 
-def _first_apart(imgs, after, table, fill=None) -> tuple[int, int, int, int] | None:
+def _first_apart(imgs, after, sides) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords
     {ia, ic}, {ib, id} are disjoint, or None, given the image tuple and its
     :func:`_images_after` masks: the one scan of the quadruple and chord
-    routes, which differ only in the side table ``(L, done)`` they pass.
+    routes, which differ only in the complete side table ``L`` they pass.
 
     ``L[v][k]`` is the mask of the values strictly on one fixed side of
     chord v -> k, ``L[k][v]`` of the other side, and ``L[v][v]`` of every
-    value but v.  ``fill(L, done, v)`` completes row v of a lazy table.
-    The loop runs over sorted triples with images w, x, y, skipping x = w
-    and y = x (chords sharing an endpoint meet).  The z for which {x, z}
-    misses {w, y} lie strictly on x's side of chord wy, ``L[w][y] if x in
-    L[w][y] else L[y][w]``; in the order, (w, x, y, z) is then
-    neither-oriented.  One AND with the images after c decides whether any
-    d exists before d is scanned: C(n, 3) steps for a member.
+    value but v.  The loop runs over sorted triples with images w, x, y,
+    skipping x = w and y = x (chords sharing an endpoint meet).  The z for
+    which {x, z} misses {w, y} lie strictly on x's side of chord wy,
+    ``L[w][y] if x in L[w][y] else L[y][w]``; in the order, (w, x, y, z) is
+    then neither-oriented.  One AND with the images after c decides whether
+    any d exists before d is scanned: C(n, 3) steps for a member.
     """
     n = len(imgs)
-    sides, done = table
     for a in range(n - 3):
         w = imgs[a]
-        if not done[w]:
-            fill(sides, done, w)
         row_w = sides[w]
         for b in range(a + 1, n - 2):
             x = imgs[b]

@@ -186,10 +186,21 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     items = []
     for part in text.split(","):
         try:
-            items.append(int(part))
+            items.append(_parse_int(part))
         except ValueError:
             raise ValueError(f"{what} entry {part.strip()!r} is not an integer") from None
     return tuple(items)
+
+
+def _parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, blanks around them allowed, as an
+    int, else ``ValueError``: bare ``int`` also reads ``1_0`` and non-ASCII
+    digits."""
+    digits = text.strip()
+    unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
+    if not (unsigned.isdigit() and unsigned.isascii()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(digits)
 
 
 def _steps(items: tuple[int, ...]) -> tuple[int, int]:

@@ -262,18 +262,17 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
     the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
     failures, gaps)``, with the four route verdicts, the claims checked in
     table order, ``(claim, detail)`` per failing claim and the sanctioned
-    triple gaps.  One kernel call, one ``set``, one negated tuple and one
-    :func:`_images_after` list serve every route and extractor (called
+    triple gaps.  One kernel call, one ``set``, one :func:`_images_after`
+    list and one negated tuple serve the routes and extractors (called
     through their modules, which tests patch)."""
     descents, ascents = _steps(imgs)
     in_op, in_or = descents <= 1, ascents <= 1
     rank = len(set(imgs))
     low_rank = rank <= 2
-    negs = tuple(map(neg, imgs))
     after = _images_after(imgs)
     verdicts = (
-        membership._keeps_triples(imgs),
-        membership._keeps_triples(negs),
+        membership._keeps_triples(imgs, after, False),
+        membership._keeps_triples(imgs, after, True),
         membership._first_unoriented(imgs, after) is None,
         chords._first_disjoint(imgs, after) is None,
     )
@@ -295,6 +294,7 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
             if got != want
         ]
     # Every map outside a class (at rank >= 3 for the triples) has a witness.
+    negs = tuple(map(neg, imgs))
     for claim, want, mode in _WITNESS_CLAIMS:
         if not wants[want]:
             checked += (claim,)

@@ -204,6 +204,13 @@ def test_chord_parse_names_bad_endpoints():
         Chord.parse("1-x", 4)
 
 
+def test_chord_parse_reads_only_ascii_digits():
+    for text in ("1_0-2", "\uff11-2", "1-\u00b2"):
+        with pytest.raises(ValueError, match=f"chord endpoints must be integers, got '{text}'"):
+            Chord.parse(text, 12)
+    assert Chord.parse(" +3 - 1 ", 4) == Chord(4, 1, 3)
+
+
 def test_placement_is_in_strictly_convex_position():
     # The precondition of the geometric scan's one-line rule: every sorted
     # triple of placed points turns left, so the points lie in strictly
@@ -220,15 +227,11 @@ def test_geometric_and_order_side_tables_agree():
     # The chord scan's sides come from exact cross products, the quadruple
     # scan's from the circular order; the shared scan needs them equal,
     # diagonal included, at every n up to the 128 points classify accepts.
-    from cyclorient.chords import _fill_sides, _side_table
+    from cyclorient.chords import _placed_sides
     from cyclorient.membership import _order_sides
 
     for n in (*range(1, 65), 96, 128):
-        sides, done = _side_table(n)
-        for v in range(n):
-            if not done[v]:
-                _fill_sides(sides, done, v)
-        assert sides == _order_sides(n)[0], n
+        assert _placed_sides(n) == _order_sides(n), n
 
 
 @pytest.fixture
@@ -239,10 +242,10 @@ def placement(monkeypatch):
 
     def use(points):
         monkeypatch.setattr(chords, "_place", points.__getitem__)
-        chords._side_table.cache_clear()
+        chords._placed_sides.cache_clear()
 
     yield use
-    chords._side_table.cache_clear()
+    chords._placed_sides.cache_clear()
 
 
 def test_geometric_scan_refuses_collinear_points(placement):
@@ -250,4 +253,15 @@ def test_geometric_scan_refuses_collinear_points(placement):
 
     placement([(j, 2 * j) for j in range(5)])
     with pytest.raises(RuntimeError, match="collinear"):
+        _first_disjoint_image(Mapping.parse("0,1,2,3,4"))
+
+
+def test_geometric_scan_refuses_a_point_inside_the_hull(placement):
+    # No three of these points are collinear, but (2, 1) lies inside the
+    # hull of the others: no angular order at it is strict, so the table
+    # refuses the placement instead of scanning with wrong sides.
+    from cyclorient.chords import _first_disjoint_image
+
+    placement([(0, 0), (4, 0), (2, 1), (4, 4), (0, 4)])
+    with pytest.raises(RuntimeError, match="placed point 2 is not in strictly convex position"):
         _first_disjoint_image(Mapping.parse("0,1,2,3,4"))

@@ -291,6 +291,17 @@ def test_bad_numbers_are_reported_in_library_words(capsys):
         assert err == message and "invalid literal" not in err, argv
 
 
+def test_classify_reads_only_ascii_digit_entries(capsys):
+    # 0,1_2 is not the map 0,12, and a full-width zero is not 0.
+    for entry in ("1_0", "\uff10"):
+        code, out, err = run_cli(capsys, "classify", "--map", f"0,{entry}")
+        assert code == 2 and not out, entry
+        assert err == f"error: bad map '0,{entry}': map entry '{entry}' is not an integer\n"
+    code, out, err = run_cli(capsys, "classify", "--map", "0,-1")
+    assert code == 2 and not out
+    assert err == "error: bad map '0,-1': image -1 outside [0, 2)\n"
+
+
 def test_classify_map_size_limit(capsys, monkeypatch):
     from cyclorient import cli
 

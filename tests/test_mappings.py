@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -193,3 +194,13 @@ def test_mapping_parse_names_a_bad_entry():
     for text, entry in (("a,b", "'a'"), ("0,,1", "''"), ("", "''")):
         with pytest.raises(ValueError, match=f"map entry {entry} is not an integer"):
             Mapping.parse(text)
+
+
+def test_mapping_parse_reads_only_ascii_digits():
+    # Bare int() would read 1_0 as 10 and accept full-width digits.
+    for entry in ("1_0", "０", "²", "+-1", "1 0"):
+        with pytest.raises(ValueError, match=re.escape(f"map entry '{entry}' is not an integer")):
+            Mapping.parse(f"0,{entry}")
+    assert Mapping.parse(" +1 , 0 ") == Mapping(2, (1, 0))
+    with pytest.raises(ValueError, match=r"image -1 outside \[0, 2\)"):
+        Mapping.parse("0,-1")

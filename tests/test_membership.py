@@ -307,7 +307,7 @@ def test_cross_check_flags_a_low_rank_triple_failure(monkeypatch):
     # breaks the refined statement even though it agrees with in_op.
     from cyclorient import membership
 
-    monkeypatch.setattr(membership, "_keeps_triples", lambda imgs: False)
+    monkeypatch.setattr(membership, "_keeps_triples", lambda imgs, after, reverse: False)
     report = cross_check(Mapping.parse("0,1,0,1"))
     assert not report.consistent
     assert report.gaps == ()

@@ -1,18 +1,27 @@
-"""The quadruple and geometric chord scans against their one-loop forms.
+"""The triple, quadruple and geometric chord scans against their one-loop forms.
 
-Both production scans skip work (a value mask for the fourth point, one
+The production scans skip work (a value mask for the last point, one
 cached side row per first image, a shared-endpoint shortcut).  The
-reference oracles below are the plain loops over
-``combinations(range(n), 4)`` they replaced; each scan must return the same
-first quadruple, or None, on every map.
+reference oracles below are the plain loops over ``combinations`` they
+replaced; each quadruple scan must return the same first quadruple, or
+None, and each triple test the same verdict, on every map.
 """
 
 import itertools
 import random
+from functools import partial
 
-from cyclorient import Mapping, enumerate_all
+from cyclorient import Mapping, classify, enumerate_all, triple_test
 from cyclorient.chords import _first_disjoint_image, _place, _segments_intersect
 from cyclorient.membership import first_unoriented_image
+
+
+def reference_keeps_triples(imgs):
+    """The preserve triple test; the reverse test is this on negated images."""
+    for w, x, y in itertools.combinations(imgs, 3):
+        if (w > x) + (x > y) + (y > w) >= 2:
+            return False
+    return True
 
 
 def reference_first_unoriented_image(m):
@@ -37,6 +46,15 @@ def reference_first_disjoint_image(m):
 def assert_scans_match(m):
     assert first_unoriented_image(m) == reference_first_unoriented_image(m), m
     assert _first_disjoint_image(m) == reference_first_disjoint_image(m), m
+    assert triple_test(m, "preserve") == reference_keeps_triples(m.images), m
+    assert triple_test(m, "reverse") == reference_keeps_triples([-v for v in m.images]), m
+
+
+def assert_triple_tests_refine_membership(m):
+    d = classify(m)
+    low_rank = d.image_size <= 2
+    assert triple_test(m, "preserve") == (d.in_op or low_rank), m
+    assert triple_test(m, "reverse") == (d.in_or or low_rank), m
 
 
 def test_scans_match_reference_on_every_map_up_to_n6():
@@ -92,7 +110,8 @@ def test_scans_match_reference_on_seeded_maps_n7_to_n24():
 
 def test_scans_agree_above_the_reference_range():
     # The one-loop references stop at n = 24, but classify accepts up to
-    # n = 128: there the two production scans check each other.
+    # n = 128: there the two production scans check each other, and the
+    # triple tests are checked against membership refined by rank.
     rng = random.Random(2024)
     near_failing = 0
     for n in (48, 96, 128):
@@ -100,10 +119,12 @@ def test_scans_agree_above_the_reference_range():
             m = Mapping(n, member_images(rng, n))
             assert _first_disjoint_image(m) is None, m
             assert first_unoriented_image(m) is None, m
+            assert_triple_tests_refine_membership(m)
             near = Mapping(n, near_member_images(rng, n))
             near_failing += first_unoriented_image(near) is not None
             for m in (near, Mapping(n, [rng.randrange(n) for _ in range(n)])):
                 assert _first_disjoint_image(m) == first_unoriented_image(m), m
+                assert_triple_tests_refine_membership(m)
     # Every near-member here leaves the class, so the scans agree on a hit.
     assert near_failing == 9
 
@@ -133,12 +154,19 @@ def test_scans_keep_no_per_call_table():
     from cyclorient import identity
 
     m = identity(24)
-    for scan in (first_unoriented_image, _first_disjoint_image):
+    reversal = Mapping(24, range(23, -1, -1))
+    # Each scan runs in full: a member, and the reverse test on a reversal.
+    for scan, arg, passes in (
+        (first_unoriented_image, m, None),
+        (_first_disjoint_image, m, None),
+        (partial(triple_test, mode="preserve"), m, True),
+        (partial(triple_test, mode="reverse"), reversal, True),
+    ):
         tracemalloc.start()
         try:
-            assert scan(m) is None
+            assert scan(arg) is passes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # A table over all n^2 chords of n values each would take ~380 KiB.
-        assert peak < 50 * 1024, (scan.__name__, peak)
+        assert peak < 50 * 1024, (scan, peak)

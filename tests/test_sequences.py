@@ -222,3 +222,10 @@ def test_subsequence_inheritance_exhaustive():
 def test_seq_parse_names_a_bad_entry():
     with pytest.raises(ValueError, match="sequence entry 'x' is not an integer"):
         Seq.parse("0,x")
+
+
+def test_seq_parse_reads_only_ascii_digits():
+    for entry in ("1_2", "１"):
+        with pytest.raises(ValueError, match=f"sequence entry '{entry}' is not an integer"):
+            Seq.parse(f"0,{entry}")
+    assert Seq.parse("+1,0").items == (1, 0)

@@ -470,12 +470,11 @@ def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
     # A rank-3 map passing the triple tests is a violation, not an exemption.
     from cyclorient import membership
 
-    # The reverse test runs the preserve scan on the negated images.
     real = membership._keeps_triples
     monkeypatch.setattr(
         membership,
         "_keeps_triples",
-        lambda imgs: imgs in ((0, 1, 3, 2), (0, -1, -3, -2)) or real(imgs),
+        lambda imgs, after, reverse: imgs == (0, 1, 3, 2) or real(imgs, after, reverse),
     )
     report = equivalence_suite(4, workers=1)
     assert {(v.claim, v.witness, v.count) for v in report.violations} == {
