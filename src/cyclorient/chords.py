@@ -19,10 +19,11 @@ chord is a single point.  Two intersection predicates are implemented:
 ``has_chord_property`` asks whether a map sends every intersecting chord
 pair to an intersecting pair; this holds exactly for the maps that preserve
 or reverse orientation.  It scans only the interleaved chords {a, c},
-{b, d} of the C(n, 4) sorted quadruples a < b < c < d; the geometric scan,
-the chord claim of ``cross_check``, never calls the orientation kernel:
-its side table comes from sorting the placed points around each one by
-exact cross-product signs.
+{b, d} of the C(n, 4) sorted quadruples a < b < c < d.  The geometric scan,
+the chord claim of ``cross_check``, shares its loop with the quadruple
+scan but not its side table: the triple and quadruple scans read a table
+built from the circular order, while this one comes from sorting the
+placed points around each one by exact cross-product signs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import cmp_to_key, lru_cache
 
 from .mappings import Mapping
-from .membership import _first_apart, _images_after, first_unoriented_image
+from .membership import _check_sides, _first_apart, _images_after, first_unoriented_image
 from .sequences import _parse_int, _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
@@ -145,6 +146,7 @@ def _placed_sides(n: int) -> list[list[int]]:
     point is refused, so a placement off strictly convex position is never
     mis-sorted; a sort compares each pair it leaves adjacent, so any
     points collinear with P(v) are refused too."""
+    _check_sides(n)
     placed = [_place(j) for j in range(n)]
     sides = []
     for v, (ox, oy) in enumerate(placed):
@@ -192,8 +194,9 @@ def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordProper
     intersecting pair shares an endpoint, and so does its image, or is one
     of the 8 dihedral arrangements of a sorted quadruple.  The image pair is
     decided by the quadruple test's scan (``combinatorial``, the paper's
-    definition) or by exact geometry off the orientation kernel
-    (``geometric``, the form ``cross_check`` checks).
+    definition) or by exact geometry, with a side table of cross products
+    instead of the circular order (``geometric``, the form ``cross_check``
+    checks).
 
     On failure the counterexample is the source pair of the first violating
     (a, b, c, d) in lexicographic order over [n]^4, which is sorted.

@@ -28,6 +28,9 @@ from .mappings import Mapping
 from .sequences import Orientation, Seq, _Record, _tag
 
 TRIPLE_MODES = ("preserve", "reverse")
+# The scans' side tables hold n² masks of n bits: the order's takes about
+# 24 MB at n = 512 and 159 MB at n = 1024.
+SIDES_MAX_N = 512
 
 
 class MembershipReport(_Record):
@@ -101,12 +104,22 @@ def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
     return _first_unoriented(m.images, _images_after(m.images))
 
 
+def _check_sides(n: int) -> None:
+    """Refuse a map too long for a side table, before the table is built."""
+    if n > SIDES_MAX_N:
+        raise ValueError(
+            f"the triple, quadruple and chord scans support maps of length at most"
+            f" {SIDES_MAX_N}, got {n}"
+        )
+
+
 @lru_cache(maxsize=4)
 def _order_sides(n: int) -> list[list[int]]:
     """The side table of the circular order, read by the triple tests and
     by :func:`_first_apart` for the quadruple route, kept for the 4 latest
     n (780 KiB at n = 128): ``L[w][y]`` holds the values outside [w, y] if
     w <= y, else those strictly between."""
+    _check_sides(n)
     full = (1 << n) - 1
     return [
         [full & ~((2 << y) - (1 << w)) if w <= y else (1 << w) - (2 << y) for y in range(n)]

@@ -27,7 +27,7 @@ import os
 import time
 from collections import Counter
 from collections.abc import Iterator
-from operator import itemgetter, neg
+from operator import itemgetter
 
 from . import chords, membership, witnesses
 from .mappings import Mapping, mapping_count
@@ -150,11 +150,14 @@ class ClassCounts(_Record):
         return tuple(problems)
 
 
-def _closed_forms(n: int) -> tuple[int, int]:
-    """|OP_n| = |OR_n| = n·C(2n−1, n−1) − n(n−1) (Catarino & Higgins,
-    Semigroup Forum 58, 1999) and |OP_n ∩ OR_n| = n + C(n, 2)·n(n−1):
-    counts no membership route feeds."""
-    return n * math.comb(2 * n - 1, n - 1) - n * (n - 1), n + math.comb(n, 2) * n * (n - 1)
+def _closed_forms(n: int, k: int | None = None) -> tuple[int, int]:
+    """The numbers of cyclic and of both-oriented length-k sequences over
+    [n], k·C(n+k−1, k) − (k−1)n and n + C(n, 2)·k(k−1), so 2·cyclic − both
+    are oriented.  At k = n (the default) they are |OP_n| = |OR_n| =
+    n·C(2n−1, n−1) − n(n−1) (Catarino & Higgins, Semigroup Forum 58, 1999)
+    and |OP_n ∩ OR_n|: counts no membership route feeds."""
+    k = n if k is None else k
+    return k * math.comb(n + k - 1, k) - (k - 1) * n, n + math.comb(n, 2) * k * (k - 1)
 
 
 def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
@@ -165,6 +168,17 @@ def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientatio
         descents, ascents = _steps(items)
         if descents <= 1 or ascents <= 1:
             yield items, _TAGS[2 * (descents <= 1) + (ascents <= 1)]
+
+
+def _classes(n: int) -> tuple[frozenset, frozenset]:
+    """OP_n and OR_n as sets of image tuples, from one :func:`_oriented` walk."""
+    op, or_ = set(), set()
+    for images, tag in _oriented(n, n):
+        if tag.admits_cyclic:
+            op.add(images)
+        if tag.admits_anti_cyclic:
+            or_.add(images)
+    return frozenset(op), frozenset(or_)
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +276,9 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
     the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
     failures, gaps)``, with the four route verdicts, the claims checked in
     table order, ``(claim, detail)`` per failing claim and the sanctioned
-    triple gaps.  One kernel call, one ``set``, one :func:`_images_after`
-    list and one negated tuple serve the routes and extractors (called
-    through their modules, which tests patch)."""
+    triple gaps.  One kernel call, one ``set`` and one :func:`_images_after`
+    list serve the routes and extractors (called through their modules,
+    which tests patch)."""
     descents, ascents = _steps(imgs)
     in_op, in_or = descents <= 1, ascents <= 1
     rank = len(set(imgs))
@@ -294,15 +308,14 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
             if got != want
         ]
     # Every map outside a class (at rank >= 3 for the triples) has a witness.
-    negs = tuple(map(neg, imgs))
     for claim, want, mode in _WITNESS_CLAIMS:
         if not wants[want]:
             checked += (claim,)
             try:
                 if mode is None:
-                    witnesses._witness_quad(imgs, negs)
+                    witnesses._witness_quad(imgs)
                 else:
-                    witnesses._witness_triple(imgs, negs, mode)
+                    witnesses._witness_triple(imgs, mode)
             except (ValueError, RuntimeError) as exc:
                 failures.append((claim, f"extraction failed: {exc}"))
     gaps = ()
@@ -322,7 +335,8 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     quadruple test and the chord property agree with membership
     (``quad-vs-definitional``, ``chord-vs-definitional``), and every
     non-member that must have a witness yields one (``witness-*``); the
-    chord property is the exact-geometry scan, off the orientation kernel.
+    chord property is the exact-geometry scan, whose side table comes from
+    cross products, not from the circular order the other two scans read.
     Each failing row is an unsanctioned discrepancy.  ``gaps`` lists the
     modes whose triple test passes outside the class at rank <= 2, each the
     sanctioned ``triple-*-vs-definitional`` exemption.
@@ -480,9 +494,7 @@ def identity_suite(n: int) -> SuiteReport:
     started = time.perf_counter()
     tally = _new_tally()
 
-    members = list(_oriented(n, n))
-    op_set = frozenset(images for images, tag in members if tag.admits_cyclic)
-    or_set = frozenset(images for images, tag in members if tag.admits_anti_cyclic)
+    op_set, or_set = _classes(n)
     p_set = op_set | or_set
     low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
 
@@ -516,19 +528,14 @@ def identity_suite(n: int) -> SuiteReport:
 def count_classes(n: int) -> ClassCounts:
     """Exact class cardinalities by enumerating all n^n maps.
 
-    The members come from :func:`_oriented`, the one classifying walk, with
-    no ``Mapping`` built; agreement with the per-map classifier is covered
-    by the test suite.  n must lie within 1..``EQUIVALENCE_MAX_N``.
+    The members come from :func:`_classes`; tests check them against the
+    per-map classifier.  n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
     n = _check_enumerable(n, "count_classes")
-    op = or_ = p = both = low = 0
-    for images, tag in _oriented(n, n):
-        p += 1
-        op += tag.admits_cyclic
-        or_ += tag.admits_anti_cyclic
-        both += tag is Orientation.BOTH
-        low += len(set(images)) <= 2
-    return ClassCounts(n=n, total=n**n, op=op, or_=or_, p=p, op_and_or=both, low_rank_in_p=low)
+    op, or_ = _classes(n)
+    p = op | or_
+    low = sum(len(set(images)) <= 2 for images in p)
+    return ClassCounts(n, n**n, len(op), len(or_), len(p), len(op & or_), low)
 
 
 # ----------------------------------------------------------------------
@@ -564,9 +571,10 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     members for the violation count and witness (the lowest member index,
     then the first sequence).  Checks are counted as members times pool
     size, and each image-orientation count must equal its closed form
-    (|OP_n| − |OP_n ∩ OR_n|)·|pool|.  ``sample_budget`` is accepted and
-    ignored: the suite once sampled the pool, and callers that still pass a
-    budget get the exhaustive report.  Image tags are memoized for this call
+    (|OP_n| − |OP_n ∩ OR_n|)·|pool|, as |pool| must equal the oriented
+    counts of :func:`_closed_forms` summed over its lengths.
+    ``sample_budget`` is accepted and ignored: the suite once sampled the
+    pool, and callers that still pass a budget get the exhaustive report.  Image tags are memoized for this call
     only, at most sum(n**k for k = 3..max_len) entries.
     """
     n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
@@ -574,13 +582,14 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     started = time.perf_counter()
     tally = _new_tally()
     pool = _oriented_pool(n, max_len)
-    # Rank >= 3 members in index order, each exactly one of OP and OR; a
-    # rank <= 2 member never gives an image three distinct values.
-    preserving: list[tuple[int, ...]] = []
-    reversing: list[tuple[int, ...]] = []
-    for imgs, tag in _oriented(n, n):
-        if len(set(imgs)) >= 3:
-            (preserving if tag.admits_cyclic else reversing).append(imgs)
+    # Each image claim scales with len(pool), so only this gate sees a pool
+    # that drops or repeats a sequence.
+    forms = (_closed_forms(n, k) for k in range(LEMMA_MIN_LEN, max_len + 1))
+    want = sum(2 * cyclic - both for cyclic, both in forms)
+    _gate(tally, n, {"oriented-pool": len(pool)}, {"oriented-pool": want})
+    # Rank >= 3 members in index (lexicographic) order, each exactly one of
+    # OP and OR; a rank <= 2 member never gives an image three distinct values.
+    preserving, reversing = (sorted(t for t in c if len(set(t)) >= 3) for c in _classes(n))
     # Per support S of at least three values: (pool position, getter of
     # the image from a restriction to S, tag); smaller supports are vacuous.
     supports: dict[tuple[int, ...], list] = {}

@@ -168,15 +168,12 @@ def witness_triple(m: Mapping, mode: str) -> TripleWitness:
         raise ValueError("map is orientation-preserving; no witness exists")
     if mode == "reverse" and report.in_or:
         raise ValueError("map is orientation-reversing; no witness exists")
-    return TripleWitness(*_witness_triple(m.images, tuple(map(neg, m.images)), mode))
+    return TripleWitness(*_witness_triple(m.images, mode))
 
 
-def _witness_triple(
-    imgs: tuple[int, ...], negs: tuple[int, ...], mode: str
-) -> tuple[tuple[int, int, int], str]:
+def _witness_triple(imgs: tuple[int, ...], mode: str) -> tuple[tuple[int, int, int], str]:
     """Validated points and case label of the ``mode`` triple witness of the
-    map with image tuple ``imgs`` and negated images ``negs``, under the
-    preconditions of :func:`witness_triple`."""
+    map with image tuple ``imgs``, under :func:`witness_triple`'s preconditions."""
     if mode == "preserve":
         points, label = _preserve_triple(imgs)
         expected = _ANTI_CYCLIC_ONLY
@@ -185,7 +182,7 @@ def _witness_triple(
         # preserve case; reversing twice is the identity, so the original
         # images form a cyclic-only triple.  Negated images order exactly as
         # those of compose(m, reversal(n)), so the construction runs on them.
-        points, _ = _preserve_triple(negs)
+        points, _ = _preserve_triple(tuple(map(neg, imgs)))
         label = "gamma-composed"
         expected = _CYCLIC_ONLY
     _validate(imgs, points, expected)
@@ -203,7 +200,7 @@ def witness_quad(m: Mapping) -> QuadWitness:
         raise ValueError(
             "map preserves or reverses orientation; no counterexample quadruple exists"
         )
-    return QuadWitness(*_witness_quad(m.images, tuple(map(neg, m.images))))
+    return QuadWitness(*_witness_quad(m.images))
 
 
 def _plateau_after_minimum(imgs: tuple[int, ...]) -> tuple[int, int | None]:
@@ -238,20 +235,16 @@ def _plateau_after_minimum(imgs: tuple[int, ...]) -> tuple[int, int | None]:
     raise RuntimeError("no ascent after the plateau; construction is broken")
 
 
-def _witness_quad(
-    imgs: tuple[int, ...], negs: tuple[int, ...]
-) -> tuple[tuple[int, int, int, int], str]:
+def _witness_quad(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int, int], str]:
     """Validated points and case label of the quadruple witness of the map
-    with image tuple ``imgs`` and negated images ``negs``, which must lie
-    outside both classes.  Every case is a pair of steps (p, p + 1) and
-    (q, q + 1)."""
+    with image tuple ``imgs`` outside both classes: steps (p, p + 1), (q, q + 1)."""
     n = len(imgs)
     p, q = _plateau_after_minimum(imgs)
     label = "case1-min"
     if q is None:
         # Negation turns the falling maximum into the rising minimum and
         # swaps ascents with descents: the dual pattern around the maximum.
-        top, k = _plateau_after_minimum(negs)
+        top, k = _plateau_after_minimum(tuple(map(neg, imgs)))
         p, q, label = (p, top, "case2") if k is None else (top, k, "case1-max")
     points = (p, (p + 1) % n, q % n, (q + 1) % n)
     _validate(imgs, points, _NEITHER)

@@ -366,3 +366,63 @@ def test_route_verdicts_are_symmetric_under_rotation_and_reversal():
                 (compose(m, h), swapped),
             ):
                 assert table[composite.images] == want, (m, composite)
+
+
+def test_claim_table_is_symmetric_under_rotation_and_reversal():
+    # The whole claim table, not only the verdicts.  Composing with the
+    # rotation on either side leaves it identical.  Composing with the
+    # reversal on either side swaps OP with OR, the two triple verdicts, and
+    # "preserve" with "reverse" in every checked claim, failing claim and
+    # gap mode; claims compare as sets, since the table lists them in a
+    # fixed order.
+    from cyclorient import compose, rotation
+    from cyclorient.verification import _claims
+
+    swap = {"preserve": "reverse", "reverse": "preserve"}
+
+    def mirrored(name):
+        return "-".join(swap.get(part, part) for part in name.split("-"))
+
+    def as_sets(row, rename=lambda name: name):
+        in_op, in_or, rank, verdicts, checked, failures, gaps = row
+        failed = frozenset(rename(claim) for claim, _ in failures)
+        named = frozenset(map(rename, checked)), failed, frozenset(map(rename, gaps))
+        return in_op, in_or, rank, verdicts, *named
+
+    for n in range(1, 7):
+        table = {imgs: _claims(imgs) for imgs in itertools.product(range(n), repeat=n)}
+        g, h = rotation(n), reversal(n)
+        for m in enumerate_all(n):
+            row = table[m.images]
+            in_op, in_or, rank, (t_op, t_or, quad, chord), *named = as_sets(row, mirrored)
+            swapped = (in_or, in_op, rank, (t_or, t_op, quad, chord), *named)
+            assert table[compose(g, m).images] == row, m
+            assert table[compose(m, g).images] == row, m
+            assert as_sets(table[compose(h, m).images]) == swapped, m
+            assert as_sets(table[compose(m, h).images]) == swapped, m
+
+
+def test_scans_refuse_maps_longer_than_their_side_tables(monkeypatch):
+    # Each side table holds n² masks of n bits, so every route that reads
+    # one refuses a longer map before building it.
+    from cyclorient import chords, has_chord_property, membership
+
+    assert membership.SIDES_MAX_N == 512
+    m = Mapping(513, (0,) * 513)
+    routes = (
+        lambda: triple_test(m, "preserve"),
+        lambda: triple_test(m, "reverse"),
+        lambda: quad_test(m),
+        lambda: has_chord_property(m, "combinatorial"),
+        lambda: has_chord_property(m, "geometric"),
+        lambda: cross_check(m),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match=r"support maps of length at most 512, got 513$"):
+            route()
+    # Both builders read the one bound, and a map at the bound is accepted.
+    monkeypatch.setattr(membership, "SIDES_MAX_N", 4)
+    for build in (membership._order_sides.__wrapped__, chords._placed_sides.__wrapped__):
+        assert len(build(4)) == 4
+        with pytest.raises(ValueError, match=r"at most 4, got 5$"):
+            build(5)

@@ -759,3 +759,36 @@ def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
     assert violation.detail == (
         f"{(op - both - 1) * pool} counted but the closed form gives {(op - both) * pool}"
     )
+
+
+def test_closed_forms_count_every_walk():
+    from cyclorient import verification
+
+    # Cyclic and both-oriented length-k sequences over [n]; k = n is the
+    # class-size pair.
+    for n in range(1, 6):
+        assert verification._closed_forms(n) == verification._closed_forms(n, n)
+        for k in range(1, 7):
+            if n**k > 20_000:
+                continue
+            tags = [tag for _, tag in verification._oriented(n, k)]
+            cyclic = sum(tag.admits_cyclic for tag in tags)
+            both = sum(tag.admits_cyclic and tag.admits_anti_cyclic for tag in tags)
+            assert verification._closed_forms(n, k) == (cyclic, both), (n, k)
+
+
+def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._oriented_pool
+    # Every image claim scales with the pool it is given, so only the pool
+    # gate notices a dropped sequence.
+    monkeypatch.setattr(verification, "_oriented_pool", lambda n, max_len: real(n, max_len)[:-1])
+    report = lemma_suite(4, max_len=4)
+    [violation] = report.violations
+    assert (violation.claim, violation.witness, violation.count, violation.detail) == (
+        "oriented-pool",
+        "closed-form",
+        1,
+        "243 counted but the closed form gives 244",
+    )
