@@ -26,7 +26,7 @@ import math
 import os
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Collection, Iterable, Iterator
 from operator import itemgetter
 
 from . import chords, membership, witnesses
@@ -463,18 +463,19 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-def _product_set(left: frozenset, right: frozenset) -> set:
-    # a then b is (b[a[0]], ..., b[a[n-1]]): it reads b only on a's image set
-    # S.  So each S restricts every b once (distinct restrictions only), and
+def _product_set(left: Iterable[tuple[int, ...]], right: Collection[tuple[int, ...]]) -> set:
+    # a then b is (b[a[0]], ..., b[a[k-1]]), where left may hold sequences
+    # of any length k over b's points: it reads b only on a's image set S.
+    # So each S restricts every b once (distinct restrictions only), and
     # each a composes with those through its entries' positions in S; a
-    # constant a (every a when n = 1) gives the constant maps b[s].
+    # constant a gives the constant sequences b[s] of a's own length.
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a in left:
         groups.setdefault(tuple(sorted(set(a))), []).append(a)
     out = set()
     for image, maps in groups.items():
         if len(image) == 1:
-            out.update((b[image[0]],) * len(b) for b in right)
+            out.update((b[image[0]],) * len(a) for a in maps for b in right)
             continue
         restrictions = set(map(itemgetter(*image), right))
         where = {s: k for k, s in enumerate(image)}
@@ -548,15 +549,6 @@ def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientat
     return [row for length in range(LEMMA_MIN_LEN, max_len + 1) for row in _oriented(n, length)]
 
 
-class _ImageTags(dict):
-    """image -> its tag.  Each pool entry covers its support and only rank >= 3
-    restrictions are looked up, so every image has >= 3 distinct values."""
-
-    def __missing__(self, image: tuple[int, ...]) -> Orientation:
-        tag = self[image] = _tag(image)
-        return tag
-
-
 def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> SuiteReport:
     """Check that members map oriented sequences to sequences of the same
     (preserving case) or opposite (reversing case) orientation whenever the
@@ -565,17 +557,20 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     against every oriented sequence of length 3..max_len (within 3..6) over
     [n], and every nonempty subsequence of each such sequence.
 
-    A member's image of a sequence s reads the member only on the support S
-    of s, so each S checks its sequences against the distinct restrictions
-    of the members to S, and only a failing restriction goes back to its
-    members for the violation count and witness (the lowest member index,
-    then the first sequence).  Checks are counted as members times pool
-    size, and each image-orientation count must equal its closed form
-    (|OP_n| − |OP_n ∩ OR_n|)·|pool|, as |pool| must equal the oriented
-    counts of :func:`_closed_forms` summed over its lengths.
+    The images are product sets, as in :func:`identity_suite`: the pool
+    sequences of at least three values composed with the members.  An
+    anti-cyclic sequence is read backwards, which reverses its images and
+    swaps its tag, so a correctly tagged pool is one group that wants
+    cyclic images under preserving members and anti-cyclic ones under
+    reversing members (a wrong tag keeps a group of its own).  Only a claim
+    whose product sets hold an offending image walks its members for the
+    violation count and witness (the lowest member index, then the first
+    sequence).  Checks are counted as members times pool size, and each
+    image-orientation count must equal (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the
+    pool size the oriented counts of :func:`_closed_forms` summed over its
+    lengths k, and the subsequence checks that sum weighted by 2^k − 1.
     ``sample_budget`` is accepted and ignored: the suite once sampled the
-    pool, and callers that still pass a budget get the exhaustive report.  Image tags are memoized for this call
-    only, at most sum(n**k for k = 3..max_len) entries.
+    pool, and callers that still pass a budget get the exhaustive report.
     """
     n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
     max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
@@ -584,42 +579,39 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     pool = _oriented_pool(n, max_len)
     # Each image claim scales with len(pool), so only this gate sees a pool
     # that drops or repeats a sequence.
-    forms = (_closed_forms(n, k) for k in range(LEMMA_MIN_LEN, max_len + 1))
-    want = sum(2 * cyclic - both for cyclic, both in forms)
-    _gate(tally, n, {"oriented-pool": len(pool)}, {"oriented-pool": want})
+    sizes = {}  # length k -> the number of oriented length-k sequences
+    for k in range(LEMMA_MIN_LEN, max_len + 1):
+        cyclic, both = _closed_forms(n, k)
+        sizes[k] = 2 * cyclic - both
+    _gate(tally, n, {"oriented-pool": len(pool)}, {"oriented-pool": sum(sizes.values())})
     # Rank >= 3 members in index (lexicographic) order, each exactly one of
     # OP and OR; a rank <= 2 member never gives an image three distinct values.
     preserving, reversing = (sorted(t for t in c if len(set(t)) >= 3) for c in _classes(n))
-    # Per support S of at least three values: (pool position, getter of
-    # the image from a restriction to S, tag); smaller supports are vacuous.
-    supports: dict[tuple[int, ...], list] = {}
+    sources = []  # (pool position, getter of a member's image, tag)
+    groups: dict[Orientation, list[tuple[int, ...]]] = {}
     for position, (items, tag) in enumerate(pool):
-        support = tuple(sorted(set(items)))
-        if len(support) >= 3:
-            where = {s: k for k, s in enumerate(support)}
-            entry = (position, itemgetter(*map(where.__getitem__, items)), tag)
-            supports.setdefault(support, []).append(entry)
-    tags = _ImageTags()
+        if len(set(items)) >= 3:
+            if tag is Orientation.ANTI_CYCLIC_ONLY:
+                items, tag = items[::-1], Orientation.CYCLIC_ONLY
+            sources.append((position, itemgetter(*items), tag))
+            groups.setdefault(tag, []).append(items)
     checks = tally["checks"]
     op, both = _closed_forms(n)
     for claim, maps, flip in (
         ("image-orientation-preserved", preserving, False),
         ("image-orientation-reversed", reversing, True),
     ):
-        failing = {}  # pool position -> (restrictor, failing restrictions)
-        for support, entries in supports.items():
-            restrict = itemgetter(*support)
-            restrictions = [r for r in set(map(restrict, maps)) if len(set(r)) >= 3]
-            for position, getter, tag in entries:
-                want = tag.swapped() if flip else tag
-                got = list(map(tags.__getitem__, map(getter, restrictions)))
-                if got.count(want) != len(got):
-                    bad = {r for r, t in zip(restrictions, got) if t is not want}
-                    failing[position] = (restrict, bad)
+        offenders = {}
+        for tag, group in groups.items():
+            want = tag.swapped() if flip else tag
+            offenders[tag] = {
+                image for image in _product_set(group, maps)
+                if len(set(image)) >= 3 and _tag(image) is not want
+            }
         if maps:  # no claim line for a class without rank >= 3 members
             checks[claim] += len(maps) * len(pool)
-        for index, imgs in enumerate(maps if failing else ()):
-            hits = [p for p, (restrict, bad) in sorted(failing.items()) if restrict(imgs) in bad]
+        for index, imgs in enumerate(maps if any(offenders.values()) else ()):
+            hits = [p for p, image_of, tag in sources if image_of(imgs) in offenders[tag]]
             if hits:
                 seq = ",".join(map(str, pool[hits[0]][0]))
                 detail = "image orientation does not match the source"
@@ -643,6 +635,11 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
                     "subsequence lost an orientation admitted by the full sequence",
                 )
         checks["subsequence-inheritance"] += len(selectors[len(items)])
+    # A pool of the wrong size has failed its own gate; this one sees a pool
+    # of the right size with the wrong lengths, or a loop that miscounts.
+    if len(pool) == sum(sizes.values()):
+        want = sum(size * (2**k - 1) for k, size in sizes.items())
+        _gate(tally, n, checks, {"subsequence-inheritance": want})
     return _finish("lemma", n, tally, started)
 
 

@@ -681,6 +681,13 @@ def test_product_set_matches_the_pairwise_oracle():
     for n in range(1, 4):
         every = frozenset(itertools.product(range(n), repeat=n))
         assert verification._product_set(every, every) == product_set(every, every), n
+    # Oriented sequences of any length on the left, as the lemma suite
+    # composes them: a constant one keeps its own length.
+    for n in range(1, 6):
+        op = frozenset(images for images, tag in verification._oriented(n, n) if tag.admits_cyclic)
+        for k in range(1, 5):
+            seqs = frozenset(items for items, _ in verification._oriented(n, k))
+            assert verification._product_set(seqs, op) == product_set(seqs, op), (n, k)
 
 
 def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
@@ -705,7 +712,7 @@ def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
 def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
     from oracles import lemma_failures
 
-    from cyclorient import verification
+    from cyclorient import Orientation, verification
 
     real = verification._oriented_pool
 
@@ -717,8 +724,20 @@ def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
             for position, (items, tag) in enumerate(real(n, max_len))
         ]
 
+    def retagged_pool(retag):
+        # Every fifth entry retagged, so sources of three or more values
+        # carry a tag no correct pool gives them and form groups of their own.
+        def pool_of(n, max_len):
+            return [
+                (items, retag if position % 5 == 2 else tag)
+                for position, (items, tag) in enumerate(real(n, max_len))
+            ]
+
+        return pool_of
+
     failed = 0
-    for pool_of in (real, flipped_pool):
+    both, neither = (retagged_pool(tag) for tag in (Orientation.BOTH, Orientation.NEITHER))
+    for pool_of in (real, flipped_pool, both, neither):
         monkeypatch.setattr(verification, "_oriented_pool", pool_of)
         for n in range(1, 6):
             for max_len in (3, 4):
@@ -775,6 +794,30 @@ def test_closed_forms_count_every_walk():
             cyclic = sum(tag.admits_cyclic for tag in tags)
             both = sum(tag.admits_cyclic and tag.admits_anti_cyclic for tag in tags)
             assert verification._closed_forms(n, k) == (cyclic, both), (n, k)
+
+
+def test_lemma_subsequence_checks_are_gated_by_their_closed_form(monkeypatch):
+    from cyclorient import verification
+
+    real = verification._oriented_pool
+
+    def pool_of(n, max_len):
+        # One length-3 entry becomes a copy of a length-4 one: the pool keeps
+        # its size, so only the subsequence count (7 -> 15 masks) moves.
+        pool = real(n, max_len)
+        assert len(pool[0][0]) == 3 and len(pool[-1][0]) == 4
+        return [pool[-1]] + pool[1:]
+
+    monkeypatch.setattr(verification, "_oriented_pool", pool_of)
+    report = lemma_suite(4, max_len=4)
+    [violation] = report.violations
+    want = sum(2 ** len(items) - 1 for items, _ in real(4, 4))
+    assert (violation.claim, violation.witness, violation.count, violation.detail) == (
+        "subsequence-inheritance",
+        "closed-form",
+        1,
+        f"{want + 8} counted but the closed form gives {want}",
+    )
 
 
 def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
