@@ -33,6 +33,7 @@ class Mapping(_Record):
         return cls(len(images), images)
 
     def __call__(self, j: int) -> int:
+        _, (j,) = _points(self.n, (j,), "point")
         return self.images[j]
 
     def __str__(self) -> str:

@@ -62,6 +62,15 @@ def test_mapping_parse_and_str():
     assert m(2) == 3
 
 
+def test_mapping_call_refuses_points_off_the_cycle():
+    m = Mapping(3, (0, 1, 2))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=rf"point {bad} outside \[0, 3\)"):
+            m(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        m(1.0)
+
+
 def test_apply_seq():
     m = Mapping.parse("0,1,3,2")
     assert apply_seq(m, Seq(4, (0, 1, 2, 3))).items == (0, 1, 3, 2)

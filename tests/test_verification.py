@@ -274,6 +274,15 @@ def test_run_verify_collects_reports():
         run_verify(2, lemma_max_len=3.5)
 
 
+def test_run_verify_takes_suites_from_any_iterable():
+    # The names are read once, so a one-shot iterable selects what a tuple does.
+    names = ("identity", "lemma")
+    want = format_machine(run_verify(3, suites=names))
+    assert want
+    assert format_machine(run_verify(3, suites=iter(names))) == want
+    assert format_machine(run_verify(3, suites=(s for s in names))) == want
+
+
 def test_run_verify_caps_identity_and_lemma():
     reports = run_verify(6, suites=("identity",))
     assert max(r.n for r in reports) == 5
@@ -310,10 +319,11 @@ def test_text_format_mentions_claims_and_sanctions():
 
 def test_text_format_shows_violations():
     # Force a fake failing report through the formatter via a doctored tally.
-    from cyclorient.verification import _finish, _new_tally, _record
+    from cyclorient.verification import _fail, _finish, _new_tally
 
     tally = _new_tally()
-    _record(tally, "demo-claim", False, 7, "0,1,0,1", "something broke")
+    tally["checks"]["demo-claim"] += 1
+    _fail(tally, "demo-claim", 7, "0,1,0,1", "something broke")
     report = _finish("equivalence", 4, tally, started=0.0)
     assert not report.passed
     text = format_text(report)
@@ -324,12 +334,12 @@ def test_text_format_shows_violations():
 
 
 def test_merge_keeps_lexicographically_smallest_witness():
-    from cyclorient.verification import _merge_tallies, _new_tally, _record
+    from cyclorient.verification import _fail, _merge_tallies, _new_tally
 
     left = _new_tally()
     right = _new_tally()
-    _record(right, "claim-x", False, 9, "0,0,9", "later")
-    _record(left, "claim-x", False, 4, "0,0,4", "earlier")
+    _fail(right, "claim-x", 9, "0,0,9", "later")
+    _fail(left, "claim-x", 4, "0,0,4", "earlier")
     merged_one = _merge_tallies([left, right])
     merged_two = _merge_tallies([right, left])
     for merged in (merged_one, merged_two):
