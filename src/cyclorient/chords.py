@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cmp_to_key, lru_cache
 
 from .mappings import Mapping
-from .membership import _check_sides, _first_apart, _images_after, first_unoriented_image
+from .membership import _check_sides, _first_apart, _first_unoriented, _images_after
 from .sequences import _parse_int, _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
@@ -170,12 +170,6 @@ def _placed_sides(n: int) -> list[list[int]]:
     return sides
 
 
-def _first_disjoint_image(m: Mapping) -> tuple[int, int, int, int] | None:
-    """The first sorted quadruple a < b < c < d whose image chords under
-    ``m`` are disjoint, or None (the scan is :func:`_first_apart`)."""
-    return _first_disjoint(m.images, _images_after(m.images))
-
-
 def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords are
     disjoint by exact geometry, or None: :func:`_first_apart` on the sides
@@ -203,8 +197,8 @@ def has_chord_property(m: Mapping, method: str = "combinatorial") -> ChordProper
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    scan = first_unoriented_image if method == "combinatorial" else _first_disjoint_image
-    quad = scan(m)
+    scan = _first_unoriented if method == "combinatorial" else _first_disjoint
+    quad = scan(m.images, _images_after(m.images))
     if quad is None:
         return ChordPropertyResult(True)
     a, b, c, d = quad

@@ -98,12 +98,6 @@ def _images_after(imgs: tuple[int, ...]) -> list[int]:
     return after
 
 
-def first_unoriented_image(m: Mapping) -> tuple[int, int, int, int] | None:
-    """The lexicographically first a < b < c < d whose image under ``m`` is
-    neither-oriented, or None (the scan is :func:`_first_apart`)."""
-    return _first_unoriented(m.images, _images_after(m.images))
-
-
 def _check_sides(n: int) -> None:
     """Refuse a map too long for a side table, before the table is built."""
     if n > SIDES_MAX_N:
@@ -182,4 +176,4 @@ def quad_test(m: Mapping) -> bool:
     quadruples by a loop over sorted triples with a value mask for the
     fourth point (see :func:`_first_apart`).
     """
-    return first_unoriented_image(m) is None
+    return _first_unoriented(m.images, _images_after(m.images)) is None

@@ -655,7 +655,11 @@ def run_verify(
     n_max = _within(n_max, 1, None, "n_max")
     if isinstance(suites, str):
         raise ValueError(f"suites must be a sequence of suite names, not the string {suites!r}")
-    suites = tuple(suites)
+    try:
+        names = iter(suites)
+    except TypeError:
+        raise ValueError(f"suites must be an iterable of suite names, got {suites!r}") from None
+    suites = tuple(names)
     if not suites:
         raise ValueError(f"no suite selected; choose from {SUITES}")
     unknown = [s for s in suites if s not in SUITES]

@@ -3,6 +3,7 @@
 import itertools
 from operator import itemgetter
 
+from cyclorient import Chord
 from cyclorient.sequences import Orientation, _tag
 
 
@@ -14,6 +15,15 @@ def oriented_quadruples(n):
         for quad in itertools.product(range(n), repeat=4)
         if _tag(quad).oriented
     )
+
+
+def chord_pair(n, quad):
+    """The counterexample ``has_chord_property`` reports when ``quad`` is
+    the first failing sorted quadruple: the source chords {a, c}, {b, d}."""
+    if quad is None:
+        return None
+    a, b, c, d = quad
+    return Chord(n, a, c), Chord(n, b, d)
 
 
 def product_set(left, right):

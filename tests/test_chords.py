@@ -249,19 +249,15 @@ def placement(monkeypatch):
 
 
 def test_geometric_scan_refuses_collinear_points(placement):
-    from cyclorient.chords import _first_disjoint_image
-
     placement([(j, 2 * j) for j in range(5)])
     with pytest.raises(RuntimeError, match="collinear"):
-        _first_disjoint_image(Mapping.parse("0,1,2,3,4"))
+        has_chord_property(Mapping.parse("0,1,2,3,4"), "geometric")
 
 
 def test_geometric_scan_refuses_a_point_inside_the_hull(placement):
     # No three of these points are collinear, but (2, 1) lies inside the
     # hull of the others: no angular order at it is strict, so the table
     # refuses the placement instead of scanning with wrong sides.
-    from cyclorient.chords import _first_disjoint_image
-
     placement([(0, 0), (4, 0), (2, 1), (4, 4), (0, 4)])
     with pytest.raises(RuntimeError, match="placed point 2 is not in strictly convex position"):
-        _first_disjoint_image(Mapping.parse("0,1,2,3,4"))
+        has_chord_property(Mapping.parse("0,1,2,3,4"), "geometric")

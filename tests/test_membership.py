@@ -17,13 +17,14 @@ from cyclorient import (
     classify,
     cross_check,
     enumerate_all,
+    has_chord_property,
     image_sequence,
     orientation,
     quad_test,
     reversal,
     triple_test,
 )
-from oracles import oriented_quadruples
+from oracles import chord_pair, oriented_quadruples
 
 
 def oracle_triple_test(m, mode):
@@ -266,15 +267,13 @@ def first_failing_quad_oracle(n):
 
 
 def test_quad_test_matches_brute_force_up_to_n6():
-    from cyclorient.membership import first_unoriented_image
-
     for n in range(1, 7):
         oracle = first_failing_quad_oracle(n)
         for m in enumerate_all(n):
             first = oracle(m)
             assert quad_test(m) == (first is None), m
             # The reduced scan's first sorted failure is the first in [n]^4.
-            assert first_unoriented_image(m) == first, m
+            assert has_chord_property(m).counterexample == chord_pair(n, first), m
 
 
 def test_cross_check_claim_table_and_gaps():

@@ -3,17 +3,25 @@
 The production scans skip work (a value mask for the last point, one
 cached side row per first image, a shared-endpoint shortcut).  The
 reference oracles below are the plain loops over ``combinations`` they
-replaced; each quadruple scan must return the same first quadruple, or
-None, and each triple test the same verdict, on every map.
+replaced; each quadruple scan must report the same first quadruple (as
+the chord property's counterexample), or none, and each triple test the
+same verdict, on every map.
 """
 
 import itertools
 import random
 from functools import partial
 
-from cyclorient import Mapping, classify, enumerate_all, triple_test
-from cyclorient.chords import _first_disjoint_image, _place, _segments_intersect
-from cyclorient.membership import first_unoriented_image
+from cyclorient import (
+    Mapping,
+    classify,
+    enumerate_all,
+    has_chord_property,
+    quad_test,
+    triple_test,
+)
+from cyclorient.chords import METHODS, _place, _segments_intersect
+from oracles import chord_pair
 
 
 def reference_keeps_triples(imgs):
@@ -24,7 +32,7 @@ def reference_keeps_triples(imgs):
     return True
 
 
-def reference_first_unoriented_image(m):
+def reference_first_unoriented(m):
     imgs = m.images
     for a, b, c, d in itertools.combinations(range(m.n), 4):
         w, x, y, z = imgs[a], imgs[b], imgs[c], imgs[d]
@@ -35,7 +43,7 @@ def reference_first_unoriented_image(m):
     return None
 
 
-def reference_first_disjoint_image(m):
+def reference_first_disjoint(m):
     placed = [_place(v) for v in m.images]
     for a, b, c, d in itertools.combinations(range(m.n), 4):
         if not _segments_intersect(placed[a], placed[c], placed[b], placed[d]):
@@ -44,8 +52,12 @@ def reference_first_disjoint_image(m):
 
 
 def assert_scans_match(m):
-    assert first_unoriented_image(m) == reference_first_unoriented_image(m), m
-    assert _first_disjoint_image(m) == reference_first_disjoint_image(m), m
+    unoriented = reference_first_unoriented(m)
+    assert quad_test(m) == (unoriented is None), m
+    comb = has_chord_property(m, "combinatorial").counterexample
+    assert comb == chord_pair(m.n, unoriented), m
+    geom = has_chord_property(m, "geometric").counterexample
+    assert geom == chord_pair(m.n, reference_first_disjoint(m)), m
     assert triple_test(m, "preserve") == reference_keeps_triples(m.images), m
     assert triple_test(m, "reverse") == reference_keeps_triples([-v for v in m.images]), m
 
@@ -95,7 +107,7 @@ def test_scans_match_reference_on_seeded_maps_n7_to_n24():
     members = point_chords = 0
     for m in seeded_maps():
         assert_scans_match(m)
-        first = reference_first_disjoint_image(m)
+        first = reference_first_disjoint(m)
         if first is None:
             members += 1
         else:
@@ -117,13 +129,15 @@ def test_scans_agree_above_the_reference_range():
     for n in (48, 96, 128):
         for _ in range(3):
             m = Mapping(n, member_images(rng, n))
-            assert _first_disjoint_image(m) is None, m
-            assert first_unoriented_image(m) is None, m
+            assert has_chord_property(m, "geometric"), m
+            assert quad_test(m), m
             assert_triple_tests_refine_membership(m)
             near = Mapping(n, near_member_images(rng, n))
-            near_failing += first_unoriented_image(near) is not None
+            near_failing += not quad_test(near)
             for m in (near, Mapping(n, [rng.randrange(n) for _ in range(n)])):
-                assert _first_disjoint_image(m) == first_unoriented_image(m), m
+                geom = has_chord_property(m, "geometric")
+                assert geom == has_chord_property(m, "combinatorial"), m
+                assert geom.holds == quad_test(m), m
                 assert_triple_tests_refine_membership(m)
     # Every near-member here leaves the class, so the scans agree on a hit.
     assert near_failing == 9
@@ -132,12 +146,14 @@ def test_scans_agree_above_the_reference_range():
 def test_point_chord_images_are_disjoint_unless_they_share_a_point():
     # 0,1,0,2: the image chords of (0, 1, 2, 3) are the point 0 and 1-2.
     m = Mapping.parse("0,1,0,2")
-    assert _first_disjoint_image(m) == (0, 1, 2, 3)
-    assert first_unoriented_image(m) == (0, 1, 2, 3)
+    for method in METHODS:
+        assert has_chord_property(m, method).counterexample == chord_pair(4, (0, 1, 2, 3))
+    assert not quad_test(m)
     # 0,1,0,0: the point 0 is an endpoint of 1-0, so the images meet.
     m = Mapping.parse("0,1,0,0")
-    assert _first_disjoint_image(m) is None
-    assert first_unoriented_image(m) is None
+    for method in METHODS:
+        assert has_chord_property(m, method).counterexample is None
+    assert quad_test(m)
 
 
 def test_reference_segment_test_off_the_parabola():
@@ -156,15 +172,15 @@ def test_scans_keep_no_per_call_table():
     m = identity(24)
     reversal = Mapping(24, range(23, -1, -1))
     # Each scan runs in full: a member, and the reverse test on a reversal.
-    for scan, arg, passes in (
-        (first_unoriented_image, m, None),
-        (_first_disjoint_image, m, None),
-        (partial(triple_test, mode="preserve"), m, True),
-        (partial(triple_test, mode="reverse"), reversal, True),
+    for scan, arg in (
+        (quad_test, m),
+        (lambda m: has_chord_property(m, "geometric").holds, m),
+        (partial(triple_test, mode="preserve"), m),
+        (partial(triple_test, mode="reverse"), reversal),
     ):
         tracemalloc.start()
         try:
-            assert scan(arg) is passes
+            assert scan(arg) is True, scan
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -609,29 +609,37 @@ def test_lemma_checks_match_closed_form_class_sizes():
             assert checks.get("image-orientation-reversed", 0) == (or_ - both) * pool, (n, max_len)
 
 
-def test_run_verify_refuses_an_empty_suite_selection(monkeypatch):
+@pytest.fixture
+def started(monkeypatch):
+    """The (suite, n) runs that ``run_verify`` starts, with every suite stubbed out."""
     from cyclorient import verification
 
-    started = []
+    runs = []
     for name in ("equivalence_suite", "identity_suite", "lemma_suite"):
         monkeypatch.setattr(
-            verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
+            verification, name, lambda n, *a, _name=name, **k: runs.append((_name, n))
         )
+    return runs
+
+
+def test_run_verify_refuses_an_empty_suite_selection(started):
     with pytest.raises(ValueError, match="no suite selected"):
         run_verify(3, suites=())
     assert started == []
 
 
-def test_run_verify_refuses_a_bare_suite_string(monkeypatch):
-    from cyclorient import verification
-
-    started = []
-    for name in ("equivalence_suite", "identity_suite", "lemma_suite"):
-        monkeypatch.setattr(
-            verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
-        )
+def test_run_verify_refuses_a_bare_suite_string(started):
     with pytest.raises(ValueError, match="not the string 'lemma'"):
         run_verify(2, suites="lemma")
+    assert started == []
+
+
+def test_run_verify_refuses_a_non_iterable_suites(started):
+    for suites in (None, 5):
+        with pytest.raises(
+            ValueError, match=rf"suites must be an iterable of suite names, got {suites}$"
+        ):
+            run_verify(3, suites=suites)
     assert started == []
 
 
