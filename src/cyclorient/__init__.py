@@ -1,11 +1,11 @@
 """Orientation-preserving and orientation-reversing maps on a finite cycle.
 
-The package provides the orientation predicates for sequences over
-[n] = {0, ..., n-1}, the full transformation monoid acting on them, four
-membership routes for the orientation classes (definitional scan, triple
-test, quadruple test, chord-preservation test), constructive
-counterexample witnesses, exact chord geometry, and exhaustive small-n
-verification suites.
+The package provides the orientation of sequences over [n] = {0, ..., n-1}
+(``orientation`` and the properties of ``Orientation``), the full
+transformation monoid acting on them, four membership routes for the
+orientation classes (definitional scan, triple test, quadruple test,
+chord-preservation test), constructive counterexample witnesses, exact
+chord geometry, and exhaustive small-n verification suites.
 """
 
 from .chords import (
@@ -17,34 +17,22 @@ from .chords import (
 )
 from .mappings import (
     Mapping,
-    apply_seq,
     compose,
     enumerate_all,
     identity,
-    image_size,
-    mapping_count,
     reversal,
     rotation,
 )
 from .membership import (
     MembershipReport,
     classify,
-    image_sequence,
     quad_test,
     triple_test,
 )
 from .sequences import (
     Orientation,
     Seq,
-    circular_ascents,
-    circular_descents,
-    cyclic_variant,
-    distinct_count,
-    is_anti_cyclic,
-    is_cyclic,
     orientation,
-    reverse,
-    same_orientation,
 )
 from .verification import (
     ClaimResult,
@@ -83,16 +71,11 @@ __all__ = [
     "SuiteReport",
     "TripleWitness",
     "Violation",
-    "apply_seq",
     "chords_intersect",
-    "circular_ascents",
-    "circular_descents",
     "classify",
     "compose",
     "count_classes",
     "cross_check",
-    "cyclic_variant",
-    "distinct_count",
     "enumerate_all",
     "equivalence_suite",
     "format_machine",
@@ -101,19 +84,12 @@ __all__ = [
     "identity",
     "identity_suite",
     "image_chord",
-    "image_sequence",
-    "image_size",
-    "is_anti_cyclic",
-    "is_cyclic",
     "lemma_suite",
-    "mapping_count",
     "orientation",
     "quad_test",
     "reversal",
-    "reverse",
     "rotation",
     "run_verify",
-    "same_orientation",
     "triple_test",
     "witness_quad",
     "witness_triple",

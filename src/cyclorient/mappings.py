@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .sequences import Seq, _parse_ints, _points, _Record, _within
+from .sequences import _parse_ints, _points, _Record, _within
 
 
 class Mapping(_Record):
@@ -63,23 +63,6 @@ def compose(first: Mapping, second: Mapping) -> Mapping:
     if first.n != second.n:
         raise ValueError(f"cycle size mismatch: {first.n} vs {second.n}")
     return Mapping(first.n, tuple(map(second.images.__getitem__, first.images)))
-
-
-def image_size(m: Mapping) -> int:
-    """Number of distinct values the map takes (its rank)."""
-    return len(set(m.images))
-
-
-def apply_seq(m: Mapping, s: Seq) -> Seq:
-    """Map a sequence pointwise."""
-    if m.n != s.n:
-        raise ValueError(f"cycle size mismatch: map has n={m.n}, sequence n={s.n}")
-    return Seq(s.n, tuple(map(m.images.__getitem__, s.items)))
-
-
-def mapping_count(n: int) -> int:
-    """Size of the full transformation monoid on [n]."""
-    return n**n
 
 
 def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[Mapping]:

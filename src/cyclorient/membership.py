@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .mappings import Mapping
-from .sequences import Orientation, Seq, _Record, _tag
+from .sequences import Orientation, _Record, _tag
 
 TRIPLE_MODES = ("preserve", "reverse")
 # The scans' side tables hold n² masks of n bits: the order's takes about
@@ -41,11 +41,6 @@ class MembershipReport(_Record):
     in_p: bool
     image_size: int
     image_orientation: Orientation
-
-
-def image_sequence(m: Mapping) -> Seq:
-    """The sequence (0a, 1a, ..., (n-1)a) whose orientation defines membership."""
-    return Seq(m.n, m.images)
 
 
 def classify(m: Mapping) -> MembershipReport:

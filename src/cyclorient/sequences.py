@@ -117,8 +117,8 @@ class _Record:
 class Seq(_Record):
     """A finite sequence of values drawn from [n], with the cycle size recorded.
 
-    The empty sequence is a valid value but has no orientation; the
-    orientation predicates below reject it.
+    The empty sequence is a valid value but has no orientation;
+    :func:`orientation` rejects it.
     """
 
     n: int
@@ -227,75 +227,8 @@ def _tag(items: tuple[int, ...]) -> Orientation:
     return _TAGS[2 * (descents <= 1) + (ascents <= 1)]
 
 
-def _require_nonempty(s: Seq) -> None:
-    if not s.items:
-        raise ValueError("empty sequence has no orientation")
-
-
-def circular_descents(s: Seq) -> int:
-    """Number of positions i with item[i] > item[i+1], indices wrapping around."""
-    _require_nonempty(s)
-    return _steps(s.items)[0]
-
-
-def circular_ascents(s: Seq) -> int:
-    """Number of positions i with item[i] < item[i+1], indices wrapping around."""
-    _require_nonempty(s)
-    return _steps(s.items)[1]
-
-
-def is_cyclic(s: Seq) -> bool:
-    """At most one circular descent; equivalently some rotation is non-decreasing."""
-    return circular_descents(s) <= 1
-
-
-def is_anti_cyclic(s: Seq) -> bool:
-    """At most one circular ascent; equivalently some rotation is non-increasing."""
-    return circular_ascents(s) <= 1
-
-
 def orientation(s: Seq) -> Orientation:
     """Classify a nonempty sequence as cyclic-only, anti-cyclic-only, both or neither."""
-    _require_nonempty(s)
+    if not s.items:
+        raise ValueError("empty sequence has no orientation")
     return _tag(s.items)
-
-
-def cyclic_variant(s: Seq, i: int) -> Seq:
-    """The rotation of ``s`` starting at position i+1 (mod length).
-
-    Rotations never change the orientation classification.
-    """
-    try:
-        i = index(i)
-    except TypeError:
-        raise ValueError(f"rotation index must be an integer, got {i!r}") from None
-    t = len(s.items)
-    if not 0 <= i < t:
-        raise IndexError(f"rotation index {i} outside [0, {t})")
-    start = (i + 1) % t
-    return Seq(s.n, s.items[start:] + s.items[:start])
-
-
-def reverse(s: Seq) -> Seq:
-    """The sequence read backwards; swaps cyclic-only and anti-cyclic-only."""
-    return Seq(s.n, s.items[::-1])
-
-
-def distinct_count(s: Seq) -> int:
-    """Number of distinct values occurring in the sequence."""
-    return len(set(s.items))
-
-
-def same_orientation(s: Seq, t: Seq) -> bool:
-    """Whether two uniquely oriented sequences carry the same orientation.
-
-    The relation is only defined on uniquely oriented sequences; anything
-    classified both or neither is rejected.
-    """
-    tag_s = orientation(s)
-    tag_t = orientation(t)
-    if not tag_s.uniquely_oriented:
-        raise ValueError(f"first sequence is not uniquely oriented (tag {tag_s.value})")
-    if not tag_t.uniquely_oriented:
-        raise ValueError(f"second sequence is not uniquely oriented (tag {tag_t.value})")
-    return tag_s is tag_t

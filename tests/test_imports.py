@@ -1,12 +1,16 @@
 """The package's import graph: acyclic, with every import at the top, and a
-CLI import that loads no heavy standard-library module."""
+CLI import that loads no heavy standard-library module; and its public
+surface, which README documents name by name."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import cyclorient
+
 PACKAGE = Path(__file__).parent.parent / "src" / "cyclorient"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def package_modules():
@@ -71,3 +75,14 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "", f"import cyclorient.cli loads {result.stdout.strip()}"
+
+
+def test_public_names_are_sorted_bound_by_star_import_and_documented():
+    names = cyclorient.__all__
+    assert names == sorted(set(names))
+    namespace = {}
+    exec("from cyclorient import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names
+    readme = README.read_text()
+    assert [name for name in names if f"`{name}`" not in readme] == []

@@ -4,19 +4,7 @@ import itertools
 
 import pytest
 
-from cyclorient import (
-    Orientation,
-    Seq,
-    circular_ascents,
-    circular_descents,
-    cyclic_variant,
-    distinct_count,
-    is_anti_cyclic,
-    is_cyclic,
-    orientation,
-    reverse,
-    same_orientation,
-)
+from cyclorient import Orientation, Seq, orientation
 
 
 def rotations(items):
@@ -87,23 +75,6 @@ def test_seq_parse_names_a_negative_value_not_the_size():
     assert Seq.parse("").n == 1
 
 
-def test_circular_descents_examples():
-    assert circular_descents(Seq.parse("0,1,0,1")) == 2
-    assert circular_ascents(Seq.parse("0,1,0,1")) == 2
-    assert circular_descents(Seq.parse("0,1")) == 1
-    assert circular_descents(Seq(6, (5, 5, 5))) == 0
-    with pytest.raises(ValueError):
-        circular_descents(Seq(3, ()))
-    with pytest.raises(ValueError):
-        circular_ascents(Seq(3, ()))
-
-
-def test_ascents_are_descents_of_reverse():
-    for items in all_seqs(4, 5):
-        s = Seq(4, items)
-        assert circular_ascents(s) == circular_descents(reverse(s))
-
-
 def test_orientation_examples():
     assert orientation(Seq.parse("0,1")) is Orientation.BOTH
     assert orientation(Seq.parse("0,1,0,1")) is Orientation.NEITHER
@@ -119,19 +90,15 @@ def test_orientation_matches_rotation_oracle_exhaustively():
     # Every sequence of length <= 6 over [5]: the descent-count definition
     # agrees with "some rotation is monotone".
     for items in all_seqs(5, 6):
-        s = Seq(5, items)
-        assert is_cyclic(s) == oracle_cyclic(items), items
-        assert is_anti_cyclic(s) == oracle_anti_cyclic(items), items
-        tag = orientation(s)
-        assert tag.admits_cyclic == oracle_cyclic(items)
-        assert tag.admits_anti_cyclic == oracle_anti_cyclic(items)
+        tag = orientation(Seq(5, items))
+        assert tag.admits_cyclic == oracle_cyclic(items), items
+        assert tag.admits_anti_cyclic == oracle_anti_cyclic(items), items
 
 
 def test_low_distinct_forces_both_or_neither():
     for items in all_seqs(3, 6):
-        s = Seq(3, items)
-        if distinct_count(s) <= 2:
-            assert orientation(s) in (Orientation.BOTH, Orientation.NEITHER)
+        if len(set(items)) <= 2:
+            assert orientation(Seq(3, items)) in (Orientation.BOTH, Orientation.NEITHER)
 
 
 def test_three_distinct_triples_are_uniquely_oriented():
@@ -140,66 +107,18 @@ def test_three_distinct_triples_are_uniquely_oriented():
             assert orientation(Seq(5, items)).uniquely_oriented
 
 
-def test_cyclic_variant_examples():
-    assert cyclic_variant(Seq(3, (0, 1, 2)), 1).items == (2, 0, 1)
-    assert cyclic_variant(Seq(7, (4,)), 0).items == (4,)
-    rotated = cyclic_variant(Seq(2, (0, 1, 0, 1)), 0)
-    assert rotated.items == (1, 0, 1, 0)
-    assert orientation(rotated) is Orientation.NEITHER
-    with pytest.raises(IndexError):
-        cyclic_variant(Seq(3, (0, 1)), 2)
-    with pytest.raises(IndexError):
-        cyclic_variant(Seq(3, (0, 1)), -1)
-    assert cyclic_variant(Seq(3, (0, 1, 2)), True).items == (2, 0, 1)
-    with pytest.raises(ValueError, match=r"^rotation index must be an integer, got 1\.0$"):
-        cyclic_variant(Seq(3, (0, 1, 2)), 1.0)
-
-
 def test_cyclic_variant_preserves_orientation():
     for items in all_seqs(4, 5):
-        s = Seq(4, items)
-        tag = orientation(s)
-        for i in range(len(items)):
-            assert orientation(cyclic_variant(s, i)) is tag
-
-
-def test_reverse_examples():
-    assert reverse(Seq.parse("1,2,0")).items == (0, 2, 1)
-    assert orientation(reverse(Seq.parse("1,2,0"))) is Orientation.ANTI_CYCLIC_ONLY
-    assert reverse(Seq.parse("0,1")).items == (1, 0)
-    assert orientation(reverse(Seq.parse("0,1"))) is Orientation.BOTH
+        tag = orientation(Seq(4, items))
+        for rotated in rotations(items):
+            assert orientation(Seq(4, rotated)) is tag
 
 
 def test_reverse_involution_and_swap_law():
     for items in all_seqs(4, 5):
-        s = Seq(4, items)
-        assert reverse(reverse(s)) == s
-        assert orientation(reverse(s)) is orientation(s).swapped()
-
-
-def test_distinct_count():
-    assert distinct_count(Seq.parse("0,1,0,1")) == 2
-    assert distinct_count(Seq(3, (2, 2, 2))) == 1
-    assert distinct_count(Seq.parse("3,1,4,1")) == 3
-    assert distinct_count(Seq(3, ())) == 0
-
-
-def test_same_orientation():
-    assert same_orientation(Seq.parse("1,2,0"), Seq.parse("0,1,2"))
-    assert not same_orientation(Seq.parse("1,2,0"), Seq.parse("2,1,0"))
-    with pytest.raises(ValueError):
-        same_orientation(Seq.parse("0,1"), Seq.parse("1,2,0"))
-    with pytest.raises(ValueError):
-        same_orientation(Seq.parse("1,2,0"), Seq.parse("0,1,0,1", n=4))
-
-
-def test_same_orientation_under_rotation():
-    for items in all_seqs(4, 5):
-        s = Seq(4, items)
-        if not orientation(s).uniquely_oriented:
-            continue
-        for i in range(len(items)):
-            assert same_orientation(s, cyclic_variant(s, i))
+        tag = orientation(Seq(4, items))
+        assert tag.swapped().swapped() is tag
+        assert orientation(Seq(4, items[::-1])) is tag.swapped()
 
 
 def test_subsequence_inheritance_exhaustive():
