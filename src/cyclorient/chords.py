@@ -149,17 +149,15 @@ def _placed_sides(n: int) -> list[list[int]]:
     _check_sides(n)
     placed = [_place(j) for j in range(n)]
     sides = []
-    for v, (ox, oy) in enumerate(placed):
-        rel = {k: (px - ox, py - oy) for k, (px, py) in enumerate(placed) if k != v}
+    for v, origin in enumerate(placed):
 
         def turn(k: int, j: int) -> int:
-            (ex, ey), (rx, ry) = rel[k], rel[j]
-            cross = ex * ry - ey * rx
+            cross = _cross_sign(origin, placed[k], placed[j])
             if not cross:
                 raise RuntimeError(f"placed points {v}, {k}, {j} are collinear")
             return -cross
 
-        order = sorted(rel, key=cmp_to_key(turn))
+        order = sorted((k for k in range(n) if k != v), key=cmp_to_key(turn))
         if any(turn(order[0], j) > 0 for j in order[1:]):
             raise RuntimeError(f"placed point {v} is not in strictly convex position")
         row, later = [0] * n, 0

@@ -20,6 +20,7 @@ from .chords import METHODS, Chord, chords_intersect, image_chord
 from .mappings import Mapping
 from .sequences import Seq, orientation
 from .verification import (
+    ROUTES,
     SUITES,
     count_classes,
     cross_check,
@@ -113,10 +114,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(f"orientation-preserving (definitional): {_bool_word(d.in_op)}")
     print(f"orientation-reversing (definitional): {_bool_word(d.in_or)}")
     print(f"preserving or reversing: {_bool_word(d.in_p)}")
-    print(f"triple test (preserve): {_bool_word(report.triple_op)}")
-    print(f"triple test (reverse): {_bool_word(report.triple_or)}")
-    print(f"quadruple test: {_bool_word(report.quad_p)}")
-    print(f"chord property: {_bool_word(report.chord_p)}")
+    verdicts = (report.triple_op, report.triple_or, report.quad_p, report.chord_p)
+    for (_, label), verdict in zip(ROUTES, verdicts):
+        print(f"{label}: {_bool_word(verdict)}")
     if not report.discrepancies:
         print(f"consistency: all tests agree ({len(report.claims)} claims checked)")
         return EXIT_OK

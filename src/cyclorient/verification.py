@@ -74,9 +74,9 @@ class Disagreement(_Record):
 
 class ConsistencyReport(_Record):
     """The claim table of one map: each route's verdict, one ``(claim, ok)``
-    row per checked claim, the triple ``gaps`` sanctioned at rank <= 2 (a
-    pass outside the class at rank >= 3 is a failing ``triple-*-refined``
-    row instead) and the resulting discrepancies."""
+    row per checked claim and the resulting discrepancies, among them the
+    sanctioned ``triple-*-literal`` gaps at rank <= 2 (a pass outside the
+    class at rank >= 3 is a failing ``triple-*-refined`` row instead)."""
 
     definitional: MembershipReport
     triple_op: bool
@@ -85,7 +85,6 @@ class ConsistencyReport(_Record):
     chord_p: bool
     discrepancies: tuple[Disagreement, ...]
     claims: tuple[tuple[str, bool], ...]
-    gaps: tuple[str, ...]
 
     @property
     def unsanctioned(self) -> tuple[Disagreement, ...]:
@@ -249,6 +248,15 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
+# The four route claims in verdict order, each with the label classify prints.
+ROUTES = (
+    ("triple-preserve-refined", "triple test (preserve)"),
+    ("triple-reverse-refined", "triple test (reverse)"),
+    ("quad-vs-definitional", "quadruple test"),
+    ("chord-vs-definitional", "chord property"),
+)
+_ROUTE_CLAIMS = tuple(claim for claim, _ in ROUTES)
+
 # (claim, index into _claims' wants, triple mode or None for the quadruple).
 _WITNESS_CLAIMS = (
     ("witness-triple-preserve", 0, "preserve"),
@@ -261,10 +269,10 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
     """:func:`cross_check`'s claim table on a raw image tuple, also read by
     the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
     failures, gaps)``, with the four route verdicts, the claims checked in
-    table order, ``(claim, detail)`` per failing claim and the sanctioned
-    triple gaps.  One kernel call, one ``set`` and one :func:`_images_after`
-    list serve the routes and extractors (called through their modules,
-    which tests patch)."""
+    table order, ``(claim, detail)`` per failing claim and the modes of
+    the sanctioned ``triple-*-literal`` gaps.  One kernel call, one ``set``
+    and one :func:`_images_after` list serve the routes and extractors
+    (called through their modules, which tests patch)."""
     descents, ascents = _steps(imgs)
     in_op, in_or = descents <= 1, ascents <= 1
     rank = len(set(imgs))
@@ -278,19 +286,13 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
     )
     # Membership, refined by rank for the triple tests.
     wants = (in_op or low_rank, in_or or low_rank, in_op or in_or, in_op or in_or)
-    checked = (
-        "triple-preserve-refined",
-        "triple-reverse-refined",
-        "quad-vs-definitional",
-        "chord-vs-definitional",
-    )
+    checked = _ROUTE_CLAIMS
     failures = []
     if verdicts != wants:
-        names = ("triple test (preserve)", "triple test (reverse)", "quad test", "chord property")
         failures = [
-            (claim, f"{name} = {got} but definitional membership says {want};"
+            (claim, f"{label} = {got} but definitional membership says {want};"
              f" image size {rank}")
-            for claim, name, got, want in zip(checked, names, verdicts, wants)
+            for (claim, label), got, want in zip(ROUTES, verdicts, wants)
             if got != want
         ]
     # Every map outside a class (at rank >= 3 for the triples) has a witness.
@@ -323,28 +325,27 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     non-member that must have a witness yields one (``witness-*``); the
     chord property is the exact-geometry scan, whose side table comes from
     cross products, not from the circular order the other two scans read.
-    Each failing row is an unsanctioned discrepancy.  ``gaps`` lists the
-    modes whose triple test passes outside the class at rank <= 2, each the
-    sanctioned ``triple-*-vs-definitional`` exemption.
+    Each failing row is an unsanctioned discrepancy.  A triple test that
+    passes outside its class at rank <= 2 is the sanctioned
+    ``triple-*-literal`` exemption, named as the suites name it.
     """
     in_op, in_or, rank, verdicts, checked, failures, gaps = _claims(m.images)
     failed = {claim for claim, _ in failures}
     found = [Disagreement(claim, detail, False) for claim, detail in failures]
     found.extend(
         Disagreement(
-            f"triple-{mode}-vs-definitional",
-            f"triple test ({mode}) passes outside the class;"
-            f" image size {rank} <= 2: sanctioned exemption",
+            f"triple-{mode}-literal",
+            f"{label} passes outside the class; image size {rank} <= 2: sanctioned exemption",
             True,
         )
-        for mode in gaps
+        for mode, (_, label) in zip(TRIPLE_MODES, ROUTES)
+        if mode in gaps
     )
     return ConsistencyReport(
         MembershipReport(in_op, in_or, in_op or in_or, rank, _TAGS[2 * in_op + in_or]),
         *verdicts,
         tuple(found),
         tuple((claim, claim not in failed) for claim in checked),
-        gaps,
     )
 
 

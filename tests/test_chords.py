@@ -226,12 +226,17 @@ def test_placement_is_in_strictly_convex_position():
 def test_geometric_and_order_side_tables_agree():
     # The chord scan's sides come from exact cross products, the quadruple
     # scan's from the circular order; the shared scan needs them equal,
-    # diagonal included, at every n up to the 128 points classify accepts.
+    # diagonal included, at every n up to the SIDES_MAX_N points the scans
+    # accept.  A 512-point table is ~24 MB, so both caches are emptied after.
     from cyclorient.chords import _placed_sides
-    from cyclorient.membership import _order_sides
+    from cyclorient.membership import SIDES_MAX_N, _order_sides
 
-    for n in (*range(1, 65), 96, 128):
-        assert _placed_sides(n) == _order_sides(n), n
+    try:
+        for n in (*range(1, 65), 96, 128, 256, SIDES_MAX_N):
+            assert _placed_sides(n) == _order_sides(n), n
+    finally:
+        _placed_sides.cache_clear()
+        _order_sides.cache_clear()
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ def test_classify_matches_library(capsys):
 def test_classify_shows_sanctioned_gap(capsys):
     code, out, _ = run_cli(capsys, "classify", "--map", "0,1,0,1")
     assert code == 0  # sanctioned disagreements are not failures
-    assert "consistency sanctioned: triple-preserve-vs-definitional" in out
+    assert "consistency sanctioned: triple-preserve-literal" in out
 
 
 def test_classify_bad_map(capsys):

@@ -173,8 +173,8 @@ def test_cross_check_examples():
     gapped = cross_check(Mapping.parse("0,1,0,1"))
     assert gapped.consistent  # only sanctioned entries
     claims = {d.claim for d in gapped.discrepancies}
-    assert "triple-preserve-vs-definitional" in claims
-    assert "triple-reverse-vs-definitional" in claims
+    assert "triple-preserve-literal" in claims
+    assert "triple-reverse-literal" in claims
     assert all(d.sanctioned for d in gapped.discrepancies)
     assert any("image size 2" in d.detail for d in gapped.discrepancies)
 
@@ -278,9 +278,12 @@ def test_cross_check_claim_table_and_gaps():
         "witness-triple-reverse": True,
         "witness-quad": True,
     }
-    assert clean.gaps == ()
+    assert clean.discrepancies == ()
     gapped = cross_check(Mapping.parse("0,1,0,1"))
-    assert gapped.gaps == ("preserve", "reverse")
+    assert [(d.claim, d.sanctioned) for d in gapped.discrepancies] == [
+        ("triple-preserve-literal", True),
+        ("triple-reverse-literal", True),
+    ]
     # Rank 2: no triple witness exists, so none is claimed.
     assert [claim for claim, _ in gapped.claims] == [
         "triple-preserve-refined",
@@ -300,7 +303,7 @@ def test_cross_check_flags_a_low_rank_triple_failure(monkeypatch):
     monkeypatch.setattr(membership, "_keeps_triples", lambda imgs, after, reverse: False)
     report = cross_check(Mapping.parse("0,1,0,1"))
     assert not report.consistent
-    assert report.gaps == ()
+    assert not [d.claim for d in report.discrepancies if d.sanctioned]
     assert {d.claim for d in report.unsanctioned} == {
         "triple-preserve-refined",
         "triple-reverse-refined",

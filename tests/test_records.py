@@ -80,8 +80,8 @@ RECORDS = [
     (
         Disagreement,
         ("claim", "detail", "sanctioned"),
-        ("triple-preserve-vs-definitional", "rank 2", True),
-        "Disagreement(claim='triple-preserve-vs-definitional', detail='rank 2',"
+        ("triple-preserve-literal", "rank 2", True),
+        "Disagreement(claim='triple-preserve-literal', detail='rank 2',"
         " sanctioned=True)",
     ),
     (
@@ -94,12 +94,11 @@ RECORDS = [
             "chord_p",
             "discrepancies",
             "claims",
-            "gaps",
         ),
-        (_REPORT, True, False, True, True, (), (("quad-vs-definitional", True),), ()),
+        (_REPORT, True, False, True, True, (), (("quad-vs-definitional", True),)),
         f"ConsistencyReport(definitional={_REPORT_REPR}, triple_op=True,"
         " triple_or=False, quad_p=True, chord_p=True, discrepancies=(),"
-        " claims=(('quad-vs-definitional', True),), gaps=())",
+        " claims=(('quad-vs-definitional', True),))",
     ),
     (
         ClaimResult,
