@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from . import chords, membership, witnesses
 from .mappings import Mapping
-from .membership import TRIPLE_MODES, MembershipReport, _images_after
+from .membership import MembershipReport, _images_after
 from .sequences import _TAGS, Orientation, _points, _Record, _steps, _tag, _within
 
 SUITES = ("equivalence", "identity", "lemma")
@@ -264,15 +264,19 @@ _WITNESS_CLAIMS = (
     ("witness-quad", 2, None),
 )
 
+# The sanctioned rank <= 2 gap of each triple route, in verdict order.
+_GAP_CLAIMS = ("triple-preserve-literal", "triple-reverse-literal")
+
 
 def _claims(imgs: tuple[int, ...]) -> tuple:
     """:func:`cross_check`'s claim table on a raw image tuple, also read by
     the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
-    failures, gaps)``, with the four route verdicts, the claims checked in
-    table order, ``(claim, detail)`` per failing claim and the modes of
-    the sanctioned ``triple-*-literal`` gaps.  One kernel call, one ``set``
-    and one :func:`_images_after` list serve the routes and extractors
-    (called through their modules, which tests patch)."""
+    findings)``, with the four route verdicts, the claims checked in table
+    order and one ``(claim, detail, sanctioned)`` row per finding: each
+    failing route claim, then each failing witness claim, then each
+    sanctioned ``triple-*-literal`` gap.  One kernel call, one ``set`` and
+    one :func:`_images_after` list serve the routes and extractors (called
+    through their modules, which tests patch)."""
     descents, ascents = _steps(imgs)
     in_op, in_or = descents <= 1, ascents <= 1
     rank = len(set(imgs))
@@ -287,11 +291,11 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
     # Membership, refined by rank for the triple tests.
     wants = (in_op or low_rank, in_or or low_rank, in_op or in_or, in_op or in_or)
     checked = _ROUTE_CLAIMS
-    failures = []
+    findings = []
     if verdicts != wants:
-        failures = [
+        findings = [
             (claim, f"{label} = {got} but definitional membership says {want};"
-             f" image size {rank}")
+             f" image size {rank}", False)
             for (claim, label), got, want in zip(ROUTES, verdicts, wants)
             if got != want
         ]
@@ -305,12 +309,13 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
                 else:
                     witnesses._witness_triple(imgs, mode)
             except (ValueError, RuntimeError) as exc:
-                failures.append((claim, f"extraction failed: {exc}"))
-    gaps = ()
+                findings.append((claim, f"extraction failed: {exc}", False))
     if low_rank:
-        modes = (("preserve", verdicts[0], in_op), ("reverse", verdicts[1], in_or))
-        gaps = tuple(mode for mode, passed, member in modes if passed and not member)
-    return in_op, in_or, rank, verdicts, checked, failures, gaps
+        for gap, (_, label), passed, member in zip(_GAP_CLAIMS, ROUTES, verdicts, (in_op, in_or)):
+            if passed and not member:
+                detail = f"{label} passes outside the class; image size {rank} <= 2"
+                findings.append((gap, f"{detail}: sanctioned exemption", True))
+    return in_op, in_or, rank, verdicts, checked, findings
 
 
 def cross_check(m: Mapping) -> ConsistencyReport:
@@ -325,46 +330,39 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     non-member that must have a witness yields one (``witness-*``); the
     chord property is the exact-geometry scan, whose side table comes from
     cross products, not from the circular order the other two scans read.
-    Each failing row is an unsanctioned discrepancy.  A triple test that
-    passes outside its class at rank <= 2 is the sanctioned
-    ``triple-*-literal`` exemption, named as the suites name it.
+    The discrepancies are :func:`_claims`' findings: each failing row, and
+    the sanctioned ``triple-*-literal`` exemption of a triple test that
+    passes outside its class at rank <= 2, named as the suites name it.
     """
-    in_op, in_or, rank, verdicts, checked, failures, gaps = _claims(m.images)
-    failed = {claim for claim, _ in failures}
-    found = [Disagreement(claim, detail, False) for claim, detail in failures]
-    found.extend(
-        Disagreement(
-            f"triple-{mode}-literal",
-            f"{label} passes outside the class; image size {rank} <= 2: sanctioned exemption",
-            True,
-        )
-        for mode, (_, label) in zip(TRIPLE_MODES, ROUTES)
-        if mode in gaps
-    )
+    in_op, in_or, rank, verdicts, checked, findings = _claims(m.images)
+    failed = {claim for claim, _, sanctioned in findings if not sanctioned}
     return ConsistencyReport(
         MembershipReport(in_op, in_or, in_op or in_or, rank, _TAGS[2 * in_op + in_or]),
         *verdicts,
-        tuple(found),
+        tuple(Disagreement(*row) for row in findings),
         tuple((claim, claim not in failed) for claim in checked),
     )
 
 
 def _equivalence_range(args: tuple[int, int, int]) -> dict:
     """Tally the claim table of the maps with indices start..stop - 1, as raw
-    image tuples in :func:`enumerate_all`'s order; a ``Mapping`` is built
-    only for witness text.  Maps with the same checked claims (at most five
+    image tuples in :func:`enumerate_all`'s order; only a map with findings
+    gets witness text.  Maps with the same checked claims (at most five
     lists) are counted together and expanded into checks once per range."""
     n, start, stop = args
     tally = _new_tally()
     counts: dict[tuple[str, ...], int] = {}
     maps = itertools.islice(itertools.product(range(n), repeat=n), start, stop)
     for index, imgs in enumerate(maps, start):
-        _, _, _, _, checked, failures, gaps = _claims(imgs)
+        _, _, _, _, checked, findings = _claims(imgs)
         counts[checked] = counts.get(checked, 0) + 1
-        for claim, detail in failures:
-            _fail(tally, claim, index, str(Mapping(n, imgs)), detail)
-        for mode in gaps:
-            tally["sanctioned"].append((f"triple-{mode}-literal", index, str(Mapping(n, imgs))))
+        if findings:
+            witness = ",".join(map(str, imgs))
+            for claim, detail, sanctioned in findings:
+                if sanctioned:
+                    tally["sanctioned"].append((claim, index, witness))
+                else:
+                    _fail(tally, claim, index, witness, detail)
     for checked, count in counts.items():
         for claim in checked:
             tally["checks"][claim] += count
@@ -429,10 +427,9 @@ def _check_tallies(n: int, tally: dict) -> None:
     op, both = _closed_forms(n)
     gaps = math.comb(n, 2) * (2**n - 2 - n * (n - 1))
     counts = tally["checks"] + Counter(claim for claim, _, _ in tally["sanctioned"])
-    wants = {"witness-quad": n**n - 2 * op + both}
-    for mode in TRIPLE_MODES:
-        wants[f"witness-triple-{mode}"] = n**n - op - gaps
-        wants[f"triple-{mode}-literal"] = gaps
+    wants = dict.fromkeys(_GAP_CLAIMS, gaps)
+    for claim, _, mode in _WITNESS_CLAIMS:
+        wants[claim] = n**n - (2 * op - both if mode is None else op + gaps)
     _gate(tally, n, counts, wants)
 
 
@@ -603,7 +600,8 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
             if hits:
                 seq = ",".join(map(str, pool[hits[0]][0]))
                 detail = "image orientation does not match the source"
-                _fail(tally, claim, index, f"map={Mapping(n, imgs)};seq={seq}", detail, len(hits))
+                witness = f"map={','.join(map(str, imgs))};seq={seq}"
+                _fail(tally, claim, index, witness, detail, len(hits))
         _gate(tally, n, checks, {claim: (op - both) * len(pool)})
 
     # Subsequence inheritance: mask bit b keeps item b, for every pool entry.

@@ -102,7 +102,8 @@ def _preserve_triple(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int], str]:
                 break
             i = j
     else:
-        raise ValueError("fewer than two circular descents: the map preserves orientation")
+        raise ValueError("fewer than two circular descents (of the negated images in"
+                         " reverse mode): the map is in its mode's class")
     swapped = False
 
     if imgs[i] != imgs[j]:

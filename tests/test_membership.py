@@ -366,7 +366,7 @@ def test_claim_table_is_symmetric_under_rotation_and_reversal():
     # rotation on either side leaves it identical.  Composing with the
     # reversal on either side swaps OP with OR, the two triple verdicts, and
     # "preserve" with "reverse" in every checked claim, failing claim and
-    # gap mode; claims compare as sets, since the table lists them in a
+    # sanctioned gap; claims compare as sets, since the table lists them in a
     # fixed order.
     from cyclorient import compose, rotation
     from cyclorient.verification import _claims
@@ -377,10 +377,10 @@ def test_claim_table_is_symmetric_under_rotation_and_reversal():
         return "-".join(swap.get(part, part) for part in name.split("-"))
 
     def as_sets(row, rename=lambda name: name):
-        in_op, in_or, rank, verdicts, checked, failures, gaps = row
-        failed = frozenset(rename(claim) for claim, _ in failures)
-        named = frozenset(map(rename, checked)), failed, frozenset(map(rename, gaps))
-        return in_op, in_or, rank, verdicts, *named
+        in_op, in_or, rank, verdicts, checked, findings = row
+        failed = frozenset(rename(claim) for claim, _, sanctioned in findings if not sanctioned)
+        gaps = frozenset(rename(claim) for claim, _, sanctioned in findings if sanctioned)
+        return in_op, in_or, rank, verdicts, frozenset(map(rename, checked)), failed, gaps
 
     for n in range(1, 7):
         table = {imgs: _claims(imgs) for imgs in itertools.product(range(n), repeat=n)}

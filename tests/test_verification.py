@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from cyclorient import (
+    Mapping,
     classify,
     count_classes,
+    cross_check,
     enumerate_all,
     equivalence_suite,
     format_machine,
@@ -64,6 +66,14 @@ def test_equivalence_n5_sanctioned_set_exact():
             if classify(m).image_size <= 2 and not getattr(classify(m), flag)
         }
         assert got == expected
+    # classify's reader carries the same sanctioned rows as the suite's.
+    per_map = {
+        (d.claim, str(m))
+        for m in enumerate_all(5)
+        for d in cross_check(m).discrepancies
+        if d.sanctioned
+    }
+    assert per_map == {(s.claim, s.witness) for s in report.sanctioned_exceptions}
 
 
 def test_equivalence_claims_present():
@@ -493,6 +503,11 @@ def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
     }
     assert "0,1,3,2" not in {s.witness for s in report.sanctioned_exceptions}
     assert len(report.sanctioned_exceptions) == len(equivalence_suite(4).sanctioned_exceptions)
+    # cross_check reads the same findings: same claims, same detail text.
+    per_map = cross_check(Mapping.parse("0,1,3,2")).unsanctioned
+    assert [(d.claim, d.detail) for d in per_map] == [
+        (v.claim, v.detail) for v in report.violations
+    ]
 
 
 def test_lemma_suite_reports_a_flipped_orientation(monkeypatch):

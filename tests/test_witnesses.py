@@ -22,6 +22,7 @@ from cyclorient.witnesses import (
     TRIPLE_CASE_LABELS,
     _plateau_after_minimum,
     _preserve_triple,
+    _witness_triple,
 )
 
 
@@ -90,6 +91,13 @@ def test_triple_witness_preconditions():
     for imgs in ((0, 1, 2, 3), (1, 2, 3, 0), (0, 0, 0)):
         with pytest.raises(ValueError, match="fewer than two circular descents"):
             _preserve_triple(imgs)
+    # In reverse mode it scans the negated images, so a reversing map is
+    # refused as one inside its mode's class, not as a preserving one.
+    for imgs, mode in (((0, 1, 2), "preserve"), ((2, 1, 0), "reverse")):
+        with pytest.raises(ValueError, match="fewer than two circular descents") as refusal:
+            _witness_triple(imgs, mode)
+        assert "the map is in its mode's class" in str(refusal.value)
+        assert "preserves orientation" not in str(refusal.value)
 
 
 @pytest.mark.parametrize(
