@@ -541,6 +541,22 @@ def test_claim_table_names_match_equivalence_suite():
     assert table == {c.claim for c in equivalence_suite(4).claims}
 
 
+def test_claim_table_reprs_are_pinned_by_digest():
+    # Every map with n <= 6 in product order, reprs joined with no
+    # separator: the detail text, row order and definitional report of
+    # every cross_check, not only of hand-picked maps.
+    import hashlib
+    import itertools
+
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for imgs in itertools.product(range(n), repeat=n):
+            digest.update(repr(cross_check(Mapping(n, imgs))).encode())
+    assert digest.hexdigest() == (
+        "cd367ce94f88a925024eec2d70129463b953129e20edb63f4a517f88b99b45f4"
+    )
+
+
 def test_run_verify_refuses_equivalence_above_n8(monkeypatch):
     from cyclorient import verification
 
