@@ -203,9 +203,14 @@ def _parse_int(text: str) -> int:
     return int(digits)
 
 
-def _steps(items: tuple[int, ...]) -> tuple[int, int]:
-    """The orientation kernel: (descents, ascents) over the circular steps
-    of a nonempty tuple, the last item stepping back to the first."""
+# Indexed by 2 * cyclic + anti-cyclic.
+_TAGS = (_NEITHER, _ANTI_CYCLIC_ONLY, _CYCLIC_ONLY, _BOTH)
+
+
+def _tag(items: tuple[int, ...]) -> Orientation:
+    """The orientation kernel, the one reader of circular steps: the
+    :class:`Orientation` of a nonempty tuple from its descents and ascents,
+    the last item stepping back to the first."""
     descents = ascents = 0
     prev = items[-1]
     for cur in items:
@@ -214,16 +219,6 @@ def _steps(items: tuple[int, ...]) -> tuple[int, int]:
         elif prev < cur:
             ascents += 1
         prev = cur
-    return descents, ascents
-
-
-# Indexed by 2 * cyclic + anti-cyclic.
-_TAGS = (_NEITHER, _ANTI_CYCLIC_ONLY, _CYCLIC_ONLY, _BOTH)
-
-
-def _tag(items: tuple[int, ...]) -> Orientation:
-    """The orientation :func:`_steps` implies for a nonempty tuple."""
-    descents, ascents = _steps(items)
     return _TAGS[2 * (descents <= 1) + (ascents <= 1)]
 
 

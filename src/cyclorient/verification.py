@@ -31,8 +31,8 @@ from operator import itemgetter
 
 from . import chords, membership, witnesses
 from .mappings import Mapping
-from .membership import MembershipReport, _images_after
-from .sequences import _TAGS, Orientation, _points, _Record, _steps, _tag, _within
+from .membership import MembershipReport, _images_after, classify
+from .sequences import _NEITHER, Orientation, _points, _Record, _tag, _within
 
 SUITES = ("equivalence", "identity", "lemma")
 
@@ -164,9 +164,9 @@ def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientatio
     its :class:`Orientation`, lexicographically.  A map is in P_n exactly
     when its image list is oriented, so ``_oriented(n, n)`` walks P_n."""
     for items in itertools.product(range(n), repeat=length):
-        descents, ascents = _steps(items)
-        if descents <= 1 or ascents <= 1:
-            yield items, _TAGS[2 * (descents <= 1) + (ascents <= 1)]
+        tag = _tag(items)
+        if tag is not _NEITHER:
+            yield items, tag
 
 
 def _classes(n: int) -> tuple[frozenset, frozenset]:
@@ -270,15 +270,15 @@ _GAP_CLAIMS = ("triple-preserve-literal", "triple-reverse-literal")
 
 def _claims(imgs: tuple[int, ...]) -> tuple:
     """:func:`cross_check`'s claim table on a raw image tuple, also read by
-    the equivalence suite: ``(in_op, in_or, rank, verdicts, checked,
-    findings)``, with the four route verdicts, the claims checked in table
-    order and one ``(claim, detail, sanctioned)`` row per finding: each
-    failing route claim, then each failing witness claim, then each
-    sanctioned ``triple-*-literal`` gap.  One kernel call, one ``set`` and
-    one :func:`_images_after` list serve the routes and extractors (called
-    through their modules, which tests patch)."""
-    descents, ascents = _steps(imgs)
-    in_op, in_or = descents <= 1, ascents <= 1
+    the equivalence suite: ``(verdicts, checked, findings)``, with the four
+    route verdicts, the claims checked in table order and one ``(claim,
+    detail, sanctioned)`` row per finding: each failing route claim, then
+    each failing witness claim, then each sanctioned ``triple-*-literal``
+    gap.  One kernel call, one ``set`` and one :func:`_images_after` list
+    serve the routes and extractors (called through their modules, which
+    tests patch)."""
+    tag = _tag(imgs)
+    in_op, in_or = tag.admits_cyclic, tag.admits_anti_cyclic
     rank = len(set(imgs))
     low_rank = rank <= 2
     after = _images_after(imgs)
@@ -315,13 +315,13 @@ def _claims(imgs: tuple[int, ...]) -> tuple:
             if passed and not member:
                 detail = f"{label} passes outside the class; image size {rank} <= 2"
                 findings.append((gap, f"{detail}: sanctioned exemption", True))
-    return in_op, in_or, rank, verdicts, checked, findings
+    return verdicts, checked, findings
 
 
 def cross_check(m: Mapping) -> ConsistencyReport:
     """The per-map claim table: every membership route and witness
     extractor run once by :func:`_claims` on the image tuple, read back as a
-    report.
+    report beside :func:`classify`'s definitional one.
 
     ``claims`` holds one ``(claim, ok)`` row per claim: the triple tests
     agree with membership refined by rank (``triple-*-refined``), the
@@ -334,10 +334,10 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     the sanctioned ``triple-*-literal`` exemption of a triple test that
     passes outside its class at rank <= 2, named as the suites name it.
     """
-    in_op, in_or, rank, verdicts, checked, findings = _claims(m.images)
+    verdicts, checked, findings = _claims(m.images)
     failed = {claim for claim, _, sanctioned in findings if not sanctioned}
     return ConsistencyReport(
-        MembershipReport(in_op, in_or, in_op or in_or, rank, _TAGS[2 * in_op + in_or]),
+        classify(m),
         *verdicts,
         tuple(Disagreement(*row) for row in findings),
         tuple((claim, claim not in failed) for claim in checked),
@@ -354,7 +354,7 @@ def _equivalence_range(args: tuple[int, int, int]) -> dict:
     counts: dict[tuple[str, ...], int] = {}
     maps = itertools.islice(itertools.product(range(n), repeat=n), start, stop)
     for index, imgs in enumerate(maps, start):
-        _, _, _, _, checked, findings = _claims(imgs)
+        _, checked, findings = _claims(imgs)
         counts[checked] = counts.get(checked, 0) + 1
         if findings:
             witness = ",".join(map(str, imgs))
@@ -611,8 +611,10 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     }
     for items, tag in pool:
         for mask, selector in enumerate(selectors[len(items)], 1):
-            descents, ascents = _steps(tuple(itertools.compress(items, selector)))
-            if (descents > 1 and tag.admits_cyclic) or (ascents > 1 and tag.admits_anti_cyclic):
+            sub = _tag(tuple(itertools.compress(items, selector)))
+            if (tag.admits_cyclic and not sub.admits_cyclic) or (
+                tag.admits_anti_cyclic and not sub.admits_anti_cyclic
+            ):
                 _fail(
                     tally,
                     "subsequence-inheritance",

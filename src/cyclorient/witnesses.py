@@ -31,7 +31,6 @@ from .sequences import (
     _NEITHER,
     Orientation,
     _Record,
-    _steps,
     _tag,
 )
 
@@ -127,11 +126,11 @@ def _preserve_triple(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int], str]:
         top, bottom = imgs[i], imgs[(i + 1) % n]
         k = min(v for v in range(n) if imgs[v] != top and imgs[v] != bottom)
         five = (i, (i + 1) % n, k, j, (j + 1) % n)
-        if _steps(five)[0] > 1:
+        if not _tag(five).admits_cyclic:
             i, j = j, i
             swapped = True
             five = (i, (i + 1) % n, k, j, (j + 1) % n)
-            if _steps(five)[0] > 1:
+            if not _tag(five).admits_cyclic:
                 raise RuntimeError(
                     f"neither ordering of {five} is cyclic; construction is broken"
                 )

@@ -86,3 +86,24 @@ def test_public_names_are_sorted_bound_by_star_import_and_documented():
     assert sorted(namespace) == names
     readme = README.read_text()
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_one_orientation_kernel_and_one_membership_report_builder():
+    # Circular steps are read only by sequences._tag, and the definitional
+    # report is built only by membership.classify: every other module reads
+    # tags and calls classify.
+    offences = []
+    for name, tree in package_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+                if "_steps" in imported:
+                    offences.append(f"{name} imports _steps")
+                if "_TAGS" in imported and name != "sequences":
+                    offences.append(f"{name} imports _TAGS")
+            elif isinstance(node, ast.Call) and name != "membership":
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "MembershipReport":
+                    offences.append(f"{name} line {node.lineno} builds a MembershipReport")
+    assert offences == []

@@ -369,6 +369,7 @@ def test_claim_table_is_symmetric_under_rotation_and_reversal():
     # sanctioned gap; claims compare as sets, since the table lists them in a
     # fixed order.
     from cyclorient import compose, rotation
+    from cyclorient.sequences import _tag
     from cyclorient.verification import _claims
 
     swap = {"preserve": "reverse", "reverse": "preserve"}
@@ -376,14 +377,19 @@ def test_claim_table_is_symmetric_under_rotation_and_reversal():
     def mirrored(name):
         return "-".join(swap.get(part, part) for part in name.split("-"))
 
+    def row_of(imgs):
+        # The definitional flags and rank beside the claim table's row.
+        tag = _tag(imgs)
+        return tag.admits_cyclic, tag.admits_anti_cyclic, len(set(imgs)), _claims(imgs)
+
     def as_sets(row, rename=lambda name: name):
-        in_op, in_or, rank, verdicts, checked, findings = row
+        in_op, in_or, rank, (verdicts, checked, findings) = row
         failed = frozenset(rename(claim) for claim, _, sanctioned in findings if not sanctioned)
         gaps = frozenset(rename(claim) for claim, _, sanctioned in findings if sanctioned)
         return in_op, in_or, rank, verdicts, frozenset(map(rename, checked)), failed, gaps
 
     for n in range(1, 7):
-        table = {imgs: _claims(imgs) for imgs in itertools.product(range(n), repeat=n)}
+        table = {imgs: row_of(imgs) for imgs in itertools.product(range(n), repeat=n)}
         g, h = rotation(n), reversal(n)
         for m in enumerate_all(n):
             row = table[m.images]

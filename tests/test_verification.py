@@ -596,7 +596,7 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_8(monkeypatch):
 
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification, "_equivalence_range", no_enumeration)
-    monkeypatch.setattr(verification, "_steps", no_enumeration)
+    monkeypatch.setattr(verification, "_tag", no_enumeration)
     assert verification.EQUIVALENCE_MAX_N == 8
     for workers in (1, 2):
         with pytest.raises(ValueError, match=r"n > 8 is not supported, got n=9"):
