@@ -5,7 +5,9 @@ The package provides the orientation of sequences over [n] = {0, ..., n-1}
 transformation monoid acting on them, four membership routes for the
 orientation classes (definitional scan, triple test, quadruple test,
 chord-preservation test), constructive counterexample witnesses, exact
-chord geometry, and exhaustive small-n verification suites.
+chord geometry, and exhaustive small-n verification suites.  The suites'
+names load :mod:`cyclorient.verification` on first use, so per-map
+callers never compile it.
 """
 
 from .chords import (
@@ -15,6 +17,7 @@ from .chords import (
     has_chord_property,
     image_chord,
 )
+from .claims import ConsistencyReport, Disagreement, cross_check
 from .mappings import (
     Mapping,
     compose,
@@ -33,23 +36,6 @@ from .sequences import (
     Orientation,
     Seq,
     orientation,
-)
-from .verification import (
-    ClaimResult,
-    ClassCounts,
-    ConsistencyReport,
-    Disagreement,
-    SanctionedException,
-    SuiteReport,
-    Violation,
-    count_classes,
-    cross_check,
-    equivalence_suite,
-    format_machine,
-    format_text,
-    identity_suite,
-    lemma_suite,
-    run_verify,
 )
 from .witnesses import QuadWitness, TripleWitness, witness_quad, witness_triple
 
@@ -94,3 +80,16 @@ __all__ = [
     "witness_quad",
     "witness_triple",
 ]
+
+
+def __getattr__(name: str):
+    # Every public name not imported above is a verification name (PEP 562).
+    if name in __all__:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

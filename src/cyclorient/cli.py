@@ -17,17 +17,9 @@ import os
 import sys
 
 from .chords import METHODS, Chord, chords_intersect, image_chord
+from .claims import ROUTES, SUITES, cross_check
 from .mappings import Mapping
 from .sequences import Seq, orientation
-from .verification import (
-    ROUTES,
-    SUITES,
-    count_classes,
-    cross_check,
-    format_machine,
-    format_text,
-    run_verify,
-)
 from .witnesses import TRIPLE_MODES, witness_quad, witness_triple
 
 EXIT_OK = 0
@@ -211,6 +203,8 @@ def _cmd_chords(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import format_machine, format_text, run_verify
+
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     reports = run_verify(
         args.n_max,
@@ -231,6 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .verification import count_classes
+
     counts = count_classes(args.n)
     print(
         f"n={counts.n} total={counts.total} op={counts.op} or={counts.or_}"

@@ -7,7 +7,7 @@ this O(n) definitional scan, two independent characterizations are
 implemented: one quantifying over distinct triples, one over oriented
 quadruples, scanned by pairs and by triples on one side table of the
 circular order.  Each route also runs on the raw image tuple, the form the
-claim table :func:`cyclorient.verification.cross_check` calls.
+claim table :func:`cyclorient.claims.cross_check` calls.
 
 The triple characterization has a genuine edge case: a map of rank <= 2
 sends every triple to a both-oriented image, so it passes the triple tests

@@ -171,13 +171,13 @@ def test_chords_method_both_exits_1_on_a_mismatch(capsys, monkeypatch):
 
 
 def test_count_reports_invariant_violations(capsys, monkeypatch):
-    from cyclorient import cli
+    from cyclorient import verification
     from cyclorient.verification import ClassCounts
 
     # |OR| != |OP| and p != op + or - both: the count line is printed as
     # computed, then each broken identity, and the exit code is 1.
     broken = ClassCounts(n=3, total=27, op=1, or_=2, p=9, op_and_or=0, low_rank_in_p=0)
-    monkeypatch.setattr(cli, "count_classes", lambda n: broken)
+    monkeypatch.setattr(verification, "count_classes", lambda n: broken)
     code, out, _ = run_cli(capsys, "count", "--n", "3")
     assert code == 1
     assert out.startswith("n=3 total=27 op=1 or=2 p=9 op_and_or=0 low_rank_in_p=0\n")

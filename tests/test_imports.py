@@ -1,10 +1,12 @@
-"""The package's import graph: acyclic, with every import at the top, and a
-CLI import that loads no heavy standard-library module; and its public
+"""The package's import graph: acyclic and layered, with every import at
+the top but the loads of the suites, and a CLI or per-map import that loads
+neither a heavy standard-library module nor the suites; and its public
 surface, which README documents name by name."""
 
 import ast
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import cyclorient
@@ -51,6 +53,22 @@ def test_intra_package_imports_form_a_dag():
     assert remaining == {}, f"import cycle among {sorted(remaining)}"
 
 
+# The documented layer order: each module imports only modules before it.
+LAYERS = (
+    "sequences", "mappings", "membership", "chords", "witnesses", "claims", "verification", "cli",
+)
+
+
+def test_imports_follow_the_documented_layer_order():
+    modules = package_modules()
+    assert set(LAYERS) == modules.keys() - {"__init__"}
+    for position, name in enumerate(LAYERS):
+        later = intra_package_imports(modules[name]) - set(LAYERS[:position])
+        assert later == set(), f"{name} imports {sorted(later)}"
+    readme = " ".join(README.read_text().split())
+    assert "in the order " + ", ".join(f"`{name}`" for name in LAYERS) + "," in readme
+
+
 def test_no_import_below_the_first_definition():
     for name, tree in package_modules().items():
         seen_definition = False
@@ -75,6 +93,48 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "", f"import cyclorient.cli loads {result.stdout.strip()}"
+
+
+def test_only_the_suites_are_imported_inside_a_function():
+    # verification is the one module loaded on first use: by the package's
+    # __getattr__ and by the verify and count verbs.  Every other sibling
+    # import sits at its module's top.
+    found = set()
+    for module, tree in package_modules().items():
+        owner = {}  # import node -> innermost enclosing function
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner[inner] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body:
+                found |= {(module, owner.get(node), name) for name in intra_package_imports(node)}
+    assert found == {
+        ("__init__", "__getattr__", "verification"),
+        ("cli", "_cmd_verify", "verification"),
+        ("cli", "_cmd_count", "verification"),
+    }
+
+
+def test_cli_and_per_map_calls_leave_the_suites_unloaded():
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import cyclorient.cli
+        assert "cyclorient.verification" not in sys.modules, "cli"
+        import cyclorient
+        cyclorient.cross_check(cyclorient.Mapping(4, (0, 1, 3, 2)))
+        assert "cyclorient.verification" not in sys.modules, "cross_check"
+        suite = cyclorient.equivalence_suite
+        assert suite is sys.modules["cyclorient.verification"].equivalence_suite
+        assert set(cyclorient.__all__) <= set(dir(cyclorient))
+        assert not hasattr(cyclorient, "no_such_name")  # AttributeError, nothing else
+    """)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_public_names_are_sorted_bound_by_star_import_and_documented():
