@@ -31,7 +31,7 @@ from collections.abc import Collection, Iterable, Iterator
 from operator import itemgetter
 
 from .claims import _GAP_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
-from .sequences import _NEITHER, Orientation, _points, _Record, _tag, _within
+from .sequences import Orientation, _points, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 8
 IDENTITY_MAX_N = 5
@@ -123,16 +123,20 @@ def _closed_forms(n: int, k: int | None = None) -> tuple[int, int]:
 
 def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
     """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
-    its :class:`Orientation`, lexicographically.  A map is in P_n exactly
-    when its image list is oriented, so ``_oriented(n, n)`` walks P_n."""
-    for items in itertools.product(range(n), repeat=length):
-        tag = _tag(items)
-        if tag is not _NEITHER:
-            yield items, tag
+    its :class:`Orientation`, lexicographically, from the definition with no
+    kernel call: the cyclic sequences are the rotations of the non-decreasing
+    ones, and the anti-cyclic ones are their reversals.  A map is in P_n
+    exactly when its image list is oriented, so ``_oriented(n, n)`` yields P_n."""
+    runs = itertools.combinations_with_replacement(range(n), length)
+    cyclic = {run[i:] + run[:i] for run in runs for i in range(length)}
+    anti_cyclic = {items[::-1] for items in cyclic}
+    for items in sorted(cyclic | anti_cyclic):
+        tag = Orientation.BOTH if items in anti_cyclic else Orientation.CYCLIC_ONLY
+        yield items, tag if items in cyclic else Orientation.ANTI_CYCLIC_ONLY
 
 
 def _classes(n: int) -> tuple[frozenset, frozenset]:
-    """OP_n and OR_n as sets of image tuples, from one :func:`_oriented` walk."""
+    """OP_n and OR_n as sets of image tuples, from :func:`_oriented`'s rows built by definition."""
     op, or_ = set(), set()
     for images, tag in _oriented(n, n):
         if tag.admits_cyclic:
@@ -248,13 +252,12 @@ def _worker_count(workers: int) -> int:
     return min(_within(workers, 1, None, "thread count"), os.cpu_count() or 1)
 
 
-def _check_enumerable(n: int, what: str) -> int:
-    """n as a plain int, refused when its n^n maps are not enumerable (n = 9 is 387M)."""
+def _check_bounded(n: int, why: str) -> int:
+    """n as a plain int within 1..``EQUIVALENCE_MAX_N``, else a ``ValueError``
+    that gives ``why`` the size is bounded."""
     n, _ = _points(n, (), "image")
     if n > EQUIVALENCE_MAX_N:
-        raise ValueError(
-            f"{what} enumerates n^n maps; n > {EQUIVALENCE_MAX_N} is not supported, got n={n}"
-        )
+        raise ValueError(f"{why}; n > {EQUIVALENCE_MAX_N} is not supported, got n={n}")
     return n
 
 
@@ -268,7 +271,7 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     must be at least 1 and is clamped to ``os.cpu_count()``; n must lie
     within 1..``EQUIVALENCE_MAX_N``.
     """
-    n = _check_enumerable(n, "the equivalence suite")
+    n = _check_bounded(n, "the equivalence suite enumerates n^n maps")
     workers = _worker_count(workers)
     started = time.perf_counter()
     total = n**n
@@ -378,12 +381,10 @@ def identity_suite(n: int) -> SuiteReport:
 
 
 def count_classes(n: int) -> ClassCounts:
-    """Exact class cardinalities by enumerating all n^n maps.
-
-    The members come from :func:`_classes`; tests check them against the
-    per-map classifier.  n must lie within 1..``EQUIVALENCE_MAX_N``.
-    """
-    n = _check_enumerable(n, "count_classes")
+    """Exact class cardinalities, from the members :func:`_classes` builds
+    without walking the n^n maps; tests check them against the per-map
+    classifier.  n must lie within 1..``EQUIVALENCE_MAX_N``."""
+    n = _check_bounded(n, "count_classes holds OP_n and OR_n as sets")
     op, or_ = _classes(n)
     p = op | or_
     low = sum(len(set(images)) <= 2 for images in p)

@@ -17,6 +17,15 @@ def oriented_quadruples(n):
     )
 
 
+def oriented_walk(n, k):
+    """Every ``(items, tag)`` over [n] of length k whose kernel tag is not
+    neither, by walking all n^k tuples in lexicographic order."""
+    for items in itertools.product(range(n), repeat=k):
+        tag = _tag(items)
+        if tag.oriented:
+            yield items, tag
+
+
 def chord_pair(n, quad):
     """The counterexample ``has_chord_property`` reports when ``quad`` is
     the first failing sorted quadruple: the source chords {a, c}, {b, d}."""

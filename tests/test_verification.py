@@ -884,3 +884,34 @@ def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
         1,
         "243 counted but the closed form gives 244",
     )
+
+
+def test_oriented_rows_match_the_kernel_walk_and_the_closed_forms():
+    from oracles import oriented_walk
+
+    from cyclorient import Orientation, verification
+
+    # The rows are built from the definition; the kernel-filtered walk of
+    # all n^k tuples (at most 7^7) must give the same rows, tags and order.
+    for n in range(1, 8):
+        for k in range(1, 8):
+            assert list(verification._oriented(n, k)) == list(oriented_walk(n, k)), (n, k)
+    # Past the walk's reach, the closed forms still fix the row counts.
+    for n in range(1, 9):
+        for k in range(1, 9):
+            cyclic, both = verification._closed_forms(n, k)
+            tags = [tag for _, tag in verification._oriented(n, k)]
+            assert len(tags) == 2 * cyclic - both, (n, k)
+            assert tags.count(Orientation.BOTH) == both, (n, k)
+
+
+def test_lemma_suite_catches_a_kernel_that_swaps_every_tag(monkeypatch):
+    from cyclorient import sequences, verification
+
+    # A consistent swap fools a pool tagged by the same kernel; the pool
+    # built from the definition keeps the true tags, so its subsequences'
+    # swapped tags lose an orientation their sequence admits.
+    monkeypatch.setattr(verification, "_tag", lambda items: sequences._tag(items).swapped())
+    report = lemma_suite(4, max_len=4)
+    found = {v.claim: v.count for v in report.violations}
+    assert found.get("subsequence-inheritance", 0) > 0, found
