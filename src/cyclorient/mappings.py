@@ -8,6 +8,7 @@ on the right, so composition is left-to-right: ``compose(a, b)`` applies
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterator
 
 from .sequences import _parse_ints, _points, _Record, _within
@@ -76,7 +77,9 @@ def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[M
     """
     n, _ = _points(n, (), "image")
     total = n**n
-    start = _within(start, 0, total, "range start")
+    # islice takes no index above sys.maxsize (n**n passes it from n = 16).
+    start = _within(start, 0, min(total, sys.maxsize), "range start")
     stop = _within(total if stop is None else stop, start, total, "range stop")
+    stop = None if stop == total else _within(stop, start, sys.maxsize, "range stop")
     maps = itertools.product(range(n), repeat=n)
     return (Mapping(n, images) for images in itertools.islice(maps, start, stop))

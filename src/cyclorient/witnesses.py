@@ -6,13 +6,14 @@ class, there is a cyclic quadruple whose image is neither cyclic nor
 anti-cyclic.  The constructions below extract one such witness by a
 deterministic case analysis: smallest indices win, scans take their first
 hit, and every "without loss" swap is performed explicitly and recorded in
-the case label.  Each witness is classified once and checked by one
-validator, on the orientation kernel, before it is returned: it is never
-trusted from construction.  Negating the images swaps ascents with
-descents, so one construction serves each dual: the reverse-mode triple
-runs the preserve construction on the negated images (the map composed
-with the reversal), and the quadruple's maximum cases are its minimum
-cases on the negated images.  Both are validated against the original map.
+the case label.  The constructions read descents and ascents and call no
+orientation kernel; one validator, on the kernel, checks each witness
+before it is returned: it is never trusted from construction.  Negating
+the images swaps ascents with descents, so one construction serves each
+dual: the reverse-mode triple runs the preserve construction on the
+negated images (the map composed with the reversal), and the quadruple's
+maximum cases are its minimum cases on the negated images.  Both are
+validated against the original map.
 
 Rank <= 2 maps outside the preserving class have no counterexample triple
 (all their triple images are both-oriented), so the triple extractor
@@ -90,7 +91,10 @@ def _validate(imgs: tuple[int, ...], points: tuple[int, ...], expected_image: Or
 def _preserve_triple(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int], str]:
     """Points and case label of a cyclic triple whose image under the map
     with image list ``imgs`` is anti-cyclic; the map must be outside the
-    preserving class with rank >= 3."""
+    preserving class with rank >= 3.  Each case decides only whether the
+    first two descents i < j swap roles, and its label; case 3 swaps unless
+    i < k < j, as (i, i + 1, k, j, j + 1) is cyclic exactly when k lies on
+    the arc from i + 1 to j."""
     n = len(imgs)
     # Non-membership guarantees at least two descents; the first pair always
     # admits one of the three cases below, so the scan stops at the second.
@@ -103,50 +107,39 @@ def _preserve_triple(imgs: tuple[int, ...]) -> tuple[tuple[int, int, int], str]:
     else:
         raise ValueError("fewer than two circular descents (of the negated images in"
                          " reverse mode): the map is in its mode's class")
-    swapped = False
 
     if imgs[i] != imgs[j]:
         # Case 1: compare the descent tops; the larger one plays i.
-        if imgs[i] < imgs[j]:
-            i, j = j, i
-            swapped = True
-        points = (i, j, (j + 1) % n)
+        swapped = imgs[i] < imgs[j]
         label = "1"
     elif imgs[(i + 1) % n] != imgs[(j + 1) % n]:
         # Case 2: compare the descent bottoms; the larger one plays i.
-        if imgs[(i + 1) % n] < imgs[(j + 1) % n]:
-            i, j = j, i
-            swapped = True
-        points = (i, (i + 1) % n, (j + 1) % n)
+        swapped = imgs[(i + 1) % n] < imgs[(j + 1) % n]
         label = "2"
     else:
         # Case 3: both descents have equal tops and equal bottoms; rank >= 3
-        # supplies a point k with a third image value.  Orient the five
-        # points (i, i+1, k, j, j+1) cyclically, swapping i and j if needed.
+        # supplies a point k with a third image value, so k is none of i,
+        # i + 1, j, j + 1; and i + 1 != j, j + 1 != i, as a top differs from
+        # its bottom.  Unswapped, k sits on the non-decreasing run from
+        # bottom to top, so "3.1" and "3.3" occur only swapped.
         top, bottom = imgs[i], imgs[(i + 1) % n]
         k = min(v for v in range(n) if imgs[v] != top and imgs[v] != bottom)
-        five = (i, (i + 1) % n, k, j, (j + 1) % n)
-        if not _tag(five).admits_cyclic:
-            i, j = j, i
-            swapped = True
-            five = (i, (i + 1) % n, k, j, (j + 1) % n)
-            if not _tag(five).admits_cyclic:
-                raise RuntimeError(
-                    f"neither ordering of {five} is cyclic; construction is broken"
-                )
-        if imgs[k] > top:
-            points = (k, i, (i + 1) % n)
-            label = "3.1"
-        elif imgs[k] > bottom:
-            points = (i, k, (j + 1) % n)
-            label = "3.2"
-        else:
-            points = (i, (i + 1) % n, k)
-            label = "3.3"
+        swapped = not i < k < j
+        label = "3.1" if imgs[k] > top else "3.2" if imgs[k] > bottom else "3.3"
 
     if swapped:
-        label += "-swapped"
-    return points, label
+        i, j = j, i
+    if label == "1":
+        points = (i, j, (j + 1) % n)
+    elif label == "2":
+        points = (i, (i + 1) % n, (j + 1) % n)
+    elif label == "3.1":
+        points = (k, i, (i + 1) % n)
+    elif label == "3.2":
+        points = (i, k, (j + 1) % n)
+    else:
+        points = (i, (i + 1) % n, k)
+    return points, label + "-swapped" if swapped else label
 
 
 def witness_triple(m: Mapping, mode: str) -> TripleWitness:

@@ -167,3 +167,27 @@ def test_one_orientation_kernel_and_one_membership_report_builder():
                 if called == "MembershipReport":
                     offences.append(f"{name} line {node.lineno} builds a MembershipReport")
     assert offences == []
+
+
+def test_the_orientation_kernel_is_read_at_six_sites():
+    # The witness constructions build from steps but call no kernel, so the
+    # validator's check of every witness is not the construction's own.
+    found = set()
+    for module, tree in package_modules().items():
+        owner = {}  # node -> innermost enclosing function
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner[inner] = node.name
+        for node in ast.walk(tree):
+            named = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if named == "_tag":
+                found.add((module, owner.get(node)))
+    assert found == {
+        ("sequences", "orientation"),
+        ("membership", "classify"),
+        ("chords", "chords_intersect"),
+        ("claims", "_claims"),
+        ("witnesses", "_validate"),
+        ("verification", "lemma_suite"),
+    }

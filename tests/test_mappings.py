@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -144,6 +145,18 @@ def test_enumerate_all_bounds_n6():
     assert first.images == (0, 0, 0, 0, 0, 0)
     last = list(enumerate_all(6, 6**6 - 1))
     assert len(last) == 1 and last[0].images == (5, 5, 5, 5, 5, 5)
+
+
+def test_enumerate_all_past_sys_maxsize():
+    # 16**16 exceeds sys.maxsize, the largest index islice takes: the end of
+    # the range still works, and an index past sys.maxsize is refused in the
+    # library's words.
+    assert next(enumerate_all(16)).images == (0,) * 16
+    within = rf"must be within 0\.\.{sys.maxsize}, got {2**63}$"
+    with pytest.raises(ValueError, match="range start " + within):
+        enumerate_all(16, 2**63)
+    with pytest.raises(ValueError, match="range stop " + within):
+        enumerate_all(16, 0, 2**63)
 
 
 def test_enumerate_all_checks_its_arguments_at_the_call():
