@@ -121,14 +121,20 @@ def _closed_forms(n: int, k: int | None = None) -> tuple[int, int]:
     return k * math.comb(n + k - 1, k) - (k - 1) * n, n + math.comb(n, 2) * k * (k - 1)
 
 
+def _cyclic(n: int, length: int) -> set[tuple[int, ...]]:
+    """The cyclic ``length``-sequences over [n], from the definition with no
+    kernel call: the distinct rotations of the non-decreasing ones.  Their
+    reversals are the anti-cyclic ones."""
+    runs = itertools.combinations_with_replacement(range(n), length)
+    return {run[i:] + run[:i] for run in runs for i in range(length)}
+
+
 def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
     """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
-    its :class:`Orientation`, lexicographically, from the definition with no
-    kernel call: the cyclic sequences are the rotations of the non-decreasing
-    ones, and the anti-cyclic ones are their reversals.  A map is in P_n
-    exactly when its image list is oriented, so ``_oriented(n, n)`` yields P_n."""
-    runs = itertools.combinations_with_replacement(range(n), length)
-    cyclic = {run[i:] + run[:i] for run in runs for i in range(length)}
+    its :class:`Orientation`, lexicographically, from :func:`_cyclic` and its
+    reversals.  A map is in P_n exactly when its image list is oriented, so
+    ``_oriented(n, n)`` yields P_n."""
+    cyclic = _cyclic(n, length)
     anti_cyclic = {items[::-1] for items in cyclic}
     for items in sorted(cyclic | anti_cyclic):
         tag = Orientation.BOTH if items in anti_cyclic else Orientation.CYCLIC_ONLY
@@ -136,14 +142,10 @@ def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientatio
 
 
 def _classes(n: int) -> tuple[frozenset, frozenset]:
-    """OP_n and OR_n as sets of image tuples, from :func:`_oriented`'s rows built by definition."""
-    op, or_ = set(), set()
-    for images, tag in _oriented(n, n):
-        if tag.admits_cyclic:
-            op.add(images)
-        if tag.admits_anti_cyclic:
-            or_.add(images)
-    return frozenset(op), frozenset(or_)
+    """OP_n and OR_n as sets of image tuples: the cyclic image lists of
+    :func:`_cyclic` and their reversals."""
+    op = frozenset(_cyclic(n, n))
+    return op, frozenset(images[::-1] for images in op)
 
 
 # ----------------------------------------------------------------------
@@ -317,32 +319,39 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict) -> None:
 
 
 def _product_set(left: Iterable[tuple[int, ...]], right: Collection[tuple[int, ...]]) -> set:
-    # a then b is (b[a[0]], ..., b[a[k-1]]), where left may hold sequences
-    # of any length k over b's points: it reads b only on a's image set S.
-    # So each S restricts every b once (distinct restrictions only), and
-    # each a composes with those through its entries' positions in S; a
-    # constant a gives the constant sequences b[s] of a's own length.
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
+    # over b's points: b restricted to a's sorted image set S, read at a's
+    # pattern (its entries' positions in S).  Image sets met with the same
+    # patterns form a family: it restricts right to each of its sets once,
+    # and composes each pattern once with the union of distinct restrictions
+    # (in a class, each rank is one family).  A constant a gives (b[s],) * k.
+    patterns_of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for a in left:
-        groups.setdefault(tuple(sorted(set(a))), []).append(a)
+        image = tuple(sorted(set(a)))
+        where = dict(zip(image, range(len(image))))
+        patterns_of.setdefault(image, set()).add(tuple(map(where.__getitem__, a)))
+    families: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
+    for image, patterns in patterns_of.items():
+        families.setdefault(frozenset(patterns), []).append(image)
     out = set()
-    for image, maps in groups.items():
-        if len(image) == 1:
-            out.update((b[image[0]],) * len(a) for a in maps for b in right)
+    for patterns, images in families.items():
+        restrictions = set()
+        for image in images:
+            restrictions.update(map(itemgetter(*image), right))
+        if len(images[0]) == 1:  # the restrictions are bare values b[s]
+            out.update((b,) * len(pattern) for pattern in patterns for b in restrictions)
             continue
-        restrictions = set(map(itemgetter(*image), right))
-        where = {s: k for k, s in enumerate(image)}
-        for a in maps:
-            out.update(map(itemgetter(*map(where.__getitem__, a)), restrictions))
+        for pattern in patterns:
+            out.update(map(itemgetter(*pattern), restrictions))
     return out
 
 
 def identity_suite(n: int) -> SuiteReport:
-    """Verify the closure identities of the orientation classes by brute
-    force: compose every relevant pair of maps and compare the resulting
-    product sets.  Each claim's offenders are one set: an equality holds
-    when its symmetric difference is empty, and an inclusion when its
-    difference is empty.  Practical for n <= 5 only.
+    """Verify the closure identities of the orientation classes as literal
+    set identities over the product sets :func:`_product_set` composes.
+    Each claim's offenders are one set: an equality holds when its
+    symmetric difference is empty, and an inclusion when its difference is
+    empty.  Practical for n <= 5 only.
     """
     n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
     started = time.perf_counter()
@@ -409,8 +418,10 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     against every oriented sequence of length 3..max_len (within 3..6) over
     [n], and every nonempty subsequence of each such sequence.
 
-    The images are product sets, as in :func:`identity_suite`: the pool
-    sequences of at least three values composed with the members.  An
+    The images are product sets, composed by :func:`_product_set` as in
+    :func:`identity_suite`: the pool sequences of at least three values
+    with the members.  Each distinct subsequence is tagged once, and every
+    (sequence, mask) pair that selects it is a check of its own.  An
     anti-cyclic sequence is read backwards, which reverses its images and
     swaps its tag, so a correctly tagged pool is one group that wants
     cyclic images under preserving members and anti-cyclic ones under
@@ -476,12 +487,15 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
         t: [[mask >> b & 1 for b in range(t)] for mask in range(1, 1 << t)]
         for t in range(LEMMA_MIN_LEN, max_len + 1)
     }
+    subs: dict[tuple[int, ...], Orientation] = {}  # each distinct subsequence, tagged once
     for items, tag in pool:
+        cyclic, anti_cyclic = tag.admits_cyclic, tag.admits_anti_cyclic
         for mask, selector in enumerate(selectors[len(items)], 1):
-            sub = _tag(tuple(itertools.compress(items, selector)))
-            if (tag.admits_cyclic and not sub.admits_cyclic) or (
-                tag.admits_anti_cyclic and not sub.admits_anti_cyclic
-            ):
+            part = tuple(itertools.compress(items, selector))
+            sub = subs.get(part)
+            if sub is None:
+                sub = subs[part] = _tag(part)
+            if (cyclic and not sub.admits_cyclic) or (anti_cyclic and not sub.admits_anti_cyclic):
                 _fail(
                     tally,
                     "subsequence-inheritance",

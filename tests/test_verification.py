@@ -598,6 +598,7 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_8(monkeypatch):
     monkeypatch.setattr(verification, "_equivalence_range", no_enumeration)
     monkeypatch.setattr(verification, "_tag", no_enumeration)
     monkeypatch.setattr(verification, "_oriented", no_enumeration)
+    monkeypatch.setattr(verification, "_cyclic", no_enumeration)
     assert verification.EQUIVALENCE_MAX_N == 8
     for workers in (1, 2):
         with pytest.raises(ValueError, match=r"n > 8 is not supported, got n=9"):
@@ -740,6 +741,73 @@ def test_product_set_matches_the_pairwise_oracle():
             assert verification._product_set(seqs, op) == product_set(seqs, op), (n, k)
 
 
+def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
+    import itertools
+    import math
+    import random
+
+    from oracles import product_set
+
+    from cyclorient import verification
+
+    def pattern(a):
+        image = sorted(set(a))
+        return tuple(image.index(x) for x in a)
+
+    def subset(rng, items):
+        return rng.sample(items, rng.randint(1, min(len(items), 400)))
+
+    rng = random.Random(33)
+    partial = 0  # inputs where a pattern meets only some image sets of its size
+    for n in range(1, 6):
+        maps = list(itertools.product(range(n), repeat=n))
+        rights = [subset(rng, maps) for _ in range(3)]
+        lefts = [subset(rng, maps)]
+        for k in range(1, 6):
+            lefts.append(subset(rng, list(itertools.product(range(n), repeat=k))))
+        for left in lefts:
+            images = {}
+            for a in left:
+                images.setdefault(pattern(a), set()).add(frozenset(a))
+            partial += any(len(s) < math.comb(n, max(p) + 1) for p, s in images.items())
+            for right in rights + [[], rights[0][:1]]:
+                got = verification._product_set(left, right)
+                assert got == product_set(left, right), (n, len(left), len(right))
+        assert verification._product_set([], maps) == set()
+    assert partial > 10
+
+
+def test_lemma_suite_counts_every_check_of_a_subsequence_tagged_once(monkeypatch):
+    from oracles import oriented_walk
+
+    from cyclorient import verification
+    from cyclorient.sequences import Orientation
+
+    real = verification._tag
+    broken = (0, 2)
+    monkeypatch.setattr(
+        verification, "_tag", lambda items: Orientation.NEITHER if items == broken else real(items)
+    )
+    # Every (pool sequence, mask) pair that selects the broken subsequence,
+    # from the kernel walk in the pool's order.
+    pairs = [
+        (items, mask)
+        for k in range(3, 5)
+        for items, _ in oriented_walk(4, k)
+        for mask in range(1, 1 << k)
+        if tuple(x for b, x in enumerate(items) if mask >> b & 1) == broken
+    ]
+    report = lemma_suite(4)
+    [violation] = report.violations
+    items, mask = pairs[0]
+    assert (violation.claim, violation.count, violation.witness) == (
+        "subsequence-inheritance",
+        len(pairs),
+        f"seq={','.join(map(str, items))};mask={mask}",
+    )
+    assert len(pairs) > 1
+
+
 def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
     from cyclorient import verification
 
@@ -808,14 +876,15 @@ def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
 def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
     from cyclorient import verification
 
-    real = verification._oriented
+    real = verification._classes
     dropped = (0, 1, 2, 3, 4)
 
-    def walk(n, length):
-        # The member walk skips one member of OP_5 of rank 5.
-        return (row for row in real(n, length) if row[0] != dropped)
+    def classes(n):
+        # The member set skips one member of OP_5 of rank 5.
+        op, or_ = real(n)
+        return op - {dropped}, or_
 
-    monkeypatch.setattr(verification, "_oriented", walk)
+    monkeypatch.setattr(verification, "_classes", classes)
     report = lemma_suite(5, max_len=3)
     pool = len(verification._oriented_pool(5, 3))
     op, both = verification._closed_forms(5)
