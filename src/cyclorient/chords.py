@@ -20,10 +20,10 @@ chord is a single point.  Two intersection predicates are implemented:
 pair to an intersecting pair; this holds exactly for the maps that preserve
 or reverse orientation.  It scans only the interleaved chords {a, c},
 {b, d} of the C(n, 4) sorted quadruples a < b < c < d.  The geometric scan,
-the chord claim of ``cross_check``, shares its loop with the quadruple
-scan but not its side table: the triple and quadruple scans read a table
-built from the circular order, while this one comes from sorting the
-placed points around each one by exact cross-product signs.
+the chord claim of ``cross_check``, shares its loop and its side-table
+builder with the quadruple scan but not the order the builder is given:
+the triple and quadruple scans pass the circular order, while this one
+sorts the placed points around each one by exact cross-product signs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cmp_to_key, lru_cache
 
 from .mappings import Mapping
-from .membership import _check_sides, _first_apart, _first_unoriented, _images_after
+from .membership import _check_sides, _first_apart, _first_unoriented, _images_after, _sides_after
 from .sequences import _parse_int, _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
@@ -139,20 +139,19 @@ class ChordPropertyResult(_Record):
 @lru_cache(maxsize=4)
 def _placed_sides(n: int) -> list[list[int]]:
     """The side table of :func:`_first_disjoint` for the 4 latest n (780
-    KiB at n = 128): ``L[v][v]`` holds every value but v, and ``L[v][k]``
-    the values left of line P(v)P(k), those after k once the other points
-    are sorted by angle around P(v) by the sign of one exact cross product.
+    KiB at n = 128), :func:`_sides_after` of the other points sorted by
+    angle around P(v) by the sign of one exact cross product: ``L[v][k]``
+    holds the values left of line P(v)P(k), those after k in that order.
     A row whose points are not all strictly left of the ray to its first
     point is refused, so a placement off strictly convex position is never
     mis-sorted; a sort compares each pair it leaves adjacent, so any
     points collinear with P(v) are refused too."""
     _check_sides(n)
     placed = [_place(j) for j in range(n)]
-    sides = []
-    for v, origin in enumerate(placed):
 
+    def around(v: int) -> list[int]:
         def turn(k: int, j: int) -> int:
-            cross = _cross_sign(origin, placed[k], placed[j])
+            cross = _cross_sign(placed[v], placed[k], placed[j])
             if not cross:
                 raise RuntimeError(f"placed points {v}, {k}, {j} are collinear")
             return -cross
@@ -160,12 +159,9 @@ def _placed_sides(n: int) -> list[list[int]]:
         order = sorted((k for k in range(n) if k != v), key=cmp_to_key(turn))
         if any(turn(order[0], j) > 0 for j in order[1:]):
             raise RuntimeError(f"placed point {v} is not in strictly convex position")
-        row, later = [0] * n, 0
-        for k in reversed(order):
-            row[k], later = later, later | 1 << k
-        row[v] = later
-        sides.append(row)
-    return sides
+        return order
+
+    return _sides_after(n, around)
 
 
 def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:

@@ -76,10 +76,9 @@ def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[M
     are checked at the call, not at the first ``next()``.
     """
     n, _ = _points(n, (), "image")
-    total = n**n
-    # islice takes no index above sys.maxsize (n**n passes it from n = 16).
-    start = _within(start, 0, min(total, sys.maxsize), "range start")
-    stop = _within(total if stop is None else stop, start, total, "range stop")
-    stop = None if stop == total else _within(stop, start, sys.maxsize, "range stop")
+    # islice takes no index above sys.maxsize, which n**n passes from n = 16.
+    end = min(n ** min(n, 16), sys.maxsize)
+    start = _within(start, 0, end, "range start")
+    stop = None if stop is None else _within(stop, start, end, "range stop")
     maps = itertools.product(range(n), repeat=n)
     return (Mapping(n, images) for images in itertools.islice(maps, start, stop))

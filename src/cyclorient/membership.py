@@ -102,18 +102,30 @@ def _check_sides(n: int) -> None:
         )
 
 
+def _sides_after(n: int, around) -> list[list[int]]:
+    """The one builder of a side table: ``around(v)`` is the order of the
+    other points around v, and row v holds, for each k, the mask of the
+    points after k in that order, and at ``L[v][v]`` every point but v.
+    One order is held at a time."""
+    sides = []
+    for v in range(n):
+        row, later = [0] * n, 0
+        for k in reversed(around(v)):
+            row[k], later = later, later | 1 << k
+        row[v] = later
+        sides.append(row)
+    return sides
+
+
 @lru_cache(maxsize=4)
 def _order_sides(n: int) -> list[list[int]]:
     """The side table of the circular order, read by the triple tests and
     by :func:`_first_apart` for the quadruple route, kept for the 4 latest
-    n (780 KiB at n = 128): ``L[w][y]`` holds the values outside [w, y] if
-    w <= y, else those strictly between."""
+    n (780 KiB at n = 128): around v the points run v + 1, ..., v - 1, so
+    ``L[w][y]`` holds the values outside [w, y] if w <= y, else those
+    strictly between."""
     _check_sides(n)
-    full = (1 << n) - 1
-    return [
-        [full & ~((2 << y) - (1 << w)) if w <= y else (1 << w) - (2 << y) for y in range(n)]
-        for w in range(n)
-    ]
+    return _sides_after(n, lambda v: [*range(v + 1, n), *range(v)])
 
 
 def _first_unoriented(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:

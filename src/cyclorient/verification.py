@@ -242,8 +242,8 @@ def _equivalence_range(args: tuple[int, int, int]) -> dict:
 
 
 def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
-    # Imported on first use: it loads multiprocessing, ~2.5 MB resident that
-    # per-map callers and the other CLI verbs never need.
+    # Imported on first use: its import, which loads multiprocessing, stays out
+    # of `count`, of `verify` runs that start no pool and of the suites' set-up.
     from concurrent.futures import ProcessPoolExecutor as pool
 
     return pool(max_workers=max_workers)

@@ -40,11 +40,9 @@ TRIPLE_CASE_LABELS = (
     "1-swapped",
     "2",
     "2-swapped",
-    "3.1",
     "3.1-swapped",
     "3.2",
     "3.2-swapped",
-    "3.3",
     "3.3-swapped",
     "gamma-composed",
 )

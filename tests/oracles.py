@@ -26,6 +26,17 @@ def oriented_walk(n, k):
             yield items, tag
 
 
+def order_sides(n):
+    """The circular order's side table by its closed form: ``L[w][y]``
+    holds the values outside [w, y] if w <= y, else those strictly
+    between, so ``L[v][v]`` holds every value but v."""
+    full = (1 << n) - 1
+    return [
+        [full & ~((2 << y) - (1 << w)) if w <= y else (1 << w) - (2 << y) for y in range(n)]
+        for w in range(n)
+    ]
+
+
 def chord_pair(n, quad):
     """The counterexample ``has_chord_property`` reports when ``quad`` is
     the first failing sorted quadruple: the source chords {a, c}, {b, d}."""

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+import time
 
 import pytest
 
@@ -157,6 +158,13 @@ def test_enumerate_all_past_sys_maxsize():
         enumerate_all(16, 2**63)
     with pytest.raises(ValueError, match="range stop " + within):
         enumerate_all(16, 0, 2**63)
+
+
+def test_enumerate_all_at_a_large_n_does_not_compute_n_to_the_n():
+    # Its bounds need at most n**16: computing 1000000**1000000 took seconds.
+    started = time.perf_counter()
+    enumerate_all(10**6)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_enumerate_all_checks_its_arguments_at_the_call():

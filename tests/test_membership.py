@@ -23,7 +23,7 @@ from cyclorient import (
     reversal,
     triple_test,
 )
-from oracles import chord_pair, oriented_quadruples
+from oracles import chord_pair, order_sides, oriented_quadruples
 
 
 def oracle_triple_test(m, mode):
@@ -425,3 +425,19 @@ def test_scans_refuse_maps_longer_than_their_side_tables(monkeypatch):
         assert len(build(4)) == 4
         with pytest.raises(ValueError, match=r"at most 4, got 5$"):
             build(5)
+
+
+def test_side_table_builder_matches_the_closed_form():
+    # The one mask builder, given the circular order by _order_sides and the
+    # cross-product sort by _placed_sides, against the order's closed form.
+    # A 512-point table is ~24 MB, so both caches are emptied after.
+    from cyclorient import chords, membership
+
+    try:
+        for n in (*range(1, 129), 256, membership.SIDES_MAX_N):
+            expected = order_sides(n)
+            assert membership._order_sides(n) == expected, n
+            assert chords._placed_sides(n) == expected, n
+    finally:
+        membership._order_sides.cache_clear()
+        chords._placed_sides.cache_clear()

@@ -191,6 +191,20 @@ def test_all_triple_cases_reachable():
     assert any(label.startswith("3.") for label in seen)
 
 
+def test_triple_labels_are_exactly_the_labels_emitted():
+    # Both modes over every map with n <= 5 emit each listed label, and no
+    # other: unswapped case 3 is always "3.2".
+    seen = set()
+    for n in range(1, 6):
+        for m in enumerate_all(n):
+            r = classify(m)
+            if r.image_size >= 3:
+                for mode, member in (("preserve", r.in_op), ("reverse", r.in_or)):
+                    if not member:
+                        seen.add(witness_triple(m, mode).case_label)
+    assert seen == set(TRIPLE_CASE_LABELS)
+
+
 def test_all_quad_cases_reachable():
     seen = set()
     for m in enumerate_all(5):
