@@ -8,13 +8,14 @@ chord is a single point.  Two intersection predicates are implemented:
   depend on how endpoints are paired off or which chord comes first; the
   test suite asserts that invariance.
 * ``geometric`` — an exact oracle.  Point j is placed at integer
-  coordinates (j, j*j): a strictly convex position whose hull order
-  realizes the circular order of [n], so chord intersection is the same as
-  on the circle.  Closed-segment intersection (endpoints and tangency
-  count; degenerate point segments allowed) is decided by integer
-  cross-product signs, with no floating point anywhere.  Three distinct
-  placed points are never collinear, so collinear cases arise only from
-  coincident labels and are handled by the on-segment checks.
+  coordinates (j, j*j) on the parabola y = x*x, a strictly convex position
+  whose hull order realizes the circular order of [n], so chord
+  intersection is the same as on the circle.  One rule decides it, as the
+  geometric scan's side table does: two chords meet exactly when they
+  share an endpoint or the line through one strictly separates the
+  other's endpoints, by the signs of integer cross products with no
+  floating point anywhere.  Three distinct placed points are never
+  collinear, so no other case arises.
 
 ``has_chord_property`` asks whether a map sends every intersecting chord
 pair to an intersecting pair; this holds exactly for the maps that preserve
@@ -69,53 +70,30 @@ def _cross_sign(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> i
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _on_segment(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> bool:
-    # r is assumed collinear with p-q; test the bounding box.
-    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(
-        p[1], q[1]
-    )
-
-
-def _segments_intersect(
-    p1: tuple[int, int],
-    q1: tuple[int, int],
-    p2: tuple[int, int],
-    q2: tuple[int, int],
-) -> bool:
-    """Closed-segment intersection over exact integers; degenerate segments allowed."""
-    d1 = _cross_sign(p2, q2, p1)
-    d2 = _cross_sign(p2, q2, q1)
-    d3 = _cross_sign(p1, q1, p2)
-    d4 = _cross_sign(p1, q1, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(p2, q2, p1):
-        return True
-    if d2 == 0 and _on_segment(p2, q2, q1):
-        return True
-    if d3 == 0 and _on_segment(p1, q1, p2):
-        return True
-    if d4 == 0 and _on_segment(p1, q1, q2):
-        return True
-    return False
-
-
 def _place(j: int) -> tuple[int, int]:
     return (j, j * j)
 
 
 def chords_intersect(first: Chord, second: Chord, method: str = "combinatorial") -> bool:
-    """Whether two chords share at least one point (closed segments)."""
+    """Whether two chords share at least one point (closed segments).
+
+    The geometric verdict is the geometric scan's rule on the placed points:
+    the chords meet exactly when they share an endpoint or the line through
+    one strictly separates the other's endpoints.  This is exact: the slopes
+    from P(a) to P(b) and to P(c) are a + b != a + c, so three distinct
+    placed points are never collinear, and on a strictly convex curve two
+    chords with four distinct endpoints cross exactly when they interleave.
+    A one-point chord has a zero cross product, so it meets only by a label.
+    """
     if first.n != second.n:
         raise ValueError(f"cycle size mismatch: {first.n} vs {second.n}")
     if method == "combinatorial":
         return _tag((first.p, second.p, first.q, second.q)).oriented
     if method == "geometric":
-        return _segments_intersect(
-            _place(first.p), _place(first.q), _place(second.p), _place(second.q)
-        )
+        if {first.p, first.q} & {second.p, second.q}:
+            return True
+        p, q, r, s = map(_place, (first.p, first.q, second.p, second.q))
+        return _cross_sign(p, q, r) * _cross_sign(p, q, s) < 0
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 

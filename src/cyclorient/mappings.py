@@ -66,19 +66,24 @@ def compose(first: Mapping, second: Mapping) -> Mapping:
     return Mapping(first.n, tuple(map(second.images.__getitem__, first.images)))
 
 
+def _image_lists(n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The image lists of the maps of [n] with indices start..stop - 1 in
+    lexicographic order; the product is built at the first ``next()``,
+    since it copies its n pools up front."""
+    yield from itertools.islice(itertools.product(range(n), repeat=n), start, stop)
+
+
 def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[Mapping]:
     """An iterator over every self-map of [n] in lexicographic order of image lists.
 
     ``start``/``stop`` select a contiguous index range, which the
-    benchmark's prefix probe reads (the suites' workers slice
-    ``itertools.product`` themselves); index k is the map whose image list
-    is k written in base n, most significant digit first.  The arguments
-    are checked at the call, not at the first ``next()``.
+    benchmark's prefix probe reads; index k is the map whose image list is
+    k written in base n, most significant digit first.  The arguments are
+    checked at the call, not at the first ``next()``.
     """
     n, _ = _points(n, (), "image")
     # islice takes no index above sys.maxsize, which n**n passes from n = 16.
     end = min(n ** min(n, 16), sys.maxsize)
     start = _within(start, 0, end, "range start")
     stop = None if stop is None else _within(stop, start, end, "range stop")
-    maps = itertools.product(range(n), repeat=n)
-    return (Mapping(n, images) for images in itertools.islice(maps, start, stop))
+    return (Mapping(n, images) for images in _image_lists(n, start, stop))

@@ -31,6 +31,7 @@ from collections.abc import Collection, Iterable, Iterator
 from operator import itemgetter
 
 from .claims import _GAP_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
+from .mappings import _image_lists
 from .sequences import Orientation, _points, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 8
@@ -224,8 +225,7 @@ def _equivalence_range(args: tuple[int, int, int]) -> dict:
     n, start, stop = args
     tally = _new_tally()
     counts: dict[tuple[str, ...], int] = {}
-    maps = itertools.islice(itertools.product(range(n), repeat=n), start, stop)
-    for index, imgs in enumerate(maps, start):
+    for index, imgs in enumerate(_image_lists(n, start, stop), start):
         _, checked, findings = _claims(imgs)
         counts[checked] = counts.get(checked, 0) + 1
         if findings:

@@ -37,6 +37,41 @@ def order_sides(n):
     ]
 
 
+def _cross_sign(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(p, q, r):
+    # r is assumed collinear with p-q; test the bounding box.
+    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(
+        p[1], q[1]
+    )
+
+
+def segments_intersect(p1, q1, p2, q2):
+    """Closed-segment intersection over exact integers; degenerate segments
+    allowed.  The general reference for the geometric chord rule, with its
+    own cross product: collinear overlaps, which never arise between
+    placed points, are decided here too."""
+    d1 = _cross_sign(p2, q2, p1)
+    d2 = _cross_sign(p2, q2, q1)
+    d3 = _cross_sign(p1, q1, p2)
+    d4 = _cross_sign(p1, q1, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _on_segment(p2, q2, p1):
+        return True
+    if d2 == 0 and _on_segment(p2, q2, q1):
+        return True
+    if d3 == 0 and _on_segment(p1, q1, p2):
+        return True
+    if d4 == 0 and _on_segment(p1, q1, q2):
+        return True
+    return False
+
+
 def chord_pair(n, quad):
     """The counterexample ``has_chord_property`` reports when ``quad`` is
     the first failing sorted quadruple: the source chords {a, c}, {b, d}."""

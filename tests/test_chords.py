@@ -199,6 +199,37 @@ def test_sorted_quadruples_cover_every_intersecting_pair():
             assert meets == (quad in arrangements), quad
 
 
+def test_geometric_rule_matches_the_closed_segment_oracle():
+    # The one rule (a shared label, or strict separation by one line) against
+    # the general closed-segment routine on the placed points: every pair of
+    # chords for n <= 12, then seeded pairs at n far past any side table,
+    # with shared endpoints and one-point chords forced in.
+    from cyclorient.chords import _place, _placed_sides
+    from oracles import segments_intersect
+
+    def check(n, a, b, c, d):
+        want = segments_intersect(_place(a), _place(b), _place(c), _place(d))
+        got = chords_intersect(Chord(n, a, b), Chord(n, c, d), "geometric")
+        assert got == want, (n, a, b, c, d)
+        return got
+
+    tables = _placed_sides.cache_info()
+    for n in range(1, 13):
+        for quad in itertools.product(range(n), repeat=4):
+            check(n, *quad)
+    rng = random.Random(35)
+    for n in (10**6, 10**18):
+        seen = set()
+        for _ in range(2000):
+            a, b, c, d = (rng.randrange(n) for _ in range(4))
+            for quad in ((a, b, c, d), (a, b, a, d), (a, b, c, b), (a, a, c, d), (a, b, d, d)):
+                seen.add(check(n, *quad))
+            assert not check(n, a, a, c, c) or a == c
+        assert seen == {True, False}, n
+    # No side table was built or read: none exists past n = 512.
+    assert _placed_sides.cache_info() == tables
+
+
 def test_chord_parse_names_bad_endpoints():
     with pytest.raises(ValueError, match="chord endpoints must be integers, got '1-x'"):
         Chord.parse("1-x", 4)

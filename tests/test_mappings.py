@@ -167,6 +167,20 @@ def test_enumerate_all_at_a_large_n_does_not_compute_n_to_the_n():
     assert time.perf_counter() - started < 0.5
 
 
+def test_enumerate_all_builds_no_product_at_the_call():
+    # itertools.product copies its n pools at construction, ~53 MiB at
+    # n = 10**6; the call must leave that to the first next().
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        enumerate_all(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
+
+
 def test_enumerate_all_checks_its_arguments_at_the_call():
     # No next() here: a bad size or range is refused before any iteration.
     for args in ((2, 5), (2.5,), (0,)):

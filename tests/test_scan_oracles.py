@@ -20,8 +20,8 @@ from cyclorient import (
     quad_test,
     triple_test,
 )
-from cyclorient.chords import METHODS, _place, _segments_intersect
-from oracles import chord_pair
+from cyclorient.chords import METHODS, _place
+from oracles import chord_pair, segments_intersect
 
 
 def reference_keeps_triples(imgs):
@@ -46,7 +46,7 @@ def reference_first_unoriented(m):
 def reference_first_disjoint(m):
     placed = [_place(v) for v in m.images]
     for a, b, c, d in itertools.combinations(range(m.n), 4):
-        if not _segments_intersect(placed[a], placed[c], placed[b], placed[d]):
+        if not segments_intersect(placed[a], placed[c], placed[b], placed[d]):
             return a, b, c, d
     return None
 
@@ -158,10 +158,10 @@ def test_point_chord_images_are_disjoint_unless_they_share_a_point():
 
 def test_reference_segment_test_off_the_parabola():
     # An endpoint of the second segment lies on the first, at either end.
-    assert _segments_intersect((0, 0), (4, 0), (2, 0), (2, 5))
-    assert _segments_intersect((0, 0), (4, 0), (2, 5), (2, 0))
+    assert segments_intersect((0, 0), (4, 0), (2, 0), (2, 5))
+    assert segments_intersect((0, 0), (4, 0), (2, 5), (2, 0))
     # Collinear and apart.
-    assert not _segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
+    assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
 
 
 def test_scans_keep_no_per_call_table():
