@@ -66,13 +66,6 @@ def compose(first: Mapping, second: Mapping) -> Mapping:
     return Mapping(first.n, tuple(map(second.images.__getitem__, first.images)))
 
 
-def _image_lists(n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The image lists of the maps of [n] with indices start..stop - 1 in
-    lexicographic order; the product is built at the first ``next()``,
-    since it copies its n pools up front."""
-    yield from itertools.islice(itertools.product(range(n), repeat=n), start, stop)
-
-
 def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[Mapping]:
     """An iterator over every self-map of [n] in lexicographic order of image lists.
 
@@ -86,4 +79,10 @@ def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[M
     end = min(n ** min(n, 16), sys.maxsize)
     start = _within(start, 0, end, "range start")
     stop = None if stop is None else _within(stop, start, end, "range stop")
-    return (Mapping(n, images) for images in _image_lists(n, start, stop))
+
+    def maps() -> Iterator[Mapping]:
+        # The product is built at the first next(): it copies its n pools up front.
+        for images in itertools.islice(itertools.product(range(n), repeat=n), start, stop):
+            yield Mapping(n, images)
+
+    return maps()

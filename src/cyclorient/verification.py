@@ -8,15 +8,19 @@ separately as ``sanctioned_exceptions`` so they stay visible without
 failing the run.
 
 The equivalence suite tallies the per-map claim table of
-:mod:`cyclorient.claims` over all n^n maps.  The package (on first use of
-a suite name) and the ``verify`` and ``count`` verbs import this module
-when they need it, so per-map callers never compile it.
+:mod:`cyclorient.claims` over all n^n maps, each through its value
+pattern: the claims read image values only by comparing them, so a map of
+rank r has the claim rows of the pattern that replaces each image by its
+rank in the image set, and each pattern counts for the C(n, r) maps it
+stands for.  The package (on first use of a suite name) and the
+``verify`` and ``count`` verbs import this module when they need it, so
+per-map callers never compile it.
 
-Reports are deterministic: enumeration is lexicographic and per-claim
-results keep the lexicographically smallest witness.  The map enumeration
-may be split into contiguous index ranges and run on several workers;
-merging partial tallies is associative and commutative, so multi-worker
-runs reproduce the single-worker report byte for byte (timings excluded —
+Reports are deterministic: per-claim results keep the lexicographically
+smallest witness, whatever order the maps are visited in.  The patterns
+may be split by their first entry and run on several workers; merging
+partial tallies is associative and commutative, so multi-worker runs
+reproduce the single-worker report byte for byte (timings excluded —
 ``elapsed`` never enters the machine format).
 """
 
@@ -31,7 +35,6 @@ from collections.abc import Collection, Iterable, Iterator
 from operator import itemgetter
 
 from .claims import _GAP_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
-from .mappings import _image_lists
 from .sequences import Orientation, _points, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 8
@@ -217,24 +220,67 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
-def _equivalence_range(args: tuple[int, int, int]) -> dict:
-    """Tally the claim table of the maps with indices start..stop - 1, as raw
-    image tuples in :func:`enumerate_all`'s order; only a map with findings
-    gets witness text.  Maps with the same checked claims (at most five
-    lists) are counted together and expanded into checks once per range."""
-    n, start, stop = args
+def _patterns(n: int, lead: int) -> Iterator[tuple[int, ...]]:
+    """The patterns of [n] whose first entry is ``lead``: the tuples whose
+    value set is exactly 0..r - 1 for some rank r.  Each set partition of
+    the positions, as a restricted growth string (block numbers in order
+    of first appearance), is labelled by every ordering of 0..r - 1 that
+    gives the first block ``lead``."""
+    partitions = [(0,)]
+    for _ in range(n - 1):
+        partitions = [blocks + (b,) for blocks in partitions for b in range(max(blocks) + 2)]
+    for blocks in partitions:
+        rank = max(blocks) + 1
+        if lead < rank:
+            rest = [v for v in range(rank) if v != lead]
+            for labels in itertools.permutations(rest):
+                yield tuple(map(((lead,) + labels).__getitem__, blocks))
+
+
+def _pattern_count(n: int) -> int:
+    """The number of patterns of [n] (the Fubini number): a pattern of rank
+    r is a set of k positions taking the value r - 1 and a pattern of the
+    other n - k positions."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(math.comb(m, k) * counts[m - k] for k in range(1, m + 1)))
+    return counts[n]
+
+
+def _index(n: int, imgs: tuple[int, ...]) -> int:
+    """The index of the map ``imgs`` in :func:`enumerate_all`'s order: its
+    images read as base-n digits, most significant first."""
+    index = 0
+    for v in imgs:
+        index = index * n + v
+    return index
+
+
+def _equivalence_range(args: tuple[int, int]) -> dict:
+    """Tally the claim table of every map of [n] whose pattern starts with
+    ``lead``, one :func:`_claims` call per pattern, its checked claims
+    counted C(n, r) times for the maps of rank r it stands for.  A pattern
+    is entrywise at most each of its maps, so a failing pattern is the
+    lexicographically least map with its failure and is the witness; a
+    sanctioned gap is listed once for each of its maps, as every map
+    carries its own.  Patterns with the same checked claims (at most five
+    lists) are counted together and expanded into checks once per job."""
+    n, lead = args
     tally = _new_tally()
+    weights = [math.comb(n, rank) for rank in range(n + 1)]
     counts: dict[tuple[str, ...], int] = {}
-    for index, imgs in enumerate(_image_lists(n, start, stop), start):
-        _, checked, findings = _claims(imgs)
-        counts[checked] = counts.get(checked, 0) + 1
-        if findings:
-            witness = ",".join(map(str, imgs))
-            for claim, detail, sanctioned in findings:
-                if sanctioned:
-                    tally["sanctioned"].append((claim, index, witness))
-                else:
-                    _fail(tally, claim, index, witness, detail)
+    for pattern in _patterns(n, lead):
+        _, checked, findings = _claims(pattern)
+        rank = max(pattern) + 1
+        counts[checked] = counts.get(checked, 0) + weights[rank]
+        for claim, detail, sanctioned in findings:
+            if sanctioned:
+                for values in itertools.combinations(range(n), rank):
+                    imgs = tuple(map(values.__getitem__, pattern))
+                    tally["sanctioned"].append((claim, _index(n, imgs), ",".join(map(str, imgs))))
+            else:
+                witness = ",".join(map(str, pattern))
+                _fail(tally, claim, _index(n, pattern), witness, detail, weights[rank])
     for checked, count in counts.items():
         for claim in checked:
             tally["checks"][claim] += count
@@ -269,20 +315,20 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
 
     The claims are those of :func:`cross_check`, so the chord property is
     checked by exact geometry at every n, and the witness and gap tallies
-    must match their closed forms (:func:`_check_tallies`).  ``workers``
-    must be at least 1 and is clamped to ``os.cpu_count()``; n must lie
-    within 1..``EQUIVALENCE_MAX_N``.
+    must match their closed forms (:func:`_check_tallies`).  Each map is
+    covered through its value pattern, which has the same claim rows: one
+    :func:`_claims` call per pattern of rank r, counted for its C(n, r)
+    maps (:func:`_equivalence_range`).  There is one job per first entry
+    of the patterns; ``workers`` must be at least 1 and is clamped to
+    ``os.cpu_count()``; n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
     n = _check_bounded(n, "the equivalence suite enumerates n^n maps")
     workers = _worker_count(workers)
     started = time.perf_counter()
-    total = n**n
-    if workers <= 1 or total < 4096:
-        parts = [_equivalence_range((n, 0, total))]
+    jobs = [(n, lead) for lead in range(n)]
+    if workers <= 1 or _pattern_count(n) < 4096:
+        parts = list(map(_equivalence_range, jobs))
     else:
-        chunks = workers * 4
-        bounds = [total * i // chunks for i in range(chunks + 1)]
-        jobs = [(n, bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_equivalence_range, jobs))
     tally = _merge_tallies(parts)

@@ -4,7 +4,9 @@ import itertools
 from operator import itemgetter
 
 from cyclorient import Chord
+from cyclorient.claims import _claims
 from cyclorient.sequences import Orientation, _tag
+from cyclorient.verification import _fail, _new_tally
 
 
 def oriented_quadruples(n):
@@ -15,6 +17,23 @@ def oriented_quadruples(n):
         for quad in itertools.product(range(n), repeat=4)
         if _tag(quad).oriented
     )
+
+
+def equivalence_walk(n):
+    """The equivalence suite's tally by the full walk: the claim table of
+    every one of the n^n maps, in index order, each with its own findings;
+    the suite reaches the same tally through the maps' value patterns."""
+    tally = _new_tally()
+    for index, imgs in enumerate(itertools.product(range(n), repeat=n)):
+        _, checked, findings = _claims(imgs)
+        tally["checks"].update(checked)
+        witness = ",".join(map(str, imgs))
+        for claim, detail, sanctioned in findings:
+            if sanctioned:
+                tally["sanctioned"].append((claim, index, witness))
+            else:
+                _fail(tally, claim, index, witness, detail)
+    return tally
 
 
 def oriented_walk(n, k):

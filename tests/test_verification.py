@@ -99,29 +99,31 @@ def test_equivalence_worker_split_is_deterministic():
 
 
 def test_equivalence_tallies_merge_across_uneven_chunks():
-    # In process, no pool: chunk edges must not change the merged report.
-    from itertools import pairwise
-
+    # In process, no pool: the jobs of n = 5, one per leading value, hold
+    # 150, 149, 134, 84 and 24 patterns; merged in reverse, they must give
+    # the suite's report.
     from cyclorient import verification
 
-    bounds = (0, 1, 17, 1000, 3124, 3125)
-    parts = [verification._equivalence_range((5, a, b)) for a, b in pairwise(bounds)]
+    parts = [verification._equivalence_range((5, lead)) for lead in reversed(range(5))]
     merged = verification._finish("equivalence", 5, verification._merge_tallies(parts), 0.0)
     assert format_machine([merged]) == format_machine([equivalence_suite(5, workers=1)])
 
 
 def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
-    # Drop the non-member 0,1,3,2,4 (index 214 in base 5) from the one range
-    # of n = 5.  Every route agrees on every map left, so only the closed
-    # forms notice: |P_5| = 1015, |OP_5| = 610 and 100 rank-2 gaps per mode.
+    # Drop the rank-5 non-member pattern 0,1,3,2,4 (weight C(5, 5) = 1, the
+    # map of index 214 in base 5) from its job, that of leading value 0.
+    # Every route agrees on every map left, so only the closed forms
+    # notice: |P_5| = 1015, |OP_5| = 610 and 100 rank-2 gaps per mode.
     from cyclorient import verification
 
-    real = verification._equivalence_range
-    assert real((5, 214, 215))["checks"]["witness-quad"] == 1
+    real = verification._patterns
+    dropped = (0, 1, 3, 2, 4)
+    assert dropped in set(real(5, 0))
+    assert verification._claims(dropped)[1].count("witness-quad") == 1
     monkeypatch.setattr(
         verification,
-        "_equivalence_range",
-        lambda args: verification._merge_tallies([real((5, 0, 214)), real((5, 215, 3125))]),
+        "_patterns",
+        lambda n, lead: (pattern for pattern in real(n, lead) if pattern != dropped),
     )
     report = equivalence_suite(5, workers=1)
     assert not report.passed
@@ -131,6 +133,131 @@ def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
         ("witness-triple-reverse", "closed-form", 1, "2414 counted but the closed form gives 2415"),
     }
     assert len(report.sanctioned_exceptions) == 200
+
+
+def _pattern_of(imgs):
+    # Each image replaced by its rank in the sorted image set.
+    values = sorted(set(imgs))
+    return tuple(map(values.index, imgs))
+
+
+def test_patterns_hold_each_value_pattern_once():
+    # The jobs split [n]'s patterns by first entry; together they hold the
+    # pattern of every map of [n] once, Fubini(n) of them in all.
+    import itertools
+
+    from cyclorient import verification
+
+    for n in range(1, 7):
+        walked = [
+            (lead, pattern) for lead in range(n) for pattern in verification._patterns(n, lead)
+        ]
+        assert all(pattern[0] == lead for lead, pattern in walked), n
+        patterns = [pattern for _, pattern in walked]
+        assert len(patterns) == len(set(patterns)) == verification._pattern_count(n), n
+        every_map = itertools.product(range(n), repeat=n)
+        assert set(patterns) == {_pattern_of(imgs) for imgs in every_map}, n
+    assert [verification._pattern_count(n) for n in (6, 7, 8)] == [4683, 47293, 545835]
+
+
+def test_pattern_walk_matches_the_full_walk_up_to_n6():
+    # The full n^n walk is the oracle: every map's own claim table, index
+    # and witness.  At n = 6 two workers start the process pool.
+    from oracles import equivalence_walk
+
+    from cyclorient import verification
+
+    for n in range(1, 7):
+        tally = equivalence_walk(n)
+        verification._check_tallies(n, tally)
+        want = format_machine([verification._finish("equivalence", n, tally, 0.0)])
+        for workers in (1, 2):
+            assert format_machine([equivalence_suite(n, workers=workers)]) == want, (n, workers)
+
+
+def _relabelling_mismatches(n, draws, seed):
+    """Read seeded patterns of [n] through random image sets S and return
+    the (pattern, relabelled map) pairs whose claim table, or the outcome
+    of a witness extractor, differs, with a tally of what the draws
+    covered.  The pattern walk rests on there being none: the claims
+    compare image values and never read them otherwise."""
+    import random
+    from collections import Counter
+
+    from cyclorient import witnesses
+    from cyclorient.claims import _claims
+
+    def outcomes(imgs):
+        found = []
+        for extract, *mode in (
+            (witnesses._witness_triple, "preserve"),
+            (witnesses._witness_triple, "reverse"),
+            (witnesses._witness_quad,),
+        ):
+            try:
+                found.append(extract(imgs, *mode))
+            except (ValueError, RuntimeError) as exc:
+                found.append((type(exc).__name__, str(exc)))
+        return found
+
+    rng = random.Random(seed)
+    mismatches, covered = [], Counter()
+    for _ in range(draws):
+        # Images below a random bound reach the low ranks and their gaps.
+        bound = rng.randint(1, n)
+        images = [rng.randrange(bound) for _ in range(n)]
+        if rng.random() < 0.5:  # a member of P_n: a sorted list rotated, maybe reversed
+            images.sort()
+            k = rng.randrange(n)
+            images = images[k:] + images[:k]
+            if rng.random() < 0.5:
+                images.reverse()
+        pattern = _pattern_of(images)
+        rank = max(pattern) + 1
+        image_set = sorted(rng.sample(range(n), rank))
+        relabelled = tuple(image_set[v] for v in pattern)
+        table = _claims(pattern)
+        if table != _claims(relabelled) or outcomes(pattern) != outcomes(relabelled):
+            mismatches.append((pattern, relabelled))
+        covered["moved"] += image_set != list(range(rank))
+        covered["member"] += table[0][2]
+        covered["witness"] += any(claim.startswith("witness") for claim in table[1])
+        covered["sanctioned"] += any(sanctioned for _, _, sanctioned in table[2])
+    return mismatches, covered
+
+
+def test_relabelling_keeps_claims_and_witnesses_past_the_walk():
+    # The suite visits only patterns; at n = 7..12 no walk checks the maps
+    # it counts through them, so the premise is checked directly there.
+    for n in range(7, 13):
+        mismatches, covered = _relabelling_mismatches(n, 150, seed=n)
+        assert mismatches == [], (n, mismatches[:3])
+        assert min(covered.values()) > 0 and len(covered) == 4, (n, covered)
+
+
+def test_pattern_walk_misses_a_route_broken_off_the_patterns(monkeypatch):
+    # The reduction's limit: a chord route that fails only on maps whose
+    # image set is not 0..r - 1 never meets the pattern walk, so the suite
+    # passes with its parent's report; the full walk and the relabelling
+    # check both catch it.
+    from oracles import equivalence_walk
+
+    from cyclorient import chords
+
+    want = format_machine([equivalence_suite(5, workers=1)])
+    real = chords._first_disjoint
+
+    def broken(imgs, after):
+        if set(imgs) != set(range(len(set(imgs)))):
+            return (0, 1, 2, 3)
+        return real(imgs, after)
+
+    monkeypatch.setattr(chords, "_first_disjoint", broken)
+    report = equivalence_suite(5, workers=1)
+    assert report.passed and format_machine([report]) == want
+    assert "chord-vs-definitional" in equivalence_walk(5)["violations"]
+    mismatches, _ = _relabelling_mismatches(5, 150, seed=5)
+    assert mismatches
 
 
 def test_identity_degenerate_n2():
