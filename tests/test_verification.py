@@ -868,6 +868,19 @@ def test_product_set_matches_the_pairwise_oracle():
             assert verification._product_set(seqs, op) == product_set(seqs, op), (n, k)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_product_sets_keep_the_closure_identities_past_the_suite_cap(n):
+    from cyclorient import verification
+
+    # OP.OP = OP, OR.OR = OP and OR.OP = OP.OR = OR, at sizes the identity
+    # suite's default report does not reach.
+    op, or_ = verification._classes(n)
+    assert verification._product_set(op, op) == op
+    assert verification._product_set(or_, or_) == op
+    assert verification._product_set(or_, op) == or_
+    assert verification._product_set(op, or_) == or_
+
+
 def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
     import itertools
     import math
@@ -917,6 +930,37 @@ def test_lemma_suite_counts_every_check_of_a_subsequence_tagged_once(monkeypatch
     )
     # Every (pool sequence, mask) pair that selects the broken subsequence,
     # from the kernel walk in the pool's order.
+    pairs = [
+        (items, mask)
+        for k in range(3, 5)
+        for items, _ in oriented_walk(4, k)
+        for mask in range(1, 1 << k)
+        if tuple(x for b, x in enumerate(items) if mask >> b & 1) == broken
+    ]
+    report = lemma_suite(4)
+    [violation] = report.violations
+    items, mask = pairs[0]
+    assert (violation.claim, violation.count, violation.witness) == (
+        "subsequence-inheritance",
+        len(pairs),
+        f"seq={','.join(map(str, items))};mask={mask}",
+    )
+    assert len(pairs) > 1
+
+
+def test_lemma_suite_selects_the_item_of_each_one_bit_mask(monkeypatch):
+    from oracles import oriented_walk
+
+    from cyclorient import verification
+    from cyclorient.sequences import Orientation
+
+    real = verification._tag
+    broken = (2,)
+    monkeypatch.setattr(
+        verification, "_tag", lambda items: Orientation.NEITHER if items == broken else real(items)
+    )
+    # A correct kernel tags every 1-tuple both, so only a 1-bit mask that
+    # picks its own item finds exactly these pairs, in the pool's order.
     pairs = [
         (items, mask)
         for k in range(3, 5)
