@@ -401,9 +401,9 @@ def identity_suite(n: int) -> SuiteReport:
     set identities over the product sets :func:`_product_set` composes.
     Each claim's offenders are one set: an equality holds when its
     symmetric difference is empty, and an inclusion when its difference is
-    empty.  ``IDENTITY_MAX_N`` is the cap of the default ``verify`` report,
-    not of the products: on one 2-vCPU x86-64 core the suite passes at
-    n = 6 in 0.16 s, n = 7 in 1.5 s and n = 8 in 12.6 s (81 MB peak).
+    empty.  n lies within 1..``IDENTITY_MAX_N``; the class products reach
+    further: tier-1 checks them at n = 6 (0.16 s) and 7 (1.5 s), and CI at
+    n = 8 (13 s, 55 MB peak), on one 2-vCPU x86-64 core.
     """
     n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
     started = time.perf_counter()
@@ -463,29 +463,28 @@ def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientat
 
 
 def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> SuiteReport:
-    """Check that members map oriented sequences to sequences of the same
+    """Check, exhaustively, that members of rank >= 3 map every oriented
+    sequence of length 3..max_len (within 3..6) over [n] to one of the same
     (preserving case) or opposite (reversing case) orientation whenever the
-    image keeps at least three distinct values, plus subsequence
-    inheritance of orientation, exhaustively: every member of rank >= 3
-    against every oriented sequence of length 3..max_len (within 3..6) over
-    [n], and every nonempty subsequence of each such sequence.
+    image keeps three distinct values, and that every nonempty subsequence
+    of such a sequence keeps each orientation the sequence admits.
 
-    The images are product sets, composed by :func:`_product_set` as in
-    :func:`identity_suite`: the pool sequences of at least three values
-    with the members.  Each distinct subsequence is tagged once, and every
-    (sequence, mask) pair that selects it is a check of its own.  An
-    anti-cyclic sequence is read backwards, which reverses its images and
-    swaps its tag, so a correctly tagged pool is one group that wants
-    cyclic images under preserving members and anti-cyclic ones under
-    reversing members (a wrong tag keeps a group of its own).  Only a claim
-    whose product sets hold an offending image walks its members for the
-    violation count and witness (the lowest member index, then the first
-    sequence).  Checks are counted as members times pool size, and each
-    image-orientation count must equal (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the
-    pool size the oriented counts of :func:`_closed_forms` summed over its
-    lengths k, and the subsequence checks that sum weighted by 2^k − 1.
-    ``sample_budget`` is accepted and ignored: the suite once sampled the
-    pool, and callers that still pass a budget get the exhaustive report.
+    Both are product sets of :func:`_product_set`, as in
+    :func:`identity_suite`.  The images are "sequence then member" for the
+    pool sequences of at least three values; an anti-cyclic one is read
+    backwards, which reverses its images and swaps its tag, so a correctly
+    tagged pool is one group that wants cyclic images under preserving
+    members and anti-cyclic ones under reversing members (a wrong tag keeps
+    a group of its own).  The subsequences are "mask then sequence", a mask
+    read as its position tuple, per (length, tag) group of the pool; each
+    distinct one is tagged once.  Only a claim whose product sets hold an
+    offender walks its pairs for the violation count and witness: members
+    in index order, then sequences, for an image claim; sequences, then
+    masks, for inheritance.  Each image-orientation count must equal
+    (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the pool size the oriented counts of
+    :func:`_closed_forms` summed over its lengths k, and the subsequence
+    checks that sum weighted by 2^k − 1.  ``sample_budget`` is accepted and
+    ignored: the suite once sampled the pool.
     """
     n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
     max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
@@ -535,31 +534,32 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
                 _fail(tally, claim, index, witness, detail, len(hits))
         _gate(tally, n, checks, {claim: (op - both) * len(pool)})
 
-    # Subsequence inheritance: mask bit b keeps item b, for every pool entry.
-    # A 1-bit mask's getter takes a slice, so every part is a tuple.
-    selectors = {t: [] for t in range(LEMMA_MIN_LEN, max_len + 1)}
-    for t, getters in selectors.items():
-        for mask in range(1, 1 << t):
-            bits = [b for b in range(t) if mask >> b & 1]
-            one = len(bits) == 1
-            getters.append(itemgetter(slice(bits[0], bits[0] + 1)) if one else itemgetter(*bits))
-    subs: dict[tuple[int, ...], Orientation] = {}  # each distinct subsequence, tagged once
+    # Subsequence inheritance: mask m's position tuple keeps item b for bit b.
+    kinds: dict[tuple[int, Orientation], list[tuple[int, ...]]] = {}
     for items, tag in pool:
-        cyclic, anti_cyclic = tag.admits_cyclic, tag.admits_anti_cyclic
-        for mask, select in enumerate(selectors[len(items)], 1):
-            part = select(items)
-            sub = subs.get(part)
-            if sub is None:
-                sub = subs[part] = _tag(part)
-            if (cyclic and not sub.admits_cyclic) or (anti_cyclic and not sub.admits_anti_cyclic):
-                _fail(
-                    tally,
-                    "subsequence-inheritance",
-                    0,
-                    f"seq={','.join(map(str, items))};mask={mask}",
-                    "subsequence lost an orientation admitted by the full sequence",
-                )
-        checks["subsequence-inheritance"] += len(selectors[len(items)])
+        kinds.setdefault((len(items), tag), []).append(items)
+    masks = {
+        t: [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)] for t, _ in kinds
+    }
+    parts = {kind: _product_set(masks[kind[0]], group) for kind, group in kinds.items()}
+    # Tag each distinct part once; it offends a tag admitting an orientation it lacks.
+    lost = {tag: set() for _, tag in kinds}
+    for part in set().union(*parts.values()):
+        sub = _tag(part)
+        for tag, parts_lost in lost.items():
+            if (tag.admits_cyclic and not sub.admits_cyclic) or (
+                tag.admits_anti_cyclic and not sub.admits_anti_cyclic
+            ):
+                parts_lost.add(part)
+    offenders = {kind: found & lost[kind[1]] for kind, found in parts.items()}
+    checks["subsequence-inheritance"] += sum(2 ** len(items) - 1 for items, _ in pool)
+    # Only a failing run walks its (sequence, mask) pairs, in pool order.
+    for items, tag in pool if any(offenders.values()) else ():
+        for mask, positions in enumerate(masks[len(items)], 1):
+            if tuple(map(items.__getitem__, positions)) in offenders[len(items), tag]:
+                witness = f"seq={','.join(map(str, items))};mask={mask}"
+                detail = "subsequence lost an orientation admitted by the full sequence"
+                _fail(tally, "subsequence-inheritance", 0, witness, detail)
     # A pool of the wrong size has failed its own gate; this one sees a pool
     # of the right size with the wrong lengths, or a loop that miscounts.
     if len(pool) == sum(sizes.values()):
@@ -584,7 +584,7 @@ def run_verify(
     One table holds a ``(suite, cap, runner)`` row per suite, in ``SUITES``
     order, and each selected suite runs for n = 1..min(n_max, cap): the
     identity suite stops at n = 5 and the lemma suite at n = 6 (the
-    default report's caps), while the equivalence suite, which
+    suites' own caps), while the equivalence suite, which
     enumerates n^n maps (16.8M at n = 8), refuses n_max > 8 outright.  The
     lemma suite checks every member against every oriented sequence of
     length 3..``lemma_max_len`` (within 3..6).  Every argument is checked

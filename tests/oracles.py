@@ -132,3 +132,23 @@ def lemma_failures(n, pool):
                 witness, count = failures.get(claim, (first, 0))
                 failures[claim] = (witness, count + 1)
     return checks, failures
+
+
+def subsequence_failures(pool, tag):
+    """Subsequence inheritance by the per-pair loop: every nonempty mask of
+    every ``(items, want)`` of ``pool``, in order (bit b keeps item b), its
+    part tagged by the kernel ``tag``.  Returns the number of checks and,
+    when some part loses an orientation ``want`` admits, ``(witness,
+    count)`` with the first failing pair as the witness, else None."""
+    checks, failure = 0, None
+    for items, want in pool:
+        for mask in range(1, 1 << len(items)):
+            checks += 1
+            got = tag(tuple(x for b, x in enumerate(items) if mask >> b & 1))
+            if (want.admits_cyclic and not got.admits_cyclic) or (
+                want.admits_anti_cyclic and not got.admits_anti_cyclic
+            ):
+                first = f"seq={','.join(map(str, items))};mask={mask}"
+                witness, count = failure or (first, 0)
+                failure = (witness, count + 1)
+    return checks, failure

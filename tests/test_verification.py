@@ -866,6 +866,15 @@ def test_product_set_matches_the_pairwise_oracle():
         for k in range(1, 5):
             seqs = frozenset(items for items, _ in verification._oriented(n, k))
             assert verification._product_set(seqs, op) == product_set(seqs, op), (n, k)
+    # Mask position tuples on the left, each (length, tag) group of the lemma
+    # pool on the right: every subsequence that a mask selects.
+    for n in range(1, 6):
+        groups = {}
+        for items, tag in verification._oriented_pool(n, 5):
+            groups.setdefault((len(items), tag), []).append(items)
+        for (t, _), group in groups.items():
+            masks = [c for k in range(1, t + 1) for c in itertools.combinations(range(t), k)]
+            assert verification._product_set(masks, group) == product_set(masks, group), (n, t)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -998,12 +1007,9 @@ def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
         assert found[0][claim] == found[1][claim], claim
 
 
-def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
-    from oracles import lemma_failures
-
-    from cyclorient import Orientation, verification
-
-    real = verification._oriented_pool
+def _mistagged_pools(real):
+    """The lemma pool builder ``real`` and three mistagged variants of it."""
+    from cyclorient import Orientation
 
     def flipped_pool(n, max_len):
         # Every seventh entry's tag flipped, so members fail at scattered
@@ -1024,9 +1030,17 @@ def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
 
         return pool_of
 
-    failed = 0
     both, neither = (retagged_pool(tag) for tag in (Orientation.BOTH, Orientation.NEITHER))
-    for pool_of in (real, flipped_pool, both, neither):
+    return real, flipped_pool, both, neither
+
+
+def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
+    from oracles import lemma_failures
+
+    from cyclorient import verification
+
+    failed = 0
+    for pool_of in _mistagged_pools(verification._oriented_pool):
         monkeypatch.setattr(verification, "_oriented_pool", pool_of)
         for n in range(1, 6):
             for max_len in (3, 4):
@@ -1042,6 +1056,43 @@ def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
                 assert got == failures, (n, max_len)
                 failed += len(failures)
     assert failed > 0
+
+
+def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
+    from oracles import subsequence_failures
+
+    from cyclorient import Orientation, sequences, verification
+
+    def neither_on(broken):
+        return lambda items: Orientation.NEITHER if items == broken else sequences._tag(items)
+
+    # NEITHER on (0,) fails the pool's first sequence, (0, 0, 0), itself.
+    kernels = (
+        sequences._tag,
+        neither_on((0, 2)),
+        neither_on((2,)),
+        neither_on((0,)),
+        lambda items: sequences._tag(items).swapped(),
+    )
+    failed = []
+    for pool_of in _mistagged_pools(verification._oriented_pool):
+        monkeypatch.setattr(verification, "_oriented_pool", pool_of)
+        for kernel in kernels:
+            monkeypatch.setattr(verification, "_tag", kernel)
+            for n in range(1, 6):
+                for max_len in (3, 4):
+                    report = lemma_suite(n, max_len=max_len)
+                    checks, failure = subsequence_failures(pool_of(n, max_len), kernel)
+                    [claim] = [c for c in report.claims if c.claim == "subsequence-inheritance"]
+                    got = [
+                        (v.witness, v.count)
+                        for v in report.violations
+                        if v.claim == "subsequence-inheritance"
+                    ]
+                    want = (checks, [failure] if failure else [])
+                    assert (claim.checks, got) == want, (n, max_len)
+                    failed.append(failure is not None)
+    assert len(failed) == 200 and 0 < sum(failed) < 200, sum(failed)
 
 
 def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
