@@ -32,9 +32,9 @@ import os
 import time
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator
-from operator import itemgetter
 
 from .claims import _GAP_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
+from .mappings import _index
 from .sequences import Orientation, _points, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 8
@@ -247,15 +247,6 @@ def _pattern_count(n: int) -> int:
     return counts[n]
 
 
-def _index(n: int, imgs: tuple[int, ...]) -> int:
-    """The index of the map ``imgs`` in :func:`enumerate_all`'s order: its
-    images read as base-n digits, most significant first."""
-    index = 0
-    for v in imgs:
-        index = index * n + v
-    return index
-
-
 def _equivalence_range(args: tuple[int, int]) -> dict:
     """Tally the claim table of every map of [n] whose pattern starts with
     ``lead``, one :func:`_claims` call per pattern, its checked claims
@@ -403,7 +394,7 @@ def identity_suite(n: int) -> SuiteReport:
     symmetric difference is empty, and an inclusion when its difference is
     empty.  n lies within 1..``IDENTITY_MAX_N``; the class products reach
     further: tier-1 checks them at n = 6 (0.16 s) and 7 (1.5 s), and CI at
-    n = 8 (13 s, 55 MB peak), on one 2-vCPU x86-64 core.
+    n = 8 (8.1 s, 56 MB peak), on one 2-vCPU x86-64 core.
     """
     n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
     started = time.perf_counter()
@@ -470,21 +461,24 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     of such a sequence keeps each orientation the sequence admits.
 
     Both are product sets of :func:`_product_set`, as in
-    :func:`identity_suite`.  The images are "sequence then member" for the
-    pool sequences of at least three values; an anti-cyclic one is read
-    backwards, which reverses its images and swaps its tag, so a correctly
-    tagged pool is one group that wants cyclic images under preserving
-    members and anti-cyclic ones under reversing members (a wrong tag keeps
-    a group of its own).  The subsequences are "mask then sequence", a mask
-    read as its position tuple, per (length, tag) group of the pool; each
-    distinct one is tagged once.  Only a claim whose product sets hold an
-    offender walks its pairs for the violation count and witness: members
-    in index order, then sequences, for an image claim; sequences, then
-    masks, for inheritance.  Each image-orientation count must equal
-    (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the pool size the oriented counts of
-    :func:`_closed_forms` summed over its lengths k, and the subsequence
-    checks that sum weighted by 2^k − 1.  ``sample_budget`` is accepted and
-    ignored: the suite once sampled the pool.
+    :func:`identity_suite`, over one grouping of the pool by (length, tag).
+    The images are "sequence then pattern" per group, for each class's
+    rank >= 3 patterns: the members whose value set is 0..r - 1.  A member
+    is its pattern followed by an increasing relabelling, which keeps every
+    tag and count of distinct values, so a failing (pattern, sequence) pair
+    counts for the C(n, r) members the pattern stands for, and the least
+    failing member is a pattern.  The limit: a wrong map that is not a
+    pattern, in place of a member, is never composed, and the count gate
+    misses it when the count stays.  The subsequences are "mask then
+    sequence", a mask read as its position tuple, per group; each distinct
+    one is tagged once.  Only a claim whose product sets hold an offender
+    walks its pairs for the violation count and witness: patterns in index
+    order, then sequences, for an image claim; sequences, then masks, for
+    inheritance.  Each image-orientation count, taken from the full member
+    lists, must equal (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the pool size the
+    oriented counts of :func:`_closed_forms` summed over its lengths k, and
+    the subsequence checks that sum weighted by 2^k − 1.  ``sample_budget``
+    is accepted and ignored: the suite once sampled the pool.
     """
     n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
     max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
@@ -498,46 +492,39 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
         cyclic, both = _closed_forms(n, k)
         sizes[k] = 2 * cyclic - both
     _gate(tally, n, {"oriented-pool": len(pool)}, {"oriented-pool": sum(sizes.values())})
-    # Rank >= 3 members, each exactly one of OP and OR; a rank <= 2 member
-    # never gives an image three distinct values.
-    preserving, reversing = ([t for t in c if len(set(t)) >= 3] for c in _classes(n))
-    sources = []  # (pool position, getter of a member's image, tag)
-    groups: dict[Orientation, list[tuple[int, ...]]] = {}
-    for position, (items, tag) in enumerate(pool):
-        if len(set(items)) >= 3:
-            if tag is Orientation.ANTI_CYCLIC_ONLY:
-                items, tag = items[::-1], Orientation.CYCLIC_ONLY
-            sources.append((position, itemgetter(*items), tag))
-            groups.setdefault(tag, []).append(items)
-    checks = tally["checks"]
-    op, both = _closed_forms(n)
-    for claim, maps, flip in (
-        ("image-orientation-preserved", preserving, False),
-        ("image-orientation-reversed", reversing, True),
-    ):
-        offenders = {}
-        for tag, group in groups.items():
-            want = tag.swapped() if flip else tag
-            offenders[tag] = {
-                image for image in _product_set(group, maps)
-                if len(set(image)) >= 3 and _tag(image) is not want
-            }
-        if maps:  # no claim line for a class without rank >= 3 members
-            checks[claim] += len(maps) * len(pool)
-        # Only a failing claim sorts its members, into index order.
-        for index, imgs in enumerate(sorted(maps) if any(offenders.values()) else ()):
-            hits = [p for p, image_of, tag in sources if image_of(imgs) in offenders[tag]]
-            if hits:
-                seq = ",".join(map(str, pool[hits[0]][0]))
-                detail = "image orientation does not match the source"
-                witness = f"map={','.join(map(str, imgs))};seq={seq}"
-                _fail(tally, claim, index, witness, detail, len(hits))
-        _gate(tally, n, checks, {claim: (op - both) * len(pool)})
-
-    # Subsequence inheritance: mask m's position tuple keeps item b for bit b.
+    # The (length, tag) groups of the pool, which both kinds of claim compose.
     kinds: dict[tuple[int, Orientation], list[tuple[int, ...]]] = {}
     for items, tag in pool:
         kinds.setdefault((len(items), tag), []).append(items)
+    checks = tally["checks"]
+    op, both = _closed_forms(n)
+    for claim, members, flip in zip(
+        ("image-orientation-preserved", "image-orientation-reversed"), _classes(n), (False, True)
+    ):
+        # Rank >= 3 members, each exactly one of OP and OR; a rank <= 2 member
+        # never gives an image three distinct values.
+        ranked = [t for t in members if len(set(t)) >= 3]
+        patterns = sorted(t for t in ranked if max(t) == len(set(t)) - 1)
+        offenders = {}
+        for kind, group in kinds.items():
+            want = kind[1].swapped() if flip else kind[1]
+            offenders[kind] = {
+                image for image in _product_set(group, patterns)
+                if len(set(image)) >= 3 and _tag(image) is not want
+            }
+        if ranked:  # no claim line for a class without rank >= 3 members
+            checks[claim] += len(ranked) * len(pool)
+        # Only a failing claim walks its (pattern, sequence) pairs.
+        for pattern in patterns if any(offenders.values()) else ():
+            weight = math.comb(n, max(pattern) + 1)
+            for items, tag in pool:
+                if tuple(map(pattern.__getitem__, items)) in offenders[len(items), tag]:
+                    witness = f"map={','.join(map(str, pattern))};seq={','.join(map(str, items))}"
+                    detail = "image orientation does not match the source"
+                    _fail(tally, claim, 0, witness, detail, weight)
+        _gate(tally, n, checks, {claim: (op - both) * len(pool)})
+
+    # Subsequence inheritance: mask m's position tuple keeps item b for bit b.
     masks = {
         t: [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)] for t, _ in kinds
     }

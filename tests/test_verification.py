@@ -926,69 +926,7 @@ def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
     assert partial > 10
 
 
-def test_lemma_suite_counts_every_check_of_a_subsequence_tagged_once(monkeypatch):
-    from oracles import oriented_walk
-
-    from cyclorient import verification
-    from cyclorient.sequences import Orientation
-
-    real = verification._tag
-    broken = (0, 2)
-    monkeypatch.setattr(
-        verification, "_tag", lambda items: Orientation.NEITHER if items == broken else real(items)
-    )
-    # Every (pool sequence, mask) pair that selects the broken subsequence,
-    # from the kernel walk in the pool's order.
-    pairs = [
-        (items, mask)
-        for k in range(3, 5)
-        for items, _ in oriented_walk(4, k)
-        for mask in range(1, 1 << k)
-        if tuple(x for b, x in enumerate(items) if mask >> b & 1) == broken
-    ]
-    report = lemma_suite(4)
-    [violation] = report.violations
-    items, mask = pairs[0]
-    assert (violation.claim, violation.count, violation.witness) == (
-        "subsequence-inheritance",
-        len(pairs),
-        f"seq={','.join(map(str, items))};mask={mask}",
-    )
-    assert len(pairs) > 1
-
-
-def test_lemma_suite_selects_the_item_of_each_one_bit_mask(monkeypatch):
-    from oracles import oriented_walk
-
-    from cyclorient import verification
-    from cyclorient.sequences import Orientation
-
-    real = verification._tag
-    broken = (2,)
-    monkeypatch.setattr(
-        verification, "_tag", lambda items: Orientation.NEITHER if items == broken else real(items)
-    )
-    # A correct kernel tags every 1-tuple both, so only a 1-bit mask that
-    # picks its own item finds exactly these pairs, in the pool's order.
-    pairs = [
-        (items, mask)
-        for k in range(3, 5)
-        for items, _ in oriented_walk(4, k)
-        for mask in range(1, 1 << k)
-        if tuple(x for b, x in enumerate(items) if mask >> b & 1) == broken
-    ]
-    report = lemma_suite(4)
-    [violation] = report.violations
-    items, mask = pairs[0]
-    assert (violation.claim, violation.count, violation.witness) == (
-        "subsequence-inheritance",
-        len(pairs),
-        f"seq={','.join(map(str, items))};mask={mask}",
-    )
-    assert len(pairs) > 1
-
-
-def test_lemma_suite_reports_flipped_tags_at_a_sampled_size(monkeypatch):
+def test_lemma_suite_reports_flipped_tags_of_one_length(monkeypatch):
     from cyclorient import verification
 
     real = verification._oriented_pool
@@ -1056,6 +994,59 @@ def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
                 assert got == failures, (n, max_len)
                 failed += len(failures)
     assert failed > 0
+
+
+def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
+    # The lemma suite composes the pool with the members' patterns only, so
+    # a member's image of each pool row must have its pattern's image's tag
+    # and number of distinct values.  At n = 6..8 seeded rank >= 3 members
+    # that are not patterns check that premise against the max-len 4 pool.
+    import random
+
+    from cyclorient import Orientation, verification
+
+    rng = random.Random(39)
+    tags = set()
+    for n in range(6, 9):
+        pool = [items for items, _ in verification._oriented_pool(n, 4)]
+        for members in verification._classes(n):
+            off = sorted(t for t in members if len(set(t)) >= 3 and _pattern_of(t) != t)
+            for member in rng.sample(off, 50):
+                pattern = _pattern_of(member)
+                for items in pool:
+                    image = tuple(map(member.__getitem__, items))
+                    shown = tuple(map(pattern.__getitem__, items))
+                    got = verification._tag(image), len(set(image))
+                    assert got == (verification._tag(shown), len(set(shown))), (member, items)
+                    tags.add(got[0])
+    assert tags >= {Orientation.CYCLIC_ONLY, Orientation.ANTI_CYCLIC_ONLY, Orientation.BOTH}
+
+
+def test_lemma_suite_misses_a_wrong_member_off_the_patterns(monkeypatch):
+    # The reduction's limit: the suite composes patterns only, so a map that
+    # is not a pattern, swapped in for a member of the same rank, leaves the
+    # report as it was, though the map itself sends a pool sequence to the
+    # wrong orientation.  The identity suite's closure claims catch it.
+    from cyclorient import verification
+
+    want = format_machine([lemma_suite(5)])
+    real = verification._classes
+    member, wrong = (0, 1, 2, 4, 4), (0, 2, 1, 4, 4)
+
+    def classes(n):
+        op, or_ = real(n)
+        return ((op - {member}) | {wrong} if n == 5 else op), or_
+
+    monkeypatch.setattr(verification, "_classes", classes)
+    assert member in real(5)[0] and wrong not in real(5)[0] | real(5)[1]
+    report = lemma_suite(5)
+    assert report.passed and format_machine([report]) == want
+    images = [
+        (tuple(map(wrong.__getitem__, items)), tag)
+        for items, tag in verification._oriented_pool(5, 4)
+    ]
+    assert any(len(set(img)) >= 3 and verification._tag(img) is not tag for img, tag in images)
+    assert not identity_suite(5).passed
 
 
 def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
