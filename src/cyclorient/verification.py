@@ -11,14 +11,16 @@ The equivalence suite tallies the per-map claim table of
 :mod:`cyclorient.claims` over all n^n maps, each through its value
 pattern: the claims read image values only by comparing them, so a map of
 rank r has the claim rows of the pattern that replaces each image by its
-rank in the image set, and each pattern counts for the C(n, r) maps it
-stands for.  The package (on first use of a suite name) and the
-``verify`` and ``count`` verbs import this module when they need it, so
-per-map callers never compile it.
+rank in the image set.  They depend only on the cyclic order of those
+values, which the rotation v → (v + 1) mod r keeps, so only the patterns
+that start with 0 are walked (1,082 of the 4,683 at n = 6), each counting
+for the r·C(n, r) maps of its r rotations.  The package (on first use of
+a suite name) and the ``verify`` and ``count`` verbs import this module
+when they need it, so per-map callers never compile it.
 
 Reports are deterministic: per-claim results keep the lexicographically
 smallest witness, whatever order the maps are visited in.  The patterns
-may be split by their first entry and run on several workers; merging
+may be split by their rank and run on several workers; merging
 partial tallies is associative and commutative, so multi-worker runs
 reproduce the single-worker report byte for byte (timings excluded —
 ``elapsed`` never enters the machine format).
@@ -220,58 +222,61 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
-def _patterns(n: int, lead: int) -> Iterator[tuple[int, ...]]:
-    """The patterns of [n] whose first entry is ``lead``: the tuples whose
-    value set is exactly 0..r - 1 for some rank r.  Each set partition of
-    the positions, as a restricted growth string (block numbers in order
-    of first appearance), is labelled by every ordering of 0..r - 1 that
-    gives the first block ``lead``."""
+def _patterns(n: int, rank: int) -> Iterator[tuple[int, ...]]:
+    """The rank-``rank`` patterns of [n] whose first entry is 0: the tuples
+    with value set exactly 0..rank - 1 that start with 0.  Each set
+    partition of the positions into ``rank`` blocks, as a restricted growth
+    string (block numbers in order of first appearance), is labelled by
+    every ordering of 0..rank - 1 that gives the first block 0."""
     partitions = [(0,)]
     for _ in range(n - 1):
         partitions = [blocks + (b,) for blocks in partitions for b in range(max(blocks) + 2)]
     for blocks in partitions:
-        rank = max(blocks) + 1
-        if lead < rank:
-            rest = [v for v in range(rank) if v != lead]
-            for labels in itertools.permutations(rest):
-                yield tuple(map(((lead,) + labels).__getitem__, blocks))
+        if max(blocks) + 1 == rank:
+            for labels in itertools.permutations(range(1, rank)):
+                yield tuple(map(((0,) + labels).__getitem__, blocks))
 
 
 def _pattern_count(n: int) -> int:
-    """The number of patterns of [n] (the Fubini number): a pattern of rank
-    r is a set of k positions taking the value r - 1 and a pattern of the
-    other n - k positions."""
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(math.comb(m, k) * counts[m - k] for k in range(1, m + 1)))
-    return counts[n]
+    """The number of patterns of [n] that start with 0: S(n, r) set
+    partitions into r blocks, each labelled in (r - 1)! ways, summed over
+    the ranks r (S(m + 1, r) = r·S(m, r) + S(m, r - 1))."""
+    stirling = [1]  # S(m, r) for r = 0..m
+    for m in range(n):
+        stirling = [r * s + t for r, s, t in zip(range(m + 2), stirling + [0], [0] + stirling)]
+    return sum(math.factorial(r - 1) * s for r, s in enumerate(stirling) if r)
 
 
 def _equivalence_range(args: tuple[int, int]) -> dict:
-    """Tally the claim table of every map of [n] whose pattern starts with
-    ``lead``, one :func:`_claims` call per pattern, its checked claims
-    counted C(n, r) times for the maps of rank r it stands for.  A pattern
-    is entrywise at most each of its maps, so a failing pattern is the
-    lexicographically least map with its failure and is the witness; a
-    sanctioned gap is listed once for each of its maps, as every map
-    carries its own.  Patterns with the same checked claims (at most five
-    lists) are counted together and expanded into checks once per job."""
-    n, lead = args
+    """Tally the claim table of every map of [n] of rank ``rank``, one
+    :func:`_claims` call per pattern that starts with 0, its checked claims
+    counted r·C(n, r) times: the claims depend only on the cyclic order of
+    the image values, which the value rotation v → (v + 1) mod r keeps, so
+    each such pattern stands for its r rotations, each spread over the
+    C(n, r) image sets.  A failing pattern is the lexicographically least
+    map with its failure and is the witness: a rotated map starts above 0,
+    and an unrotated one is entrywise at least the pattern.  A sanctioned
+    gap is listed once for each of its maps, as every map carries its own.
+    Patterns with the same checked claims (at most five lists) are counted
+    together and expanded into checks once per job."""
+    n, rank = args
     tally = _new_tally()
-    weights = [math.comb(n, rank) for rank in range(n + 1)]
+    weight = rank * math.comb(n, rank)
     counts: dict[tuple[str, ...], int] = {}
-    for pattern in _patterns(n, lead):
+    for pattern in _patterns(n, rank):
         _, checked, findings = _claims(pattern)
-        rank = max(pattern) + 1
-        counts[checked] = counts.get(checked, 0) + weights[rank]
+        counts[checked] = counts.get(checked, 0) + weight
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                for values in itertools.combinations(range(n), rank):
-                    imgs = tuple(map(values.__getitem__, pattern))
-                    tally["sanctioned"].append((claim, _index(n, imgs), ",".join(map(str, imgs))))
+                for shift in range(rank):
+                    rotated = [(v + shift) % rank for v in pattern]
+                    for values in itertools.combinations(range(n), rank):
+                        imgs = tuple(map(values.__getitem__, rotated))
+                        witness = ",".join(map(str, imgs))
+                        tally["sanctioned"].append((claim, _index(n, imgs), witness))
             else:
                 witness = ",".join(map(str, pattern))
-                _fail(tally, claim, _index(n, pattern), witness, detail, weights[rank])
+                _fail(tally, claim, _index(n, pattern), witness, detail, weight)
     for checked, count in counts.items():
         for claim in checked:
             tally["checks"][claim] += count
@@ -307,16 +312,20 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     The claims are those of :func:`cross_check`, so the chord property is
     checked by exact geometry at every n, and the witness and gap tallies
     must match their closed forms (:func:`_check_tallies`).  Each map is
-    covered through its value pattern, which has the same claim rows: one
-    :func:`_claims` call per pattern of rank r, counted for its C(n, r)
-    maps (:func:`_equivalence_range`).  There is one job per first entry
-    of the patterns; ``workers`` must be at least 1 and is clamped to
-    ``os.cpu_count()``; n must lie within 1..``EQUIVALENCE_MAX_N``.
+    covered through its value pattern, which has the same claim rows, and
+    each pattern through its value rotation that starts with 0: one
+    :func:`_claims` call per such pattern of rank r, counted for its
+    r·C(n, r) maps (:func:`_equivalence_range`).  There is one job per
+    rank, the largest first, run in process at one worker or below 4,096
+    walked patterns (n ≤ 6), and otherwise on a pool of ``workers``
+    processes.
+    ``workers`` must be at least 1 and is clamped to ``os.cpu_count()``;
+    n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
     n = _check_bounded(n, "the equivalence suite enumerates n^n maps")
     workers = _worker_count(workers)
     started = time.perf_counter()
-    jobs = [(n, lead) for lead in range(n)]
+    jobs = [(n, rank) for rank in range(n, 0, -1)]
     if workers <= 1 or _pattern_count(n) < 4096:
         parts = list(map(_equivalence_range, jobs))
     else:

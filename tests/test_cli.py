@@ -269,11 +269,11 @@ def test_verify_clamps_threads_to_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(
-        capsys, "verify", "--n-max", "6", "--suites", "equivalence", "--threads", "100000"
+        capsys, "verify", "--n-max", "7", "--suites", "equivalence", "--threads", "100000"
     )
-    # n = 1..5 fall below the pool threshold; only n = 6 asks for a pool.
+    # n = 1..6 fall below the pool threshold; only n = 7 asks for a pool.
     assert created == [2]
-    assert code == 0 and "suite equivalence, n=6" in out
+    assert code == 0 and "suite equivalence, n=7" in out
 
 
 def test_bad_numbers_are_reported_in_library_words(capsys):

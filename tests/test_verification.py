@@ -99,38 +99,41 @@ def test_equivalence_worker_split_is_deterministic():
 
 
 def test_equivalence_tallies_merge_across_uneven_chunks():
-    # In process, no pool: the jobs of n = 5, one per leading value, hold
-    # 150, 149, 134, 84 and 24 patterns; merged in reverse, they must give
-    # the suite's report.
+    # In process, no pool: the jobs of n = 5, one per rank from 5 down,
+    # hold 24, 60, 50, 15 and 1 patterns; merged in reverse, they must
+    # give the suite's report.
     from cyclorient import verification
 
-    parts = [verification._equivalence_range((5, lead)) for lead in reversed(range(5))]
+    jobs = [(5, rank) for rank in range(5, 0, -1)]
+    assert [len(list(verification._patterns(*job))) for job in jobs] == [24, 60, 50, 15, 1]
+    parts = [verification._equivalence_range(job) for job in reversed(jobs)]
     merged = verification._finish("equivalence", 5, verification._merge_tallies(parts), 0.0)
     assert format_machine([merged]) == format_machine([equivalence_suite(5, workers=1)])
 
 
 def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
-    # Drop the rank-5 non-member pattern 0,1,3,2,4 (weight C(5, 5) = 1, the
-    # map of index 214 in base 5) from its job, that of leading value 0.
-    # Every route agrees on every map left, so only the closed forms
-    # notice: |P_5| = 1015, |OP_5| = 610 and 100 rank-2 gaps per mode.
+    # Drop the rank-5 non-member pattern 0,1,3,2,4 (weight 5·C(5, 5) = 5:
+    # it and its four value rotations; the map of index 214 in base 5) from
+    # its job, that of rank 5.  Every route agrees on every map left, so
+    # only the closed forms notice: |P_5| = 1015, |OP_5| = 610 and 100
+    # rank-2 gaps per mode.
     from cyclorient import verification
 
     real = verification._patterns
     dropped = (0, 1, 3, 2, 4)
-    assert dropped in set(real(5, 0))
+    assert dropped in set(real(5, 5))
     assert verification._claims(dropped)[1].count("witness-quad") == 1
     monkeypatch.setattr(
         verification,
         "_patterns",
-        lambda n, lead: (pattern for pattern in real(n, lead) if pattern != dropped),
+        lambda n, rank: (pattern for pattern in real(n, rank) if pattern != dropped),
     )
     report = equivalence_suite(5, workers=1)
     assert not report.passed
     assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
-        ("witness-quad", "closed-form", 1, "2109 counted but the closed form gives 2110"),
-        ("witness-triple-preserve", "closed-form", 1, "2414 counted but the closed form gives 2415"),
-        ("witness-triple-reverse", "closed-form", 1, "2414 counted but the closed form gives 2415"),
+        ("witness-quad", "closed-form", 1, "2105 counted but the closed form gives 2110"),
+        ("witness-triple-preserve", "closed-form", 1, "2410 counted but the closed form gives 2415"),
+        ("witness-triple-reverse", "closed-form", 1, "2410 counted but the closed form gives 2415"),
     }
     assert len(report.sanctioned_exceptions) == 200
 
@@ -141,28 +144,43 @@ def _pattern_of(imgs):
     return tuple(map(values.index, imgs))
 
 
+def _value_rotations(pattern):
+    # The pattern and its rotations v -> (v + s) mod r, r its rank.
+    rank = max(pattern) + 1
+    return {tuple((v + shift) % rank for v in pattern) for shift in range(rank)}
+
+
 def test_patterns_hold_each_value_pattern_once():
-    # The jobs split [n]'s patterns by first entry; together they hold the
-    # pattern of every map of [n] once, Fubini(n) of them in all.
+    # The jobs split [n]'s patterns that start with 0 by rank; with their r
+    # value rotations they hold the pattern of every map of [n] once,
+    # Fubini(n) of them in all.
     import itertools
 
     from cyclorient import verification
 
     for n in range(1, 7):
         walked = [
-            (lead, pattern) for lead in range(n) for pattern in verification._patterns(n, lead)
+            (rank, pattern)
+            for rank in range(1, n + 1)
+            for pattern in verification._patterns(n, rank)
         ]
-        assert all(pattern[0] == lead for lead, pattern in walked), n
-        patterns = [pattern for _, pattern in walked]
-        assert len(patterns) == len(set(patterns)) == verification._pattern_count(n), n
+        assert all(pattern[0] == 0 and max(pattern) == rank - 1 for rank, pattern in walked), n
+        assert len(walked) == verification._pattern_count(n), n
+        rotations = [
+            tuple((v + shift) % rank for v in pattern)
+            for rank, pattern in walked
+            for shift in range(rank)
+        ]
         every_map = itertools.product(range(n), repeat=n)
-        assert set(patterns) == {_pattern_of(imgs) for imgs in every_map}, n
-    assert [verification._pattern_count(n) for n in (6, 7, 8)] == [4683, 47293, 545835]
+        assert len(rotations) == len(set(rotations)), n
+        assert set(rotations) == {_pattern_of(imgs) for imgs in every_map}, n
+    assert [verification._pattern_count(n) for n in (6, 7, 8)] == [1082, 9366, 94586]
 
 
 def test_pattern_walk_matches_the_full_walk_up_to_n6():
     # The full n^n walk is the oracle: every map's own claim table, index
-    # and witness.  At n = 6 two workers start the process pool.
+    # and witness.  Up to n = 6 the jobs run in process at any worker count;
+    # test_pool_report_matches_one_worker_at_n7 starts the pool.
     from oracles import equivalence_walk
 
     from cyclorient import verification
@@ -175,12 +193,12 @@ def test_pattern_walk_matches_the_full_walk_up_to_n6():
             assert format_machine([equivalence_suite(n, workers=workers)]) == want, (n, workers)
 
 
-def _relabelling_mismatches(n, draws, seed):
-    """Read seeded patterns of [n] through random image sets S and return
-    the (pattern, relabelled map) pairs whose claim table, or the outcome
-    of a witness extractor, differs, with a tally of what the draws
-    covered.  The pattern walk rests on there being none: the claims
-    compare image values and never read them otherwise."""
+def _mismatches(n, draws, seed, partners, points=True):
+    """Draw seeded patterns of [n] and return the (pattern, partner) pairs
+    whose claim table, or the outcome of a witness extractor, differs, with
+    a tally of what the draws covered.  ``partners(pattern, rng)`` lists the
+    maps each pattern is compared with; without ``points`` an extractor's
+    outcome is only whether it succeeds, or the error it raises."""
     import random
     from collections import Counter
 
@@ -195,9 +213,11 @@ def _relabelling_mismatches(n, draws, seed):
             (witnesses._witness_quad,),
         ):
             try:
-                found.append(extract(imgs, *mode))
+                witness = extract(imgs, *mode)
             except (ValueError, RuntimeError) as exc:
-                found.append((type(exc).__name__, str(exc)))
+                found.append((type(exc).__name__, str(exc)) if points else type(exc).__name__)
+            else:
+                found.append(witness if points else "found")
         return found
 
     rng = random.Random(seed)
@@ -213,17 +233,44 @@ def _relabelling_mismatches(n, draws, seed):
             if rng.random() < 0.5:
                 images.reverse()
         pattern = _pattern_of(images)
-        rank = max(pattern) + 1
-        image_set = sorted(rng.sample(range(n), rank))
-        relabelled = tuple(image_set[v] for v in pattern)
-        table = _claims(pattern)
-        if table != _claims(relabelled) or outcomes(pattern) != outcomes(relabelled):
-            mismatches.append((pattern, relabelled))
-        covered["moved"] += image_set != list(range(rank))
+        others = partners(pattern, rng)
+        table, found = _claims(pattern), outcomes(pattern)
+        for other in others:
+            if table != _claims(other) or found != outcomes(other):
+                mismatches.append((pattern, other))
+        covered["moved"] += any(other != pattern for other in others)
         covered["member"] += table[0][2]
         covered["witness"] += any(claim.startswith("witness") for claim in table[1])
         covered["sanctioned"] += any(sanctioned for _, _, sanctioned in table[2])
     return mismatches, covered
+
+
+def _relabelling_mismatches(n, draws, seed):
+    """Read seeded patterns of [n] through random image sets S and return
+    the (pattern, relabelled map) pairs whose claim table, or the outcome
+    of a witness extractor, differs, with a tally of what the draws
+    covered.  The pattern walk rests on there being none: the claims
+    compare image values and never read them otherwise."""
+
+    def relabelled(pattern, rng):
+        image_set = sorted(rng.sample(range(n), max(pattern) + 1))
+        return [tuple(image_set[v] for v in pattern)]
+
+    return _mismatches(n, draws, seed, relabelled)
+
+
+def _rotation_mismatches(n, draws, seed):
+    """Compare seeded patterns of [n] with each of their value rotations
+    v → (v + s) mod r, as :func:`_relabelling_mismatches` compares them
+    with relabelled maps.  The walk of the patterns that start with 0 rests
+    on there being none: the claims depend only on the cyclic order of the
+    image values.  A rotation may move a witness's points, so only whether
+    each extractor succeeds is compared."""
+
+    def rotations(pattern, rng):
+        return sorted(_value_rotations(pattern) - {pattern})
+
+    return _mismatches(n, draws, seed, rotations, points=False)
 
 
 def test_relabelling_keeps_claims_and_witnesses_past_the_walk():
@@ -231,6 +278,16 @@ def test_relabelling_keeps_claims_and_witnesses_past_the_walk():
     # it counts through them, so the premise is checked directly there.
     for n in range(7, 13):
         mismatches, covered = _relabelling_mismatches(n, 150, seed=n)
+        assert mismatches == [], (n, mismatches[:3])
+        assert min(covered.values()) > 0 and len(covered) == 4, (n, covered)
+
+
+def test_value_rotation_keeps_claims_and_witness_outcomes_past_the_walk():
+    # The suite visits only the patterns that start with 0; at n = 7..12 no
+    # walk checks the rotations it counts through them, so the premise is
+    # checked directly there.
+    for n in range(7, 13):
+        mismatches, covered = _rotation_mismatches(n, 150, seed=n)
         assert mismatches == [], (n, mismatches[:3])
         assert min(covered.values()) > 0 and len(covered) == 4, (n, covered)
 
@@ -258,6 +315,53 @@ def test_pattern_walk_misses_a_route_broken_off_the_patterns(monkeypatch):
     assert "chord-vs-definitional" in equivalence_walk(5)["violations"]
     mismatches, _ = _relabelling_mismatches(5, 150, seed=5)
     assert mismatches
+
+
+def test_rotation_walk_misses_a_route_broken_off_the_lead_zero_patterns(monkeypatch):
+    # The rotation's limit: a chord route that fails only on maps whose
+    # first image is not their least never meets the walk of the patterns
+    # that start with 0, so the suite passes with its unpatched report; the
+    # full walk and the rotation check both catch it.  The relabelling check
+    # cannot: an increasing relabelling keeps which image is least.
+    from oracles import equivalence_walk
+
+    from cyclorient import chords
+
+    want = format_machine([equivalence_suite(5, workers=1)])
+    real = chords._first_disjoint
+
+    def broken(imgs, after):
+        if imgs[0] != min(imgs):
+            return (0, 1, 2, 3)
+        return real(imgs, after)
+
+    monkeypatch.setattr(chords, "_first_disjoint", broken)
+    report = equivalence_suite(5, workers=1)
+    assert report.passed and format_machine([report]) == want
+    assert "chord-vs-definitional" in equivalence_walk(5)["violations"]
+    mismatches, _ = _rotation_mismatches(5, 150, seed=5)
+    assert mismatches
+    assert _relabelling_mismatches(5, 150, seed=5)[0] == []
+
+
+def test_pool_report_matches_one_worker_at_n7(monkeypatch):
+    # From n = 7 (9,366 walked patterns) two workers start a real process
+    # pool, also on a one-CPU machine; its merged report must be the
+    # in-process one, byte for byte.
+    from cyclorient import verification
+
+    real = verification.ProcessPoolExecutor
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    want = format_machine([equivalence_suite(7, workers=1)])
+    assert format_machine([equivalence_suite(7, workers=2)]) == want
+    assert started == [2]
 
 
 def test_identity_degenerate_n2():
@@ -547,16 +651,16 @@ def test_worker_count_is_validated_and_clamped(monkeypatch):
 
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
-    equivalence_suite(6, workers=2)
-    equivalence_suite(6, workers=100_000)
+    equivalence_suite(7, workers=2)
+    equivalence_suite(7, workers=100_000)
     assert created == [2, 3]
     for workers in (0, -1):
         with pytest.raises(ValueError, match="thread count must be at least 1"):
-            equivalence_suite(6, workers=workers)
+            equivalence_suite(7, workers=workers)
         with pytest.raises(ValueError, match="thread count must be at least 1"):
-            run_verify(6, workers=workers)
+            run_verify(7, workers=workers)
     with pytest.raises(ValueError, match=r"thread count must be an integer, got 1\.5"):
-        equivalence_suite(6, workers=1.5)
+        equivalence_suite(7, workers=1.5)
     assert created == [2, 3]
 
 
@@ -592,14 +696,20 @@ def test_lemma_max_len_must_be_3_to_6():
 
 
 def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
+    # The route is broken on 0,1,3,2 and its value rotations, which the
+    # suite counts through that one pattern; a route broken on a single
+    # rotation breaks the suite's premise (see the rotation-walk limit
+    # test).  The full walk finds the same violation.
+    from oracles import equivalence_walk
+
     from cyclorient import membership
 
     real = membership._first_unoriented
-    broken = (0, 1, 3, 2)
+    broken = _value_rotations((0, 1, 3, 2))
     monkeypatch.setattr(
         membership,
         "_first_unoriented",
-        lambda imgs, after: None if imgs == broken else real(imgs, after),
+        lambda imgs, after: None if imgs in broken else real(imgs, after),
     )
     report = equivalence_suite(4, workers=1)
     assert not report.passed
@@ -607,26 +717,30 @@ def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
     assert (violation.claim, violation.witness, violation.count) == (
         "quad-vs-definitional",
         "0,1,3,2",
-        1,
+        4,
     )
+    walked = equivalence_walk(4)["violations"]
+    assert walked["quad-vs-definitional"][1:] == ["0,1,3,2", violation.detail, 4]
     claims = {c.claim: c for c in report.claims}
     assert claims["quad-vs-definitional"].checks == 4**4
 
 
 def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
     # A rank-3 map passing the triple tests is a violation, not an exemption.
+    # The tests pass 0,1,3,2 and its value rotations, counted through it.
     from cyclorient import membership
 
     real = membership._keeps_triples
+    broken = _value_rotations((0, 1, 3, 2))
     monkeypatch.setattr(
         membership,
         "_keeps_triples",
-        lambda imgs, after, reverse: imgs == (0, 1, 3, 2) or real(imgs, after, reverse),
+        lambda imgs, after, reverse: imgs in broken or real(imgs, after, reverse),
     )
     report = equivalence_suite(4, workers=1)
     assert {(v.claim, v.witness, v.count) for v in report.violations} == {
-        ("triple-preserve-refined", "0,1,3,2", 1),
-        ("triple-reverse-refined", "0,1,3,2", 1),
+        ("triple-preserve-refined", "0,1,3,2", 4),
+        ("triple-reverse-refined", "0,1,3,2", 4),
     }
     assert "0,1,3,2" not in {s.witness for s in report.sanctioned_exceptions}
     assert len(report.sanctioned_exceptions) == len(equivalence_suite(4).sanctioned_exceptions)
