@@ -8,15 +8,16 @@ separately as ``sanctioned_exceptions`` so they stay visible without
 failing the run.
 
 The equivalence suite tallies the per-map claim table of
-:mod:`cyclorient.claims` over all n^n maps, each through its value
-pattern: the claims read image values only by comparing them, so a map of
-rank r has the claim rows of the pattern that replaces each image by its
-rank in the image set.  They depend only on the cyclic order of those
-values, which the rotation v → (v + 1) mod r keeps, so only the patterns
-that start with 0 are walked (1,082 of the 4,683 at n = 6), each counting
-for the r·C(n, r) maps of its r rotations.  The package (on first use of
-a suite name) and the ``verify`` and ``count`` verbs import this module
-when they need it, so per-map callers never compile it.
+:mod:`cyclorient.claims` over all n^n maps, each through its value pattern
+(:mod:`cyclorient.patterns`): the claims read image values only by
+comparing them, so a map of rank r has the claim rows of the pattern that
+replaces each image by its rank in the image set.  They depend only on the
+cyclic order of those values, which the rotation v → (v + 1) mod r keeps,
+so only the patterns that start with 0 are walked (1,082 of the 4,683 at
+n = 6), each counting for the r·C(n, r) maps of its r rotations.  The
+package (on first use of a suite name) and the ``verify`` and ``count``
+verbs import this module when they need it, so per-map callers never
+compile it.
 
 Reports are deterministic: per-claim results keep the lexicographically
 smallest witness, whatever order the maps are visited in.  The patterns
@@ -35,7 +36,8 @@ import time
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator
 
-from .claims import _GAP_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
+from . import patterns
+from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
 from .mappings import _index
 from .sequences import Orientation, _points, _Record, _tag, _within
 
@@ -222,58 +224,29 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 # ----------------------------------------------------------------------
 
 
-def _patterns(n: int, rank: int) -> Iterator[tuple[int, ...]]:
-    """The rank-``rank`` patterns of [n] whose first entry is 0: the tuples
-    with value set exactly 0..rank - 1 that start with 0.  Each set
-    partition of the positions into ``rank`` blocks, as a restricted growth
-    string (block numbers in order of first appearance), is labelled by
-    every ordering of 0..rank - 1 that gives the first block 0."""
-    partitions = [(0,)]
-    for _ in range(n - 1):
-        partitions = [blocks + (b,) for blocks in partitions for b in range(max(blocks) + 2)]
-    for blocks in partitions:
-        if max(blocks) + 1 == rank:
-            for labels in itertools.permutations(range(1, rank)):
-                yield tuple(map(((0,) + labels).__getitem__, blocks))
-
-
-def _pattern_count(n: int) -> int:
-    """The number of patterns of [n] that start with 0: S(n, r) set
-    partitions into r blocks, each labelled in (r - 1)! ways, summed over
-    the ranks r (S(m + 1, r) = r·S(m, r) + S(m, r - 1))."""
-    stirling = [1]  # S(m, r) for r = 0..m
-    for m in range(n):
-        stirling = [r * s + t for r, s, t in zip(range(m + 2), stirling + [0], [0] + stirling)]
-    return sum(math.factorial(r - 1) * s for r, s in enumerate(stirling) if r)
-
-
 def _equivalence_range(args: tuple[int, int]) -> dict:
     """Tally the claim table of every map of [n] of rank ``rank``, one
-    :func:`_claims` call per pattern that starts with 0, its checked claims
-    counted r·C(n, r) times: the claims depend only on the cyclic order of
-    the image values, which the value rotation v → (v + 1) mod r keeps, so
-    each such pattern stands for its r rotations, each spread over the
-    C(n, r) image sets.  A failing pattern is the lexicographically least
-    map with its failure and is the witness: a rotated map starts above 0,
-    and an unrotated one is entrywise at least the pattern.  A sanctioned
-    gap is listed once for each of its maps, as every map carries its own.
-    Patterns with the same checked claims (at most five lists) are counted
-    together and expanded into checks once per job."""
+    :func:`_claims` call per pattern :func:`patterns.walk` yields, its
+    checked claims counted by its weight r·C(n, r): the claims depend only
+    on the cyclic order of the image values, so each pattern stands for its
+    r value rotations, each read through the C(n, r) image sets
+    (:func:`patterns.spread`).  A failing pattern is the lexicographically
+    least map with its failure and is the witness: a rotated map starts
+    above 0, and an unrotated one is entrywise at least the pattern.  A
+    sanctioned gap is listed once for each of its maps, as every map
+    carries its own.  Patterns with the same checked claims (at most five
+    lists) are counted together and expanded into checks once per job."""
     n, rank = args
     tally = _new_tally()
-    weight = rank * math.comb(n, rank)
     counts: dict[tuple[str, ...], int] = {}
-    for pattern in _patterns(n, rank):
+    for pattern, weight in patterns.walk(n, rank):
         _, checked, findings = _claims(pattern)
         counts[checked] = counts.get(checked, 0) + weight
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                for shift in range(rank):
-                    rotated = [(v + shift) % rank for v in pattern]
-                    for values in itertools.combinations(range(n), rank):
-                        imgs = tuple(map(values.__getitem__, rotated))
-                        witness = ",".join(map(str, imgs))
-                        tally["sanctioned"].append((claim, _index(n, imgs), witness))
+                for imgs in patterns.spread(pattern, n):
+                    witness = ",".join(map(str, imgs))
+                    tally["sanctioned"].append((claim, _index(n, imgs), witness))
             else:
                 witness = ",".join(map(str, pattern))
                 _fail(tally, claim, _index(n, pattern), witness, detail, weight)
@@ -326,7 +299,7 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     workers = _worker_count(workers)
     started = time.perf_counter()
     jobs = [(n, rank) for rank in range(n, 0, -1)]
-    if workers <= 1 or _pattern_count(n) < 4096:
+    if workers <= 1 or patterns.count(n) < 4096:
         parts = list(map(_equivalence_range, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -338,13 +311,13 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
 
 def _check_tallies(n: int, tally: dict) -> None:
     """Fail each equivalence tally that misses its closed form, which no
-    route feeds: every map outside P_n has a quadruple witness, and every
-    map outside OP_n (or OR_n) a triple witness, except the sanctioned
-    C(n, 2)(2^n − 2 − n(n−1)) of rank 2."""
+    route feeds: each route claim is checked on every map, every map outside
+    P_n has a quadruple witness, and every map outside OP_n (or OR_n) a
+    triple witness, except the sanctioned C(n, 2)(2^n − 2 − n(n−1)) of rank 2."""
     op, both = _closed_forms(n)
     gaps = math.comb(n, 2) * (2**n - 2 - n * (n - 1))
     counts = tally["checks"] + Counter(claim for claim, _, _ in tally["sanctioned"])
-    wants = dict.fromkeys(_GAP_CLAIMS, gaps)
+    wants = dict.fromkeys(_ROUTE_CLAIMS, n**n) | dict.fromkeys(_GAP_CLAIMS, gaps)
     for claim, _, mode in _WITNESS_CLAIMS:
         wants[claim] = n**n - (2 * op - both if mode is None else op + gaps)
     _gate(tally, n, counts, wants)
@@ -367,31 +340,25 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict) -> None:
 def _product_set(left: Iterable[tuple[int, ...]], right: Collection[tuple[int, ...]]) -> set:
     # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
     # over b's points: b restricted to a's sorted image set S, read at a's
-    # pattern (its entries' positions in S).  left is grouped by image set,
-    # each with one position map, and image sets met with the same patterns
-    # form a family (in a class, each rank is one family).  right is held
-    # as columns: a family's restrictions to S are the rows of S's columns
-    # zipped, and a pattern composes all of them at once as the rows of the
-    # restrictions' columns zipped in pattern order.
+    # pattern (its entries' positions in S).  patterns.split groups left by
+    # S, and the sets S met with the same patterns form a family (in a
+    # class, each rank is one family).  right is held as columns: a
+    # family's restrictions to S are the rows of S's columns zipped, and a
+    # pattern composes all of them at once as the rows of the restrictions'
+    # columns zipped in pattern order.
     if not right:
         return set()
     columns = list(zip(*right))
-    by_image: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for a in left:
-        by_image.setdefault(frozenset(a), []).append(a)
     families: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
-    for image_set, seqs in by_image.items():
-        image = tuple(sorted(image_set))
-        where = dict(zip(image, range(len(image))))
-        patterns = frozenset(tuple(map(where.__getitem__, a)) for a in seqs)
-        families.setdefault(patterns, []).append(image)
+    for image, shapes in patterns.split(left).items():
+        families.setdefault(shapes, []).append(image)
     out = set()
-    for patterns, images in families.items():
+    for shapes, images in families.items():
         restrictions = set()
         for image in images:
             restrictions.update(zip(*map(columns.__getitem__, image)))
         slots = list(zip(*restrictions))
-        for pattern in patterns:
+        for pattern in shapes:
             out.update(zip(*map(slots.__getitem__, pattern)))
     return out
 
@@ -513,18 +480,18 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
         # Rank >= 3 members, each exactly one of OP and OR; a rank <= 2 member
         # never gives an image three distinct values.
         ranked = [t for t in members if len(set(t)) >= 3]
-        patterns = sorted(t for t in ranked if max(t) == len(set(t)) - 1)
+        shapes = sorted(t for t in ranked if max(t) == len(set(t)) - 1)
         offenders = {}
         for kind, group in kinds.items():
             want = kind[1].swapped() if flip else kind[1]
             offenders[kind] = {
-                image for image in _product_set(group, patterns)
+                image for image in _product_set(group, shapes)
                 if len(set(image)) >= 3 and _tag(image) is not want
             }
         if ranked:  # no claim line for a class without rank >= 3 members
             checks[claim] += len(ranked) * len(pool)
         # Only a failing claim walks its (pattern, sequence) pairs.
-        for pattern in patterns if any(offenders.values()) else ():
+        for pattern in shapes if any(offenders.values()) else ():
             weight = math.comb(n, max(pattern) + 1)
             for items, tag in pool:
                 if tuple(map(pattern.__getitem__, items)) in offenders[len(items), tag]:

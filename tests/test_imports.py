@@ -55,7 +55,8 @@ def test_intra_package_imports_form_a_dag():
 
 # The documented layer order: each module imports only modules before it.
 LAYERS = (
-    "sequences", "mappings", "membership", "chords", "witnesses", "claims", "verification", "cli",
+    "sequences", "mappings", "membership", "chords", "witnesses", "claims", "patterns",
+    "verification", "cli",
 )
 
 
@@ -122,9 +123,11 @@ def test_cli_and_per_map_calls_leave_the_suites_unloaded():
         sys.path.insert(0, sys.argv[1])
         import cyclorient.cli
         assert "cyclorient.verification" not in sys.modules, "cli"
+        assert "cyclorient.patterns" not in sys.modules, "cli"
         import cyclorient
         cyclorient.cross_check(cyclorient.Mapping(4, (0, 1, 3, 2)))
         assert "cyclorient.verification" not in sys.modules, "cross_check"
+        assert "cyclorient.patterns" not in sys.modules, "cross_check"
         suite = cyclorient.equivalence_suite
         assert suite is sys.modules["cyclorient.verification"].equivalence_suite
         assert set(cyclorient.__all__) <= set(dir(cyclorient))

@@ -102,10 +102,10 @@ def test_equivalence_tallies_merge_across_uneven_chunks():
     # In process, no pool: the jobs of n = 5, one per rank from 5 down,
     # hold 24, 60, 50, 15 and 1 patterns; merged in reverse, they must
     # give the suite's report.
-    from cyclorient import verification
+    from cyclorient import patterns, verification
 
     jobs = [(5, rank) for rank in range(5, 0, -1)]
-    assert [len(list(verification._patterns(*job))) for job in jobs] == [24, 60, 50, 15, 1]
+    assert [len(list(patterns.walk(*job))) for job in jobs] == [24, 60, 50, 15, 1]
     parts = [verification._equivalence_range(job) for job in reversed(jobs)]
     merged = verification._finish("equivalence", 5, verification._merge_tallies(parts), 0.0)
     assert format_machine([merged]) == format_machine([equivalence_suite(5, workers=1)])
@@ -115,22 +115,27 @@ def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
     # Drop the rank-5 non-member pattern 0,1,3,2,4 (weight 5·C(5, 5) = 5:
     # it and its four value rotations; the map of index 214 in base 5) from
     # its job, that of rank 5.  Every route agrees on every map left, so
-    # only the closed forms notice: |P_5| = 1015, |OP_5| = 610 and 100
-    # rank-2 gaps per mode.
-    from cyclorient import verification
+    # only the closed forms notice: 5^5 = 3125 checks per route claim,
+    # |P_5| = 1015, |OP_5| = 610 and 100 rank-2 gaps per mode.
+    from cyclorient import patterns, verification
 
-    real = verification._patterns
+    real = patterns.walk
     dropped = (0, 1, 3, 2, 4)
-    assert dropped in set(real(5, 5))
+    assert (dropped, 5) in set(real(5, 5))
     assert verification._claims(dropped)[1].count("witness-quad") == 1
     monkeypatch.setattr(
-        verification,
-        "_patterns",
-        lambda n, rank: (pattern for pattern in real(n, rank) if pattern != dropped),
+        patterns,
+        "walk",
+        lambda n, rank: ((pattern, w) for pattern, w in real(n, rank) if pattern != dropped),
     )
     report = equivalence_suite(5, workers=1)
     assert not report.passed
+    routes = "3120 counted but the closed form gives 3125"
     assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
+        ("triple-preserve-refined", "closed-form", 1, routes),
+        ("triple-reverse-refined", "closed-form", 1, routes),
+        ("quad-vs-definitional", "closed-form", 1, routes),
+        ("chord-vs-definitional", "closed-form", 1, routes),
         ("witness-quad", "closed-form", 1, "2105 counted but the closed form gives 2110"),
         ("witness-triple-preserve", "closed-form", 1, "2410 counted but the closed form gives 2415"),
         ("witness-triple-reverse", "closed-form", 1, "2410 counted but the closed form gives 2415"),
@@ -153,28 +158,68 @@ def _value_rotations(pattern):
 def test_patterns_hold_each_value_pattern_once():
     # The jobs split [n]'s patterns that start with 0 by rank; with their r
     # value rotations they hold the pattern of every map of [n] once,
-    # Fubini(n) of them in all.
+    # Fubini(n) of them in all.  Their spreads hold every map of [n] once,
+    # each as many maps as its pattern's weight, and split reads every map
+    # back from its image set and pattern.
     import itertools
 
-    from cyclorient import verification
+    from cyclorient import patterns
 
     for n in range(1, 7):
         walked = [
-            (rank, pattern)
+            (rank, pattern, weight)
             for rank in range(1, n + 1)
-            for pattern in verification._patterns(n, rank)
+            for pattern, weight in patterns.walk(n, rank)
         ]
-        assert all(pattern[0] == 0 and max(pattern) == rank - 1 for rank, pattern in walked), n
-        assert len(walked) == verification._pattern_count(n), n
+        assert all(pattern[0] == 0 and max(pattern) == rank - 1 for rank, pattern, _ in walked), n
+        assert len(walked) == patterns.count(n), n
         rotations = [
             tuple((v + shift) % rank for v in pattern)
-            for rank, pattern in walked
+            for rank, pattern, _ in walked
             for shift in range(rank)
         ]
-        every_map = itertools.product(range(n), repeat=n)
+        every_map = list(itertools.product(range(n), repeat=n))
         assert len(rotations) == len(set(rotations)), n
         assert set(rotations) == {_pattern_of(imgs) for imgs in every_map}, n
-    assert [verification._pattern_count(n) for n in (6, 7, 8)] == [1082, 9366, 94586]
+        spreads = [(p, weight, list(patterns.spread(p, n))) for _, p, weight in walked]
+        for pattern, weight, maps in spreads:
+            assert len(maps) == weight, (n, pattern)
+            assert {_pattern_of(imgs) for imgs in maps} == _value_rotations(pattern), (n, pattern)
+        assert sorted(imgs for _, _, maps in spreads for imgs in maps) == every_map, n
+    assert [patterns.count(n) for n in (6, 7, 8)] == [1082, 9366, 94586]
+    for n in range(1, 6):
+        every_map = set(itertools.product(range(n), repeat=n))
+        split = patterns.split(every_map)
+        assert all(_pattern_of(imgs) in split[tuple(sorted(set(imgs)))] for imgs in every_map), n
+        read_back = [tuple(map(image.__getitem__, p)) for image, ps in split.items() for p in ps]
+        assert len(read_back) == len(every_map) and set(read_back) == every_map, n
+
+
+def test_equivalence_suite_gates_each_route_count_at_n_to_the_n(monkeypatch):
+    # A walk that drops each rank <= 2 pattern in both OP_5 and OR_5 loses
+    # the 205 maps of OP_5 ∩ OR_5 (5 + C(5, 2)·5·4).  None of them has a
+    # witness or a sanctioned gap, and every route agrees on every map
+    # left, so only each route claim's count of 5^5 = 3125 checks sees it.
+    from cyclorient import patterns, verification
+    from cyclorient.claims import _ROUTE_CLAIMS
+
+    op, or_ = verification._classes(5)
+    both = op & or_
+    real = patterns.walk
+    checks = {c.claim: c.checks for c in equivalence_suite(5, workers=1).claims}
+    monkeypatch.setattr(
+        patterns,
+        "walk",
+        lambda n, rank: (row for row in real(n, rank) if rank > 2 or row[0] not in both),
+    )
+    report = equivalence_suite(5, workers=1)
+    detail = "2920 counted but the closed form gives 3125"
+    assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
+        (claim, "closed-form", 1, detail) for claim in _ROUTE_CLAIMS
+    }
+    dropped = {claim: checks[claim] - 205 for claim in _ROUTE_CLAIMS}
+    assert {c.claim: c.checks for c in report.claims} == checks | dropped
+    assert len(report.sanctioned_exceptions) == 200
 
 
 def test_pattern_walk_matches_the_full_walk_up_to_n6():
@@ -273,6 +318,20 @@ def _rotation_mismatches(n, draws, seed):
     return _mismatches(n, draws, seed, rotations, points=False)
 
 
+def _dihedral_mismatches(n, draws, seed):
+    """Compare seeded patterns of [n] with their position rotations and
+    with their position reversal under the value reflection v → r − 1 − v,
+    as :func:`_rotation_mismatches` compares them with their value
+    rotations.  A walk of one pattern per dihedral orbit would rest on
+    there being none; only whether each extractor succeeds is compared."""
+
+    def moves(pattern, rng):
+        turned = [pattern[k:] + pattern[:k] for k in range(1, len(pattern))]
+        return turned + [tuple(max(pattern) - v for v in reversed(pattern))]
+
+    return _mismatches(n, draws, seed, moves, points=False)
+
+
 def test_relabelling_keeps_claims_and_witnesses_past_the_walk():
     # The suite visits only patterns; at n = 7..12 no walk checks the maps
     # it counts through them, so the premise is checked directly there.
@@ -288,6 +347,16 @@ def test_value_rotation_keeps_claims_and_witness_outcomes_past_the_walk():
     # checked directly there.
     for n in range(7, 13):
         mismatches, covered = _rotation_mismatches(n, 150, seed=n)
+        assert mismatches == [], (n, mismatches[:3])
+        assert min(covered.values()) > 0 and len(covered) == 4, (n, covered)
+
+
+def test_dihedral_moves_keep_claims_and_witness_outcomes_past_the_walk():
+    # test_claim_table_is_symmetric_under_rotation_and_reversal covers every
+    # map up to n = 6; at n = 7..12 the symmetry is checked on seeded
+    # patterns, each against its position rotations and reflected reversal.
+    for n in range(7, 13):
+        mismatches, covered = _dihedral_mismatches(n, 150, seed=n)
         assert mismatches == [], (n, mismatches[:3])
         assert min(covered.values()) > 0 and len(covered) == 4, (n, covered)
 
