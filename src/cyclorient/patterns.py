@@ -1,7 +1,13 @@
 """A map of [n] read as its sorted image set S and its value pattern, each
 image replaced by its position in S (3,7,3,5 is S = 3,5,7 at 0,2,0,1): the
-equivalence suite walks patterns and spreads them back into maps
-(:func:`walk`, :func:`spread`); the product sets group by S (:func:`split`).
+equivalence suite walks one pattern per dihedral orbit and spreads it back
+into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the product sets
+group by S (:func:`split`).
+
+The dihedral group acts on a pattern of rank r by rotating its positions,
+and by reversing them under the value reflection v → r − 1 − v, each move
+followed by the value rotation v → (v − s) mod r that brings it back to a
+lead of 0.
 """
 
 from __future__ import annotations
@@ -11,31 +17,97 @@ import math
 from collections.abc import Iterable, Iterator
 
 
+def _moves(seq: tuple[int, ...], which: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The images of ``seq`` under the moves numbered in ``which``: k < n
+    rotates the positions left by k, and n + k reverses that rotation under
+    the value reflection; each image is rotated in value to lead with 0."""
+    n, rank = len(seq), max(seq) + 1
+    for k in which:
+        turned = seq[k % n:] + seq[:k % n]
+        if k < n:
+            lead = turned[0]
+            yield tuple([(v - lead) % rank for v in turned])
+        else:
+            lead = turned[-1]
+            yield tuple([(lead - v) % rank for v in reversed(turned)])
+
+
+def orbit(pattern: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The patterns that start with 0 in ``pattern``'s dihedral orbit."""
+    return set(_moves(pattern, range(2 * len(pattern))))
+
+
+def _partitions(n: int, rank: int) -> list[tuple[int, ...]]:
+    """The set partitions of n positions into ``rank`` blocks, as restricted
+    growth strings in lexicographic order."""
+    rows = [((0,), 1)]  # (blocks so far, blocks used)
+    for left in range(n - 2, -1, -1):  # positions still to place after this one
+        rows = [
+            (blocks + (b,), max(used, b + 1))
+            for blocks, used in rows
+            for b in range(min(used + 1, rank))
+            if max(used, b + 1) + left >= rank
+        ]
+    return [blocks for blocks, _ in rows]
+
+
+def _stabiliser(blocks: tuple[int, ...]) -> list[int] | None:
+    """The moves that give the partition ``blocks`` back, the identity
+    first, or None if a move gives a smaller restricted growth string."""
+    found = []
+    for k, moved in enumerate(_moves(blocks, range(2 * len(blocks)))):
+        first: dict[int, int] = {}
+        moved = tuple([first.setdefault(b, len(first)) for b in moved])
+        if moved < blocks:
+            return None
+        if moved == blocks:
+            found.append(k)
+    return found
+
+
 def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(pattern, weight)`` for each pattern of [n] with value set exactly
-    0..rank - 1 that starts with 0, weighted by the r·C(n, r) maps of
-    :func:`spread`: each set partition of the positions into ``rank``
-    blocks, as a restricted growth string (blocks numbered in order of
-    first appearance), labelled by every ordering of 0..rank - 1 that
-    gives the first block 0."""
-    weight = rank * math.comb(n, rank)
-    partitions = [(0,)]
-    for _ in range(n - 1):
-        partitions = [blocks + (b,) for blocks in partitions for b in range(max(blocks) + 2)]
-    for blocks in partitions:
-        if max(blocks) + 1 == rank:
-            for labels in itertools.permutations(range(1, rank)):
-                yield tuple(map(((0,) + labels).__getitem__, blocks)), weight
+    """``(pattern, weight)``: one pattern of [n] with value set exactly
+    0..rank - 1 that starts with 0 for each :func:`orbit`, weighted by the
+    |orbit|·r·C(n, r) maps of :func:`spread`.
+
+    The set partitions of the positions into ``rank`` blocks are kept only
+    when no move gives a smaller one.  A kept partition's labellings, each
+    ordering of 0..rank - 1 that gives the first block 0, are filtered under
+    its stabiliser alone (usually the identity): a labelling is kept when no
+    move of the stabiliser lowers it.  Each orbit meets the kept partition's
+    labellings in one stabiliser orbit, so |orbit| is the partition's orbit
+    size 2n / |stabiliser| times the labelling's.  So the representatives
+    are generated, as in orderly bracelet generation (Sawada, SIAM
+    J. Comput. 31, 2001), rather than picked by a test on every pattern.
+    """
+    base = rank * math.comb(n, rank)
+    for blocks in _partitions(n, rank):
+        stabiliser = _stabiliser(blocks)
+        if stabiliser is None:
+            continue
+        weight = 2 * n // len(stabiliser) * base
+        others = stabiliser[1:]
+        for labels in itertools.permutations(range(1, rank)):
+            pattern = tuple(map(((0,) + labels).__getitem__, blocks))
+            images = {pattern}
+            for image in _moves(pattern, others):
+                if image < pattern:
+                    break
+                images.add(image)
+            else:
+                yield pattern, weight * len(images)
 
 
 def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """The maps of [n] a walked pattern of rank r stands for: its r value
-    rotations v → (v + s) mod r, each read through every r-point image set."""
+    """The maps of [n] a walked pattern of rank r stands for: each pattern
+    of its :func:`orbit`, in each of its r value rotations v → (v + s) mod
+    r, read through every r-point image set."""
     rank = max(pattern) + 1
-    for shift in range(rank):
-        rotated = [(v + shift) % rank for v in pattern]
-        for values in itertools.combinations(range(n), rank):
-            yield tuple(map(values.__getitem__, rotated))
+    for member in sorted(orbit(pattern)):
+        for shift in range(rank):
+            rotated = [(v + shift) % rank for v in member]
+            for values in itertools.combinations(range(n), rank):
+                yield tuple(map(values.__getitem__, rotated))
 
 
 def count(n: int) -> int:

@@ -13,8 +13,11 @@ The equivalence suite tallies the per-map claim table of
 comparing them, so a map of rank r has the claim rows of the pattern that
 replaces each image by its rank in the image set.  They depend only on the
 cyclic order of those values, which the rotation v → (v + 1) mod r keeps,
-so only the patterns that start with 0 are walked (1,082 of the 4,683 at
-n = 6), each counting for the r·C(n, r) maps of its r rotations.  The
+and do not change under the dihedral moves of the positions (a reversal
+taken with the value reflection v → r − 1 − v), so one pattern that starts
+with 0 is walked per orbit (134 of the 1,082 such patterns, and of the
+4,683 in all, at n = 6), counting for the |orbit|·r·C(n, r) maps of its
+orbit's patterns in their r rotations.  The
 package (on first use of a suite name) and the ``verify`` and ``count``
 verbs import this module when they need it, so per-map callers never
 compile it.
@@ -227,15 +230,21 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 def _equivalence_range(args: tuple[int, int]) -> dict:
     """Tally the claim table of every map of [n] of rank ``rank``, one
     :func:`_claims` call per pattern :func:`patterns.walk` yields, its
-    checked claims counted by its weight r·C(n, r): the claims depend only
-    on the cyclic order of the image values, so each pattern stands for its
-    r value rotations, each read through the C(n, r) image sets
-    (:func:`patterns.spread`).  A failing pattern is the lexicographically
-    least map with its failure and is the witness: a rotated map starts
-    above 0, and an unrotated one is entrywise at least the pattern.  A
+    checked claims counted by its weight |orbit|·r·C(n, r): the claims
+    depend only on the cyclic order of the image values, up to the dihedral
+    moves of :mod:`cyclorient.patterns`, so each walked pattern stands for
+    its orbit's patterns that start with 0, each in its r value rotations
+    read through the C(n, r) image sets (:func:`patterns.spread`).  A
+    failure's witness is the least pattern of the orbit with that failure,
+    with its own detail, found by a :func:`_claims` call on each orbit
+    pattern in order; that is the lexicographically least map with the
+    failure: a rotated map starts above 0, and an unrotated one is
+    entrywise at least its pattern.  Only a failure pays for this, so the
+    report does not depend on which pattern stands for the orbit.  A
     sanctioned gap is listed once for each of its maps, as every map
     carries its own.  Patterns with the same checked claims (at most five
-    lists) are counted together and expanded into checks once per job."""
+    lists) are counted together and expanded into checks once per job, and
+    the job gates its counts at its rank (:func:`_check_tallies`)."""
     n, rank = args
     tally = _new_tally()
     counts: dict[tuple[str, ...], int] = {}
@@ -248,11 +257,18 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
                     witness = ",".join(map(str, imgs))
                     tally["sanctioned"].append((claim, _index(n, imgs), witness))
             else:
-                witness = ",".join(map(str, pattern))
-                _fail(tally, claim, _index(n, pattern), witness, detail, weight)
+                member, detail = next(
+                    (member, detail)
+                    for member in sorted(patterns.orbit(pattern))
+                    for found, detail, _ in _claims(member)[2]
+                    if found == claim
+                )
+                witness = ",".join(map(str, member))
+                _fail(tally, claim, _index(n, member), witness, detail, weight)
     for checked, count in counts.items():
         for claim in checked:
             tally["checks"][claim] += count
+    _check_tallies(n, tally, rank)
     return tally
 
 
@@ -284,14 +300,15 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
 
     The claims are those of :func:`cross_check`, so the chord property is
     checked by exact geometry at every n, and the witness and gap tallies
-    must match their closed forms (:func:`_check_tallies`).  Each map is
-    covered through its value pattern, which has the same claim rows, and
-    each pattern through its value rotation that starts with 0: one
-    :func:`_claims` call per such pattern of rank r, counted for its
-    r·C(n, r) maps (:func:`_equivalence_range`).  There is one job per
-    rank, the largest first, run in process at one worker or below 4,096
-    walked patterns (n ≤ 6), and otherwise on a pool of ``workers``
-    processes.
+    must match their closed forms (:func:`_check_tallies`), at each rank
+    and over all maps.  Each map is covered through its value pattern,
+    which has the same claim rows, and each pattern through the one
+    pattern walked for its dihedral orbit (:mod:`cyclorient.patterns`): one
+    :func:`_claims` call per orbit of rank r, counted for its
+    |orbit|·r·C(n, r) maps (:func:`_equivalence_range`).  There is one job
+    per rank, the largest first, run in process at one worker or below
+    4,096 patterns that start with 0 (n ≤ 6), and otherwise on a pool of
+    ``workers`` processes.
     ``workers`` must be at least 1 and is clamped to ``os.cpu_count()``;
     n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
@@ -309,26 +326,41 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     return _finish("equivalence", n, tally, started)
 
 
-def _check_tallies(n: int, tally: dict) -> None:
+def _check_tallies(n: int, tally: dict, rank: int | None = None) -> None:
     """Fail each equivalence tally that misses its closed form, which no
     route feeds: each route claim is checked on every map, every map outside
     P_n has a quadruple witness, and every map outside OP_n (or OR_n) a
-    triple witness, except the sanctioned C(n, 2)(2^n − 2 − n(n−1)) of rank 2."""
-    op, both = _closed_forms(n)
-    gaps = math.comb(n, 2) * (2**n - 2 - n * (n - 1))
+    triple witness, except the sanctioned gaps, the maps of rank 2 outside
+    the class.  Over all n^n maps (``rank`` None), |OP_n| and |P_n| =
+    2|OP_n| − |OP_n ∩ OR_n| are those of :func:`_closed_forms`, with
+    C(n, 2)(2^n − 2 − n(n−1)) gaps.  At one rank r, as one job's tally,
+    there are C(n, r)·r!·S(n, r) maps (r!·S(n, r) is the number of maps of
+    [n] onto r values, Σ_j (−1)^j C(r, j)(r − j)^n), and r·C(n, r)² members
+    of OP_n (n at r = 1); P_n holds twice as many at r ≥ 3, where OP_n and
+    OR_n are disjoint, and the same ones at r ≤ 2, where every member lies
+    in both."""
     counts = tally["checks"] + Counter(claim for claim, _, _ in tally["sanctioned"])
-    wants = dict.fromkeys(_ROUTE_CLAIMS, n**n) | dict.fromkeys(_GAP_CLAIMS, gaps)
+    if rank is None:
+        maps, (op, both), where = n**n, _closed_forms(n), ""
+        p, gaps = 2 * op - both, math.comb(n, 2) * (2**n - 2 - n * (n - 1))
+    else:
+        onto = sum((-1) ** j * math.comb(rank, j) * (rank - j) ** n for j in range(rank + 1))
+        maps, where = math.comb(n, rank) * onto, f" at rank {rank}"
+        op = rank * math.comb(n, rank) ** 2 if rank > 1 else n
+        p, gaps = (2 * op, 0) if rank > 2 else (op, maps - op)
+    wants = dict.fromkeys(_ROUTE_CLAIMS, maps) | dict.fromkeys(_GAP_CLAIMS, gaps)
     for claim, _, mode in _WITNESS_CLAIMS:
-        wants[claim] = n**n - (2 * op - both if mode is None else op + gaps)
-    _gate(tally, n, counts, wants)
+        wants[claim] = maps - (p if mode is None else op + gaps)
+    _gate(tally, n, counts, wants, where)
 
 
-def _gate(tally: dict, n: int, counts: Counter, wants: dict) -> None:
-    """Fail each claim whose count misses the closed form ``wants`` gives it."""
+def _gate(tally: dict, n: int, counts: Counter, wants: dict, where: str = "") -> None:
+    """Fail each claim whose count misses the closed form ``wants`` gives
+    it, the detail ending in ``where``."""
     for claim, want in wants.items():
         if counts[claim] != want:
             # Indexed past every map, so a failing map stays the witness.
-            detail = f"{counts[claim]} counted but the closed form gives {want}"
+            detail = f"{counts[claim]} counted but the closed form gives {want}{where}"
             _fail(tally, claim, n**n, "closed-form", detail)
 
 
@@ -337,21 +369,27 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-def _product_set(left: Iterable[tuple[int, ...]], right: Collection[tuple[int, ...]]) -> set:
-    # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
-    # over b's points: b restricted to a's sorted image set S, read at a's
-    # pattern (its entries' positions in S).  patterns.split groups left by
-    # S, and the sets S met with the same patterns form a family (in a
-    # class, each rank is one family).  right is held as columns: a
-    # family's restrictions to S are the rows of S's columns zipped, and a
-    # pattern composes all of them at once as the rows of the restrictions'
-    # columns zipped in pattern order.
-    if not right:
-        return set()
-    columns = list(zip(*right))
+def _families(left: Iterable[tuple[int, ...]]) -> dict[frozenset, list[tuple[int, ...]]]:
+    """The left operand of :func:`_product_set`, split once: its sorted
+    image sets S (:func:`patterns.split`), grouped into families by the
+    patterns met with them (in a class, each rank is one family)."""
     families: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
     for image, shapes in patterns.split(left).items():
         families.setdefault(shapes, []).append(image)
+    return families
+
+
+def _product_set(families: dict, right: Collection[tuple[int, ...]]) -> set:
+    # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
+    # over b's points: b restricted to a's sorted image set S, read at a's
+    # pattern (its entries' positions in S); the left operand comes split
+    # by _families.  right is held as columns: a family's restrictions to S
+    # are the rows of S's columns zipped, and a pattern composes all of
+    # them at once as the rows of the restrictions' columns zipped in
+    # pattern order.
+    if not right:
+        return set()
+    columns = list(zip(*right))
     out = set()
     for shapes, images in families.items():
         restrictions = set()
@@ -380,10 +418,11 @@ def identity_suite(n: int) -> SuiteReport:
     p_set = op_set | or_set
     low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
 
-    op_op = _product_set(op_set, op_set)
-    or_or = _product_set(or_set, or_set)
-    or_op = _product_set(or_set, op_set)
-    op_or = _product_set(op_set, or_set)
+    op_split, or_split = _families(op_set), _families(or_set)
+    op_op = _product_set(op_split, op_set)
+    or_or = _product_set(or_split, or_set)
+    or_op = _product_set(or_split, op_set)
+    op_or = _product_set(op_split, or_set)
 
     n_op, n_or = len(op_set), len(or_set)
     # P = OP u OR, so the product P.P is the union of the four products.
@@ -472,24 +511,32 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     kinds: dict[tuple[int, Orientation], list[tuple[int, ...]]] = {}
     for items, tag in pool:
         kinds.setdefault((len(items), tag), []).append(items)
+    kind_split = {kind: _families(group) for kind, group in kinds.items()}
     checks = tally["checks"]
     op, both = _closed_forms(n)
     for claim, members, flip in zip(
         ("image-orientation-preserved", "image-orientation-reversed"), _classes(n), (False, True)
     ):
         # Rank >= 3 members, each exactly one of OP and OR; a rank <= 2 member
-        # never gives an image three distinct values.
-        ranked = [t for t in members if len(set(t)) >= 3]
-        shapes = sorted(t for t in ranked if max(t) == len(set(t)) - 1)
+        # never gives an image three distinct values.  One pass counts them
+        # and keeps their patterns.
+        ranked, shapes = 0, []
+        for t in members:
+            rank = len(set(t))
+            if rank >= 3:
+                ranked += 1
+                if max(t) == rank - 1:
+                    shapes.append(t)
+        shapes.sort()
         offenders = {}
-        for kind, group in kinds.items():
+        for kind, split in kind_split.items():
             want = kind[1].swapped() if flip else kind[1]
             offenders[kind] = {
-                image for image in _product_set(group, shapes)
+                image for image in _product_set(split, shapes)
                 if len(set(image)) >= 3 and _tag(image) is not want
             }
         if ranked:  # no claim line for a class without rank >= 3 members
-            checks[claim] += len(ranked) * len(pool)
+            checks[claim] += ranked * len(pool)
         # Only a failing claim walks its (pattern, sequence) pairs.
         for pattern in shapes if any(offenders.values()) else ():
             weight = math.comb(n, max(pattern) + 1)
@@ -504,7 +551,8 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     masks = {
         t: [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)] for t, _ in kinds
     }
-    parts = {kind: _product_set(masks[kind[0]], group) for kind, group in kinds.items()}
+    mask_split = {t: _families(positions) for t, positions in masks.items()}
+    parts = {kind: _product_set(mask_split[kind[0]], group) for kind, group in kinds.items()}
     # Tag each distinct part once; it offends a tag admitting an orientation it lacks.
     lost = {tag: set() for _, tag in kinds}
     for part in set().union(*parts.values()):

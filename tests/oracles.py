@@ -36,6 +36,36 @@ def equivalence_walk(n):
     return tally
 
 
+def dihedral_orbits(n):
+    """The orbits of the patterns of [n] that start with 0 (value set
+    exactly 0..r - 1), each a frozenset: the closure of one pattern under a
+    position rotation by one, the position reversal with the value
+    reflection v → r − 1 − v and the value rotation v → (v + 1) mod r,
+    restricted to the patterns that start with 0, by a search over all the
+    patterns it reaches."""
+    orbits, seen = [], set()
+    for tail in itertools.product(range(n), repeat=n - 1):
+        start = (0,) + tail
+        rank = max(start) + 1
+        if start in seen or set(start) != set(range(rank)):
+            continue
+        found, todo = {start}, [start]
+        while todo:
+            p = todo.pop()
+            for q in (
+                p[1:] + p[:1],
+                tuple(rank - 1 - v for v in reversed(p)),
+                tuple((v + 1) % rank for v in p),
+            ):
+                if q not in found:
+                    found.add(q)
+                    todo.append(q)
+        orbit = frozenset(p for p in found if p[0] == 0)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def oriented_walk(n, k):
     """Every ``(items, tag)`` over [n] of length k whose kernel tag is not
     neither, by walking all n^k tuples in lexicographic order."""

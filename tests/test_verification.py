@@ -100,28 +100,34 @@ def test_equivalence_worker_split_is_deterministic():
 
 def test_equivalence_tallies_merge_across_uneven_chunks():
     # In process, no pool: the jobs of n = 5, one per rank from 5 down,
-    # hold 24, 60, 50, 15 and 1 patterns; merged in reverse, they must
-    # give the suite's report.
+    # hold 8, 8, 9, 3 and 1 orbits, as the brute-force orbits give;
+    # merged in reverse, they must give the suite's report.
+    from oracles import dihedral_orbits
+
     from cyclorient import patterns, verification
 
     jobs = [(5, rank) for rank in range(5, 0, -1)]
-    assert [len(list(patterns.walk(*job))) for job in jobs] == [24, 60, 50, 15, 1]
+    orbits = [sum(max(next(iter(o))) == rank - 1 for o in dihedral_orbits(5)) for _, rank in jobs]
+    assert [len(list(patterns.walk(*job))) for job in jobs] == orbits == [8, 8, 9, 3, 1]
     parts = [verification._equivalence_range(job) for job in reversed(jobs)]
     merged = verification._finish("equivalence", 5, verification._merge_tallies(parts), 0.0)
     assert format_machine([merged]) == format_machine([equivalence_suite(5, workers=1)])
 
 
 def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
-    # Drop the rank-5 non-member pattern 0,1,3,2,4 (weight 5·C(5, 5) = 5:
-    # it and its four value rotations; the map of index 214 in base 5) from
-    # its job, that of rank 5.  Every route agrees on every map left, so
-    # only the closed forms notice: 5^5 = 3125 checks per route claim,
-    # |P_5| = 1015, |OP_5| = 610 and 100 rank-2 gaps per mode.
+    # Drop the rank-5 non-member pattern 0,1,2,4,3 from its job, that of
+    # rank 5.  It stands for its orbit of five patterns that start with 0
+    # (0,1,3,2,4 among them), each with its five value rotations: weight
+    # 25·C(5, 5) = 25.  Every route agrees on every map left, so only the
+    # closed forms notice, each claim twice: over all maps, 5^5 = 3125
+    # checks per route claim, |P_5| = 1015, |OP_5| = 610 and 100 rank-2
+    # gaps per mode; at rank 5, 5! = 120 maps, 10 in P_5 and 5 in OP_5.
     from cyclorient import patterns, verification
 
     real = patterns.walk
-    dropped = (0, 1, 3, 2, 4)
-    assert (dropped, 5) in set(real(5, 5))
+    dropped = (0, 1, 2, 4, 3)
+    assert (dropped, 25) in set(real(5, 5))
+    assert (0, 1, 3, 2, 4) in patterns.orbit(dropped) and len(patterns.orbit(dropped)) == 5
     assert verification._claims(dropped)[1].count("witness-quad") == 1
     monkeypatch.setattr(
         patterns,
@@ -130,17 +136,34 @@ def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
     )
     report = equivalence_suite(5, workers=1)
     assert not report.passed
-    routes = "3120 counted but the closed form gives 3125"
+    # The rank gate's detail is recorded first; the merged gate adds its count.
+    routes = "95 counted but the closed form gives 120 at rank 5"
+    triples = "90 counted but the closed form gives 115 at rank 5"
     assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
-        ("triple-preserve-refined", "closed-form", 1, routes),
-        ("triple-reverse-refined", "closed-form", 1, routes),
-        ("quad-vs-definitional", "closed-form", 1, routes),
-        ("chord-vs-definitional", "closed-form", 1, routes),
-        ("witness-quad", "closed-form", 1, "2105 counted but the closed form gives 2110"),
-        ("witness-triple-preserve", "closed-form", 1, "2410 counted but the closed form gives 2415"),
-        ("witness-triple-reverse", "closed-form", 1, "2410 counted but the closed form gives 2415"),
+        ("triple-preserve-refined", "closed-form", 2, routes),
+        ("triple-reverse-refined", "closed-form", 2, routes),
+        ("quad-vs-definitional", "closed-form", 2, routes),
+        ("chord-vs-definitional", "closed-form", 2, routes),
+        ("witness-quad", "closed-form", 2, "85 counted but the closed form gives 110 at rank 5"),
+        ("witness-triple-preserve", "closed-form", 2, triples),
+        ("witness-triple-reverse", "closed-form", 2, triples),
     }
     assert len(report.sanctioned_exceptions) == 200
+    # The merged gate alone, on the report's checks and gaps.
+    merged = verification._new_tally()
+    merged["checks"].update({c.claim: c.checks for c in report.claims})
+    merged["sanctioned"] = [(s.claim, 0, s.witness) for s in report.sanctioned_exceptions]
+    verification._check_tallies(5, merged)
+    routes = "3100 counted but the closed form gives 3125"
+    assert {claim: row[2] for claim, row in merged["violations"].items()} == {
+        "triple-preserve-refined": routes,
+        "triple-reverse-refined": routes,
+        "quad-vs-definitional": routes,
+        "chord-vs-definitional": routes,
+        "witness-quad": "2085 counted but the closed form gives 2110",
+        "witness-triple-preserve": "2390 counted but the closed form gives 2415",
+        "witness-triple-reverse": "2390 counted but the closed form gives 2415",
+    }
 
 
 def _pattern_of(imgs):
@@ -156,11 +179,12 @@ def _value_rotations(pattern):
 
 
 def test_patterns_hold_each_value_pattern_once():
-    # The jobs split [n]'s patterns that start with 0 by rank; with their r
-    # value rotations they hold the pattern of every map of [n] once,
-    # Fubini(n) of them in all.  Their spreads hold every map of [n] once,
-    # each as many maps as its pattern's weight, and split reads every map
-    # back from its image set and pattern.
+    # The jobs split [n]'s patterns that start with 0 by rank, one walked
+    # pattern per orbit; the orbits, with their r value rotations, hold
+    # the pattern of every map of [n] once, Fubini(n) of them in all.  The
+    # walked patterns' spreads hold every map of [n] once, each as many
+    # maps as its pattern's weight, and split reads every map back from
+    # its image set and pattern.
     import itertools
 
     from cyclorient import patterns
@@ -172,19 +196,19 @@ def test_patterns_hold_each_value_pattern_once():
             for pattern, weight in patterns.walk(n, rank)
         ]
         assert all(pattern[0] == 0 and max(pattern) == rank - 1 for rank, pattern, _ in walked), n
-        assert len(walked) == patterns.count(n), n
+        orbits = [patterns.orbit(pattern) for _, pattern, _ in walked]
+        assert sum(map(len, orbits)) == patterns.count(n), n
         rotations = [
-            tuple((v + shift) % rank for v in pattern)
-            for rank, pattern, _ in walked
-            for shift in range(rank)
+            rotated for orbit in orbits for member in orbit for rotated in _value_rotations(member)
         ]
         every_map = list(itertools.product(range(n), repeat=n))
         assert len(rotations) == len(set(rotations)), n
         assert set(rotations) == {_pattern_of(imgs) for imgs in every_map}, n
         spreads = [(p, weight, list(patterns.spread(p, n))) for _, p, weight in walked]
-        for pattern, weight, maps in spreads:
+        for (pattern, weight, maps), orbit in zip(spreads, orbits):
             assert len(maps) == weight, (n, pattern)
-            assert {_pattern_of(imgs) for imgs in maps} == _value_rotations(pattern), (n, pattern)
+            want = set().union(*map(_value_rotations, orbit))
+            assert {_pattern_of(imgs) for imgs in maps} == want, (n, pattern)
         assert sorted(imgs for _, _, maps in spreads for imgs in maps) == every_map, n
     assert [patterns.count(n) for n in (6, 7, 8)] == [1082, 9366, 94586]
     for n in range(1, 6):
@@ -199,7 +223,10 @@ def test_equivalence_suite_gates_each_route_count_at_n_to_the_n(monkeypatch):
     # A walk that drops each rank <= 2 pattern in both OP_5 and OR_5 loses
     # the 205 maps of OP_5 ∩ OR_5 (5 + C(5, 2)·5·4).  None of them has a
     # witness or a sanctioned gap, and every route agrees on every map
-    # left, so only each route claim's count of 5^5 = 3125 checks sees it.
+    # left, so only the route claims' counts see it: 5^5 = 3125 checks over
+    # all maps, and at ranks 1 and 2 the 5 and C(5, 2)(2^5 − 2) = 300 maps
+    # of those ranks, each gate adding one to the count.  Rank 2's job is
+    # merged first, so its detail is the one kept.
     from cyclorient import patterns, verification
     from cyclorient.claims import _ROUTE_CLAIMS
 
@@ -213,13 +240,67 @@ def test_equivalence_suite_gates_each_route_count_at_n_to_the_n(monkeypatch):
         lambda n, rank: (row for row in real(n, rank) if rank > 2 or row[0] not in both),
     )
     report = equivalence_suite(5, workers=1)
-    detail = "2920 counted but the closed form gives 3125"
+    detail = "100 counted but the closed form gives 300 at rank 2"
     assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
-        (claim, "closed-form", 1, detail) for claim in _ROUTE_CLAIMS
+        (claim, "closed-form", 3, detail) for claim in _ROUTE_CLAIMS
     }
     dropped = {claim: checks[claim] - 205 for claim in _ROUTE_CLAIMS}
     assert {c.claim: c.checks for c in report.claims} == checks | dropped
     assert len(report.sanctioned_exceptions) == 200
+
+
+def test_equivalence_suite_gates_each_rank_against_its_closed_forms(monkeypatch):
+    # A walk that doubles the weight of every rank-3 pattern at n = 5 (an
+    # orbit miscounted, say) fails rank 3's job alone: its 5·4·3·S(5, 3) =
+    # 1,500 maps, 600 of them in P_5 and 300 in OP_5, checked twice.  The
+    # merged gate adds one to each count; rank 3's detail is kept.
+    from cyclorient import patterns, verification
+
+    real = patterns.walk
+    monkeypatch.setattr(
+        patterns,
+        "walk",
+        lambda n, rank: ((p, weight * (1 + (rank == 3))) for p, weight in real(n, rank)),
+    )
+    jobs = {rank: verification._equivalence_range((5, rank)) for rank in range(1, 6)}
+    assert [rank for rank, tally in jobs.items() if tally["violations"]] == [3]
+    wants = dict.fromkeys(verification._ROUTE_CLAIMS, 1500) | {
+        "witness-quad": 900,
+        "witness-triple-preserve": 1200,
+        "witness-triple-reverse": 1200,
+    }
+    report = equivalence_suite(5, workers=1)
+    assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
+        (claim, "closed-form", 2, f"{2 * want} counted but the closed form gives {want} at rank 3")
+        for claim, want in wants.items()
+    }
+
+
+def test_walk_yields_one_pattern_per_dihedral_orbit():
+    # The brute-force orbits of the patterns that start with 0 are the
+    # oracle up to n = 7: each holds exactly one walked pattern, weighted
+    # |orbit|·r·C(n, r), and patterns.orbit gives it back.  At n = 8 the
+    # 6,335 weights cover the 8^8 maps.
+    import math
+
+    from oracles import dihedral_orbits
+
+    from cyclorient import patterns
+
+    counts = []
+    for n in range(1, 8):
+        walked = {p: w for rank in range(1, n + 1) for p, w in patterns.walk(n, rank)}
+        orbits = dihedral_orbits(n)
+        assert len(walked) == len(orbits), n
+        for orbit in orbits:
+            [pattern] = orbit & walked.keys()
+            rank = max(pattern) + 1
+            assert walked[pattern] == len(orbit) * rank * math.comb(n, rank), (n, pattern)
+            assert patterns.orbit(pattern) == orbit, (n, pattern)
+        counts.append(len(orbits))
+    assert counts == [1, 2, 4, 10, 29, 134, 776]
+    weights = [w for rank in range(1, 9) for _, w in patterns.walk(8, rank)]
+    assert (len(weights), sum(weights)) == (6335, 8**8)
 
 
 def test_pattern_walk_matches_the_full_walk_up_to_n6():
@@ -411,6 +492,33 @@ def test_rotation_walk_misses_a_route_broken_off_the_lead_zero_patterns(monkeypa
     mismatches, _ = _rotation_mismatches(5, 150, seed=5)
     assert mismatches
     assert _relabelling_mismatches(5, 150, seed=5)[0] == []
+
+
+def test_orbit_walk_misses_a_route_broken_off_the_walked_patterns(monkeypatch):
+    # The orbit walk's limit: a chord route that fails only on the patterns
+    # that start with 0 but stand in an orbit for another never meets the
+    # walk, so the suite passes with its unpatched report; the full walk
+    # and the dihedral check both catch it.
+    from oracles import dihedral_orbits, equivalence_walk
+
+    from cyclorient import chords, patterns
+
+    want = format_machine([equivalence_suite(5, workers=1)])
+    walked = {p for rank in range(1, 6) for p, _ in patterns.walk(5, rank)}
+    unwalked = set().union(*dihedral_orbits(5)) - walked
+    real = chords._first_disjoint
+
+    def broken(imgs, after):
+        if imgs in unwalked:
+            return (0, 1, 2, 3)
+        return real(imgs, after)
+
+    monkeypatch.setattr(chords, "_first_disjoint", broken)
+    report = equivalence_suite(5, workers=1)
+    assert report.passed and format_machine([report]) == want
+    assert "chord-vs-definitional" in equivalence_walk(5)["violations"]
+    mismatches, _ = _dihedral_mismatches(5, 150, seed=5)
+    assert mismatches
 
 
 def test_pool_report_matches_one_worker_at_n7(monkeypatch):
@@ -764,43 +872,67 @@ def test_lemma_max_len_must_be_3_to_6():
     assert by_index == format_machine([lemma_suite(3, max_len=3)])
 
 
+def _broken_orbit(pattern, n):
+    # Every map of [n] whose pattern lies in the orbit of ``pattern``, by
+    # the brute-force orbits: each orbit pattern's value rotations, read
+    # through every image set.
+    import itertools
+
+    from oracles import dihedral_orbits
+
+    [orbit] = [orbit for orbit in dihedral_orbits(len(pattern)) if pattern in orbit]
+    rank = max(pattern) + 1
+    return {
+        tuple(map(values.__getitem__, rotated))
+        for member in orbit
+        for rotated in _value_rotations(member)
+        for values in itertools.combinations(range(n), rank)
+    }
+
+
 def test_equivalence_suite_reports_a_broken_quad_route(monkeypatch):
-    # The route is broken on 0,1,3,2 and its value rotations, which the
-    # suite counts through that one pattern; a route broken on a single
-    # rotation breaks the suite's premise (see the rotation-walk limit
-    # test).  The full walk finds the same violation.
+    # The route is broken on the orbit of ``least``, the least map of the
+    # orbit, which the suite counts through one pattern: 0,1,3,2 itself,
+    # and 0,2,0,1,3 for 0,1,3,0,2, so that the witness comes from the
+    # failure's search of the orbit.  A route broken on part of an orbit
+    # breaks the suite's premise (see the orbit-walk limit test).  The full
+    # walk finds the same violation: 16 maps at n = 4 and 100 at n = 5.
     from oracles import equivalence_walk
 
-    from cyclorient import membership
+    from cyclorient import membership, patterns
 
     real = membership._first_unoriented
-    broken = _value_rotations((0, 1, 3, 2))
-    monkeypatch.setattr(
-        membership,
-        "_first_unoriented",
-        lambda imgs, after: None if imgs in broken else real(imgs, after),
-    )
-    report = equivalence_suite(4, workers=1)
-    assert not report.passed
-    [violation] = report.violations
-    assert (violation.claim, violation.witness, violation.count) == (
-        "quad-vs-definitional",
-        "0,1,3,2",
-        4,
-    )
-    walked = equivalence_walk(4)["violations"]
-    assert walked["quad-vs-definitional"][1:] == ["0,1,3,2", violation.detail, 4]
-    claims = {c.claim: c for c in report.claims}
-    assert claims["quad-vs-definitional"].checks == 4**4
+    for least, size in (((0, 1, 3, 2), 16), ((0, 1, 3, 0, 2), 100)):
+        n = len(least)
+        walked = {p for rank in range(1, n + 1) for p, _ in patterns.walk(n, rank)}
+        assert (least in walked) == (n == 4)
+        broken = _broken_orbit(least, n)
+        assert len(broken) == size
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                membership,
+                "_first_unoriented",
+                lambda imgs, after: None if imgs in broken else real(imgs, after),
+            )
+            report = equivalence_suite(n, workers=1)
+            walk = equivalence_walk(n)["violations"]
+        assert not report.passed
+        [violation] = report.violations
+        assert violation.claim == "quad-vs-definitional"
+        assert (violation.witness, violation.count) == (",".join(map(str, least)), size)
+        assert walk["quad-vs-definitional"][1:] == [violation.witness, violation.detail, size]
+        claims = {c.claim: c for c in report.claims}
+        assert claims["quad-vs-definitional"].checks == n**n
 
 
 def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
-    # A rank-3 map passing the triple tests is a violation, not an exemption.
-    # The tests pass 0,1,3,2 and its value rotations, counted through it.
+    # A rank-4 map passing the triple tests is a violation, not an exemption.
+    # The tests pass the 16 maps of the orbit of 0,1,3,2, counted through
+    # one pattern.
     from cyclorient import membership
 
     real = membership._keeps_triples
-    broken = _value_rotations((0, 1, 3, 2))
+    broken = _broken_orbit((0, 1, 3, 2), 4)
     monkeypatch.setattr(
         membership,
         "_keeps_triples",
@@ -808,8 +940,8 @@ def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
     )
     report = equivalence_suite(4, workers=1)
     assert {(v.claim, v.witness, v.count) for v in report.violations} == {
-        ("triple-preserve-refined", "0,1,3,2", 4),
-        ("triple-reverse-refined", "0,1,3,2", 4),
+        ("triple-preserve-refined", "0,1,3,2", 16),
+        ("triple-reverse-refined", "0,1,3,2", 16),
     }
     assert "0,1,3,2" not in {s.witness for s in report.sanctioned_exceptions}
     assert len(report.sanctioned_exceptions) == len(equivalence_suite(4).sanctioned_exceptions)
@@ -1025,6 +1157,13 @@ def test_readme_library_example_matches_its_comments():
             assert got == comment, code
 
 
+def _composed(left, right):
+    # The suites' product set: the left operand split once, then composed.
+    from cyclorient import verification
+
+    return verification._product_set(verification._families(left), right)
+
+
 def test_product_set_matches_the_pairwise_oracle():
     import itertools
 
@@ -1037,18 +1176,18 @@ def test_product_set_matches_the_pairwise_oracle():
         op = frozenset(images for images, tag in members if tag.admits_cyclic)
         or_ = frozenset(images for images, tag in members if tag.admits_anti_cyclic)
         for left, right in ((op, op), (or_, or_), (or_, op), (op, or_)):
-            assert verification._product_set(left, right) == product_set(left, right), n
+            assert _composed(left, right) == product_set(left, right), n
     # All maps by all maps mixes every rank on both sides.
     for n in range(1, 4):
         every = frozenset(itertools.product(range(n), repeat=n))
-        assert verification._product_set(every, every) == product_set(every, every), n
+        assert _composed(every, every) == product_set(every, every), n
     # Oriented sequences of any length on the left, as the lemma suite
     # composes them: a constant one keeps its own length.
     for n in range(1, 6):
         op = frozenset(images for images, tag in verification._oriented(n, n) if tag.admits_cyclic)
         for k in range(1, 5):
             seqs = frozenset(items for items, _ in verification._oriented(n, k))
-            assert verification._product_set(seqs, op) == product_set(seqs, op), (n, k)
+            assert _composed(seqs, op) == product_set(seqs, op), (n, k)
     # Mask position tuples on the left, each (length, tag) group of the lemma
     # pool on the right: every subsequence that a mask selects.
     for n in range(1, 6):
@@ -1057,7 +1196,7 @@ def test_product_set_matches_the_pairwise_oracle():
             groups.setdefault((len(items), tag), []).append(items)
         for (t, _), group in groups.items():
             masks = [c for k in range(1, t + 1) for c in itertools.combinations(range(t), k)]
-            assert verification._product_set(masks, group) == product_set(masks, group), (n, t)
+            assert _composed(masks, group) == product_set(masks, group), (n, t)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -1067,10 +1206,10 @@ def test_product_sets_keep_the_closure_identities_past_the_suite_cap(n):
     # OP.OP = OP, OR.OR = OP and OR.OP = OP.OR = OR, at sizes the identity
     # suite's default report does not reach.
     op, or_ = verification._classes(n)
-    assert verification._product_set(op, op) == op
-    assert verification._product_set(or_, or_) == op
-    assert verification._product_set(or_, op) == or_
-    assert verification._product_set(op, or_) == or_
+    assert _composed(op, op) == op
+    assert _composed(or_, or_) == op
+    assert _composed(or_, op) == or_
+    assert _composed(op, or_) == or_
 
 
 def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
@@ -1079,8 +1218,6 @@ def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
     import random
 
     from oracles import product_set
-
-    from cyclorient import verification
 
     def pattern(a):
         image = sorted(set(a))
@@ -1103,9 +1240,9 @@ def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
                 images.setdefault(pattern(a), set()).add(frozenset(a))
             partial += any(len(s) < math.comb(n, max(p) + 1) for p, s in images.items())
             for right in rights + [[], rights[0][:1]]:
-                got = verification._product_set(left, right)
+                got = _composed(left, right)
                 assert got == product_set(left, right), (n, len(left), len(right))
-        assert verification._product_set([], maps) == set()
+        assert _composed([], maps) == set()
     assert partial > 10
 
 
