@@ -2,7 +2,8 @@
 image replaced by its position in S (3,7,3,5 is S = 3,5,7 at 0,2,0,1): the
 equivalence suite walks one pattern per dihedral orbit and spreads it back
 into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the product sets
-group by S (:func:`split`).
+group the image sets S met with the same patterns into families
+(:func:`split`).
 
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
@@ -110,25 +111,17 @@ def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
                 yield tuple(map(values.__getitem__, rotated))
 
 
-def count(n: int) -> int:
-    """The number of patterns of [n] that start with 0: S(n, r) set
-    partitions into r blocks, each labelled in (r - 1)! ways, summed over
-    the ranks r (S(m + 1, r) = r·S(m, r) + S(m, r - 1))."""
-    stirling = [1]  # S(m, r) for r = 0..m
-    for m in range(n):
-        stirling = [r * s + t for r, s, t in zip(range(m + 2), stirling + [0], [0] + stirling)]
-    return sum(math.factorial(r - 1) * s for r, s in enumerate(stirling) if r)
-
-
-def split(seqs: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], frozenset[tuple[int, ...]]]:
-    """Each sorted image set S met in ``seqs``, mapped to the patterns of
-    the sequences with that image set, read through one position map per S."""
+def split(seqs: Iterable[tuple[int, ...]]) -> dict[frozenset, list[tuple[int, ...]]]:
+    """The families of ``seqs``: each set of patterns, mapped to the sorted
+    image sets S met with exactly those patterns, each sequence read
+    through one position map per S (in a class, each rank is one family)."""
     by_image: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for seq in seqs:
         by_image.setdefault(frozenset(seq), []).append(seq)
-    out = {}
+    families: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
     for image_set, group in by_image.items():
         image = tuple(sorted(image_set))
         where = dict(zip(image, range(len(image))))
-        out[image] = frozenset(tuple(map(where.__getitem__, seq)) for seq in group)
-    return out
+        shapes = frozenset(tuple(map(where.__getitem__, seq)) for seq in group)
+        families.setdefault(shapes, []).append(image)
+    return families

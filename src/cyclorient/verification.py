@@ -23,8 +23,8 @@ verbs import this module when they need it, so per-map callers never
 compile it.
 
 Reports are deterministic: per-claim results keep the lexicographically
-smallest witness, whatever order the maps are visited in.  The patterns
-may be split by their rank and run on several workers; merging
+smallest witness, whatever order the maps are visited in.  From n = 9 the
+patterns are split by their rank and run on several workers; merging
 partial tallies is associative and commutative, so multi-worker runs
 reproduce the single-worker report byte for byte (timings excluded —
 ``elapsed`` never enters the machine format).
@@ -44,7 +44,7 @@ from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
 from .mappings import _index
 from .sequences import Orientation, _points, _Record, _tag, _within
 
-EQUIVALENCE_MAX_N = 8
+EQUIVALENCE_MAX_N = 9
 IDENTITY_MAX_N = 5
 LEMMA_MAX_N = 6
 # Below length 3 the lemma constrains no sequence: the suite would check nothing.
@@ -307,8 +307,9 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     :func:`_claims` call per orbit of rank r, counted for its
     |orbit|·r·C(n, r) maps (:func:`_equivalence_range`).  There is one job
     per rank, the largest first, run in process at one worker or below
-    4,096 patterns that start with 0 (n ≤ 6), and otherwise on a pool of
-    ``workers`` processes.
+    n = 9, and otherwise on a pool of ``workers`` processes: on a 2-vCPU
+    box two workers took twice as long as one at n = 7, as long at n = 8,
+    and a fifth less at n = 9.
     ``workers`` must be at least 1 and is clamped to ``os.cpu_count()``;
     n must lie within 1..``EQUIVALENCE_MAX_N``.
     """
@@ -316,7 +317,7 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     workers = _worker_count(workers)
     started = time.perf_counter()
     jobs = [(n, rank) for rank in range(n, 0, -1)]
-    if workers <= 1 or patterns.count(n) < 4096:
+    if workers <= 1 or n < 9:
         parts = list(map(_equivalence_range, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -369,24 +370,14 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict, where: str = "") ->
 # ----------------------------------------------------------------------
 
 
-def _families(left: Iterable[tuple[int, ...]]) -> dict[frozenset, list[tuple[int, ...]]]:
-    """The left operand of :func:`_product_set`, split once: its sorted
-    image sets S (:func:`patterns.split`), grouped into families by the
-    patterns met with them (in a class, each rank is one family)."""
-    families: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
-    for image, shapes in patterns.split(left).items():
-        families.setdefault(shapes, []).append(image)
-    return families
-
-
 def _product_set(families: dict, right: Collection[tuple[int, ...]]) -> set:
     # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
     # over b's points: b restricted to a's sorted image set S, read at a's
     # pattern (its entries' positions in S); the left operand comes split
-    # by _families.  right is held as columns: a family's restrictions to S
-    # are the rows of S's columns zipped, and a pattern composes all of
-    # them at once as the rows of the restrictions' columns zipped in
-    # pattern order.
+    # into families by patterns.split.  right is held as columns: a
+    # family's restrictions to S are the rows of S's columns zipped, and a
+    # pattern composes all of them at once as the rows of the restrictions'
+    # columns zipped in pattern order.
     if not right:
         return set()
     columns = list(zip(*right))
@@ -418,7 +409,7 @@ def identity_suite(n: int) -> SuiteReport:
     p_set = op_set | or_set
     low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
 
-    op_split, or_split = _families(op_set), _families(or_set)
+    op_split, or_split = patterns.split(op_set), patterns.split(or_set)
     op_op = _product_set(op_split, op_set)
     or_or = _product_set(or_split, or_set)
     or_op = _product_set(or_split, op_set)
@@ -511,7 +502,7 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     kinds: dict[tuple[int, Orientation], list[tuple[int, ...]]] = {}
     for items, tag in pool:
         kinds.setdefault((len(items), tag), []).append(items)
-    kind_split = {kind: _families(group) for kind, group in kinds.items()}
+    kind_split = {kind: patterns.split(group) for kind, group in kinds.items()}
     checks = tally["checks"]
     op, both = _closed_forms(n)
     for claim, members, flip in zip(
@@ -551,7 +542,7 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     masks = {
         t: [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)] for t, _ in kinds
     }
-    mask_split = {t: _families(positions) for t, positions in masks.items()}
+    mask_split = {t: patterns.split(positions) for t, positions in masks.items()}
     parts = {kind: _product_set(mask_split[kind[0]], group) for kind, group in kinds.items()}
     # Tag each distinct part once; it offends a tag admitting an orientation it lacks.
     lost = {tag: set() for _, tag in kinds}
@@ -596,7 +587,8 @@ def run_verify(
     order, and each selected suite runs for n = 1..min(n_max, cap): the
     identity suite stops at n = 5 and the lemma suite at n = 6 (the
     suites' own caps), while the equivalence suite, which
-    enumerates n^n maps (16.8M at n = 8), refuses n_max > 8 outright.  The
+    enumerates n^n maps (387M at n = 9), refuses n_max >
+    ``EQUIVALENCE_MAX_N`` (9) outright.  The
     lemma suite checks every member against every oriented sequence of
     length 3..``lemma_max_len`` (within 3..6).  Every argument is checked
     before any suite runs.

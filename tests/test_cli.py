@@ -196,7 +196,7 @@ def test_witness_failing_its_own_validation_exits_1(capsys, monkeypatch):
 
 
 def test_count_rejects_huge_n(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "9")
+    code, _, err = run_cli(capsys, "count", "--n", "10")
     assert code == 2 and "not supported" in err
 
 
@@ -269,11 +269,11 @@ def test_verify_clamps_threads_to_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(
-        capsys, "verify", "--n-max", "7", "--suites", "equivalence", "--threads", "100000"
+        capsys, "verify", "--n-max", "9", "--suites", "equivalence", "--threads", "100000"
     )
-    # n = 1..6 fall below the pool threshold; only n = 7 asks for a pool.
+    # n = 1..8 run in process; only n = 9 asks for a pool.
     assert created == [2]
-    assert code == 0 and "suite equivalence, n=7" in out
+    assert code == 0 and "suite equivalence, n=9" in out
 
 
 def test_bad_numbers_are_reported_in_library_words(capsys):
@@ -330,7 +330,7 @@ def test_verify_rejects_lemma_max_len_out_of_range(capsys):
         assert err == f"error: lemma max length must be within 3..6, got {value}\n"
 
 
-def test_verify_refuses_n_max_above_8_before_any_suite(capsys, monkeypatch):
+def test_verify_refuses_n_max_above_the_bound_before_any_suite(capsys, monkeypatch):
     from cyclorient import verification
 
     started = []
@@ -338,12 +338,12 @@ def test_verify_refuses_n_max_above_8_before_any_suite(capsys, monkeypatch):
         verification, "equivalence_suite", lambda n, **k: started.append(n)
     )
     code, out, err = run_cli(
-        capsys, "verify", "--n-max", "9", "--suites", "equivalence", "--threads", "2"
+        capsys, "verify", "--n-max", "10", "--suites", "equivalence", "--threads", "2"
     )
     assert code == 2 and not out and started == []
     assert err == (
-        "error: the equivalence suite enumerates n^n maps; n_max > 8 is not"
-        " supported, got 9\n"
+        "error: the equivalence suite enumerates n^n maps; n_max > 9 is not"
+        " supported, got 10\n"
     )
 
 

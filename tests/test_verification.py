@@ -180,11 +180,11 @@ def _value_rotations(pattern):
 
 def test_patterns_hold_each_value_pattern_once():
     # The jobs split [n]'s patterns that start with 0 by rank, one walked
-    # pattern per orbit; the orbits, with their r value rotations, hold
-    # the pattern of every map of [n] once, Fubini(n) of them in all.  The
-    # walked patterns' spreads hold every map of [n] once, each as many
-    # maps as its pattern's weight, and split reads every map back from
-    # its image set and pattern.
+    # pattern per orbit; the orbits hold each such pattern once and, with
+    # their r value rotations, the pattern of every map of [n] once,
+    # Fubini(n) of them in all.  The walked patterns' spreads hold every
+    # map of [n] once, each as many maps as its pattern's weight, and
+    # split's families read every map back from its image set and pattern.
     import itertools
 
     from cyclorient import patterns
@@ -197,11 +197,12 @@ def test_patterns_hold_each_value_pattern_once():
         ]
         assert all(pattern[0] == 0 and max(pattern) == rank - 1 for rank, pattern, _ in walked), n
         orbits = [patterns.orbit(pattern) for _, pattern, _ in walked]
-        assert sum(map(len, orbits)) == patterns.count(n), n
+        every_map = list(itertools.product(range(n), repeat=n))
+        leading = {p for p in map(_pattern_of, every_map) if p[0] == 0}
+        assert sum(map(len, orbits)) == len(leading) and set().union(*orbits) == leading, n
         rotations = [
             rotated for orbit in orbits for member in orbit for rotated in _value_rotations(member)
         ]
-        every_map = list(itertools.product(range(n), repeat=n))
         assert len(rotations) == len(set(rotations)), n
         assert set(rotations) == {_pattern_of(imgs) for imgs in every_map}, n
         spreads = [(p, weight, list(patterns.spread(p, n))) for _, p, weight in walked]
@@ -210,13 +211,20 @@ def test_patterns_hold_each_value_pattern_once():
             want = set().union(*map(_value_rotations, orbit))
             assert {_pattern_of(imgs) for imgs in maps} == want, (n, pattern)
         assert sorted(imgs for _, _, maps in spreads for imgs in maps) == every_map, n
-    assert [patterns.count(n) for n in (6, 7, 8)] == [1082, 9366, 94586]
+    orbit_sizes = [
+        sum(len(patterns.orbit(p)) for rank in range(1, n + 1) for p, _ in patterns.walk(n, rank))
+        for n in (6, 7, 8)
+    ]
+    assert orbit_sizes == [1082, 9366, 94586]
     for n in range(1, 6):
         every_map = set(itertools.product(range(n), repeat=n))
-        split = patterns.split(every_map)
-        assert all(_pattern_of(imgs) in split[tuple(sorted(set(imgs)))] for imgs in every_map), n
-        read_back = [tuple(map(image.__getitem__, p)) for image, ps in split.items() for p in ps]
-        assert len(read_back) == len(every_map) and set(read_back) == every_map, n
+        families = patterns.split(every_map)
+        read_back = [
+            (image, p) for shapes, images in families.items() for image in images for p in shapes
+        ]
+        want = sorted((tuple(sorted(set(imgs))), _pattern_of(imgs)) for imgs in every_map)
+        assert sorted(read_back) == want, n
+        assert {tuple(map(image.__getitem__, p)) for image, p in read_back} == every_map, n
 
 
 def test_equivalence_suite_gates_each_route_count_at_n_to_the_n(monkeypatch):
@@ -305,8 +313,8 @@ def test_walk_yields_one_pattern_per_dihedral_orbit():
 
 def test_pattern_walk_matches_the_full_walk_up_to_n6():
     # The full n^n walk is the oracle: every map's own claim table, index
-    # and witness.  Up to n = 6 the jobs run in process at any worker count;
-    # test_pool_report_matches_one_worker_at_n7 starts the pool.
+    # and witness.  Up to n = 8 the jobs run in process at any worker count;
+    # test_pool_report_matches_one_worker_at_n9 starts the pool.
     from oracles import equivalence_walk
 
     from cyclorient import verification
@@ -521,10 +529,47 @@ def test_orbit_walk_misses_a_route_broken_off_the_walked_patterns(monkeypatch):
     assert mismatches
 
 
-def test_pool_report_matches_one_worker_at_n7(monkeypatch):
-    # From n = 7 (9,366 walked patterns) two workers start a real process
-    # pool, also on a one-CPU machine; its merged report must be the
-    # in-process one, byte for byte.
+def test_pool_starts_from_n9_at_two_workers(monkeypatch):
+    # Below n = 9 the pool saves nothing on the walk it shares out, so two
+    # workers run every rank job in process; from n = 9 they start one
+    # pool of 2 workers, which runs them all.  The jobs are stubbed.
+    from contextlib import nullcontext
+    from types import SimpleNamespace
+
+    from cyclorient import verification
+
+    pools, in_process = [], []
+
+    def job(args):
+        in_process.append(args)
+        return verification._new_tally()
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return nullcontext(
+            SimpleNamespace(map=lambda fn, jobs: [verification._new_tally() for _ in jobs])
+        )
+
+    monkeypatch.setattr(verification, "_equivalence_range", job)
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    for n in (7, 8):
+        equivalence_suite(n, workers=2)
+        assert pools == [] and in_process == [(n, rank) for rank in range(n, 0, -1)], n
+        in_process.clear()
+    equivalence_suite(9, workers=2)
+    assert pools == [2] and in_process == []
+    equivalence_suite(9, workers=1)
+    assert pools == [2] and in_process == [(9, rank) for rank in range(9, 0, -1)]
+
+
+def test_pool_report_matches_one_worker_at_n9(monkeypatch):
+    # At n = 9 two workers start a real process pool, also on a one-CPU
+    # machine; its merged report must be the in-process one byte for byte,
+    # pinned by the digest of the one-worker report (a second walk of the
+    # 9^9 maps would double the cost).
+    import hashlib
+
     from cyclorient import verification
 
     real = verification.ProcessPoolExecutor
@@ -536,9 +581,11 @@ def test_pool_report_matches_one_worker_at_n7(monkeypatch):
 
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
-    want = format_machine([equivalence_suite(7, workers=1)])
-    assert format_machine([equivalence_suite(7, workers=2)]) == want
+    report = format_machine([equivalence_suite(9, workers=2)])
     assert started == [2]
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "6d944de5fa2391847bf1461660d4ac892e193cc5c992d7fee596a84912028e4a"
+    )
 
 
 def test_identity_degenerate_n2():
@@ -828,16 +875,16 @@ def test_worker_count_is_validated_and_clamped(monkeypatch):
 
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
-    equivalence_suite(7, workers=2)
-    equivalence_suite(7, workers=100_000)
+    equivalence_suite(9, workers=2)
+    equivalence_suite(9, workers=100_000)
     assert created == [2, 3]
     for workers in (0, -1):
         with pytest.raises(ValueError, match="thread count must be at least 1"):
-            equivalence_suite(7, workers=workers)
+            equivalence_suite(9, workers=workers)
         with pytest.raises(ValueError, match="thread count must be at least 1"):
-            run_verify(7, workers=workers)
+            run_verify(9, workers=workers)
     with pytest.raises(ValueError, match=r"thread count must be an integer, got 1\.5"):
-        equivalence_suite(7, workers=1.5)
+        equivalence_suite(9, workers=1.5)
     assert created == [2, 3]
 
 
@@ -999,7 +1046,7 @@ def test_claim_table_reprs_are_pinned_by_digest():
     )
 
 
-def test_run_verify_refuses_equivalence_above_n8(monkeypatch):
+def test_run_verify_refuses_equivalence_above_its_bound(monkeypatch):
     from cyclorient import verification
 
     started = []
@@ -1007,18 +1054,18 @@ def test_run_verify_refuses_equivalence_above_n8(monkeypatch):
         monkeypatch.setattr(
             verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
         )
-    assert verification.EQUIVALENCE_MAX_N == 8
-    with pytest.raises(ValueError, match=r"n_max > 8 is not supported, got 9"):
-        run_verify(9)
-    with pytest.raises(ValueError, match=r"n_max > 8"):
-        run_verify(9, suites=("equivalence",))
+    assert verification.EQUIVALENCE_MAX_N == 9
+    with pytest.raises(ValueError, match=r"n_max > 9 is not supported, got 10"):
+        run_verify(10)
+    with pytest.raises(ValueError, match=r"n_max > 9"):
+        run_verify(10, suites=("equivalence",))
     assert started == []
     # Without the equivalence suite the other suites keep their own caps.
-    run_verify(9, suites=("identity",))
+    run_verify(10, suites=("identity",))
     assert started == [("identity_suite", n) for n in range(1, 6)]
 
 
-def test_equivalence_suite_and_count_classes_refuse_n_above_8(monkeypatch):
+def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatch):
     from contextlib import nullcontext
     from types import SimpleNamespace
 
@@ -1032,7 +1079,7 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_8(monkeypatch):
 
     def no_enumeration(*args):
         # Stands in for the per-map work: a missing bound fails here at once
-        # instead of walking 387M maps.
+        # instead of walking 10^10 maps.
         started.append(("enumeration", args))
         raise AssertionError("enumeration started")
 
@@ -1041,12 +1088,12 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_8(monkeypatch):
     monkeypatch.setattr(verification, "_tag", no_enumeration)
     monkeypatch.setattr(verification, "_oriented", no_enumeration)
     monkeypatch.setattr(verification, "_cyclic", no_enumeration)
-    assert verification.EQUIVALENCE_MAX_N == 8
+    assert verification.EQUIVALENCE_MAX_N == 9
     for workers in (1, 2):
-        with pytest.raises(ValueError, match=r"n > 8 is not supported, got n=9"):
-            equivalence_suite(9, workers=workers)
-    with pytest.raises(ValueError, match=r"n > 8 is not supported, got n=9"):
-        count_classes(9)
+        with pytest.raises(ValueError, match=r"n > 9 is not supported, got n=10"):
+            equivalence_suite(10, workers=workers)
+    with pytest.raises(ValueError, match=r"n > 9 is not supported, got n=10"):
+        count_classes(10)
     assert started == []
 
 
@@ -1159,9 +1206,9 @@ def test_readme_library_example_matches_its_comments():
 
 def _composed(left, right):
     # The suites' product set: the left operand split once, then composed.
-    from cyclorient import verification
+    from cyclorient import patterns, verification
 
-    return verification._product_set(verification._families(left), right)
+    return verification._product_set(patterns.split(left), right)
 
 
 def test_product_set_matches_the_pairwise_oracle():
