@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cmp_to_key, lru_cache
 
 from .mappings import Mapping
-from .membership import _check_sides, _first_apart, _first_unoriented, _images_after, _sides_after
+from .membership import _first_apart, _first_unoriented, _images_after, _sides_after
 from .sequences import _parse_int, _points, _Record, _tag
 
 METHODS = ("combinatorial", "geometric")
@@ -124,7 +124,6 @@ def _placed_sides(n: int) -> list[list[int]]:
     point is refused, so a placement off strictly convex position is never
     mis-sorted; a sort compares each pair it leaves adjacent, so any
     points collinear with P(v) are refused too."""
-    _check_sides(n)
     placed = [_place(j) for j in range(n)]
 
     def around(v: int) -> list[int]:

@@ -19,7 +19,7 @@ import sys
 from .chords import METHODS, Chord, chords_intersect, image_chord
 from .claims import ROUTES, SUITES, cross_check
 from .mappings import Mapping
-from .sequences import Seq, orientation
+from .sequences import Seq, _within, orientation
 from .witnesses import TRIPLE_MODES, witness_quad, witness_triple
 
 EXIT_OK = 0
@@ -94,10 +94,7 @@ def _bool_word(flag: bool) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     m = _parse_mapping(args.map)
-    if m.n > CLASSIFY_MAX_N:
-        raise ValueError(
-            f"classify supports maps of length at most {CLASSIFY_MAX_N}, got {m.n}"
-        )
+    _within(m.n, 1, CLASSIFY_MAX_N, "classify map length")
     report = cross_check(m)
     d = report.definitional
     print(f"map: {m}   (n={m.n})")
@@ -172,8 +169,8 @@ def _cmd_chords(args: argparse.Namespace) -> int:
         n = args.n
     else:
         raise ValueError("--n is required when no --map is given")
-    if args.ascii and n > ASCII_MAX_N:
-        raise ValueError(f"--ascii draws circles of at most {ASCII_MAX_N} points, got n={n}")
+    if args.ascii:
+        _within(n, 1, ASCII_MAX_N, "--ascii n")
 
     parts = args.pair.split(":")
     if len(parts) != 2:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .mappings import Mapping
-from .sequences import Orientation, _Record, _tag
+from .sequences import Orientation, _Record, _tag, _within
 
 TRIPLE_MODES = ("preserve", "reverse")
 # The scans' side tables hold n² masks of n bits: the order's takes about
@@ -93,20 +93,13 @@ def _images_after(imgs: tuple[int, ...]) -> list[int]:
     return after
 
 
-def _check_sides(n: int) -> None:
-    """Refuse a map too long for a side table, before the table is built."""
-    if n > SIDES_MAX_N:
-        raise ValueError(
-            f"the triple, quadruple and chord scans support maps of length at most"
-            f" {SIDES_MAX_N}, got {n}"
-        )
-
-
 def _sides_after(n: int, around) -> list[list[int]]:
     """The one builder of a side table: ``around(v)`` is the order of the
     other points around v, and row v holds, for each k, the mask of the
     points after k in that order, and at ``L[v][v]`` every point but v.
-    One order is held at a time."""
+    One order is held at a time.  A map longer than ``SIDES_MAX_N`` is
+    refused before any row is built."""
+    n = _within(n, 1, SIDES_MAX_N, "scanned map length")
     sides = []
     for v in range(n):
         row, later = [0] * n, 0
@@ -124,7 +117,6 @@ def _order_sides(n: int) -> list[list[int]]:
     n (780 KiB at n = 128): around v the points run v + 1, ..., v - 1, so
     ``L[w][y]`` holds the values outside [w, y] if w <= y, else those
     strictly between."""
-    _check_sides(n)
     return _sides_after(n, lambda v: [*range(v + 1, n), *range(v)])
 
 
@@ -168,7 +160,9 @@ def _first_apart(imgs, after, sides) -> tuple[int, int, int, int] | None:
                 wy = row_w[y]
                 wanted = wy if wy >> x & 1 else sides[y][w]
                 if after[c] & wanted:
-                    # A loop, not next(genexpr): its frames cost ~17 % of the one-core n = 6 suite.
+                    # A loop, not next(genexpr), for the per-map callers (quad_test,
+                    # has_chord_property, cross_check): with this scan and witness_quad's
+                    # as genexprs, cross_check over the 6^6 maps took 18 % longer on one core.
                     for d in range(c + 1, n):
                         if wanted >> imgs[d] & 1:
                             return a, b, c, d

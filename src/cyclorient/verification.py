@@ -42,9 +42,11 @@ from collections.abc import Collection, Iterable, Iterator
 from . import patterns
 from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
 from .mappings import _index
-from .sequences import Orientation, _points, _Record, _tag, _within
+from .sequences import Orientation, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 9
+# count_classes holds OP_n and OR_n as sets: a 108 MB peak at n = 9, 407 MB at n = 10.
+COUNT_MAX_N = 9
 IDENTITY_MAX_N = 5
 LEMMA_MAX_N = 6
 # Below length 3 the lemma constrains no sequence: the suite would check nothing.
@@ -285,15 +287,6 @@ def _worker_count(workers: int) -> int:
     return min(_within(workers, 1, None, "thread count"), os.cpu_count() or 1)
 
 
-def _check_bounded(n: int, why: str) -> int:
-    """n as a plain int within 1..``EQUIVALENCE_MAX_N``, else a ``ValueError``
-    that gives ``why`` the size is bounded."""
-    n, _ = _points(n, (), "image")
-    if n > EQUIVALENCE_MAX_N:
-        raise ValueError(f"{why}; n > {EQUIVALENCE_MAX_N} is not supported, got n={n}")
-    return n
-
-
 def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     """Check, for every self-map of [n], that all membership routes agree
     and that witness extraction succeeds wherever a witness must exist.
@@ -311,9 +304,10 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     box two workers took twice as long as one at n = 7, as long at n = 8,
     and a fifth less at n = 9.
     ``workers`` must be at least 1 and is clamped to ``os.cpu_count()``;
-    n must lie within 1..``EQUIVALENCE_MAX_N``.
+    n must lie within 1..``EQUIVALENCE_MAX_N`` (9), checked before any
+    pattern is walked.
     """
-    n = _check_bounded(n, "the equivalence suite enumerates n^n maps")
+    n = _within(n, 1, EQUIVALENCE_MAX_N, "equivalence suite n")
     workers = _worker_count(workers)
     started = time.perf_counter()
     jobs = [(n, rank) for rank in range(n, 0, -1)]
@@ -441,8 +435,9 @@ def identity_suite(n: int) -> SuiteReport:
 def count_classes(n: int) -> ClassCounts:
     """Exact class cardinalities, from the members :func:`_classes` builds
     without walking the n^n maps; tests check them against the per-map
-    classifier.  n must lie within 1..``EQUIVALENCE_MAX_N``."""
-    n = _check_bounded(n, "count_classes holds OP_n and OR_n as sets")
+    classifier.  n must lie within 1..``COUNT_MAX_N`` (9), a bound of its
+    own: the member sets, not the suite's walk, limit it."""
+    n = _within(n, 1, COUNT_MAX_N, "count n")
     op, or_ = _classes(n)
     p = op | or_
     low = sum(len(set(images)) <= 2 for images in p)
@@ -586,12 +581,12 @@ def run_verify(
     One table holds a ``(suite, cap, runner)`` row per suite, in ``SUITES``
     order, and each selected suite runs for n = 1..min(n_max, cap): the
     identity suite stops at n = 5 and the lemma suite at n = 6 (the
-    suites' own caps), while the equivalence suite, which
-    enumerates n^n maps (387M at n = 9), refuses n_max >
-    ``EQUIVALENCE_MAX_N`` (9) outright.  The
-    lemma suite checks every member against every oriented sequence of
-    length 3..``lemma_max_len`` (within 3..6).  Every argument is checked
-    before any suite runs.
+    suites' own caps); the equivalence suite enumerates n^n maps (387M at
+    n = 9), so when it is selected n_max must lie within
+    1..``EQUIVALENCE_MAX_N`` (9).  The lemma suite checks every member
+    against every oriented sequence of length 3..``lemma_max_len`` (within
+    3..6).  Every argument is checked before any suite runs, each by one
+    bound check that names it.
     """
     n_max = _within(n_max, 1, None, "n_max")
     if isinstance(suites, str):
@@ -606,11 +601,8 @@ def run_verify(
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES}")
-    if "equivalence" in suites and n_max > EQUIVALENCE_MAX_N:
-        raise ValueError(
-            f"the equivalence suite enumerates n^n maps; n_max > {EQUIVALENCE_MAX_N}"
-            f" is not supported, got {n_max}"
-        )
+    if "equivalence" in suites:
+        _within(n_max, 1, EQUIVALENCE_MAX_N, "equivalence suite n_max")
     workers = _worker_count(workers)
     max_len = _within(lemma_max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
     table = (

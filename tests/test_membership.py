@@ -417,13 +417,13 @@ def test_scans_refuse_maps_longer_than_their_side_tables(monkeypatch):
         lambda: cross_check(m),
     )
     for route in routes:
-        with pytest.raises(ValueError, match=r"support maps of length at most 512, got 513$"):
+        with pytest.raises(ValueError, match=r"scanned map length must be within 1\.\.512, got 513$"):
             route()
     # Both builders read the one bound, and a map at the bound is accepted.
     monkeypatch.setattr(membership, "SIDES_MAX_N", 4)
     for build in (membership._order_sides.__wrapped__, chords._placed_sides.__wrapped__):
         assert len(build(4)) == 4
-        with pytest.raises(ValueError, match=r"at most 4, got 5$"):
+        with pytest.raises(ValueError, match=r"within 1\.\.4, got 5$"):
             build(5)
 
 

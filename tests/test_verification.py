@@ -1055,9 +1055,9 @@ def test_run_verify_refuses_equivalence_above_its_bound(monkeypatch):
             verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
         )
     assert verification.EQUIVALENCE_MAX_N == 9
-    with pytest.raises(ValueError, match=r"n_max > 9 is not supported, got 10"):
+    with pytest.raises(ValueError, match=r"equivalence suite n_max must be within 1\.\.9, got 10$"):
         run_verify(10)
-    with pytest.raises(ValueError, match=r"n_max > 9"):
+    with pytest.raises(ValueError, match=r"equivalence suite n_max must be within 1\.\.9"):
         run_verify(10, suites=("equivalence",))
     assert started == []
     # Without the equivalence suite the other suites keep their own caps.
@@ -1090,11 +1090,42 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
     monkeypatch.setattr(verification, "_cyclic", no_enumeration)
     assert verification.EQUIVALENCE_MAX_N == 9
     for workers in (1, 2):
-        with pytest.raises(ValueError, match=r"n > 9 is not supported, got n=10"):
+        with pytest.raises(ValueError, match=r"equivalence suite n must be within 1\.\.9, got 10$"):
             equivalence_suite(10, workers=workers)
-    with pytest.raises(ValueError, match=r"n > 9 is not supported, got n=10"):
+    with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
         count_classes(10)
     assert started == []
+
+
+def test_count_keeps_its_own_bound_when_the_equivalence_bound_rises(capsys, monkeypatch):
+    # count_classes holds OP_n and OR_n as sets (407 MB at n = 10), so
+    # raising the equivalence suite's bound must not raise count's with it.
+    from cyclorient import verification
+    from cyclorient.cli import main
+
+    started = []
+
+    def no_enumeration(*args):
+        # Stands in for the per-map work: a bound that moved with the
+        # equivalence suite's fails here at once instead of building 10^10 maps.
+        started.append(("enumeration", args))
+        raise AssertionError("enumeration started")
+
+    for name in ("_equivalence_range", "_tag", "_oriented", "_cyclic"):
+        monkeypatch.setattr(verification, name, no_enumeration)
+    monkeypatch.setattr(verification, "EQUIVALENCE_MAX_N", 10)
+    assert verification.COUNT_MAX_N == 9
+    with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
+        count_classes(10)
+    assert main(["count", "--n", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: count n must be within 1..9, got 10\n")
+    assert started == []
+    # The raised bound lets run_verify reach the (stubbed) suite at n = 10.
+    monkeypatch.setattr(
+        verification, "equivalence_suite", lambda n, **k: started.append(("suite", n))
+    )
+    run_verify(10, suites=("equivalence",))
+    assert started == [("suite", n) for n in range(1, 11)]
 
 
 def _oriented_by_definition(items):
