@@ -87,11 +87,3 @@ def enumerate_all(n: int, start: int = 0, stop: int | None = None) -> Iterator[M
 
     return maps()
 
-
-def _index(n: int, imgs: tuple[int, ...]) -> int:
-    """The index of the map ``imgs`` in :func:`enumerate_all`'s order: its
-    images read as base-n digits, most significant first."""
-    index = 0
-    for v in imgs:
-        index = index * n + v
-    return index

@@ -104,7 +104,7 @@ def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     of its :func:`orbit`, in each of its r value rotations v → (v + s) mod
     r, read through every r-point image set."""
     rank = max(pattern) + 1
-    for member in sorted(orbit(pattern)):
+    for member in orbit(pattern):
         for shift in range(rank):
             rotated = [(v + shift) % rank for v in member]
             for values in itertools.combinations(range(n), rank):

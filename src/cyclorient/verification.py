@@ -41,7 +41,6 @@ from collections.abc import Collection, Iterable, Iterator
 
 from . import patterns
 from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
-from .mappings import _index
 from .sequences import Orientation, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 9
@@ -171,27 +170,31 @@ def _new_tally() -> dict:
 
 
 def _fail(
-    tally: dict, claim: str, index: int, witness: str, detail: str, count: int = 1
+    tally: dict, claim: str, key: tuple, witness: str, detail: str, count: int = 1
 ) -> None:
-    """Record ``count`` failed checks; the claim keeps its lowest-index witness.
+    """Record ``count`` failed checks; the claim keeps the witness of its
+    least ``key``: the failing map's image tuple in the equivalence suite
+    (at one n, the tuples sort in the n^n index order of
+    :func:`~cyclorient.mappings.enumerate_all`), ``()`` where the first
+    failure wins, and ``(n,)`` for a gate, which sorts past every map of [n].
 
     Only failures reach here, so witness and detail text is built only for
     them; suites count their checks in bulk."""
     cur = tally["violations"].get(claim)
     if cur is None:
-        tally["violations"][claim] = [index, witness, detail, count]
+        tally["violations"][claim] = [key, witness, detail, count]
     else:
         cur[3] += count
-        if index < cur[0]:
-            cur[0], cur[1], cur[2] = index, witness, detail
+        if key < cur[0]:
+            cur[0], cur[1], cur[2] = key, witness, detail
 
 
 def _merge_tallies(parts: list[dict]) -> dict:
     total = _new_tally()
     for part in parts:
         total["checks"].update(part["checks"])
-        for claim, (idx, wit, det, cnt) in part["violations"].items():
-            _fail(total, claim, idx, wit, det, cnt)
+        for claim, (key, wit, det, cnt) in part["violations"].items():
+            _fail(total, claim, key, wit, det, cnt)
         total["sanctioned"].extend(part["sanctioned"])
     return total
 
@@ -207,11 +210,11 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
     )
     violations = tuple(
         Violation(claim, wit, det, cnt)
-        for claim, (idx, wit, det, cnt) in sorted(tally["violations"].items())
+        for claim, (_, wit, det, cnt) in sorted(tally["violations"].items())
     )
     sanctioned = tuple(
-        SanctionedException(claim, wit)
-        for claim, idx, wit in sorted(tally["sanctioned"])
+        SanctionedException(claim, ",".join(map(str, imgs)))
+        for claim, imgs in sorted(tally["sanctioned"])
     )
     return SuiteReport(
         suite=suite,
@@ -255,9 +258,7 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
         counts[checked] = counts.get(checked, 0) + weight
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                for imgs in patterns.spread(pattern, n):
-                    witness = ",".join(map(str, imgs))
-                    tally["sanctioned"].append((claim, _index(n, imgs), witness))
+                tally["sanctioned"].extend((claim, imgs) for imgs in patterns.spread(pattern, n))
             else:
                 member, detail = next(
                     (member, detail)
@@ -265,8 +266,7 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
                     for found, detail, _ in _claims(member)[2]
                     if found == claim
                 )
-                witness = ",".join(map(str, member))
-                _fail(tally, claim, _index(n, member), witness, detail, weight)
+                _fail(tally, claim, member, ",".join(map(str, member)), detail, weight)
     for checked, count in counts.items():
         for claim in checked:
             tally["checks"][claim] += count
@@ -334,7 +334,7 @@ def _check_tallies(n: int, tally: dict, rank: int | None = None) -> None:
     of OP_n (n at r = 1); P_n holds twice as many at r ≥ 3, where OP_n and
     OR_n are disjoint, and the same ones at r ≤ 2, where every member lies
     in both."""
-    counts = tally["checks"] + Counter(claim for claim, _, _ in tally["sanctioned"])
+    counts = tally["checks"] + Counter(claim for claim, _ in tally["sanctioned"])
     if rank is None:
         maps, (op, both), where = n**n, _closed_forms(n), ""
         p, gaps = 2 * op - both, math.comb(n, 2) * (2**n - 2 - n * (n - 1))
@@ -354,9 +354,9 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict, where: str = "") ->
     it, the detail ending in ``where``."""
     for claim, want in wants.items():
         if counts[claim] != want:
-            # Indexed past every map, so a failing map stays the witness.
+            # Keyed (n,), past every map of [n], so a failing map stays the witness.
             detail = f"{counts[claim]} counted but the closed form gives {want}{where}"
-            _fail(tally, claim, n**n, "closed-form", detail)
+            _fail(tally, claim, (n,), "closed-form", detail)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +392,8 @@ def identity_suite(n: int) -> SuiteReport:
     Each claim's offenders are one set: an equality holds when its
     symmetric difference is empty, and an inclusion when its difference is
     empty.  n lies within 1..``IDENTITY_MAX_N``; the class products reach
-    further: tier-1 checks them at n = 6 (0.16 s) and 7 (1.5 s), and CI at
+    further: ``tests/test_verification.py::check_closure_identities``
+    checks them in tier-1 at n = 6 (0.16 s) and 7 (1.5 s), and in CI at
     n = 8 (8.1 s, 56 MB peak), on one 2-vCPU x86-64 core.
     """
     n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
@@ -423,7 +424,7 @@ def identity_suite(n: int) -> SuiteReport:
         tally["checks"][claim] += weight
         if offenders:
             witness = ",".join(map(str, min(offenders)))
-            _fail(tally, claim, 0, witness, f"{len(offenders)} offending map(s)")
+            _fail(tally, claim, (), witness, f"{len(offenders)} offending map(s)")
     return _finish("identity", n, tally, started)
 
 
@@ -530,7 +531,7 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
                 if tuple(map(pattern.__getitem__, items)) in offenders[len(items), tag]:
                     witness = f"map={','.join(map(str, pattern))};seq={','.join(map(str, items))}"
                     detail = "image orientation does not match the source"
-                    _fail(tally, claim, 0, witness, detail, weight)
+                    _fail(tally, claim, (), witness, detail, weight)
         _gate(tally, n, checks, {claim: (op - both) * len(pool)})
 
     # Subsequence inheritance: mask m's position tuple keeps item b for bit b.
@@ -556,7 +557,7 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
             if tuple(map(items.__getitem__, positions)) in offenders[len(items), tag]:
                 witness = f"seq={','.join(map(str, items))};mask={mask}"
                 detail = "subsequence lost an orientation admitted by the full sequence"
-                _fail(tally, "subsequence-inheritance", 0, witness, detail)
+                _fail(tally, "subsequence-inheritance", (), witness, detail)
     # A pool of the wrong size has failed its own gate; this one sees a pool
     # of the right size with the wrong lengths, or a loop that miscounts.
     if len(pool) == sum(sizes.values()):

@@ -21,18 +21,18 @@ def oriented_quadruples(n):
 
 def equivalence_walk(n):
     """The equivalence suite's tally by the full walk: the claim table of
-    every one of the n^n maps, in index order, each with its own findings;
-    the suite reaches the same tally through the maps' value patterns."""
+    every one of the n^n maps, in lexicographic order, each with its own
+    findings keyed by its image tuple; the suite reaches the same tally
+    through the maps' value patterns."""
     tally = _new_tally()
-    for index, imgs in enumerate(itertools.product(range(n), repeat=n)):
+    for imgs in itertools.product(range(n), repeat=n):
         _, checked, findings = _claims(imgs)
         tally["checks"].update(checked)
-        witness = ",".join(map(str, imgs))
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                tally["sanctioned"].append((claim, index, witness))
+                tally["sanctioned"].append((claim, imgs))
             else:
-                _fail(tally, claim, index, witness, detail)
+                _fail(tally, claim, imgs, ",".join(map(str, imgs)), detail)
     return tally
 
 

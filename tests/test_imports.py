@@ -1,9 +1,11 @@
 """The package's import graph: acyclic and layered, with every import at
 the top but the loads of the suites, and a CLI or per-map import that loads
-neither a heavy standard-library module nor the suites; and its public
-surface, which README documents name by name."""
+neither a heavy standard-library module nor the suites; its public
+surface, which README documents name by name; and CI's checks past
+tier-1's sizes, which call tier-1's own check functions."""
 
 import ast
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ import cyclorient
 
 PACKAGE = Path(__file__).parent.parent / "src" / "cyclorient"
 README = PACKAGE.parent.parent / "README.md"
+CI = PACKAGE.parent.parent / ".github" / "workflows" / "ci.yml"
 
 
 def package_modules():
@@ -194,3 +197,27 @@ def test_the_orientation_kernel_is_read_at_six_sites():
         ("witnesses", "_validate"),
         ("verification", "lemma_suite"),
     }
+
+
+def test_ci_checks_past_tier1_sizes_are_tier1_check_functions():
+    # CI reaches past tier-1's sizes only through check functions that a
+    # tier-1 test calls too, so a rename that breaks one fails tier-1 first.
+    ci = CI.read_text()
+    assert "<<" not in ci, "ci.yml holds a heredoc"
+    modules = "|".join(["cyclorient", *package_modules()])
+    private = re.findall(rf"\b(?:{modules})\._\w+|\bimport\s+(?:\w+\s*,\s*)*_\w+", ci)
+    assert private == [], f"ci.yml names private attributes {private}"
+    imported = re.findall(r"from (test_\w+) import (check_\w+)", ci)
+    assert imported, "ci.yml calls no check function"
+    for module, check in imported:
+        tree = ast.parse((Path(__file__).parent / f"{module}.py").read_text())
+        defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert check in defined, f"{module} defines no {check}"
+        callers = [
+            name
+            for name, node in defined.items()
+            if name.startswith("test_")
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == check
+        ]
+        assert callers, f"no test in {module} calls {check}"

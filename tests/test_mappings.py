@@ -198,16 +198,6 @@ def test_enumerate_all_index_is_base_n():
         assert maps[k].images == digits
 
 
-def test_index_is_the_position_in_enumerate_all():
-    # The suites index maps by _index without enumerating them, so its order
-    # must be the one enumerate_all owns.
-    from cyclorient.mappings import _index
-
-    for n in range(1, 6):
-        for position, m in enumerate(enumerate_all(n)):
-            assert _index(n, m.images) == position, (n, m.images)
-
-
 def test_enumerate_all_splits_into_ranges():
     full = list(enumerate_all(3))
     pieces = []

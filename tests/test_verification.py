@@ -152,7 +152,7 @@ def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
     # The merged gate alone, on the report's checks and gaps.
     merged = verification._new_tally()
     merged["checks"].update({c.claim: c.checks for c in report.claims})
-    merged["sanctioned"] = [(s.claim, 0, s.witness) for s in report.sanctioned_exceptions]
+    merged["sanctioned"] = [(s.claim, ()) for s in report.sanctioned_exceptions]
     verification._check_tallies(5, merged)
     routes = "3100 counted but the closed form gives 3125"
     assert {claim: row[2] for claim, row in merged["violations"].items()} == {
@@ -311,20 +311,26 @@ def test_walk_yields_one_pattern_per_dihedral_orbit():
     assert (len(weights), sum(weights)) == (6335, 8**8)
 
 
-def test_pattern_walk_matches_the_full_walk_up_to_n6():
-    # The full n^n walk is the oracle: every map's own claim table, index
-    # and witness.  Up to n = 8 the jobs run in process at any worker count;
-    # test_pool_report_matches_one_worker_at_n9 starts the pool.
+def check_pattern_walk(n):
+    """The suite's report at n equals the full n^n walk's, the oracle of
+    every map's own claim table and witness, at 1 and 2 workers.  Up to
+    n = 8 the jobs run in process at any worker count;
+    test_pool_report_matches_one_worker_at_n9 starts the pool."""
     from oracles import equivalence_walk
 
     from cyclorient import verification
 
+    tally = equivalence_walk(n)
+    verification._check_tallies(n, tally)
+    want = format_machine([verification._finish("equivalence", n, tally, 0.0)])
+    for workers in (1, 2):
+        assert format_machine([equivalence_suite(n, workers=workers)]) == want, (n, workers)
+
+
+def test_pattern_walk_matches_the_full_walk_up_to_n6():
+    # CI runs check_pattern_walk(7).
     for n in range(1, 7):
-        tally = equivalence_walk(n)
-        verification._check_tallies(n, tally)
-        want = format_machine([verification._finish("equivalence", n, tally, 0.0)])
-        for workers in (1, 2):
-            assert format_machine([equivalence_suite(n, workers=workers)]) == want, (n, workers)
+        check_pattern_walk(n)
 
 
 def _mismatches(n, draws, seed, partners, points=True):
@@ -788,7 +794,7 @@ def test_text_format_shows_violations():
 
     tally = _new_tally()
     tally["checks"]["demo-claim"] += 1
-    _fail(tally, "demo-claim", 7, "0,1,0,1", "something broke")
+    _fail(tally, "demo-claim", (0, 1, 0, 1), "0,1,0,1", "something broke")
     report = _finish("equivalence", 4, tally, started=0.0)
     assert not report.passed
     text = format_text(report)
@@ -803,13 +809,13 @@ def test_merge_keeps_lexicographically_smallest_witness():
 
     left = _new_tally()
     right = _new_tally()
-    _fail(right, "claim-x", 9, "0,0,9", "later")
-    _fail(left, "claim-x", 4, "0,0,4", "earlier")
+    _fail(right, "claim-x", (0, 0, 9), "0,0,9", "later")
+    _fail(left, "claim-x", (0, 0, 4), "0,0,4", "earlier")
     merged_one = _merge_tallies([left, right])
     merged_two = _merge_tallies([right, left])
     for merged in (merged_one, merged_two):
-        idx, witness, detail, count = merged["violations"]["claim-x"]
-        assert (idx, witness, detail, count) == (4, "0,0,4", "earlier", 2)
+        key, witness, detail, count = merged["violations"]["claim-x"]
+        assert (key, witness, detail, count) == ((0, 0, 4), "0,0,4", "earlier", 2)
 
 
 def test_class_counts_invariants_reporting():
@@ -1242,6 +1248,33 @@ def _composed(left, right):
     return verification._product_set(patterns.split(left), right)
 
 
+def check_product_sets(n, max_len):
+    """Every product set the suites compose at n, the lemma suite's at
+    ``max_len``, equals the pairwise oracle's."""
+    from oracles import product_set
+
+    from cyclorient import verification
+
+    op, or_ = verification._classes(n)
+    # The lemma suite's products read its pool's (length, tag) groups.
+    groups = {}
+    for items, tag in verification._oriented_pool(n, max_len):
+        groups.setdefault((len(items), tag), []).append(items)
+    # Its images: each group then each class's rank >= 3 patterns (value set 0..r - 1).
+    for members in (op, or_):
+        shapes = [t for t in members if len(set(t)) >= 3 and max(t) == len(set(t)) - 1]
+        for group in groups.values():
+            assert _composed(group, shapes) == product_set(group, shapes), ("images", n)
+    # Its subsequences: mask position tuples (bit b keeps item b) then each
+    # group, every subsequence that a mask selects.
+    for (t, _), group in groups.items():
+        masks = [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)]
+        assert _composed(masks, group) == product_set(masks, group), ("masks", n, t)
+    # The identity suite's four products.
+    for left, right in ((op, op), (or_, or_), (or_, op), (op, or_)):
+        assert _composed(left, right) == product_set(left, right), ("identity", n)
+
+
 def test_product_set_matches_the_pairwise_oracle():
     import itertools
 
@@ -1249,12 +1282,9 @@ def test_product_set_matches_the_pairwise_oracle():
 
     from cyclorient import verification
 
+    # The suites' own inputs; CI runs check_product_sets(6, 6).
     for n in range(1, 6):
-        members = list(verification._oriented(n, n))
-        op = frozenset(images for images, tag in members if tag.admits_cyclic)
-        or_ = frozenset(images for images, tag in members if tag.admits_anti_cyclic)
-        for left, right in ((op, op), (or_, or_), (or_, op), (op, or_)):
-            assert _composed(left, right) == product_set(left, right), n
+        check_product_sets(n, 5)
     # All maps by all maps mixes every rank on both sides.
     for n in range(1, 4):
         every = frozenset(itertools.product(range(n), repeat=n))
@@ -1266,28 +1296,24 @@ def test_product_set_matches_the_pairwise_oracle():
         for k in range(1, 5):
             seqs = frozenset(items for items, _ in verification._oriented(n, k))
             assert _composed(seqs, op) == product_set(seqs, op), (n, k)
-    # Mask position tuples on the left, each (length, tag) group of the lemma
-    # pool on the right: every subsequence that a mask selects.
-    for n in range(1, 6):
-        groups = {}
-        for items, tag in verification._oriented_pool(n, 5):
-            groups.setdefault((len(items), tag), []).append(items)
-        for (t, _), group in groups.items():
-            masks = [c for k in range(1, t + 1) for c in itertools.combinations(range(t), k)]
-            assert _composed(masks, group) == product_set(masks, group), (n, t)
+
+
+def check_closure_identities(n):
+    """OP.OP = OP, OR.OR = OP and OR.OP = OP.OR = OR as product sets at n."""
+    from cyclorient import verification
+
+    op, or_ = verification._classes(n)
+    assert _composed(op, op) == op, ("OP.OP = OP", n)
+    assert _composed(or_, or_) == op, ("OR.OR = OP", n)
+    assert _composed(or_, op) == or_, ("OR.OP = OR", n)
+    assert _composed(op, or_) == or_, ("OP.OR = OR", n)
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_product_sets_keep_the_closure_identities_past_the_suite_cap(n):
-    from cyclorient import verification
-
-    # OP.OP = OP, OR.OR = OP and OR.OP = OP.OR = OR, at sizes the identity
-    # suite's default report does not reach.
-    op, or_ = verification._classes(n)
-    assert _composed(op, op) == op
-    assert _composed(or_, or_) == op
-    assert _composed(or_, op) == or_
-    assert _composed(op, or_) == or_
+    # Sizes the identity suite's default report does not reach; CI runs
+    # check_closure_identities(8).
+    check_closure_identities(n)
 
 
 def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
@@ -1370,27 +1396,41 @@ def _mistagged_pools(real):
     return real, flipped_pool, both, neither
 
 
-def test_lemma_suite_matches_the_brute_force_oracle(monkeypatch):
+def check_lemma_against_oracle(n, max_len, pools):
+    """The lemma suite's image claims at n and ``max_len`` equal the
+    full-member oracle's, checks, witnesses and counts, on each of the
+    first ``pools`` pools of :func:`_mistagged_pools` (the real pool
+    first).  Returns the number of failing claims the oracle found."""
     from oracles import lemma_failures
 
     from cyclorient import verification
 
+    real, failed = verification._oriented_pool, 0
+    try:
+        for pool_of in _mistagged_pools(real)[:pools]:
+            verification._oriented_pool = pool_of
+            report = lemma_suite(n, max_len=max_len)
+            checks, failures = lemma_failures(n, pool_of(n, max_len))
+            image = [c for c in report.claims if c.claim.startswith("image-orientation-")]
+            assert {c.claim: c.checks for c in image} == checks, (n, max_len, pool_of.__name__)
+            got = {
+                v.claim: (v.witness, v.count)
+                for v in report.violations
+                if v.claim.startswith("image-orientation-")
+            }
+            assert got == failures, (n, max_len, pool_of.__name__)
+            failed += len(failures)
+    finally:
+        verification._oriented_pool = real
+    return failed
+
+
+def test_lemma_suite_matches_the_brute_force_oracle():
+    # CI runs check_lemma_against_oracle(6, 4, 2), the real and flipped pools.
     failed = 0
-    for pool_of in _mistagged_pools(verification._oriented_pool):
-        monkeypatch.setattr(verification, "_oriented_pool", pool_of)
-        for n in range(1, 6):
-            for max_len in (3, 4):
-                report = lemma_suite(n, max_len=max_len)
-                checks, failures = lemma_failures(n, pool_of(n, max_len))
-                image = [c for c in report.claims if c.claim.startswith("image-orientation-")]
-                assert {c.claim: c.checks for c in image} == checks, (n, max_len)
-                got = {
-                    v.claim: (v.witness, v.count)
-                    for v in report.violations
-                    if v.claim.startswith("image-orientation-")
-                }
-                assert got == failures, (n, max_len)
-                failed += len(failures)
+    for n in range(1, 6):
+        for max_len in (3, 4):
+            failed += check_lemma_against_oracle(n, max_len, 4)
     assert failed > 0
 
 
@@ -1567,6 +1607,19 @@ def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
     )
 
 
+def check_classes_against_walk(n):
+    """OP_n and OR_n, built from the definition, equal the members the
+    kernel walk of all n^n maps tags cyclic and anti-cyclic."""
+    from oracles import oriented_walk
+
+    from cyclorient import verification
+
+    rows = list(oriented_walk(n, n))
+    op = {images for images, tag in rows if tag.admits_cyclic}
+    or_ = {images for images, tag in rows if tag.admits_anti_cyclic}
+    assert verification._classes(n) == (op, or_), n
+
+
 def test_oriented_rows_match_the_kernel_walk_and_the_closed_forms():
     from oracles import oriented_walk
 
@@ -1577,6 +1630,9 @@ def test_oriented_rows_match_the_kernel_walk_and_the_closed_forms():
     for n in range(1, 8):
         for k in range(1, 8):
             assert list(verification._oriented(n, k)) == list(oriented_walk(n, k)), (n, k)
+    # The classes too; CI runs check_classes_against_walk(8).
+    for n in range(1, 7):
+        check_classes_against_walk(n)
     # Past the walk's reach, the closed forms still fix the row counts.
     for n in range(1, 9):
         for k in range(1, 9):
