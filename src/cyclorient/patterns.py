@@ -1,9 +1,10 @@
 """A map of [n] read as its sorted image set S and its value pattern, each
 image replaced by its position in S (3,7,3,5 is S = 3,5,7 at 0,2,0,1): the
 equivalence suite walks one pattern per dihedral orbit and spreads it back
-into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the product sets
-group the image sets S met with the same patterns into families
-(:func:`split`).
+into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the identity and
+lemma suites read the classes as their patterns (:func:`cyclic`); the
+product sets group the image sets S met with the same patterns into
+families (:func:`split`).
 
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
@@ -109,6 +110,20 @@ def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
             rotated = [(v + shift) % rank for v in member]
             for values in itertools.combinations(range(n), rank):
                 yield tuple(map(values.__getitem__, rotated))
+
+
+def cyclic(k: int) -> set[tuple[int, ...]]:
+    """The patterns of OP's members of length k, from the definition with no
+    kernel call: the distinct rotations of the non-decreasing sequences onto
+    0..r − 1, for r = 1..k (r·C(k, r) of each rank r ≥ 2, and one of rank
+    1).  OR's patterns are their reversals."""
+    return {
+        run[i:] + run[:i]
+        for rank in range(1, k + 1)
+        for extra in itertools.combinations_with_replacement(range(rank), k - rank)
+        for run in [tuple(sorted((*range(rank), *extra)))]
+        for i in range(k)
+    }
 
 
 def split(seqs: Iterable[tuple[int, ...]]) -> dict[frozenset, list[tuple[int, ...]]]:

@@ -155,7 +155,8 @@ def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientatio
 
 def _classes(n: int) -> tuple[frozenset, frozenset]:
     """OP_n and OR_n as sets of image tuples: the cyclic image lists of
-    :func:`_cyclic` and their reversals."""
+    :func:`_cyclic` and their reversals.  Only :func:`count_classes` reads
+    them; the identity and lemma suites read the classes' patterns."""
     op = frozenset(_cyclic(n, n))
     return op, frozenset(images[::-1] for images in op)
 
@@ -388,43 +389,69 @@ def _product_set(families: dict, right: Collection[tuple[int, ...]]) -> set:
 
 def identity_suite(n: int) -> SuiteReport:
     """Verify the closure identities of the orientation classes as literal
-    set identities over the product sets :func:`_product_set` composes.
-    Each claim's offenders are one set: an equality holds when its
-    symmetric difference is empty, and an inclusion when its difference is
-    empty.  n lies within 1..``IDENTITY_MAX_N``; the class products reach
-    further: ``tests/test_verification.py::check_closure_identities``
-    checks them in tier-1 at n = 6 (0.16 s) and 7 (1.5 s), and in CI at
-    n = 8 (8.1 s, 56 MB peak), on one 2-vCPU x86-64 core.
+    set identities of value patterns.
+
+    A rank-r member a, image set S and pattern p, then b, is b restricted
+    to S read at p.  The restrictions of a class's members to any r
+    positions are exactly its length-r sequences over [n]: a subsequence of
+    a cyclic sequence is cyclic, and a cyclic r-sequence extends to a member
+    by constant runs.  Each is its image set T read through a class pattern
+    q of length r, so a product set is the maps T read through q∘p, p a
+    left-class pattern of length n and rank r, q a right-class one of length
+    r (:func:`patterns.cyclic`; OR's are the reversals), composed rank by
+    rank by :func:`_product_set`.  So each identity is one of pattern sets,
+    each pattern weighing the C(n, rank) maps it stands for in every check
+    and offender count: an equality holds when its symmetric difference is
+    empty, and an inclusion when its difference is.  The witness is the
+    least offending pattern, the least map it stands for.  The product
+    claims must count |OP_n|² checks and ``op-and-or-is-low-rank-p`` |P_n|
+    (:func:`_closed_forms`, :func:`_gate`).  n lies within
+    1..``IDENTITY_MAX_N``; tier-1 checks the report against the products of
+    whole classes up to n = 6, and CI at n = 7.  With the cap raised, n = 8
+    takes about 0.07 s on one 2-vCPU x86-64 core.
     """
     n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
     started = time.perf_counter()
     tally = _new_tally()
 
-    op_set, or_set = _classes(n)
+    # OP's and OR's patterns of each length r <= n.
+    sized = {r: (c, {q[::-1] for q in c}) for r in range(1, n + 1) for c in [patterns.cyclic(r)]}
+    op_set, or_set = sized[n]
     p_set = op_set | or_set
-    low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
+    low_rank_p = {p for p in p_set if max(p) <= 1}
 
-    op_split, or_split = patterns.split(op_set), patterns.split(or_set)
-    op_op = _product_set(op_split, op_set)
-    or_or = _product_set(or_split, or_set)
-    or_op = _product_set(or_split, op_set)
-    op_or = _product_set(op_split, or_set)
+    def product(left: set, right: int) -> set:
+        # Each rank-r family of the left patterns composed with the length-r
+        # patterns of class ``right`` (0 for OP, 1 for OR).
+        out = set()
+        for shapes, [image] in patterns.split(left).items():
+            out |= _product_set({shapes: [image]}, sized[len(image)][right])
+        return out
 
-    n_op, n_or = len(op_set), len(or_set)
+    def weigh(seqs: Iterable[tuple[int, ...]]) -> int:
+        return sum(math.comb(n, max(p) + 1) for p in seqs)
+
+    op_op, or_or = product(op_set, 0), product(or_set, 1)
+    or_op, op_or = product(or_set, 0), product(op_set, 1)
+    n_op, n_or = weigh(op_set), weigh(or_set)
     # P = OP u OR, so the product P.P is the union of the four products.
     p_p = op_op | or_or | or_op | op_or
-    for claim, offenders, weight in (
+    for claim, offenders, checks in (
         ("or-or-equals-op", or_or ^ op_set, n_or * n_or),
         ("or-op-equals-or", or_op ^ or_set, n_or * n_op),
         ("op-or-equals-or", op_or ^ or_set, n_op * n_or),
         ("op-closed", op_op - op_set, n_op * n_op),
-        ("p-closed", p_p - p_set, len(p_p)),
-        ("op-and-or-is-low-rank-p", (op_set & or_set) ^ low_rank_p, len(p_set)),
+        ("p-closed", p_p - p_set, weigh(p_p)),
+        ("op-and-or-is-low-rank-p", (op_set & or_set) ^ low_rank_p, weigh(p_set)),
     ):
-        tally["checks"][claim] += weight
+        tally["checks"][claim] += checks
         if offenders:
             witness = ",".join(map(str, min(offenders)))
-            _fail(tally, claim, (), witness, f"{len(offenders)} offending map(s)")
+            _fail(tally, claim, (), witness, f"{weigh(offenders)} offending map(s)")
+    op, both = _closed_forms(n)
+    products = ("or-or-equals-op", "or-op-equals-or", "op-or-equals-or", "op-closed")
+    wants = dict.fromkeys(products, op * op) | {"op-and-or-is-low-rank-p": 2 * op - both}
+    _gate(tally, n, tally["checks"], wants)
     return _finish("identity", n, tally, started)
 
 
@@ -465,19 +492,20 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     Both are product sets of :func:`_product_set`, as in
     :func:`identity_suite`, over one grouping of the pool by (length, tag).
     The images are "sequence then pattern" per group, for each class's
-    rank >= 3 patterns: the members whose value set is 0..r - 1.  A member
-    is its pattern followed by an increasing relabelling, which keeps every
-    tag and count of distinct values, so a failing (pattern, sequence) pair
-    counts for the C(n, r) members the pattern stands for, and the least
-    failing member is a pattern.  The limit: a wrong map that is not a
-    pattern, in place of a member, is never composed, and the count gate
-    misses it when the count stays.  The subsequences are "mask then
+    rank >= 3 patterns (:func:`patterns.cyclic` and their reversals), the
+    members whose value set is 0..r - 1.  A member is its pattern followed
+    by an increasing relabelling, which keeps every tag and count of
+    distinct values, so each pattern counts for the C(n, r) members it
+    stands for, and the least failing member is a pattern.  The limit: the
+    members that are not patterns are never built, so a wrong one in
+    :func:`_classes`, which only ``count`` reads, leaves this report as it
+    is.  The subsequences are "mask then
     sequence", a mask read as its position tuple, per group; each distinct
     one is tagged once.  Only a claim whose product sets hold an offender
     walks its pairs for the violation count and witness: patterns in index
     order, then sequences, for an image claim; sequences, then masks, for
-    inheritance.  Each image-orientation count, taken from the full member
-    lists, must equal (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the pool size the
+    inheritance.  Each image-orientation count, the patterns' C(n, r)
+    summed, must equal (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the pool size the
     oriented counts of :func:`_closed_forms` summed over its lengths k, and
     the subsequence checks that sum weighted by 2^k − 1.  ``sample_budget``
     is accepted and ignored: the suite once sampled the pool.
@@ -501,20 +529,17 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     kind_split = {kind: patterns.split(group) for kind, group in kinds.items()}
     checks = tally["checks"]
     op, both = _closed_forms(n)
+    cyclic = patterns.cyclic(n)
     for claim, members, flip in zip(
-        ("image-orientation-preserved", "image-orientation-reversed"), _classes(n), (False, True)
+        ("image-orientation-preserved", "image-orientation-reversed"),
+        (cyclic, {p[::-1] for p in cyclic}),
+        (False, True),
     ):
-        # Rank >= 3 members, each exactly one of OP and OR; a rank <= 2 member
-        # never gives an image three distinct values.  One pass counts them
-        # and keeps their patterns.
-        ranked, shapes = 0, []
-        for t in members:
-            rank = len(set(t))
-            if rank >= 3:
-                ranked += 1
-                if max(t) == rank - 1:
-                    shapes.append(t)
-        shapes.sort()
+        # Rank >= 3 patterns, each of exactly one of OP and OR; a rank <= 2
+        # member never gives an image three distinct values.  A rank-r
+        # pattern stands for C(n, r) members.
+        shapes = sorted(p for p in members if max(p) >= 2)
+        ranked = sum(math.comb(n, max(p) + 1) for p in shapes)
         offenders = {}
         for kind, split in kind_split.items():
             want = kind[1].swapped() if flip else kind[1]

@@ -3,10 +3,10 @@
 import itertools
 from operator import itemgetter
 
-from cyclorient import Chord
+from cyclorient import Chord, patterns
 from cyclorient.claims import _claims
 from cyclorient.sequences import Orientation, _tag
-from cyclorient.verification import _fail, _new_tally
+from cyclorient.verification import _classes, _fail, _new_tally, _product_set
 
 
 def oriented_quadruples(n):
@@ -138,6 +138,37 @@ def product_set(left, right):
         row = map(itemgetter(*a), right)
         out.update(row if len(a) > 1 else ((v,) for v in row))
     return out
+
+
+def identity_tally(n):
+    """The identity suite's tally from the products of whole classes: OP_n
+    and OR_n as sets of image tuples, each product set composed over every
+    member pair, each map one check and one offender, the least offending
+    map the witness.  The suite reaches the same tally through patterns."""
+    tally = _new_tally()
+    op_set, or_set = _classes(n)
+    p_set = op_set | or_set
+    low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
+    op_split, or_split = patterns.split(op_set), patterns.split(or_set)
+    op_op = _product_set(op_split, op_set)
+    or_or = _product_set(or_split, or_set)
+    or_op = _product_set(or_split, op_set)
+    op_or = _product_set(op_split, or_set)
+    n_op, n_or = len(op_set), len(or_set)
+    p_p = op_op | or_or | or_op | op_or
+    for claim, offenders, checks in (
+        ("or-or-equals-op", or_or ^ op_set, n_or * n_or),
+        ("or-op-equals-or", or_op ^ or_set, n_or * n_op),
+        ("op-or-equals-or", op_or ^ or_set, n_op * n_or),
+        ("op-closed", op_op - op_set, n_op * n_op),
+        ("p-closed", p_p - p_set, len(p_p)),
+        ("op-and-or-is-low-rank-p", (op_set & or_set) ^ low_rank_p, len(p_set)),
+    ):
+        tally["checks"][claim] += checks
+        if offenders:
+            witness = ",".join(map(str, min(offenders)))
+            _fail(tally, claim, (), witness, f"{len(offenders)} offending map(s)")
+    return tally
 
 
 def lemma_failures(n, pool):

@@ -313,8 +313,8 @@ def test_walk_yields_one_pattern_per_dihedral_orbit():
 
 def check_pattern_walk(n):
     """The suite's report at n equals the full n^n walk's, the oracle of
-    every map's own claim table and witness, at 1 and 2 workers.  Up to
-    n = 8 the jobs run in process at any worker count;
+    every map's own claim table and witness.  Up to n = 8 the jobs run in
+    process at any worker count, so one run covers them all;
     test_pool_report_matches_one_worker_at_n9 starts the pool."""
     from oracles import equivalence_walk
 
@@ -323,8 +323,7 @@ def check_pattern_walk(n):
     tally = equivalence_walk(n)
     verification._check_tallies(n, tally)
     want = format_machine([verification._finish("equivalence", n, tally, 0.0)])
-    for workers in (1, 2):
-        assert format_machine([equivalence_suite(n, workers=workers)]) == want, (n, workers)
+    assert format_machine([equivalence_suite(n)]) == want, n
 
 
 def test_pattern_walk_matches_the_full_walk_up_to_n6():
@@ -621,13 +620,15 @@ def test_identity_suite_reports_a_product_outside_p(monkeypatch):
     )
     report = identity_suite(4)
     assert not report.passed
+    # The suite composes patterns, so the injected pattern stands for its
+    # C(4, 2) = 6 maps.
     products = {"or-or-equals-op", "or-op-equals-or", "op-or-equals-or", "op-closed", "p-closed"}
     assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
-        (claim, "0,1,0,1", 1, "1 offending map(s)") for claim in products
+        (claim, "0,1,0,1", 1, "6 offending map(s)") for claim in products
     }
     claims = {c.claim: c for c in report.claims}
     assert claims["op-and-or-is-low-rank-p"].violations == 0
-    assert claims["p-closed"].checks == 181  # P.P counts its distinct products
+    assert claims["p-closed"].checks == 186  # P.P counts the maps of its distinct products
 
 
 def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatch):
@@ -659,6 +660,103 @@ def test_identity_bounds():
         identity_suite(3.0)
     n = identity_suite(True).n
     assert n == 1 and type(n) is int
+
+
+def test_cyclic_patterns_are_the_class_patterns():
+    # The builder both suites read, against the members of OP_k whose value
+    # set is 0..r - 1, with r·C(k, r) patterns of each rank r >= 2.
+    import math
+    from collections import Counter
+
+    from cyclorient import patterns, verification
+
+    for k in range(1, 9):
+        built = patterns.cyclic(k)
+        op, _ = verification._classes(k)
+        assert built == {t for t in op if set(t) == set(range(max(t) + 1))}, k
+        ranks = Counter(max(p) + 1 for p in built)
+        assert ranks == {1: 1} | {r: r * math.comb(k, r) for r in range(2, k + 1)}, k
+
+
+def test_restricting_class_members_gives_the_class_sequences():
+    # The identity suite's premise: the members of OP_n (OR_n) restricted
+    # to any r positions are exactly the cyclic (anti-cyclic) length-r
+    # sequences over [n], which the kernel walk tags.
+    import itertools
+
+    from oracles import oriented_walk
+
+    from cyclorient import verification
+
+    for n in range(1, 7):
+        classes = verification._classes(n)
+        for r in range(1, n + 1):
+            rows = list(oriented_walk(n, r))
+            wants = (
+                {items for items, tag in rows if tag.admits_cyclic},
+                {items for items, tag in rows if tag.admits_anti_cyclic},
+            )
+            for positions in itertools.combinations(range(n), r):
+                for members, want in zip(classes, wants):
+                    got = {tuple(map(m.__getitem__, positions)) for m in members}
+                    assert got == want, (n, positions)
+
+
+def check_identity_against_oracle(n):
+    """The identity suite's machine report at n equals the one the products
+    of whole classes give (``oracles.identity_tally``).  The suite's cap is
+    raised for this call only."""
+    from oracles import identity_tally
+
+    from cyclorient import verification
+
+    want = format_machine([verification._finish("identity", n, identity_tally(n), 0.0)])
+    cap = verification.IDENTITY_MAX_N
+    try:
+        verification.IDENTITY_MAX_N = max(cap, n)
+        got = format_machine([identity_suite(n)])
+    finally:
+        verification.IDENTITY_MAX_N = cap
+    assert got == want, n
+
+
+def test_identity_suite_matches_the_tuple_oracle():
+    # CI runs check_identity_against_oracle(7).
+    from cyclorient import verification
+
+    for n in range(1, 7):
+        check_identity_against_oracle(n)
+    assert verification.IDENTITY_MAX_N == 5
+
+
+def test_identity_counts_are_gated_by_their_closed_forms(monkeypatch):
+    from cyclorient import patterns, verification
+
+    real = patterns.cyclic
+    # The builder drops one rank-5 pattern at length 5, so OP_5 and OR_5
+    # (its reversals) each lose one map.
+    monkeypatch.setattr(
+        patterns, "cyclic", lambda k: real(k) - {(0, 1, 2, 3, 4)} if k == 5 else real(k)
+    )
+    report = identity_suite(5)
+    op, both = verification._closed_forms(5)
+    claims = {c.claim: c for c in report.claims}
+    for claim in ("or-or-equals-op", "or-op-equals-or", "op-or-equals-or", "op-closed"):
+        # One violation for the offending identity, one for the gate.
+        assert (claims[claim].checks, claims[claim].violations) == ((op - 1) ** 2, 2), claim
+    gated = {v.claim: v for v in report.violations}["op-and-or-is-low-rank-p"]
+    assert (gated.witness, gated.count, gated.detail) == (
+        "closed-form",
+        1,
+        f"{2 * op - both - 2} counted but the closed form gives {2 * op - both}",
+    )
+    # A shorter pattern enters the products at n only as a right operand,
+    # whose products the other patterns still cover; the run at its own
+    # length gates it.
+    monkeypatch.setattr(patterns, "cyclic", lambda k: real(k) - {(0, 1, 2, 3)})
+    assert identity_suite(5).passed
+    witnesses = {v.claim: v.witness for v in identity_suite(4).violations}
+    assert witnesses["op-and-or-is-low-rank-p"] == "closed-form"
 
 
 def test_count_classes_small():
@@ -1253,16 +1351,20 @@ def check_product_sets(n, max_len):
     ``max_len``, equals the pairwise oracle's."""
     from oracles import product_set
 
-    from cyclorient import verification
+    from cyclorient import patterns, verification
 
-    op, or_ = verification._classes(n)
+    # OP's and OR's patterns of each length r <= n, as the suites build them.
+    sized = {}
+    for r in range(1, n + 1):
+        cyclic = patterns.cyclic(r)
+        sized[r] = cyclic, {q[::-1] for q in cyclic}
     # The lemma suite's products read its pool's (length, tag) groups.
     groups = {}
     for items, tag in verification._oriented_pool(n, max_len):
         groups.setdefault((len(items), tag), []).append(items)
-    # Its images: each group then each class's rank >= 3 patterns (value set 0..r - 1).
-    for members in (op, or_):
-        shapes = [t for t in members if len(set(t)) >= 3 and max(t) == len(set(t)) - 1]
+    # Its images: each group then each class's rank >= 3 patterns.
+    for members in sized[n]:
+        shapes = [p for p in members if max(p) >= 2]
         for group in groups.values():
             assert _composed(group, shapes) == product_set(group, shapes), ("images", n)
     # Its subsequences: mask position tuples (bit b keeps item b) then each
@@ -1270,9 +1372,13 @@ def check_product_sets(n, max_len):
     for (t, _), group in groups.items():
         masks = [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)]
         assert _composed(masks, group) == product_set(masks, group), ("masks", n, t)
-    # The identity suite's four products.
-    for left, right in ((op, op), (or_, or_), (or_, op), (op, or_)):
-        assert _composed(left, right) == product_set(left, right), ("identity", n)
+    # The identity suite's products: each class's rank-r patterns of length
+    # n then each class's patterns of length r.
+    for left in sized[n]:
+        for r in range(1, n + 1):
+            shapes = [p for p in left if max(p) == r - 1]
+            for right in sized[r]:
+                assert _composed(shapes, right) == product_set(shapes, right), ("identity", n, r)
 
 
 def test_product_set_matches_the_pairwise_oracle():
@@ -1461,13 +1567,14 @@ def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
 
 
 def test_lemma_suite_misses_a_wrong_member_off_the_patterns(monkeypatch):
-    # The reduction's limit: the suite composes patterns only, so a map that
-    # is not a pattern, swapped in for a member of the same rank, leaves the
-    # report as it was, though the map itself sends a pool sequence to the
-    # wrong orientation.  The identity suite's closure claims catch it.
+    # The reduction's limit: the identity and lemma suites build the
+    # classes' patterns only, so a map that is not a pattern, swapped into
+    # _classes for a member of the same rank, leaves both reports as they
+    # were, though the map itself sends a pool sequence to the wrong
+    # orientation.  count keeps its sizes; the kernel walk catches it.
     from cyclorient import verification
 
-    want = format_machine([lemma_suite(5)])
+    want = format_machine([identity_suite(5), lemma_suite(5)])
     real = verification._classes
     member, wrong = (0, 1, 2, 4, 4), (0, 2, 1, 4, 4)
 
@@ -1477,14 +1584,15 @@ def test_lemma_suite_misses_a_wrong_member_off_the_patterns(monkeypatch):
 
     monkeypatch.setattr(verification, "_classes", classes)
     assert member in real(5)[0] and wrong not in real(5)[0] | real(5)[1]
-    report = lemma_suite(5)
-    assert report.passed and format_machine([report]) == want
+    assert format_machine([identity_suite(5), lemma_suite(5)]) == want
     images = [
         (tuple(map(wrong.__getitem__, items)), tag)
         for items, tag in verification._oriented_pool(5, 4)
     ]
     assert any(len(set(img)) >= 3 and verification._tag(img) is not tag for img, tag in images)
-    assert not identity_suite(5).passed
+    assert count_classes(5).invariant_failures() == ()
+    with pytest.raises(AssertionError):
+        check_classes_against_walk(5)
 
 
 def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
@@ -1525,29 +1633,20 @@ def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
 
 
 def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
-    from cyclorient import verification
+    from cyclorient import patterns, verification
 
-    real = verification._classes
-    dropped = (0, 1, 2, 3, 4)
-
-    def classes(n):
-        # The member set skips one member of OP_5 of rank 5.
-        op, or_ = real(n)
-        return op - {dropped}, or_
-
-    monkeypatch.setattr(verification, "_classes", classes)
+    real = patterns.cyclic
+    # The builder skips one pattern of rank 5, which stands for one member
+    # of OP_5; OR_5's patterns, its reversals, lose (4, 3, 2, 1, 0).
+    monkeypatch.setattr(patterns, "cyclic", lambda k: real(k) - {(0, 1, 2, 3, 4)})
     report = lemma_suite(5, max_len=3)
     pool = len(verification._oriented_pool(5, 3))
     op, both = verification._closed_forms(5)
-    [violation] = report.violations
-    assert (violation.claim, violation.witness, violation.count) == (
-        "image-orientation-preserved",
-        "closed-form",
-        1,
-    )
-    assert violation.detail == (
-        f"{(op - both - 1) * pool} counted but the closed form gives {(op - both) * pool}"
-    )
+    detail = f"{(op - both - 1) * pool} counted but the closed form gives {(op - both) * pool}"
+    assert [(v.claim, v.witness, v.count, v.detail) for v in report.violations] == [
+        (claim, "closed-form", 1, detail)
+        for claim in ("image-orientation-preserved", "image-orientation-reversed")
+    ]
 
 
 def test_closed_forms_count_every_walk():
