@@ -2,9 +2,9 @@
 image replaced by its position in S (3,7,3,5 is S = 3,5,7 at 0,2,0,1): the
 equivalence suite walks one pattern per dihedral orbit and spreads it back
 into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the identity and
-lemma suites read the classes as their patterns (:func:`cyclic`); the
-product sets group the image sets S met with the same patterns into
-families (:func:`split`).
+lemma suites read the classes, and the lemma suite its pool, as their
+patterns (:func:`cyclic`); the product sets group the image sets S met
+with the same patterns into families (:func:`split`).
 
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
@@ -116,7 +116,9 @@ def cyclic(k: int) -> set[tuple[int, ...]]:
     """The patterns of OP's members of length k, from the definition with no
     kernel call: the distinct rotations of the non-decreasing sequences onto
     0..r − 1, for r = 1..k (r·C(k, r) of each rank r ≥ 2, and one of rank
-    1).  OR's patterns are their reversals."""
+    1).  OR's patterns are their reversals.  They and their reversals are
+    also the oriented value patterns of length k, each of rank r weighing
+    the C(n, r) oriented k-sequences over [n] it stands for."""
     return {
         run[i:] + run[:i]
         for rank in range(1, k + 1)

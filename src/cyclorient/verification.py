@@ -47,7 +47,7 @@ EQUIVALENCE_MAX_N = 9
 # count_classes holds OP_n and OR_n as sets: a 108 MB peak at n = 9, 407 MB at n = 10.
 COUNT_MAX_N = 9
 IDENTITY_MAX_N = 5
-LEMMA_MAX_N = 6
+LEMMA_MAX_N = EQUIVALENCE_MAX_N
 # Below length 3 the lemma constrains no sequence: the suite would check nothing.
 LEMMA_MIN_LEN = 3
 LEMMA_MAX_LEN = 6
@@ -141,16 +141,21 @@ def _cyclic(n: int, length: int) -> set[tuple[int, ...]]:
     return {run[i:] + run[:i] for run in runs for i in range(length)}
 
 
-def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
-    """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
-    its :class:`Orientation`, lexicographically, from :func:`_cyclic` and its
-    reversals.  A map is in P_n exactly when its image list is oriented, so
-    ``_oriented(n, n)`` yields P_n."""
-    cyclic = _cyclic(n, length)
+def _tagged(cyclic: set[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], Orientation]]:
+    """Yield ``(items, tag)`` for each of the ``cyclic`` sequences and their
+    reversals, lexicographically, with its :class:`Orientation`."""
     anti_cyclic = {items[::-1] for items in cyclic}
     for items in sorted(cyclic | anti_cyclic):
         tag = Orientation.BOTH if items in anti_cyclic else Orientation.CYCLIC_ONLY
         yield items, tag if items in cyclic else Orientation.ANTI_CYCLIC_ONLY
+
+
+def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
+    """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
+    its :class:`Orientation`, lexicographically, from :func:`_cyclic`: the
+    pool over [n] that tests spread the lemma suite's pattern rows against
+    (``_oriented(n, n)`` yields P_n)."""
+    return _tagged(_cyclic(n, length))
 
 
 def _classes(n: int) -> tuple[frozenset, frozenset]:
@@ -477,9 +482,35 @@ def count_classes(n: int) -> ClassCounts:
 # ----------------------------------------------------------------------
 
 
-def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientation]]:
-    """The lemma pool: the ``(items, tag)`` rows of :func:`_oriented` at lengths 3..max_len."""
-    return [row for length in range(LEMMA_MIN_LEN, max_len + 1) for row in _oriented(n, length)]
+def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientation, int]]:
+    """The lemma pool as ``(q, tag, weight)`` rows: each oriented value
+    pattern q of length 3..max_len and rank m <= n, by length and then
+    lexicographically, from :func:`patterns.cyclic` and its reversals with
+    no kernel call, weighing the C(n, m) pool sequences it stands for."""
+    return [
+        (q, tag, math.comb(n, max(q) + 1))
+        for length in range(LEMMA_MIN_LEN, max_len + 1)
+        for q, tag in _tagged({q for q in patterns.cyclic(length) if max(q) < n})
+    ]
+
+
+def _spread(rows: Iterable[tuple], n: int) -> list[tuple[tuple[int, ...], Orientation]]:
+    """The ``(items, tag)`` pool sequences over [n] that the pattern ``rows``
+    stand for, each r-point image set read through its rank-r pattern, in
+    :func:`_oriented`'s order (by length, then lexicographically)."""
+    spread = [
+        (tuple(map(image.__getitem__, q)), tag)
+        for q, tag, _ in rows
+        for image in itertools.combinations(range(n), max(q) + 1)
+    ]
+    return sorted(spread, key=lambda row: (len(row[0]), row[0]))
+
+
+def _loses(tag: Orientation, part: Orientation) -> bool:
+    """Whether ``part`` lacks an orientation that ``tag`` admits."""
+    return (tag.admits_cyclic and not part.admits_cyclic) or (
+        tag.admits_anti_cyclic and not part.admits_anti_cyclic
+    )
 
 
 def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> SuiteReport:
@@ -489,104 +520,91 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     image keeps three distinct values, and that every nonempty subsequence
     of such a sequence keeps each orientation the sequence admits.
 
-    Both are product sets of :func:`_product_set`, as in
-    :func:`identity_suite`, over one grouping of the pool by (length, tag).
-    The images are "sequence then pattern" per group, for each class's
-    rank >= 3 patterns (:func:`patterns.cyclic` and their reversals), the
-    members whose value set is 0..r - 1.  A member is its pattern followed
-    by an increasing relabelling, which keeps every tag and count of
-    distinct values, so each pattern counts for the C(n, r) members it
-    stands for, and the least failing member is a pattern.  The limit: the
-    members that are not patterns are never built, so a wrong one in
-    :func:`_classes`, which only ``count`` reads, leaves this report as it
-    is.  The subsequences are "mask then
-    sequence", a mask read as its position tuple, per group; each distinct
-    one is tagged once.  Only a claim whose product sets hold an offender
-    walks its pairs for the violation count and witness: patterns in index
-    order, then sequences, for an image claim; sequences, then masks, for
-    inheritance.  Each image-orientation count, the patterns' C(n, r)
-    summed, must equal (|OP_n| − |OP_n ∩ OR_n|)·|pool|, the pool size the
-    oriented counts of :func:`_closed_forms` summed over its lengths k, and
-    the subsequence checks that sum weighted by 2^k − 1.  ``sample_budget``
-    is accepted and ignored: the suite once sampled the pool.
+    The pool is read as its oriented value patterns (:func:`_oriented_pool`):
+    a row q of rank m stands for the C(n, m) sequences T∘q, T an m-point
+    image set.  A member sends T∘q to its restriction to T read at q.  The
+    class's restrictions to T are its length-m sequences over [n] (the
+    restriction fact of :func:`identity_suite`); those of rank <= 2 leave
+    fewer than three values, and each other one, a rank >= 3 member's, is a
+    class pattern σ of length m and rank >= 3 then an increasing
+    relabelling, which keeps every tag.  So a row offends an image claim
+    exactly when some ``_tag(σ∘q)`` is not its tag (preserving) or its swap
+    (reversing), σ from :func:`patterns.cyclic` for OP and their reversals
+    for OR, each class checked on its own.  A mask picks T read at q's
+    part, so each distinct part of a row is tagged once.  The limit: a
+    kernel wrong only off these relabellings, as on (0, 4) alone at max_len
+    4, passes.  Only a failing claim spreads its offending rows into
+    sequences over [n] in pool order (:func:`_spread`) and walks their
+    pairs: the class's rank >= 3 patterns of length n in index order, each
+    counting for the C(n, r) members it stands for (the least failing
+    member is a pattern), then the sequences, for an image claim; the
+    sequences, then the masks, for inheritance.  The weights summed are the
+    pool size, which must equal the oriented counts of :func:`_closed_forms`
+    summed over its lengths k; each image count must equal
+    (|OP_n| − |OP_n ∩ OR_n|)·|pool|, and the subsequence checks the pool
+    weighted by 2^k − 1.  ``sample_budget`` is accepted and ignored: the
+    suite once sampled the pool.
     """
     n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
     max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
     started = time.perf_counter()
     tally = _new_tally()
     pool = _oriented_pool(n, max_len)
-    # Each image claim scales with len(pool), so only this gate sees a pool
-    # that drops or repeats a sequence.
+    size = sum(weight for _, _, weight in pool)
+    # Each image claim scales with the pool size, so only this gate sees a
+    # pool that drops or repeats a sequence.
     sizes = {}  # length k -> the number of oriented length-k sequences
     for k in range(LEMMA_MIN_LEN, max_len + 1):
         cyclic, both = _closed_forms(n, k)
         sizes[k] = 2 * cyclic - both
-    _gate(tally, n, {"oriented-pool": len(pool)}, {"oriented-pool": sum(sizes.values())})
-    # The (length, tag) groups of the pool, which both kinds of claim compose.
-    kinds: dict[tuple[int, Orientation], list[tuple[int, ...]]] = {}
-    for items, tag in pool:
-        kinds.setdefault((len(items), tag), []).append(items)
-    kind_split = {kind: patterns.split(group) for kind, group in kinds.items()}
+    _gate(tally, n, {"oriented-pool": size}, {"oriented-pool": sum(sizes.values())})
     checks = tally["checks"]
     op, both = _closed_forms(n)
-    cyclic = patterns.cyclic(n)
-    for claim, members, flip in zip(
-        ("image-orientation-preserved", "image-orientation-reversed"),
-        (cyclic, {p[::-1] for p in cyclic}),
-        (False, True),
-    ):
-        # Rank >= 3 patterns, each of exactly one of OP and OR; a rank <= 2
-        # member never gives an image three distinct values.  A rank-r
-        # pattern stands for C(n, r) members.
-        shapes = sorted(p for p in members if max(p) >= 2)
-        ranked = sum(math.comb(n, max(p) + 1) for p in shapes)
-        offenders = {}
-        for kind, split in kind_split.items():
-            want = kind[1].swapped() if flip else kind[1]
-            offenders[kind] = {
-                image for image in _product_set(split, shapes)
-                if len(set(image)) >= 3 and _tag(image) is not want
-            }
+    # OP's rank >= 3 patterns of each length m <= n; at m = n, the members'.
+    sized = {m: [s for s in patterns.cyclic(m) if max(s) >= 2] for m in range(1, n + 1)}
+    for flip, claim in enumerate(("image-orientation-preserved", "image-orientation-reversed")):
+        shapes = {m: sorted(s[::-1] if flip else s for s in c) for m, c in sized.items()}
+        ranked = sum(math.comb(n, max(p) + 1) for p in shapes[n])
         if ranked:  # no claim line for a class without rank >= 3 members
-            checks[claim] += ranked * len(pool)
+            checks[claim] += ranked * size
+        bad = []
+        for row in pool:
+            q, tag, _ = row
+            want = tag.swapped() if flip else tag
+            if any(_tag(tuple(map(s.__getitem__, q))) is not want for s in shapes[max(q) + 1]):
+                bad.append(row)
         # Only a failing claim walks its (pattern, sequence) pairs.
-        for pattern in shapes if any(offenders.values()) else ():
+        seqs = _spread(bad, n)
+        for pattern in shapes[n] if bad else ():
             weight = math.comb(n, max(pattern) + 1)
-            for items, tag in pool:
-                if tuple(map(pattern.__getitem__, items)) in offenders[len(items), tag]:
+            for items, tag in seqs:
+                image = tuple(map(pattern.__getitem__, items))
+                if len(set(image)) >= 3 and _tag(image) is not (tag.swapped() if flip else tag):
                     witness = f"map={','.join(map(str, pattern))};seq={','.join(map(str, items))}"
                     detail = "image orientation does not match the source"
                     _fail(tally, claim, (), witness, detail, weight)
-        _gate(tally, n, checks, {claim: (op - both) * len(pool)})
+        _gate(tally, n, checks, {claim: (op - both) * size})
 
     # Subsequence inheritance: mask m's position tuple keeps item b for bit b.
     masks = {
-        t: [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)] for t, _ in kinds
+        k: [tuple(b for b in range(k) if m >> b & 1) for m in range(1, 1 << k)]
+        for k in range(LEMMA_MIN_LEN, max_len + 1)
     }
-    mask_split = {t: patterns.split(positions) for t, positions in masks.items()}
-    parts = {kind: _product_set(mask_split[kind[0]], group) for kind, group in kinds.items()}
-    # Tag each distinct part once; it offends a tag admitting an orientation it lacks.
-    lost = {tag: set() for _, tag in kinds}
-    for part in set().union(*parts.values()):
-        sub = _tag(part)
-        for tag, parts_lost in lost.items():
-            if (tag.admits_cyclic and not sub.admits_cyclic) or (
-                tag.admits_anti_cyclic and not sub.admits_anti_cyclic
-            ):
-                parts_lost.add(part)
-    offenders = {kind: found & lost[kind[1]] for kind, found in parts.items()}
-    checks["subsequence-inheritance"] += sum(2 ** len(items) - 1 for items, _ in pool)
+    parts = [{tuple(map(q.__getitem__, at)) for at in masks[len(q)]} for q, _, _ in pool]
+    tags = {part: _tag(part) for part in set().union(*parts)}  # each distinct part tagged once
+    bad = [row for row, found in zip(pool, parts) if any(_loses(row[1], tags[p]) for p in found)]
+    checks["subsequence-inheritance"] += sum(weight * (2 ** len(q) - 1) for q, _, weight in pool)
     # Only a failing run walks its (sequence, mask) pairs, in pool order.
-    for items, tag in pool if any(offenders.values()) else ():
+    for items, tag in _spread(bad, n):
         for mask, positions in enumerate(masks[len(items)], 1):
-            if tuple(map(items.__getitem__, positions)) in offenders[len(items), tag]:
+            if _loses(tag, _tag(tuple(map(items.__getitem__, positions)))):
                 witness = f"seq={','.join(map(str, items))};mask={mask}"
                 detail = "subsequence lost an orientation admitted by the full sequence"
                 _fail(tally, "subsequence-inheritance", (), witness, detail)
     # A pool of the wrong size has failed its own gate; this one sees a pool
     # of the right size with the wrong lengths, or a loop that miscounts.
-    if len(pool) == sum(sizes.values()):
-        want = sum(size * (2**k - 1) for k, size in sizes.items())
+    if size == sum(sizes.values()):
+        want = sum(count * (2**k - 1) for k, count in sizes.items())
         _gate(tally, n, checks, {"subsequence-inheritance": want})
     return _finish("lemma", n, tally, started)
 
@@ -606,7 +624,7 @@ def run_verify(
 
     One table holds a ``(suite, cap, runner)`` row per suite, in ``SUITES``
     order, and each selected suite runs for n = 1..min(n_max, cap): the
-    identity suite stops at n = 5 and the lemma suite at n = 6 (the
+    identity suite stops at n = 5 and the lemma suite at n = 9 (the
     suites' own caps); the equivalence suite enumerates n^n maps (387M at
     n = 9), so when it is selected n_max must lie within
     1..``EQUIVALENCE_MAX_N`` (9).  The lemma suite checks every member

@@ -810,8 +810,11 @@ def test_lemma_sample_budget_is_accepted_and_ignored():
 
 
 def test_lemma_bounds():
-    with pytest.raises(ValueError):
-        lemma_suite(7)
+    from cyclorient import verification
+
+    assert verification.LEMMA_MAX_N == verification.EQUIVALENCE_MAX_N == 9
+    with pytest.raises(ValueError, match=r"lemma suite n must be within 1\.\.9, got 10$"):
+        lemma_suite(10)
     with pytest.raises(ValueError):
         lemma_suite(4, max_len=9)
     with pytest.raises(ValueError, match=r"lemma suite n must be an integer, got 3\.0"):
@@ -1109,9 +1112,10 @@ def test_lemma_suite_reports_a_flipped_orientation(monkeypatch):
     real = verification._oriented_pool
 
     def flipped_pool(n, max_len):
+        # At n = 3 the pattern row 0,1,2 stands for the one sequence 0,1,2.
         return [
-            (items, tag.swapped() if items == (0, 1, 2) else tag)
-            for items, tag in real(n, max_len)
+            (q, tag.swapped() if q == (0, 1, 2) else tag, weight)
+            for q, tag, weight in real(n, max_len)
         ]
 
     monkeypatch.setattr(verification, "_oriented_pool", flipped_pool)
@@ -1347,8 +1351,9 @@ def _composed(left, right):
 
 
 def check_product_sets(n, max_len):
-    """Every product set the suites compose at n, the lemma suite's at
-    ``max_len``, equals the pairwise oracle's."""
+    """Every product set the identity suite composes at n, and the lemma
+    pool's at ``max_len`` (its sequences then the members, the masks then
+    its sequences), equals the pairwise oracle's."""
     from oracles import product_set
 
     from cyclorient import patterns, verification
@@ -1358,11 +1363,12 @@ def check_product_sets(n, max_len):
     for r in range(1, n + 1):
         cyclic = patterns.cyclic(r)
         sized[r] = cyclic, {q[::-1] for q in cyclic}
-    # The lemma suite's products read its pool's (length, tag) groups.
+    # The lemma pool's sequences over [n], its rows spread, in (length, tag)
+    # groups.
     groups = {}
-    for items, tag in verification._oriented_pool(n, max_len):
+    for items, tag in verification._spread(verification._oriented_pool(n, max_len), n):
         groups.setdefault((len(items), tag), []).append(items)
-    # Its images: each group then each class's rank >= 3 patterns.
+    # Their images: each group then each class's rank >= 3 patterns.
     for members in sized[n]:
         shapes = [p for p in members if max(p) >= 2]
         for group in groups.values():
@@ -1463,8 +1469,8 @@ def test_lemma_suite_reports_flipped_tags_of_one_length(monkeypatch):
 
     def flipped_pool(n, max_len):
         return [
-            (items, tag.swapped() if len(items) == 4 else tag)
-            for items, tag in real(n, max_len)
+            (q, tag.swapped() if len(q) == 4 else tag, weight)
+            for q, tag, weight in real(n, max_len)
         ]
 
     monkeypatch.setattr(verification, "_oriented_pool", flipped_pool)
@@ -1476,24 +1482,25 @@ def test_lemma_suite_reports_flipped_tags_of_one_length(monkeypatch):
 
 
 def _mistagged_pools(real):
-    """The lemma pool builder ``real`` and three mistagged variants of it."""
+    """The lemma pool builder ``real`` and three mistagged variants of it,
+    each retagging whole pattern rows, so every sequence a row stands for."""
     from cyclorient import Orientation
 
     def flipped_pool(n, max_len):
-        # Every seventh entry's tag flipped, so members fail at scattered
-        # entries and the witness is not simply the first pair.
+        # Every seventh row's tag flipped, so members fail at scattered
+        # rows and the witness is not simply the first pair.
         return [
-            (items, tag.swapped() if position % 7 == 3 else tag)
-            for position, (items, tag) in enumerate(real(n, max_len))
+            (q, tag.swapped() if position % 7 == 3 else tag, weight)
+            for position, (q, tag, weight) in enumerate(real(n, max_len))
         ]
 
     def retagged_pool(retag):
-        # Every fifth entry retagged, so sources of three or more values
-        # carry a tag no correct pool gives them and form groups of their own.
+        # Every fifth row retagged, so sources of three or more values
+        # carry a tag no correct pool gives them.
         def pool_of(n, max_len):
             return [
-                (items, retag if position % 5 == 2 else tag)
-                for position, (items, tag) in enumerate(real(n, max_len))
+                (q, retag if position % 5 == 2 else tag, weight)
+                for position, (q, tag, weight) in enumerate(real(n, max_len))
             ]
 
         return pool_of
@@ -1506,7 +1513,8 @@ def check_lemma_against_oracle(n, max_len, pools):
     """The lemma suite's image claims at n and ``max_len`` equal the
     full-member oracle's, checks, witnesses and counts, on each of the
     first ``pools`` pools of :func:`_mistagged_pools` (the real pool
-    first).  Returns the number of failing claims the oracle found."""
+    first), the oracle reading the pool's rows spread over [n].  Returns
+    the number of failing claims the oracle found."""
     from oracles import lemma_failures
 
     from cyclorient import verification
@@ -1516,7 +1524,7 @@ def check_lemma_against_oracle(n, max_len, pools):
         for pool_of in _mistagged_pools(real)[:pools]:
             verification._oriented_pool = pool_of
             report = lemma_suite(n, max_len=max_len)
-            checks, failures = lemma_failures(n, pool_of(n, max_len))
+            checks, failures = lemma_failures(n, verification._spread(pool_of(n, max_len), n))
             image = [c for c in report.claims if c.claim.startswith("image-orientation-")]
             assert {c.claim: c.checks for c in image} == checks, (n, max_len, pool_of.__name__)
             got = {
@@ -1540,6 +1548,25 @@ def test_lemma_suite_matches_the_brute_force_oracle():
     assert failed > 0
 
 
+def test_lemma_rows_are_decided_against_every_class_pattern(monkeypatch):
+    # A kernel that swaps the tag of every image whose value pattern is
+    # 1,2,3,0 fails only some (member, sequence) pairs, so a pool row must
+    # be decided against every class pattern of its rank, not some.  The
+    # members, of length 5, keep their tags, so the oracle walks the same
+    # ones.
+    import oracles
+
+    from cyclorient import sequences, verification
+
+    def kernel(items):
+        tag = sequences._tag(items)
+        return tag.swapped() if _pattern_of(items) == (1, 2, 3, 0) else tag
+
+    monkeypatch.setattr(verification, "_tag", kernel)
+    monkeypatch.setattr(oracles, "_tag", kernel)
+    assert check_lemma_against_oracle(5, 4, 1) == 2
+
+
 def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
     # The lemma suite composes the pool with the members' patterns only, so
     # a member's image of each pool row must have its pattern's image's tag
@@ -1552,7 +1579,7 @@ def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
     rng = random.Random(39)
     tags = set()
     for n in range(6, 9):
-        pool = [items for items, _ in verification._oriented_pool(n, 4)]
+        pool = [items for k in (3, 4) for items, _ in verification._oriented(n, k)]
         for members in verification._classes(n):
             off = sorted(t for t in members if len(set(t)) >= 3 and _pattern_of(t) != t)
             for member in rng.sample(off, 50):
@@ -1587,7 +1614,8 @@ def test_lemma_suite_misses_a_wrong_member_off_the_patterns(monkeypatch):
     assert format_machine([identity_suite(5), lemma_suite(5)]) == want
     images = [
         (tuple(map(wrong.__getitem__, items)), tag)
-        for items, tag in verification._oriented_pool(5, 4)
+        for k in (3, 4)
+        for items, tag in verification._oriented(5, k)
     ]
     assert any(len(set(img)) >= 3 and verification._tag(img) is not tag for img, tag in images)
     assert count_classes(5).invariant_failures() == ()
@@ -1601,13 +1629,19 @@ def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
     from cyclorient import Orientation, sequences, verification
 
     def neither_on(broken):
-        return lambda items: Orientation.NEITHER if items == broken else sequences._tag(items)
+        # NEITHER on every part whose value pattern is ``broken``: the suite
+        # tags pattern parts, so a kernel must read the pattern alone to be
+        # seen the same over [n] (the limit test breaks one that does not).
+        return lambda items: (
+            Orientation.NEITHER if _pattern_of(items) == broken else sequences._tag(items)
+        )
 
-    # NEITHER on (0,) fails the pool's first sequence, (0, 0, 0), itself.
+    # NEITHER on (0,) fails the pool's first sequence, (0, 0, 0), itself;
+    # on (0, 1, 2) it fails no sequence of fewer than three values.
     kernels = (
         sequences._tag,
-        neither_on((0, 2)),
-        neither_on((2,)),
+        neither_on((0, 1, 2)),
+        neither_on((1, 0)),
         neither_on((0,)),
         lambda items: sequences._tag(items).swapped(),
     )
@@ -1619,7 +1653,8 @@ def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
             for n in range(1, 6):
                 for max_len in (3, 4):
                     report = lemma_suite(n, max_len=max_len)
-                    checks, failure = subsequence_failures(pool_of(n, max_len), kernel)
+                    spread = verification._spread(pool_of(n, max_len), n)
+                    checks, failure = subsequence_failures(spread, kernel)
                     [claim] = [c for c in report.claims if c.claim == "subsequence-inheritance"]
                     got = [
                         (v.witness, v.count)
@@ -1640,7 +1675,7 @@ def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
     # of OP_5; OR_5's patterns, its reversals, lose (4, 3, 2, 1, 0).
     monkeypatch.setattr(patterns, "cyclic", lambda k: real(k) - {(0, 1, 2, 3, 4)})
     report = lemma_suite(5, max_len=3)
-    pool = len(verification._oriented_pool(5, 3))
+    pool = sum(weight for _, _, weight in verification._oriented_pool(5, 3))
     op, both = verification._closed_forms(5)
     detail = f"{(op - both - 1) * pool} counted but the closed form gives {(op - both) * pool}"
     assert [(v.claim, v.witness, v.count, v.detail) for v in report.violations] == [
@@ -1671,21 +1706,23 @@ def test_lemma_subsequence_checks_are_gated_by_their_closed_form(monkeypatch):
     real = verification._oriented_pool
 
     def pool_of(n, max_len):
-        # One length-3 entry becomes a copy of a length-4 one: the pool keeps
-        # its size, so only the subsequence count (7 -> 15 masks) moves.
+        # The first row, 0,0,0, becomes a copy of 0,0,0,0, of the same weight
+        # n: the pool keeps its size, so only the subsequence count (7 -> 15
+        # masks for each of its n sequences) moves.
         pool = real(n, max_len)
-        assert len(pool[0][0]) == 3 and len(pool[-1][0]) == 4
-        return [pool[-1]] + pool[1:]
+        [copy] = [row for row in pool if row[0] == (0, 0, 0, 0)]
+        assert pool[0][0] == (0, 0, 0) and pool[0][2] == copy[2] == n
+        return [copy] + pool[1:]
 
     monkeypatch.setattr(verification, "_oriented_pool", pool_of)
     report = lemma_suite(4, max_len=4)
     [violation] = report.violations
-    want = sum(2 ** len(items) - 1 for items, _ in real(4, 4))
+    want = sum(weight * (2 ** len(q) - 1) for q, _, weight in real(4, 4))
     assert (violation.claim, violation.witness, violation.count, violation.detail) == (
         "subsequence-inheritance",
         "closed-form",
         1,
-        f"{want + 8} counted but the closed form gives {want}",
+        f"{want + 32} counted but the closed form gives {want}",
     )
 
 
@@ -1694,7 +1731,7 @@ def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
 
     real = verification._oriented_pool
     # Every image claim scales with the pool it is given, so only the pool
-    # gate notices a dropped sequence.
+    # gate notices a dropped row: here 3,2,1,0, one sequence at n = 4.
     monkeypatch.setattr(verification, "_oriented_pool", lambda n, max_len: real(n, max_len)[:-1])
     report = lemma_suite(4, max_len=4)
     [violation] = report.violations
@@ -1704,6 +1741,63 @@ def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
         1,
         "243 counted but the closed form gives 244",
     )
+
+
+def check_oriented_pool(n):
+    """The lemma pool's pattern rows, spread over [n], are the rows, tags and
+    order of the n-level pool ``_oriented(n, k)`` at lengths k = 3..6."""
+    from cyclorient import verification
+
+    spread = verification._spread(verification._oriented_pool(n, 6), n)
+    assert spread == [row for k in range(3, 7) for row in verification._oriented(n, k)], n
+
+
+def test_oriented_pool_spreads_to_the_sequences_over_n():
+    from collections import Counter
+
+    from cyclorient import verification
+
+    # CI runs check_oriented_pool(8).
+    for n in range(1, 8):
+        check_oriented_pool(n)
+    # The weights count the cyclic, anti-cyclic and both-oriented sequences
+    # of each length k over [n] at their closed forms, past the suite's
+    # lengths and sizes.
+    for n in range(1, 10):
+        rows = verification._oriented_pool(n, 8)
+        assert {len(q) for q, _, _ in rows} == set(range(3, 9)), n
+        for k in range(3, 9):
+            tags = Counter()
+            for q, tag, weight in rows:
+                if len(q) == k:
+                    tags[tag.admits_cyclic, tag.admits_anti_cyclic] += weight
+            cyclic, both = verification._closed_forms(n, k)
+            assert tags[True, True] == both, (n, k)
+            assert tags[True, False] == tags[False, True] == cyclic - both, (n, k)
+            assert tags[False, False] == 0, (n, k)
+
+
+def test_lemma_suite_misses_a_kernel_broken_off_the_patterns(monkeypatch):
+    # The reduction's limit: the suite tags only the parts and images of
+    # value patterns, whose values stay below 4 at max-len 4, so a kernel
+    # that reads values, not their pattern, and is wrong on the part (0, 4)
+    # alone passes it at n = 5.  The per-pair oracle over the sequences over
+    # [n] reports it.
+    from oracles import subsequence_failures
+
+    from cyclorient import Orientation, sequences, verification
+
+    def kernel(items):
+        return Orientation.NEITHER if items == (0, 4) else sequences._tag(items)
+
+    pool = [row for k in (3, 4) for row in verification._oriented(5, k)]
+    _, failure = subsequence_failures(pool, kernel)
+    assert failure is not None and failure[0] == "seq=0,0,4;mask=5"
+    want = format_machine([lemma_suite(5, max_len=4)])
+    monkeypatch.setattr(verification, "_tag", kernel)
+    report = lemma_suite(5, max_len=4)
+    assert report.passed
+    assert format_machine([report]) == want
 
 
 def check_classes_against_walk(n):
