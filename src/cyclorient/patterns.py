@@ -54,12 +54,19 @@ def _partitions(n: int, rank: int) -> list[tuple[int, ...]]:
 
 
 def _stabiliser(blocks: tuple[int, ...]) -> list[int] | None:
-    """The moves that give the partition ``blocks`` back, the identity
-    first, or None if a move gives a smaller restricted growth string."""
-    found = []
-    for k, moved in enumerate(_moves(blocks, range(2 * len(blocks)))):
+    """The moves of :func:`_moves` that give the partition ``blocks`` back,
+    the identity (0) first, or None if a move gives a smaller restricted
+    growth string.  Renumbering the blocks by first use undoes any value
+    relabelling, so each move here only rotates the positions, and from
+    k = n on also reverses them."""
+    n = len(blocks)
+    found = [0]
+    for k in range(1, 2 * n):
+        turned = blocks[k % n:] + blocks[:k % n]
+        if k >= n:
+            turned = turned[::-1]
         first: dict[int, int] = {}
-        moved = tuple([first.setdefault(b, len(first)) for b in moved])
+        moved = tuple([first.setdefault(b, len(first)) for b in turned])
         if moved < blocks:
             return None
         if moved == blocks:

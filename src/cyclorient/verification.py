@@ -218,9 +218,16 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
         Violation(claim, wit, det, cnt)
         for claim, (_, wit, det, cnt) in sorted(tally["violations"].items())
     )
+    gaps: dict[str, list[tuple[int, ...]]] = {}
+    for claim, imgs in tally["sanctioned"]:
+        gaps.setdefault(claim, []).append(imgs)
+    text: dict[tuple[int, ...], str] = {}  # each map's witness formatted once, for every claim
     sanctioned = tuple(
-        SanctionedException(claim, ",".join(map(str, imgs)))
-        for claim, imgs in sorted(tally["sanctioned"])
+        SanctionedException(
+            claim, text.get(imgs) or text.setdefault(imgs, ",".join(map(str, imgs)))
+        )
+        for claim in sorted(gaps)
+        for imgs in sorted(gaps[claim])
     )
     return SuiteReport(
         suite=suite,
@@ -253,18 +260,21 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
     entrywise at least its pattern.  Only a failure pays for this, so the
     report does not depend on which pattern stands for the orbit.  A
     sanctioned gap is listed once for each of its maps, as every map
-    carries its own.  Patterns with the same checked claims (at most five
-    lists) are counted together and expanded into checks once per job, and
-    the job gates its counts at its rank (:func:`_check_tallies`)."""
+    carries its own, the pattern spread once for both literal claims.
+    Patterns with the same checked claims (at most five lists) are counted
+    together and expanded into checks once per job, and the job gates its
+    counts at its rank (:func:`_check_tallies`)."""
     n, rank = args
     tally = _new_tally()
     counts: dict[tuple[str, ...], int] = {}
     for pattern, weight in patterns.walk(n, rank):
         _, checked, findings = _claims(pattern)
         counts[checked] = counts.get(checked, 0) + weight
+        spread = None  # a gap pattern's maps, spread once for both literal claims
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                tally["sanctioned"].extend((claim, imgs) for imgs in patterns.spread(pattern, n))
+                spread = spread or list(patterns.spread(pattern, n))
+                tally["sanctioned"] += [(claim, imgs) for imgs in spread]
             else:
                 member, detail = next(
                     (member, detail)
@@ -425,19 +435,21 @@ def identity_suite(n: int) -> SuiteReport:
     p_set = op_set | or_set
     low_rank_p = {p for p in p_set if max(p) <= 1}
 
-    def product(left: set, right: int) -> set:
-        # Each rank-r family of the left patterns composed with the length-r
-        # patterns of class ``right`` (0 for OP, 1 for OR).
+    def product(families: dict, right: int) -> set:
+        # Each rank-r family of the left patterns, split once per class,
+        # composed with the length-r patterns of class ``right`` (0 for OP,
+        # 1 for OR).
         out = set()
-        for shapes, [image] in patterns.split(left).items():
+        for shapes, [image] in families.items():
             out |= _product_set({shapes: [image]}, sized[len(image)][right])
         return out
 
     def weigh(seqs: Iterable[tuple[int, ...]]) -> int:
         return sum(math.comb(n, max(p) + 1) for p in seqs)
 
-    op_op, or_or = product(op_set, 0), product(or_set, 1)
-    or_op, op_or = product(or_set, 0), product(op_set, 1)
+    op_split, or_split = patterns.split(op_set), patterns.split(or_set)
+    op_op, or_or = product(op_split, 0), product(or_split, 1)
+    or_op, op_or = product(or_split, 0), product(op_split, 1)
     n_op, n_or = weigh(op_set), weigh(or_set)
     # P = OP u OR, so the product P.P is the union of the four products.
     p_p = op_op | or_or | or_op | op_or
@@ -506,6 +518,18 @@ def _spread(rows: Iterable[tuple], n: int) -> list[tuple[tuple[int, ...], Orient
     return sorted(spread, key=lambda row: (len(row[0]), row[0]))
 
 
+def _masks(k: int) -> list[tuple[int, ...]]:
+    """The position tuples of the masks m = 1..2^k − 1 of a length-k
+    sequence: mask m keeps item b for each set bit b."""
+    return [tuple(b for b in range(k) if m >> b & 1) for m in range(1, 1 << k)]
+
+
+def _parts(q: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct nonempty subsequences of ``q``: the parts its
+    :func:`_masks` pick."""
+    return {part for r in range(1, len(q) + 1) for part in itertools.combinations(q, r)}
+
+
 def _loses(tag: Orientation, part: Orientation) -> bool:
     """Whether ``part`` lacks an orientation that ``tag`` admits."""
     return (tag.admits_cyclic and not part.admits_cyclic) or (
@@ -530,8 +554,11 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     relabelling, which keeps every tag.  So a row offends an image claim
     exactly when some ``_tag(σ∘q)`` is not its tag (preserving) or its swap
     (reversing), σ from :func:`patterns.cyclic` for OP and their reversals
-    for OR, each class checked on its own.  A mask picks T read at q's
-    part, so each distinct part of a row is tagged once.  The limit: a
+    for OR, each class checked on its own; each distinct σ∘q is tagged
+    once for both claims.  A mask picks T read at q's part, so each
+    distinct part of the rows (:func:`_parts`) is tagged once, and
+    inheritance is decided once per (row tag, distinct part): a row fails
+    when one of its parts lacks an orientation its tag admits.  The limit: a
     kernel wrong only off these relabellings, as on (0, 4) alone at max_len
     4, passes.  Only a failing claim spreads its offending rows into
     sequences over [n] in pool order (:func:`_spread`) and walks their
@@ -560,10 +587,15 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     _gate(tally, n, {"oriented-pool": size}, {"oriented-pool": sum(sizes.values())})
     checks = tally["checks"]
     op, both = _closed_forms(n)
-    # OP's rank >= 3 patterns of each length m <= n; at m = n, the members'.
-    sized = {m: [s for s in patterns.cyclic(m) if max(s) >= 2] for m in range(1, n + 1)}
+    # OP's rank >= 3 patterns of each length m a pool row has; at m = n, the members'.
+    sized = {
+        m: [s for s in patterns.cyclic(m) if max(s) >= 2]
+        for m in {max(q) + 1 for q, _, _ in pool} | {n}
+    }
+    tags: dict[tuple[int, ...], Orientation] = {}  # each σ∘q tagged once, for both claims
     for flip, claim in enumerate(("image-orientation-preserved", "image-orientation-reversed")):
-        shapes = {m: sorted(s[::-1] if flip else s for s in c) for m, c in sized.items()}
+        shapes = {m: [s[::-1] for s in c] if flip else c for m, c in sized.items()}
+        shapes[n] = sorted(shapes[n])  # the failure walk reads the members in index order
         ranked = sum(math.comb(n, max(p) + 1) for p in shapes[n])
         if ranked:  # no claim line for a class without rank >= 3 members
             checks[claim] += ranked * size
@@ -571,8 +603,14 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
         for row in pool:
             q, tag, _ = row
             want = tag.swapped() if flip else tag
-            if any(_tag(tuple(map(s.__getitem__, q))) is not want for s in shapes[max(q) + 1]):
-                bad.append(row)
+            for s in shapes[max(q) + 1]:
+                image = tuple(map(s.__getitem__, q))
+                got = tags.get(image)
+                if got is None:
+                    got = tags[image] = _tag(image)
+                if got is not want:
+                    bad.append(row)
+                    break
         # Only a failing claim walks its (pattern, sequence) pairs.
         seqs = _spread(bad, n)
         for pattern in shapes[n] if bad else ():
@@ -585,16 +623,17 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
                     _fail(tally, claim, (), witness, detail, weight)
         _gate(tally, n, checks, {claim: (op - both) * size})
 
-    # Subsequence inheritance: mask m's position tuple keeps item b for bit b.
-    masks = {
-        k: [tuple(b for b in range(k) if m >> b & 1) for m in range(1, 1 << k)]
-        for k in range(LEMMA_MIN_LEN, max_len + 1)
+    # Subsequence inheritance, decided once per (row tag, distinct part).
+    parts = [_parts(q) for q, _, _ in pool]
+    tagged = {part: _tag(part) for part in set().union(*parts)}
+    lacking = {
+        tag: {part for part, got in tagged.items() if _loses(tag, got)}
+        for tag in {tag for _, tag, _ in pool}
     }
-    parts = [{tuple(map(q.__getitem__, at)) for at in masks[len(q)]} for q, _, _ in pool]
-    tags = {part: _tag(part) for part in set().union(*parts)}  # each distinct part tagged once
-    bad = [row for row, found in zip(pool, parts) if any(_loses(row[1], tags[p]) for p in found)]
+    bad = [row for row, found in zip(pool, parts) if not found.isdisjoint(lacking[row[1]])]
     checks["subsequence-inheritance"] += sum(weight * (2 ** len(q) - 1) for q, _, weight in pool)
     # Only a failing run walks its (sequence, mask) pairs, in pool order.
+    masks = {k: _masks(k) for k in range(LEMMA_MIN_LEN, max_len + 1)}
     for items, tag in _spread(bad, n):
         for mask, positions in enumerate(masks[len(items)], 1):
             if _loses(tag, _tag(tuple(map(items.__getitem__, positions)))):

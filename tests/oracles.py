@@ -66,6 +66,22 @@ def dihedral_orbits(n):
     return orbits
 
 
+def partition_stabiliser(blocks):
+    """The moves of ``patterns._moves`` that give the restricted growth
+    string ``blocks`` back once its blocks are renumbered by first use, the
+    identity first, or None if a move gives a smaller one: each move taken
+    whole, its value rotation and reflection included."""
+    found = []
+    for k, moved in enumerate(patterns._moves(blocks, range(2 * len(blocks)))):
+        first = {}
+        moved = tuple(first.setdefault(b, len(first)) for b in moved)
+        if moved < blocks:
+            return None
+        if moved == blocks:
+            found.append(k)
+    return found
+
+
 def oriented_walk(n, k):
     """Every ``(items, tag)`` over [n] of length k whose kernel tag is not
     neither, by walking all n^k tuples in lexicographic order."""

@@ -284,31 +284,91 @@ def test_equivalence_suite_gates_each_rank_against_its_closed_forms(monkeypatch)
     }
 
 
-def test_walk_yields_one_pattern_per_dihedral_orbit():
-    # The brute-force orbits of the patterns that start with 0 are the
-    # oracle up to n = 7: each holds exactly one walked pattern, weighted
-    # |orbit|·r·C(n, r), and patterns.orbit gives it back.  At n = 8 the
-    # 6,335 weights cover the 8^8 maps.
+def test_a_gap_dropped_from_one_literal_claim_fails_that_claim_alone(monkeypatch):
+    # Both triple-*-literal rows of a rank-2 gap pattern list the maps it
+    # stands for.  A claim table that drops triple-reverse-literal on one
+    # walked pattern at n = 5 takes its orbit's maps from that claim alone:
+    # its rank-2 gate and the merged one fail, the rank-2 detail kept, and
+    # triple-preserve-literal keeps every line.
+    from cyclorient import patterns, verification
+
+    before = equivalence_suite(5, workers=1)
+    walked = dict(patterns.walk(5, 2))
+    gaps = {"triple-preserve-literal", "triple-reverse-literal"}
+    target = min(p for p in walked if {row[0] for row in verification._claims(p)[2]} == gaps)
+    real = verification._claims
+
+    def claims(imgs):
+        verdicts, checked, findings = real(imgs)
+        if imgs == target:
+            findings = [row for row in findings if row[0] != "triple-reverse-literal"]
+        return verdicts, checked, findings
+
+    monkeypatch.setattr(verification, "_claims", claims)
+    report = equivalence_suite(5, workers=1)
+
+    def lines(r, claim):
+        return [s.witness for s in r.sanctioned_exceptions if s.claim == claim]
+
+    lost = {",".join(map(str, imgs)) for imgs in patterns.spread(target, 5)}
+    assert len(lost) == walked[target]
+    assert lines(report, "triple-preserve-literal") == lines(before, "triple-preserve-literal")
+    assert lines(report, "triple-reverse-literal") == [
+        line for line in lines(before, "triple-reverse-literal") if line not in lost
+    ]
+    # C(5, 2)·(2^5 − 2 − 5·4) = 100 gaps at rank 2, all of n = 5's.
+    detail = f"{100 - len(lost)} counted but the closed form gives 100 at rank 2"
+    assert [(v.claim, v.witness, v.count, v.detail) for v in report.violations] == [
+        ("triple-reverse-literal", "closed-form", 2, detail)
+    ]
+    assert report.claims == before.claims
+
+
+def check_walk_orbits(n):
+    """The brute-force orbits of the patterns of [n] that start with 0 are
+    the oracle: each holds exactly one walked pattern, weighted
+    |orbit|·r·C(n, r), and patterns.orbit gives it back.  Returns the
+    number of orbits."""
     import math
 
     from oracles import dihedral_orbits
 
     from cyclorient import patterns
 
-    counts = []
-    for n in range(1, 8):
-        walked = {p: w for rank in range(1, n + 1) for p, w in patterns.walk(n, rank)}
-        orbits = dihedral_orbits(n)
-        assert len(walked) == len(orbits), n
-        for orbit in orbits:
-            [pattern] = orbit & walked.keys()
-            rank = max(pattern) + 1
-            assert walked[pattern] == len(orbit) * rank * math.comb(n, rank), (n, pattern)
-            assert patterns.orbit(pattern) == orbit, (n, pattern)
-        counts.append(len(orbits))
-    assert counts == [1, 2, 4, 10, 29, 134, 776]
+    walked = {p: w for rank in range(1, n + 1) for p, w in patterns.walk(n, rank)}
+    orbits = dihedral_orbits(n)
+    assert len(walked) == len(orbits), n
+    for orbit in orbits:
+        [pattern] = orbit & walked.keys()
+        rank = max(pattern) + 1
+        assert walked[pattern] == len(orbit) * rank * math.comb(n, rank), (n, pattern)
+        assert patterns.orbit(pattern) == orbit, (n, pattern)
+    return len(orbits)
+
+
+def test_walk_yields_one_pattern_per_dihedral_orbit():
+    # Up to n = 7; CI runs check_walk_orbits(8).  At n = 8 the 6,335
+    # weights cover the 8^8 maps.
+    from cyclorient import patterns
+
+    assert [check_walk_orbits(n) for n in range(1, 8)] == [1, 2, 4, 10, 29, 134, 776]
     weights = [w for rank in range(1, 9) for _, w in patterns.walk(8, rank)]
     assert (len(weights), sum(weights)) == (6335, 8**8)
+
+
+def test_partition_test_matches_the_move_and_renumber_oracle():
+    # _stabiliser moves only the positions; the oracle moves the values too
+    # (patterns._moves) before renumbering the blocks by first use.  Both
+    # agree on every set partition of n <= 8 positions, 4,140 at n = 8,
+    # kept or not.
+    from oracles import partition_stabiliser
+
+    from cyclorient import patterns
+
+    for n in range(1, 9):
+        for rank in range(1, n + 1):
+            for blocks in patterns._partitions(n, rank):
+                assert patterns._stabiliser(blocks) == partition_stabiliser(blocks), blocks
 
 
 def check_pattern_walk(n):
@@ -1665,6 +1725,22 @@ def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
                     assert (claim.checks, got) == want, (n, max_len)
                     failed.append(failure is not None)
     assert len(failed) == 200 and 0 < sum(failed) < 200, sum(failed)
+
+
+def test_lemma_parts_are_the_parts_its_masks_pick():
+    # The success path builds a row's distinct parts by combinations; the
+    # failure walk reads the masks' position tuples.  Both give the same
+    # parts for every pool row at n <= 6 and every max_len.
+    from cyclorient import verification
+
+    rows = 0
+    for n in range(1, 7):
+        for max_len in range(verification.LEMMA_MIN_LEN, verification.LEMMA_MAX_LEN + 1):
+            for q, _, _ in verification._oriented_pool(n, max_len):
+                picked = {tuple(map(q.__getitem__, at)) for at in verification._masks(len(q))}
+                assert verification._parts(q) == picked, (n, max_len, q)
+                rows += 1
+    assert rows > 0
 
 
 def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
