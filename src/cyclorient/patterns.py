@@ -2,9 +2,8 @@
 image replaced by its position in S (3,7,3,5 is S = 3,5,7 at 0,2,0,1): the
 equivalence suite walks one pattern per dihedral orbit and spreads it back
 into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the identity and
-lemma suites read the classes, and the lemma suite its pool, as their
-patterns (:func:`cyclic`); the product sets group the image sets S met
-with the same patterns into families (:func:`split`).
+lemma suites and ``count`` read the classes, and the lemma suite its pool,
+as their patterns (:func:`cyclic`), the package's only builder of them.
 
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
@@ -134,18 +133,3 @@ def cyclic(k: int) -> set[tuple[int, ...]]:
         for i in range(k)
     }
 
-
-def split(seqs: Iterable[tuple[int, ...]]) -> dict[frozenset, list[tuple[int, ...]]]:
-    """The families of ``seqs``: each set of patterns, mapped to the sorted
-    image sets S met with exactly those patterns, each sequence read
-    through one position map per S (in a class, each rank is one family)."""
-    by_image: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for seq in seqs:
-        by_image.setdefault(frozenset(seq), []).append(seq)
-    families: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
-    for image_set, group in by_image.items():
-        image = tuple(sorted(image_set))
-        where = dict(zip(image, range(len(image))))
-        shapes = frozenset(tuple(map(where.__getitem__, seq)) for seq in group)
-        families.setdefault(shapes, []).append(image)
-    return families

@@ -44,7 +44,8 @@ from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
 from .sequences import Orientation, _Record, _tag, _within
 
 EQUIVALENCE_MAX_N = 9
-# count_classes holds OP_n and OR_n as sets: a 108 MB peak at n = 9, 407 MB at n = 10.
+# count_classes sums pattern weights, which is cheap past n = 9; raising this
+# bound, with per-rank counts, is ROADMAP item 9.
 COUNT_MAX_N = 9
 IDENTITY_MAX_N = 5
 LEMMA_MAX_N = EQUIVALENCE_MAX_N
@@ -133,14 +134,6 @@ def _closed_forms(n: int, k: int | None = None) -> tuple[int, int]:
     return k * math.comb(n + k - 1, k) - (k - 1) * n, n + math.comb(n, 2) * k * (k - 1)
 
 
-def _cyclic(n: int, length: int) -> set[tuple[int, ...]]:
-    """The cyclic ``length``-sequences over [n], from the definition with no
-    kernel call: the distinct rotations of the non-decreasing ones.  Their
-    reversals are the anti-cyclic ones."""
-    runs = itertools.combinations_with_replacement(range(n), length)
-    return {run[i:] + run[:i] for run in runs for i in range(length)}
-
-
 def _tagged(cyclic: set[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], Orientation]]:
     """Yield ``(items, tag)`` for each of the ``cyclic`` sequences and their
     reversals, lexicographically, with its :class:`Orientation`."""
@@ -150,20 +143,10 @@ def _tagged(cyclic: set[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], Ori
         yield items, tag if items in cyclic else Orientation.ANTI_CYCLIC_ONLY
 
 
-def _oriented(n: int, length: int) -> Iterator[tuple[tuple[int, ...], Orientation]]:
-    """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
-    its :class:`Orientation`, lexicographically, from :func:`_cyclic`: the
-    pool over [n] that tests spread the lemma suite's pattern rows against
-    (``_oriented(n, n)`` yields P_n)."""
-    return _tagged(_cyclic(n, length))
-
-
-def _classes(n: int) -> tuple[frozenset, frozenset]:
-    """OP_n and OR_n as sets of image tuples: the cyclic image lists of
-    :func:`_cyclic` and their reversals.  Only :func:`count_classes` reads
-    them; the identity and lemma suites read the classes' patterns."""
-    op = frozenset(_cyclic(n, n))
-    return op, frozenset(images[::-1] for images in op)
+def _weight(n: int, seqs: Iterable[tuple[int, ...]]) -> int:
+    """The number of maps, or sequences, over [n] that the value patterns
+    ``seqs`` stand for: C(n, r) for each pattern of rank r."""
+    return sum(math.comb(n, max(q) + 1) for q in seqs)
 
 
 # ----------------------------------------------------------------------
@@ -380,25 +363,18 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict, where: str = "") ->
 # ----------------------------------------------------------------------
 
 
-def _product_set(families: dict, right: Collection[tuple[int, ...]]) -> set:
-    # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
-    # over b's points: b restricted to a's sorted image set S, read at a's
-    # pattern (its entries' positions in S); the left operand comes split
-    # into families by patterns.split.  right is held as columns: a
-    # family's restrictions to S are the rows of S's columns zipped, and a
-    # pattern composes all of them at once as the rows of the restrictions'
-    # columns zipped in pattern order.
+def _compose(left: Iterable[tuple[int, ...]], right: Collection[tuple[int, ...]]) -> set:
+    """Every q∘p, p in ``left`` and q in ``right``: p then q is (q[p[0]],
+    ..., q[p[k-1]]), so each p indexes positions of every q.  ``right`` is
+    held as columns, and each p composes with all of it at once as the
+    rows of its columns zipped in p's order.  An empty ``right`` gives
+    the empty set."""
     if not right:
         return set()
     columns = list(zip(*right))
     out = set()
-    for shapes, images in families.items():
-        restrictions = set()
-        for image in images:
-            restrictions.update(zip(*map(columns.__getitem__, image)))
-        slots = list(zip(*restrictions))
-        for pattern in shapes:
-            out.update(zip(*map(slots.__getitem__, pattern)))
+    for p in left:
+        out.update(zip(*map(columns.__getitem__, p)))
     return out
 
 
@@ -414,7 +390,7 @@ def identity_suite(n: int) -> SuiteReport:
     q of length r, so a product set is the maps T read through q∘p, p a
     left-class pattern of length n and rank r, q a right-class one of length
     r (:func:`patterns.cyclic`; OR's are the reversals), composed rank by
-    rank by :func:`_product_set`.  So each identity is one of pattern sets,
+    rank by :func:`_compose`.  So each identity is one of pattern sets,
     each pattern weighing the C(n, rank) maps it stands for in every check
     and offender count: an equality holds when its symmetric difference is
     empty, and an inclusion when its difference is.  The witness is the
@@ -435,22 +411,17 @@ def identity_suite(n: int) -> SuiteReport:
     p_set = op_set | or_set
     low_rank_p = {p for p in p_set if max(p) <= 1}
 
-    def product(families: dict, right: int) -> set:
-        # Each rank-r family of the left patterns, split once per class,
-        # composed with the length-r patterns of class ``right`` (0 for OP,
-        # 1 for OR).
+    def product(left: set, right: int) -> set:
+        # Each rank-r pattern of ``left`` composed with the length-r patterns
+        # of class ``right`` (0 for OP, 1 for OR).
         out = set()
-        for shapes, [image] in families.items():
-            out |= _product_set({shapes: [image]}, sized[len(image)][right])
+        for r in range(1, n + 1):
+            out |= _compose([p for p in left if max(p) == r - 1], sized[r][right])
         return out
 
-    def weigh(seqs: Iterable[tuple[int, ...]]) -> int:
-        return sum(math.comb(n, max(p) + 1) for p in seqs)
-
-    op_split, or_split = patterns.split(op_set), patterns.split(or_set)
-    op_op, or_or = product(op_split, 0), product(or_split, 1)
-    or_op, op_or = product(or_split, 0), product(op_split, 1)
-    n_op, n_or = weigh(op_set), weigh(or_set)
+    op_op, or_or = product(op_set, 0), product(or_set, 1)
+    or_op, op_or = product(or_set, 0), product(op_set, 1)
+    n_op, n_or = _weight(n, op_set), _weight(n, or_set)
     # P = OP u OR, so the product P.P is the union of the four products.
     p_p = op_op | or_or | or_op | op_or
     for claim, offenders, checks in (
@@ -458,13 +429,13 @@ def identity_suite(n: int) -> SuiteReport:
         ("or-op-equals-or", or_op ^ or_set, n_or * n_op),
         ("op-or-equals-or", op_or ^ or_set, n_op * n_or),
         ("op-closed", op_op - op_set, n_op * n_op),
-        ("p-closed", p_p - p_set, weigh(p_p)),
-        ("op-and-or-is-low-rank-p", (op_set & or_set) ^ low_rank_p, weigh(p_set)),
+        ("p-closed", p_p - p_set, _weight(n, p_p)),
+        ("op-and-or-is-low-rank-p", (op_set & or_set) ^ low_rank_p, _weight(n, p_set)),
     ):
         tally["checks"][claim] += checks
         if offenders:
             witness = ",".join(map(str, min(offenders)))
-            _fail(tally, claim, (), witness, f"{weigh(offenders)} offending map(s)")
+            _fail(tally, claim, (), witness, f"{_weight(n, offenders)} offending map(s)")
     op, both = _closed_forms(n)
     products = ("or-or-equals-op", "or-op-equals-or", "op-or-equals-or", "op-closed")
     wants = dict.fromkeys(products, op * op) | {"op-and-or-is-low-rank-p": 2 * op - both}
@@ -478,15 +449,18 @@ def identity_suite(n: int) -> SuiteReport:
 
 
 def count_classes(n: int) -> ClassCounts:
-    """Exact class cardinalities, from the members :func:`_classes` builds
-    without walking the n^n maps; tests check them against the per-map
-    classifier.  n must lie within 1..``COUNT_MAX_N`` (9), a bound of its
-    own: the member sets, not the suite's walk, limit it."""
+    """Exact class cardinalities by pattern weights, with no member built:
+    a map of rank r is in OP_n (OR_n) when its value pattern is one of
+    :func:`patterns.cyclic`'s (their reversals), so each count sums the
+    C(n, r) maps of its patterns.  Tests check the counts against the
+    per-map classifier and the member sets.  n must lie within
+    1..``COUNT_MAX_N`` (9), a bound of its own."""
     n = _within(n, 1, COUNT_MAX_N, "count n")
-    op, or_ = _classes(n)
+    op = patterns.cyclic(n)
+    or_ = {q[::-1] for q in op}
     p = op | or_
-    low = sum(len(set(images)) <= 2 for images in p)
-    return ClassCounts(n, n**n, len(op), len(or_), len(p), len(op & or_), low)
+    sizes = (op, or_, p, op & or_, {q for q in p if max(q) <= 1})
+    return ClassCounts(n, n**n, *(_weight(n, seqs) for seqs in sizes))
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +483,7 @@ def _oriented_pool(n: int, max_len: int) -> list[tuple[tuple[int, ...], Orientat
 def _spread(rows: Iterable[tuple], n: int) -> list[tuple[tuple[int, ...], Orientation]]:
     """The ``(items, tag)`` pool sequences over [n] that the pattern ``rows``
     stand for, each r-point image set read through its rank-r pattern, in
-    :func:`_oriented`'s order (by length, then lexicographically)."""
+    pool order: by length, then lexicographically."""
     spread = [
         (tuple(map(image.__getitem__, q)), tag)
         for q, tag, _ in rows
@@ -596,15 +570,14 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     for flip, claim in enumerate(("image-orientation-preserved", "image-orientation-reversed")):
         shapes = {m: [s[::-1] for s in c] if flip else c for m, c in sized.items()}
         shapes[n] = sorted(shapes[n])  # the failure walk reads the members in index order
-        ranked = sum(math.comb(n, max(p) + 1) for p in shapes[n])
+        ranked = _weight(n, shapes[n])
         if ranked:  # no claim line for a class without rank >= 3 members
             checks[claim] += ranked * size
         bad = []
         for row in pool:
             q, tag, _ = row
             want = tag.swapped() if flip else tag
-            for s in shapes[max(q) + 1]:
-                image = tuple(map(s.__getitem__, q))
+            for image in _compose([q], shapes[max(q) + 1]):
                 got = tags.get(image)
                 if got is None:
                     got = tags[image] = _tag(image)

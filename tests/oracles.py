@@ -6,7 +6,69 @@ from operator import itemgetter
 from cyclorient import Chord, patterns
 from cyclorient.claims import _claims
 from cyclorient.sequences import Orientation, _tag
-from cyclorient.verification import _classes, _fail, _new_tally, _product_set
+from cyclorient.verification import _fail, _new_tally, _tagged
+
+
+def _cyclic(n, length):
+    """The cyclic ``length``-sequences over [n], from the definition with no
+    kernel call: the distinct rotations of the non-decreasing ones.  Their
+    reversals are the anti-cyclic ones."""
+    runs = itertools.combinations_with_replacement(range(n), length)
+    return {run[i:] + run[:i] for run in runs for i in range(length)}
+
+
+def _oriented(n, length):
+    """Yield ``(items, tag)``, each oriented ``length``-sequence over [n] with
+    its :class:`Orientation`, lexicographically, from :func:`_cyclic`: the
+    pool over [n] that tests spread the lemma suite's pattern rows against
+    (``_oriented(n, n)`` yields P_n)."""
+    return _tagged(_cyclic(n, length))
+
+
+def _classes(n):
+    """OP_n and OR_n as sets of image tuples: the cyclic image lists of
+    :func:`_cyclic` and their reversals, the members that the package reads
+    only as their patterns (``patterns.cyclic``)."""
+    op = frozenset(_cyclic(n, n))
+    return op, frozenset(images[::-1] for images in op)
+
+
+def split(seqs):
+    """The families of ``seqs``: each set of patterns, mapped to the sorted
+    image sets S met with exactly those patterns, each sequence read
+    through one position map per S (in a class, each rank is one family)."""
+    by_image = {}
+    for seq in seqs:
+        by_image.setdefault(frozenset(seq), []).append(seq)
+    families = {}
+    for image_set, group in by_image.items():
+        image = tuple(sorted(image_set))
+        where = dict(zip(image, range(len(image))))
+        shapes = frozenset(tuple(map(where.__getitem__, seq)) for seq in group)
+        families.setdefault(shapes, []).append(image)
+    return families
+
+
+def _product_set(families, right):
+    # a then b is (b[a[0]], ..., b[a[k-1]]) for a sequence a of any length
+    # over b's points: b restricted to a's sorted image set S, read at a's
+    # pattern (its entries' positions in S); the left operand comes split
+    # into families by split.  right is held as columns: a family's
+    # restrictions to S are the rows of S's columns zipped, and a pattern
+    # composes all of them at once as the rows of the restrictions'
+    # columns zipped in pattern order.
+    if not right:
+        return set()
+    columns = list(zip(*right))
+    out = set()
+    for shapes, images in families.items():
+        restrictions = set()
+        for image in images:
+            restrictions.update(zip(*map(columns.__getitem__, image)))
+        slots = list(zip(*restrictions))
+        for pattern in shapes:
+            out.update(zip(*map(slots.__getitem__, pattern)))
+    return out
 
 
 def oriented_quadruples(n):
@@ -165,7 +227,7 @@ def identity_tally(n):
     op_set, or_set = _classes(n)
     p_set = op_set | or_set
     low_rank_p = frozenset(t for t in p_set if len(set(t)) <= 2)
-    op_split, or_split = patterns.split(op_set), patterns.split(or_set)
+    op_split, or_split = split(op_set), split(or_set)
     op_op = _product_set(op_split, op_set)
     or_or = _product_set(or_split, or_set)
     or_op = _product_set(or_split, op_set)

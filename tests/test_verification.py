@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import oracles
 import pytest
 
 from cyclorient import (
@@ -218,7 +219,7 @@ def test_patterns_hold_each_value_pattern_once():
     assert orbit_sizes == [1082, 9366, 94586]
     for n in range(1, 6):
         every_map = set(itertools.product(range(n), repeat=n))
-        families = patterns.split(every_map)
+        families = oracles.split(every_map)
         read_back = [
             (image, p) for shapes, images in families.items() for image in images for p in shapes
         ]
@@ -235,10 +236,10 @@ def test_equivalence_suite_gates_each_route_count_at_n_to_the_n(monkeypatch):
     # all maps, and at ranks 1 and 2 the 5 and C(5, 2)(2^5 − 2) = 300 maps
     # of those ranks, each gate adding one to the count.  Rank 2's job is
     # merged first, so its detail is the one kept.
-    from cyclorient import patterns, verification
+    from cyclorient import patterns
     from cyclorient.claims import _ROUTE_CLAIMS
 
-    op, or_ = verification._classes(5)
+    op, or_ = oracles._classes(5)
     both = op & or_
     real = patterns.walk
     checks = {c.claim: c.checks for c in equivalence_suite(5, workers=1).claims}
@@ -674,9 +675,9 @@ def test_identity_n4():
 def test_identity_suite_reports_a_product_outside_p(monkeypatch):
     from cyclorient import verification
 
-    real = verification._product_set
+    real = verification._compose
     monkeypatch.setattr(
-        verification, "_product_set", lambda left, right: real(left, right) | {(0, 1, 0, 1)}
+        verification, "_compose", lambda left, right: real(left, right) | {(0, 1, 0, 1)}
     )
     report = identity_suite(4)
     assert not report.passed
@@ -694,9 +695,9 @@ def test_identity_suite_reports_a_product_outside_p(monkeypatch):
 def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatch):
     from cyclorient import verification
 
-    real = verification._product_set
+    real = verification._compose
     monkeypatch.setattr(
-        verification, "_product_set", lambda left, right: real(left, right) - {(0, 1, 2, 3)}
+        verification, "_compose", lambda left, right: real(left, right) - {(0, 1, 2, 3)}
     )
     report = identity_suite(4)
     # Only an equality notices a missing map, and the identity is in OP_4
@@ -728,11 +729,11 @@ def test_cyclic_patterns_are_the_class_patterns():
     import math
     from collections import Counter
 
-    from cyclorient import patterns, verification
+    from cyclorient import patterns
 
     for k in range(1, 9):
         built = patterns.cyclic(k)
-        op, _ = verification._classes(k)
+        op, _ = oracles._classes(k)
         assert built == {t for t in op if set(t) == set(range(max(t) + 1))}, k
         ranks = Counter(max(p) + 1 for p in built)
         assert ranks == {1: 1} | {r: r * math.comb(k, r) for r in range(2, k + 1)}, k
@@ -746,10 +747,8 @@ def test_restricting_class_members_gives_the_class_sequences():
 
     from oracles import oriented_walk
 
-    from cyclorient import verification
-
     for n in range(1, 7):
-        classes = verification._classes(n)
+        classes = oracles._classes(n)
         for r in range(1, n + 1):
             rows = list(oriented_walk(n, r))
             wants = (
@@ -852,6 +851,22 @@ def test_count_classes_matches_classifier():
             both,
             low,
         )
+
+
+def test_count_classes_matches_the_member_sets():
+    # count sums the weights of the classes' patterns; the sets of n-tuples
+    # the oracle builds from the definition give the same five sizes.
+    for n in range(1, 9):
+        op, or_ = oracles._classes(n)
+        p = op | or_
+        counts = count_classes(n)
+        assert (counts.op, counts.or_, counts.p, counts.op_and_or, counts.low_rank_in_p) == (
+            len(op),
+            len(or_),
+            len(p),
+            len(op & or_),
+            sum(len(set(images)) <= 2 for images in p),
+        ), n
 
 
 def test_lemma_exhaustive_small():
@@ -1237,7 +1252,7 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
     from contextlib import nullcontext
     from types import SimpleNamespace
 
-    from cyclorient import verification
+    from cyclorient import patterns, verification
 
     started = []
 
@@ -1254,8 +1269,7 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
     monkeypatch.setattr(verification, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(verification, "_equivalence_range", no_enumeration)
     monkeypatch.setattr(verification, "_tag", no_enumeration)
-    monkeypatch.setattr(verification, "_oriented", no_enumeration)
-    monkeypatch.setattr(verification, "_cyclic", no_enumeration)
+    monkeypatch.setattr(patterns, "cyclic", no_enumeration)
     assert verification.EQUIVALENCE_MAX_N == 9
     for workers in (1, 2):
         with pytest.raises(ValueError, match=r"equivalence suite n must be within 1\.\.9, got 10$"):
@@ -1266,9 +1280,9 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
 
 
 def test_count_keeps_its_own_bound_when_the_equivalence_bound_rises(capsys, monkeypatch):
-    # count_classes holds OP_n and OR_n as sets (407 MB at n = 10), so
+    # count_classes has a bound of its own (raising it is ROADMAP item 9), so
     # raising the equivalence suite's bound must not raise count's with it.
-    from cyclorient import verification
+    from cyclorient import patterns, verification
     from cyclorient.cli import main
 
     started = []
@@ -1279,8 +1293,9 @@ def test_count_keeps_its_own_bound_when_the_equivalence_bound_rises(capsys, monk
         started.append(("enumeration", args))
         raise AssertionError("enumeration started")
 
-    for name in ("_equivalence_range", "_tag", "_oriented", "_cyclic"):
+    for name in ("_equivalence_range", "_tag"):
         monkeypatch.setattr(verification, name, no_enumeration)
+    monkeypatch.setattr(patterns, "cyclic", no_enumeration)
     monkeypatch.setattr(verification, "EQUIVALENCE_MAX_N", 10)
     assert verification.COUNT_MAX_N == 9
     with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
@@ -1404,47 +1419,30 @@ def test_readme_library_example_matches_its_comments():
 
 
 def _composed(left, right):
-    # The suites' product set: the left operand split once, then composed.
-    from cyclorient import patterns, verification
+    # The tuple-level product set of the oracles: the left operand split
+    # once into families, then composed.
+    return oracles._product_set(oracles.split(left), right)
 
-    return verification._product_set(patterns.split(left), right)
 
-
-def check_product_sets(n, max_len):
-    """Every product set the identity suite composes at n, and the lemma
-    pool's at ``max_len`` (its sequences then the members, the masks then
-    its sequences), equals the pairwise oracle's."""
+def check_product_sets(n):
+    """Every product set the identity suite composes at n, each class's
+    rank-r patterns of length n then each class's patterns of length r,
+    equals the pairwise oracle's when ``verification._compose`` builds it."""
     from oracles import product_set
 
     from cyclorient import patterns, verification
 
-    # OP's and OR's patterns of each length r <= n, as the suites build them.
+    # OP's and OR's patterns of each length r <= n, as the suite builds them.
     sized = {}
     for r in range(1, n + 1):
         cyclic = patterns.cyclic(r)
         sized[r] = cyclic, {q[::-1] for q in cyclic}
-    # The lemma pool's sequences over [n], its rows spread, in (length, tag)
-    # groups.
-    groups = {}
-    for items, tag in verification._spread(verification._oriented_pool(n, max_len), n):
-        groups.setdefault((len(items), tag), []).append(items)
-    # Their images: each group then each class's rank >= 3 patterns.
-    for members in sized[n]:
-        shapes = [p for p in members if max(p) >= 2]
-        for group in groups.values():
-            assert _composed(group, shapes) == product_set(group, shapes), ("images", n)
-    # Its subsequences: mask position tuples (bit b keeps item b) then each
-    # group, every subsequence that a mask selects.
-    for (t, _), group in groups.items():
-        masks = [tuple(b for b in range(t) if m >> b & 1) for m in range(1, 1 << t)]
-        assert _composed(masks, group) == product_set(masks, group), ("masks", n, t)
-    # The identity suite's products: each class's rank-r patterns of length
-    # n then each class's patterns of length r.
     for left in sized[n]:
         for r in range(1, n + 1):
             shapes = [p for p in left if max(p) == r - 1]
             for right in sized[r]:
-                assert _composed(shapes, right) == product_set(shapes, right), ("identity", n, r)
+                got = verification._compose(shapes, right)
+                assert got == product_set(shapes, right), ("identity", n, r)
 
 
 def test_product_set_matches_the_pairwise_oracle():
@@ -1452,29 +1450,25 @@ def test_product_set_matches_the_pairwise_oracle():
 
     from oracles import product_set
 
-    from cyclorient import verification
-
-    # The suites' own inputs; CI runs check_product_sets(6, 6).
+    # The identity suite's own inputs; CI runs check_product_sets(6).
     for n in range(1, 6):
-        check_product_sets(n, 5)
+        check_product_sets(n)
     # All maps by all maps mixes every rank on both sides.
     for n in range(1, 4):
         every = frozenset(itertools.product(range(n), repeat=n))
         assert _composed(every, every) == product_set(every, every), n
-    # Oriented sequences of any length on the left, as the lemma suite
-    # composes them: a constant one keeps its own length.
+    # Oriented sequences of any length on the left: a constant one keeps
+    # its own length.
     for n in range(1, 6):
-        op = frozenset(images for images, tag in verification._oriented(n, n) if tag.admits_cyclic)
+        op = frozenset(images for images, tag in oracles._oriented(n, n) if tag.admits_cyclic)
         for k in range(1, 5):
-            seqs = frozenset(items for items, _ in verification._oriented(n, k))
+            seqs = frozenset(items for items, _ in oracles._oriented(n, k))
             assert _composed(seqs, op) == product_set(seqs, op), (n, k)
 
 
 def check_closure_identities(n):
     """OP.OP = OP, OR.OR = OP and OR.OP = OP.OR = OR as product sets at n."""
-    from cyclorient import verification
-
-    op, or_ = verification._classes(n)
+    op, or_ = oracles._classes(n)
     assert _composed(op, op) == op, ("OP.OP = OP", n)
     assert _composed(or_, or_) == op, ("OR.OR = OP", n)
     assert _composed(or_, op) == or_, ("OR.OP = OR", n)
@@ -1494,6 +1488,8 @@ def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
     import random
 
     from oracles import product_set
+
+    from cyclorient import verification
 
     def pattern(a):
         image = sorted(set(a))
@@ -1518,7 +1514,10 @@ def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
             for right in rights + [[], rights[0][:1]]:
                 got = _composed(left, right)
                 assert got == product_set(left, right), (n, len(left), len(right))
+                assert verification._compose(left, right) == got, (n, len(left), len(right))
+            assert verification._compose(left, ()) == set(), n
         assert _composed([], maps) == set()
+        assert verification._compose([], maps) == set()
     assert partial > 10
 
 
@@ -1639,8 +1638,8 @@ def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
     rng = random.Random(39)
     tags = set()
     for n in range(6, 9):
-        pool = [items for k in (3, 4) for items, _ in verification._oriented(n, k)]
-        for members in verification._classes(n):
+        pool = [items for k in (3, 4) for items, _ in oracles._oriented(n, k)]
+        for members in oracles._classes(n):
             off = sorted(t for t in members if len(set(t)) >= 3 and _pattern_of(t) != t)
             for member in rng.sample(off, 50):
                 pattern = _pattern_of(member)
@@ -1654,28 +1653,29 @@ def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
 
 
 def test_lemma_suite_misses_a_wrong_member_off_the_patterns(monkeypatch):
-    # The reduction's limit: the identity and lemma suites build the
-    # classes' patterns only, so a map that is not a pattern, swapped into
-    # _classes for a member of the same rank, leaves both reports as they
-    # were, though the map itself sends a pool sequence to the wrong
-    # orientation.  count keeps its sizes; the kernel walk catches it.
+    # The reduction's limit: the identity and lemma suites, and count, build
+    # the classes' patterns only, so a map that is not a pattern, swapped
+    # into the tuple-level oracle _classes for a member of the same rank,
+    # leaves both reports as they were, though the map itself sends a pool
+    # sequence to the wrong orientation.  count keeps its sizes; the kernel
+    # walk, checked against _classes, catches it.
     from cyclorient import verification
 
     want = format_machine([identity_suite(5), lemma_suite(5)])
-    real = verification._classes
+    real = oracles._classes
     member, wrong = (0, 1, 2, 4, 4), (0, 2, 1, 4, 4)
 
     def classes(n):
         op, or_ = real(n)
         return ((op - {member}) | {wrong} if n == 5 else op), or_
 
-    monkeypatch.setattr(verification, "_classes", classes)
+    monkeypatch.setattr(oracles, "_classes", classes)
     assert member in real(5)[0] and wrong not in real(5)[0] | real(5)[1]
     assert format_machine([identity_suite(5), lemma_suite(5)]) == want
     images = [
         (tuple(map(wrong.__getitem__, items)), tag)
         for k in (3, 4)
-        for items, tag in verification._oriented(5, k)
+        for items, tag in oracles._oriented(5, k)
     ]
     assert any(len(set(img)) >= 3 and verification._tag(img) is not tag for img, tag in images)
     assert count_classes(5).invariant_failures() == ()
@@ -1770,7 +1770,7 @@ def test_closed_forms_count_every_walk():
         for k in range(1, 7):
             if n**k > 20_000:
                 continue
-            tags = [tag for _, tag in verification._oriented(n, k)]
+            tags = [tag for _, tag in oracles._oriented(n, k)]
             cyclic = sum(tag.admits_cyclic for tag in tags)
             both = sum(tag.admits_cyclic and tag.admits_anti_cyclic for tag in tags)
             assert verification._closed_forms(n, k) == (cyclic, both), (n, k)
@@ -1821,11 +1821,11 @@ def test_lemma_pool_is_gated_by_its_closed_form(monkeypatch):
 
 def check_oriented_pool(n):
     """The lemma pool's pattern rows, spread over [n], are the rows, tags and
-    order of the n-level pool ``_oriented(n, k)`` at lengths k = 3..6."""
+    order of the n-level pool ``oracles._oriented(n, k)`` at lengths k = 3..6."""
     from cyclorient import verification
 
     spread = verification._spread(verification._oriented_pool(n, 6), n)
-    assert spread == [row for k in range(3, 7) for row in verification._oriented(n, k)], n
+    assert spread == [row for k in range(3, 7) for row in oracles._oriented(n, k)], n
 
 
 def test_oriented_pool_spreads_to_the_sequences_over_n():
@@ -1866,7 +1866,7 @@ def test_lemma_suite_misses_a_kernel_broken_off_the_patterns(monkeypatch):
     def kernel(items):
         return Orientation.NEITHER if items == (0, 4) else sequences._tag(items)
 
-    pool = [row for k in (3, 4) for row in verification._oriented(5, k)]
+    pool = [row for k in (3, 4) for row in oracles._oriented(5, k)]
     _, failure = subsequence_failures(pool, kernel)
     assert failure is not None and failure[0] == "seq=0,0,4;mask=5"
     want = format_machine([lemma_suite(5, max_len=4)])
@@ -1881,12 +1881,10 @@ def check_classes_against_walk(n):
     kernel walk of all n^n maps tags cyclic and anti-cyclic."""
     from oracles import oriented_walk
 
-    from cyclorient import verification
-
     rows = list(oriented_walk(n, n))
     op = {images for images, tag in rows if tag.admits_cyclic}
     or_ = {images for images, tag in rows if tag.admits_anti_cyclic}
-    assert verification._classes(n) == (op, or_), n
+    assert oracles._classes(n) == (op, or_), n
 
 
 def test_oriented_rows_match_the_kernel_walk_and_the_closed_forms():
@@ -1898,7 +1896,7 @@ def test_oriented_rows_match_the_kernel_walk_and_the_closed_forms():
     # all n^k tuples (at most 7^7) must give the same rows, tags and order.
     for n in range(1, 8):
         for k in range(1, 8):
-            assert list(verification._oriented(n, k)) == list(oriented_walk(n, k)), (n, k)
+            assert list(oracles._oriented(n, k)) == list(oriented_walk(n, k)), (n, k)
     # The classes too; CI runs check_classes_against_walk(8).
     for n in range(1, 7):
         check_classes_against_walk(n)
@@ -1906,7 +1904,7 @@ def test_oriented_rows_match_the_kernel_walk_and_the_closed_forms():
     for n in range(1, 9):
         for k in range(1, 9):
             cyclic, both = verification._closed_forms(n, k)
-            tags = [tag for _, tag in verification._oriented(n, k)]
+            tags = [tag for _, tag in oracles._oriented(n, k)]
             assert len(tags) == 2 * cyclic - both, (n, k)
             assert tags.count(Orientation.BOTH) == both, (n, k)
 
