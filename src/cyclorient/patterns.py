@@ -8,7 +8,9 @@ as their patterns (:func:`cyclic`), the package's only builder of them.
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
 followed by the value rotation v → (v − s) mod r that brings it back to a
-lead of 0.
+lead of 0.  The walk's canonicity tests read each moved string only up to
+its first entry that differs, which decides the comparison; :func:`_moves`
+builds whole images for :func:`orbit` and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -57,18 +59,23 @@ def _stabiliser(blocks: tuple[int, ...]) -> list[int] | None:
     the identity (0) first, or None if a move gives a smaller restricted
     growth string.  Renumbering the blocks by first use undoes any value
     relabelling, so each move here only rotates the positions, and from
-    k = n on also reverses them."""
+    k = n on also reverses them.  Each moved string is renumbered only up
+    to its first entry that differs from ``blocks``, which decides the
+    comparison: a smaller one returns None, a larger one goes on to the
+    next move."""
     n = len(blocks)
+    doubled = blocks + blocks
     found = [0]
     for k in range(1, 2 * n):
-        turned = blocks[k % n:] + blocks[:k % n]
-        if k >= n:
-            turned = turned[::-1]
+        turned = doubled[k % n:k % n + n]
         first: dict[int, int] = {}
-        moved = tuple([first.setdefault(b, len(first)) for b in turned])
-        if moved < blocks:
-            return None
-        if moved == blocks:
+        for b, want in zip(turned[::-1] if k >= n else turned, blocks):
+            got = first.setdefault(b, len(first))
+            if got != want:
+                if got < want:
+                    return None
+                break
+        else:
             found.append(k)
     return found
 
@@ -81,29 +88,44 @@ def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
     The set partitions of the positions into ``rank`` blocks are kept only
     when no move gives a smaller one.  A kept partition's labellings, each
     ordering of 0..rank - 1 that gives the first block 0, are filtered under
-    its stabiliser alone (usually the identity): a labelling is kept when no
-    move of the stabiliser lowers it.  Each orbit meets the kept partition's
-    labellings in one stabiliser orbit, so |orbit| is the partition's orbit
-    size 2n / |stabiliser| times the labelling's.  So the representatives
-    are generated, as in orderly bracelet generation (Sawada, SIAM
-    J. Comput. 31, 2001), rather than picked by a test on every pattern.
+    its stabiliser alone (usually the identity, which keeps every
+    labelling): a labelling is kept when no move of the stabiliser lowers
+    it.  Each move's image is read entry by entry off the doubled pattern,
+    its value rotated (or reflected) back to a lead of 0, up to the first
+    entry that differs.  Every move that gives a pattern back lies in its
+    partition's stabiliser, so by orbit–stabiliser |orbit| is 2n over the
+    number of those moves.  So the representatives are generated, as in
+    orderly bracelet generation (Sawada, SIAM J. Comput. 31, 2001), rather
+    than picked by a test on every pattern.
     """
     base = rank * math.comb(n, rank)
     for blocks in _partitions(n, rank):
         stabiliser = _stabiliser(blocks)
         if stabiliser is None:
             continue
-        weight = 2 * n // len(stabiliser) * base
-        others = stabiliser[1:]
+        # (step, at) reads a move's image entry i as step·(doubled[at + step·i]
+        # − doubled[at]) mod r: a rotation left by k, or one then reversed.
+        reads = [(1, k) if k < n else (-1, k - 1) for k in stabiliser[1:]]
         for labels in itertools.permutations(range(1, rank)):
             pattern = tuple(map(((0,) + labels).__getitem__, blocks))
-            images = {pattern}
-            for image in _moves(pattern, others):
-                if image < pattern:
+            if not reads:
+                yield pattern, 2 * n * base
+                continue
+            doubled = pattern + pattern
+            fixed = 1  # the moves that give the pattern back
+            for step, at in reads:
+                lead = doubled[at]
+                for i in range(1, n):
+                    got = step * (doubled[at + step * i] - lead) % rank
+                    if got != pattern[i]:
+                        break
+                else:
+                    fixed += 1
+                    continue
+                if got < pattern[i]:
                     break
-                images.add(image)
             else:
-                yield pattern, weight * len(images)
+                yield pattern, 2 * n // fixed * base
 
 
 def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:

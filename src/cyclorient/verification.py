@@ -389,8 +389,9 @@ def identity_suite(n: int) -> SuiteReport:
     by constant runs.  Each is its image set T read through a class pattern
     q of length r, so a product set is the maps T read through q∘p, p a
     left-class pattern of length n and rank r, q a right-class one of length
-    r (:func:`patterns.cyclic`; OR's are the reversals), composed rank by
-    rank by :func:`_compose`.  So each identity is one of pattern sets,
+    r (:func:`patterns.cyclic`; OR's are the reversals), each class's
+    length-n patterns grouped by rank once and each group composed by
+    :func:`_compose`.  So each identity is one of pattern sets,
     each pattern weighing the C(n, rank) maps it stands for in every check
     and offender count: an equality holds when its symmetric difference is
     empty, and an inclusion when its difference is.  The witness is the
@@ -410,17 +411,22 @@ def identity_suite(n: int) -> SuiteReport:
     op_set, or_set = sized[n]
     p_set = op_set | or_set
     low_rank_p = {p for p in p_set if max(p) <= 1}
+    # Each class's length-n patterns grouped by rank once; a reversal keeps its rank.
+    op_ranks: dict[int, list[tuple[int, ...]]] = {}
+    for p in op_set:
+        op_ranks.setdefault(max(p) + 1, []).append(p)
+    or_ranks = {r: [p[::-1] for p in group] for r, group in op_ranks.items()}
 
-    def product(left: set, right: int) -> set:
-        # Each rank-r pattern of ``left`` composed with the length-r patterns
+    def product(left: dict, right: int) -> set:
+        # Each rank-r group of ``left`` composed with the length-r patterns
         # of class ``right`` (0 for OP, 1 for OR).
         out = set()
-        for r in range(1, n + 1):
-            out |= _compose([p for p in left if max(p) == r - 1], sized[r][right])
+        for r, group in left.items():
+            out |= _compose(group, sized[r][right])
         return out
 
-    op_op, or_or = product(op_set, 0), product(or_set, 1)
-    or_op, op_or = product(or_set, 0), product(op_set, 1)
+    op_op, or_or = product(op_ranks, 0), product(or_ranks, 1)
+    or_op, op_or = product(or_ranks, 0), product(op_ranks, 1)
     n_op, n_or = _weight(n, op_set), _weight(n, or_set)
     # P = OP u OR, so the product P.P is the union of the four products.
     p_p = op_op | or_or | or_op | op_or
@@ -528,11 +534,12 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     relabelling, which keeps every tag.  So a row offends an image claim
     exactly when some ``_tag(σ∘q)`` is not its tag (preserving) or its swap
     (reversing), σ from :func:`patterns.cyclic` for OP and their reversals
-    for OR, each class checked on its own; each distinct σ∘q is tagged
-    once for both claims.  A mask picks T read at q's part, so each
-    distinct part of the rows (:func:`_parts`) is tagged once, and
-    inheritance is decided once per (row tag, distinct part): a row fails
-    when one of its parts lacks an orientation its tag admits.  The limit: a
+    for OR, each class checked on its own, its σ of each rank held as
+    columns built once per claim; each distinct σ∘q is tagged once for
+    both claims.  A mask picks T read at q's part, so each distinct part
+    of the rows (:func:`_parts`) is tagged once, and inheritance is
+    decided once per (row tag, part tag): a row fails when one of its
+    parts has a tag that lacks an orientation the row's admits.  The limit: a
     kernel wrong only off these relabellings, as on (0, 4) alone at max_len
     4, passes.  Only a failing claim spreads its offending rows into
     sequences over [n] in pool order (:func:`_spread`) and walks their
@@ -566,27 +573,34 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
         m: [s for s in patterns.cyclic(m) if max(s) >= 2]
         for m in {max(q) + 1 for q, _, _ in pool} | {n}
     }
+    ranked = _weight(n, sized[n])  # the rank >= 3 members of each class; reversal keeps rank
+    # Each rank's patterns as columns, so a row q composes with all of them
+    # as the rows of its columns zipped in q's order (as in :func:`_compose`);
+    # the reversals' columns are the same ones in reverse order.
+    columns = {m: list(zip(*c)) for m, c in sized.items() if c}
     tags: dict[tuple[int, ...], Orientation] = {}  # each σ∘q tagged once, for both claims
     for flip, claim in enumerate(("image-orientation-preserved", "image-orientation-reversed")):
-        shapes = {m: [s[::-1] for s in c] if flip else c for m, c in sized.items()}
-        shapes[n] = sorted(shapes[n])  # the failure walk reads the members in index order
-        ranked = _weight(n, shapes[n])
         if ranked:  # no claim line for a class without rank >= 3 members
             checks[claim] += ranked * size
+        table = {m: c[::-1] if flip else c for m, c in columns.items()}
         bad = []
         for row in pool:
             q, tag, _ = row
+            cols = table.get(max(q) + 1)
+            if cols is None:
+                continue
             want = tag.swapped() if flip else tag
-            for image in _compose([q], shapes[max(q) + 1]):
+            for image in zip(*map(cols.__getitem__, q)):
                 got = tags.get(image)
                 if got is None:
                     got = tags[image] = _tag(image)
                 if got is not want:
                     bad.append(row)
                     break
-        # Only a failing claim walks its (pattern, sequence) pairs.
+        # Only a failing claim walks its (pattern, sequence) pairs, the
+        # members reversed for OR and read in index order.
         seqs = _spread(bad, n)
-        for pattern in shapes[n] if bad else ():
+        for pattern in sorted(s[::-1] if flip else s for s in sized[n]) if bad else ():
             weight = math.comb(n, max(pattern) + 1)
             for items, tag in seqs:
                 image = tuple(map(pattern.__getitem__, items))
@@ -596,11 +610,13 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
                     _fail(tally, claim, (), witness, detail, weight)
         _gate(tally, n, checks, {claim: (op - both) * size})
 
-    # Subsequence inheritance, decided once per (row tag, distinct part).
+    # Subsequence inheritance, decided once per (row tag, part tag).
     parts = [_parts(q) for q, _, _ in pool]
-    tagged = {part: _tag(part) for part in set().union(*parts)}
+    by_tag: dict[Orientation, set[tuple[int, ...]]] = {}  # the distinct parts by their tag
+    for part in set().union(*parts):
+        by_tag.setdefault(_tag(part), set()).add(part)
     lacking = {
-        tag: {part for part, got in tagged.items() if _loses(tag, got)}
+        tag: set().union(*(found for got, found in by_tag.items() if _loses(tag, got)))
         for tag in {tag for _, tag, _ in pool}
     }
     bad = [row for row, found in zip(pool, parts) if not found.isdisjoint(lacking[row[1]])]

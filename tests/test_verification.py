@@ -357,19 +357,28 @@ def test_walk_yields_one_pattern_per_dihedral_orbit():
     assert (len(weights), sum(weights)) == (6335, 8**8)
 
 
-def test_partition_test_matches_the_move_and_renumber_oracle():
-    # _stabiliser moves only the positions; the oracle moves the values too
-    # (patterns._moves) before renumbering the blocks by first use.  Both
-    # agree on every set partition of n <= 8 positions, 4,140 at n = 8,
-    # kept or not.
+def check_partition_test(n):
+    """patterns._stabiliser moves only the positions and stops at a moved
+    string's first difference; the oracle moves the values too
+    (patterns._moves), renumbers each whole string by first use and then
+    compares.  Both agree on every set partition of n positions, kept or
+    not.  Returns the number of partitions."""
     from oracles import partition_stabiliser
 
     from cyclorient import patterns
 
-    for n in range(1, 9):
-        for rank in range(1, n + 1):
-            for blocks in patterns._partitions(n, rank):
-                assert patterns._stabiliser(blocks) == partition_stabiliser(blocks), blocks
+    count = 0
+    for rank in range(1, n + 1):
+        for blocks in patterns._partitions(n, rank):
+            assert patterns._stabiliser(blocks) == partition_stabiliser(blocks), blocks
+            count += 1
+    return count
+
+
+def test_partition_test_matches_the_move_and_renumber_oracle():
+    # Every set partition of n <= 8 positions, 4,140 at n = 8; CI runs
+    # check_partition_test(10), all 115,975.
+    assert [check_partition_test(n) for n in range(1, 9)] == [1, 2, 5, 15, 52, 203, 877, 4140]
 
 
 def check_pattern_walk(n):
@@ -788,6 +797,21 @@ def test_identity_suite_matches_the_tuple_oracle():
     assert verification.IDENTITY_MAX_N == 5
 
 
+def test_identity_reports_are_pinned_by_digest_up_to_n8(monkeypatch):
+    # The machine reports for n = 1..8, concatenated, past the suite's cap
+    # of 5, so the rank grouping of the products stays checked where every
+    # rank up to 8 composes.
+    import hashlib
+
+    from cyclorient import verification
+
+    monkeypatch.setattr(verification, "IDENTITY_MAX_N", 8)
+    reports = "".join(format_machine([identity_suite(n)]) for n in range(1, 9))
+    assert hashlib.sha256(reports.encode()).hexdigest() == (
+        "d8463fe3d19156099b877c0ee2c37e02edc59d97db4bad6b35cc6cf3b631906f"
+    )
+
+
 def test_identity_counts_are_gated_by_their_closed_forms(monkeypatch):
     from cyclorient import patterns, verification
 
@@ -874,6 +898,19 @@ def test_lemma_exhaustive_small():
         report = lemma_suite(n, max_len=4)
         assert report.passed
         assert report.checks_run > 0
+
+
+def test_lemma_reports_are_pinned_by_digest_at_every_length():
+    # The machine reports for n = 1..6 (outer) and max-len 3..6, concatenated:
+    # every pool length, not only the default max-len 4.
+    import hashlib
+
+    reports = "".join(
+        format_machine([lemma_suite(n, max_len)]) for n in range(1, 7) for max_len in range(3, 7)
+    )
+    assert hashlib.sha256(reports.encode()).hexdigest() == (
+        "a9673fcc88f1381c21cee60342cc5f32e0e3e43c6d57955dba94a4c850aa77eb"
+    )
 
 
 def test_lemma_sample_budget_is_accepted_and_ignored():
