@@ -1,9 +1,9 @@
 """A map of [n] read as its sorted image set S and its value pattern, each
 image replaced by its position in S (3,7,3,5 is S = 3,5,7 at 0,2,0,1): the
-equivalence suite walks one pattern per dihedral orbit and spreads it back
-into maps (:func:`walk`, :func:`orbit`, :func:`spread`); the identity and
-lemma suites and ``count`` read the classes, and the lemma suite its pool,
-as their patterns (:func:`cyclic`), the package's only builder of them.
+equivalence suite walks one pattern per dihedral orbit (:func:`walk`,
+:func:`orbit`), standing for its orbit's patterns in their value rotations;
+the identity and lemma suites and ``count`` read the classes, and the lemma
+suite its pool, as their patterns (:func:`cyclic`), their only builder.
 
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
@@ -126,18 +126,6 @@ def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
                     break
             else:
                 yield pattern, 2 * n // fixed * base
-
-
-def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """The maps of [n] a walked pattern of rank r stands for: each pattern
-    of its :func:`orbit`, in each of its r value rotations v → (v + s) mod
-    r, read through every r-point image set."""
-    rank = max(pattern) + 1
-    for member in orbit(pattern):
-        for shift in range(rank):
-            rotated = [(v + shift) % rank for v in member]
-            for values in itertools.combinations(range(n), rank):
-                yield tuple(map(values.__getitem__, rotated))
 
 
 def cyclic(k: int) -> set[tuple[int, ...]]:

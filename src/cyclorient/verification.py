@@ -3,9 +3,9 @@
 Each suite enumerates a finite universe (all n^n self-maps, all product
 pairs, all short oriented sequences), checks one family of claims, and
 returns a :class:`SuiteReport`.  Genuine failures land in ``violations``;
-the known rank <= 2 exceptions to the literal triple statement are listed
-separately as ``sanctioned_exceptions`` so they stay visible without
-failing the run.
+the known rank <= 2 exceptions to the literal triple statement are kept
+apart in ``sanctioned_exceptions``, one digested row per literal claim, so
+they stay visible without failing the run.
 
 The equivalence suite tallies the per-map claim table of
 :mod:`cyclorient.claims` over all n^n maps, each through its value pattern
@@ -17,10 +17,10 @@ and do not change under the dihedral moves of the positions (a reversal
 taken with the value reflection v → r − 1 − v), so one pattern that starts
 with 0 is walked per orbit (134 of the 1,082 such patterns, and of the
 4,683 in all, at n = 6), counting for the |orbit|·r·C(n, r) maps of its
-orbit's patterns in their r rotations.  The
-package (on first use of a suite name) and the ``verify`` and ``count``
-verbs import this module when they need it, so per-map callers never
-compile it.
+orbit's patterns in their r rotations; a gap adds those patterns, not
+their maps, to its claim's row.  The package (on first use of a suite
+name) and the ``verify`` and ``count`` verbs import this module when they
+need it, so per-map callers never compile it.
 
 Reports are deterministic: per-claim results keep the lexicographically
 smallest witness, whatever order the maps are visited in.  From n = 9 the
@@ -43,7 +43,7 @@ from . import patterns
 from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
 from .sequences import Orientation, _Record, _tag, _within
 
-EQUIVALENCE_MAX_N = 9
+EQUIVALENCE_MAX_N = 10
 # count_classes sums pattern weights, which is cheap past n = 9; raising this
 # bound, with per-rank counts, is ROADMAP item 9.
 COUNT_MAX_N = 9
@@ -64,10 +64,13 @@ class Violation(_Record):
 
 
 class SanctionedException(_Record):
-    """A map exempted from the literal triple statement (rank <= 2 regime)."""
+    """The maps exempted from one literal triple claim (rank <= 2 regime): their
+    count, the least, and their sorted rank-2 value patterns, C(n, 2) maps each."""
 
     claim: str
+    count: int
     witness: str
+    patterns: tuple[tuple[int, ...], ...]
 
 
 class ClaimResult(_Record):
@@ -155,7 +158,8 @@ def _weight(n: int, seqs: Iterable[tuple[int, ...]]) -> int:
 
 
 def _new_tally() -> dict:
-    return {"checks": Counter(), "violations": {}, "sanctioned": []}
+    # "sanctioned" counts each gap claim's maps, "gaps" lists their value patterns.
+    return {"checks": Counter(), "violations": {}, "sanctioned": Counter(), "gaps": {}}
 
 
 def _fail(
@@ -184,33 +188,26 @@ def _merge_tallies(parts: list[dict]) -> dict:
         total["checks"].update(part["checks"])
         for claim, (key, wit, det, cnt) in part["violations"].items():
             _fail(total, claim, key, wit, det, cnt)
-        total["sanctioned"].extend(part["sanctioned"])
+        total["sanctioned"].update(part["sanctioned"])
+        for claim, shapes in part["gaps"].items():
+            total["gaps"].setdefault(claim, []).extend(shapes)
     return total
 
 
 def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
+    failed = tally["violations"]
     claims = tuple(
-        ClaimResult(
-            claim,
-            tally["checks"][claim],
-            tally["violations"][claim][3] if claim in tally["violations"] else 0,
-        )
-        for claim in sorted(tally["checks"])
+        ClaimResult(claim, checks, failed[claim][3] if claim in failed else 0)
+        for claim, checks in sorted(tally["checks"].items())
     )
     violations = tuple(
-        Violation(claim, wit, det, cnt)
-        for claim, (_, wit, det, cnt) in sorted(tally["violations"].items())
+        Violation(claim, wit, det, cnt) for claim, (_, wit, det, cnt) in sorted(failed.items())
     )
-    gaps: dict[str, list[tuple[int, ...]]] = {}
-    for claim, imgs in tally["sanctioned"]:
-        gaps.setdefault(claim, []).append(imgs)
-    text: dict[tuple[int, ...], str] = {}  # each map's witness formatted once, for every claim
-    sanctioned = tuple(
+    sanctioned = tuple(  # the least gap map is the least pattern, read at {0, 1}
         SanctionedException(
-            claim, text.get(imgs) or text.setdefault(imgs, ",".join(map(str, imgs)))
+            claim, tally["sanctioned"][claim], ",".join(map(str, min(gaps))), tuple(sorted(gaps))
         )
-        for claim in sorted(gaps)
-        for imgs in sorted(gaps[claim])
+        for claim, gaps in sorted(tally["gaps"].items())
     )
     return SuiteReport(
         suite=suite,
@@ -235,15 +232,15 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
     depend only on the cyclic order of the image values, up to the dihedral
     moves of :mod:`cyclorient.patterns`, so each walked pattern stands for
     its orbit's patterns that start with 0, each in its r value rotations
-    read through the C(n, r) image sets (:func:`patterns.spread`).  A
-    failure's witness is the least pattern of the orbit with that failure,
-    with its own detail, found by a :func:`_claims` call on each orbit
-    pattern in order; that is the lexicographically least map with the
-    failure: a rotated map starts above 0, and an unrotated one is
-    entrywise at least its pattern.  Only a failure pays for this, so the
-    report does not depend on which pattern stands for the orbit.  A
-    sanctioned gap is listed once for each of its maps, as every map
-    carries its own, the pattern spread once for both literal claims.
+    read through the C(n, r) image sets.  A failure's witness is the least
+    pattern of the orbit with that failure, with its own detail, found by a
+    :func:`_claims` call on each orbit pattern in order; that is the
+    lexicographically least map with the failure: a rotated map starts
+    above 0, and an unrotated one is entrywise at least its pattern.  Only
+    a failure pays for this, so the report does not depend on which
+    pattern stands for the orbit.  A sanctioned gap adds its weight to its
+    claim's count and those patterns, found once for both literal claims,
+    to the claim's patterns; no map is built.
     Patterns with the same checked claims (at most five lists) are counted
     together and expanded into checks once per job, and the job gates its
     counts at its rank (:func:`_check_tallies`)."""
@@ -253,11 +250,15 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
     for pattern, weight in patterns.walk(n, rank):
         _, checked, findings = _claims(pattern)
         counts[checked] = counts.get(checked, 0) + weight
-        spread = None  # a gap pattern's maps, spread once for both literal claims
+        shapes = None  # a gap pattern's value patterns, found once for both literal claims
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                spread = spread or list(patterns.spread(pattern, n))
-                tally["sanctioned"] += [(claim, imgs) for imgs in spread]
+                shapes = shapes or [
+                    tuple([(v + s) % rank for v in p])
+                    for p in patterns.orbit(pattern) for s in range(rank)
+                ]
+                tally["sanctioned"][claim] += weight
+                tally["gaps"].setdefault(claim, []).extend(shapes)
             else:
                 member, detail = next(
                     (member, detail)
@@ -303,7 +304,7 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     box two workers took twice as long as one at n = 7, as long at n = 8,
     and a fifth less at n = 9.
     ``workers`` must be at least 1 and is clamped to ``os.cpu_count()``;
-    n must lie within 1..``EQUIVALENCE_MAX_N`` (9), checked before any
+    n must lie within 1..``EQUIVALENCE_MAX_N`` (10), checked before any
     pattern is walked.
     """
     n = _within(n, 1, EQUIVALENCE_MAX_N, "equivalence suite n")
@@ -332,8 +333,9 @@ def _check_tallies(n: int, tally: dict, rank: int | None = None) -> None:
     [n] onto r values, Σ_j (−1)^j C(r, j)(r − j)^n), and r·C(n, r)² members
     of OP_n (n at r = 1); P_n holds twice as many at r ≥ 3, where OP_n and
     OR_n are disjoint, and the same ones at r ≤ 2, where every member lies
-    in both."""
-    counts = tally["checks"] + Counter(claim for claim, _ in tally["sanctioned"])
+    in both.  A gap claim's count must also be the maps its distinct
+    patterns stand for (:func:`_weight`)."""
+    counts = tally["checks"] + tally["sanctioned"]
     if rank is None:
         maps, (op, both), where = n**n, _closed_forms(n), ""
         p, gaps = 2 * op - both, math.comb(n, 2) * (2**n - 2 - n * (n - 1))
@@ -346,6 +348,8 @@ def _check_tallies(n: int, tally: dict, rank: int | None = None) -> None:
     for claim, _, mode in _WITNESS_CLAIMS:
         wants[claim] = maps - (p if mode is None else op + gaps)
     _gate(tally, n, counts, wants, where)
+    for claim, shapes in tally["gaps"].items():
+        _gate(tally, n, counts, {claim: _weight(n, set(shapes))}, f" from its patterns{where}")
 
 
 def _gate(tally: dict, n: int, counts: Counter, wants: dict, where: str = "") -> None:
@@ -652,10 +656,10 @@ def run_verify(
 
     One table holds a ``(suite, cap, runner)`` row per suite, in ``SUITES``
     order, and each selected suite runs for n = 1..min(n_max, cap): the
-    identity suite stops at n = 5 and the lemma suite at n = 9 (the
-    suites' own caps); the equivalence suite enumerates n^n maps (387M at
-    n = 9), so when it is selected n_max must lie within
-    1..``EQUIVALENCE_MAX_N`` (9).  The lemma suite checks every member
+    identity suite stops at n = 5 and the lemma suite at n = 10 (the
+    suites' own caps); the equivalence suite enumerates n^n maps (10^10 at
+    n = 10), so when it is selected n_max must lie within
+    1..``EQUIVALENCE_MAX_N`` (10).  The lemma suite checks every member
     against every oriented sequence of length 3..``lemma_max_len`` (within
     3..6).  Every argument is checked before any suite runs, each by one
     bound check that names it.
@@ -696,13 +700,18 @@ def _token(text: str) -> str:
 
 def format_machine(reports: list[SuiteReport]) -> str:
     """Line-oriented key=value serialization; stable across runs and worker
-    counts (timings are deliberately excluded)."""
+    counts (timings are deliberately excluded).  A ``gaps`` line hashes its
+    sorted patterns, each as comma-separated values and a newline."""
+    # Imported here, not by the suites: loading OpenSSL adds about 3.6 MB to
+    # a process's peak RSS, which a run that writes no report never needs.
+    import hashlib
+
     lines = []
     for r in reports:
         total = sum(v.count for v in r.violations)
         lines.append(
             f"report suite={r.suite} n={r.n} checks={r.checks_run}"
-            f" violations={total} sanctioned={len(r.sanctioned_exceptions)}"
+            f" violations={total} sanctioned={sum(s.count for s in r.sanctioned_exceptions)}"
         )
         for c in r.claims:
             status = "pass" if c.passed else "fail"
@@ -711,8 +720,11 @@ def format_machine(reports: list[SuiteReport]) -> str:
                 f" checks={c.checks} violations={c.violations} status={status}"
             )
         for s in r.sanctioned_exceptions:
+            text = "".join(",".join(map(str, p)) + "\n" for p in s.patterns)
             lines.append(
-                f"sanctioned suite={r.suite} n={r.n} claim={s.claim} witness={s.witness}"
+                f"gaps suite={r.suite} n={r.n} claim={s.claim} count={s.count}"
+                f" patterns={len(s.patterns)} least={s.witness}"
+                f" sha256={hashlib.sha256(text.encode()).hexdigest()}"
             )
         for v in r.violations:
             lines.append(
@@ -725,19 +737,18 @@ def format_machine(reports: list[SuiteReport]) -> str:
 def format_text(report: SuiteReport) -> str:
     """Human-readable report block."""
     verdict = "PASS" if report.passed else "FAIL"
+    gaps = report.sanctioned_exceptions
     lines = [
         f"suite {report.suite}, n={report.n}: {verdict}"
-        f" (checks={report.checks_run}, sanctioned={len(report.sanctioned_exceptions)},"
+        f" (checks={report.checks_run}, sanctioned={sum(s.count for s in gaps)},"
         f" {report.elapsed:.2f}s)"
     ]
     for c in report.claims:
         status = "pass" if c.passed else f"FAIL ({c.violations} violations)"
         lines.append(f"  {c.claim}: {status} [checks={c.checks}]")
-    if report.sanctioned_exceptions:
-        by_claim = Counter(s.claim for s in report.sanctioned_exceptions)
-        summary = ", ".join(f"{claim}: {cnt}" for claim, cnt in sorted(by_claim.items()))
-        first = report.sanctioned_exceptions[0]
-        lines.append(f"  sanctioned exceptions ({summary}), e.g. {first.witness}")
+    if gaps:
+        summary = ", ".join(f"{s.claim}: {s.count}" for s in gaps)
+        lines.append(f"  sanctioned exceptions ({summary}), e.g. {gaps[0].witness}")
     for v in report.violations:
         lines.append(
             f"  VIOLATION {v.claim}: witness={v.witness} count={v.count} ({v.detail})"

@@ -1,10 +1,12 @@
 """Brute-force oracles shared by the tests; no production path calls them."""
 
 import itertools
+from collections.abc import Iterator
 from operator import itemgetter
 
 from cyclorient import Chord, patterns
 from cyclorient.claims import _claims
+from cyclorient.patterns import orbit
 from cyclorient.sequences import Orientation, _tag
 from cyclorient.verification import _fail, _new_tally, _tagged
 
@@ -85,17 +87,37 @@ def equivalence_walk(n):
     """The equivalence suite's tally by the full walk: the claim table of
     every one of the n^n maps, in lexicographic order, each with its own
     findings keyed by its image tuple; the suite reaches the same tally
-    through the maps' value patterns."""
+    through the maps' value patterns.  Each sanctioned gap is one
+    ``(claim, imgs)`` row of ``gap_maps``, in the same order, and each
+    claim's digested row is read off those rows: one count per map, and
+    the set of the maps' value patterns."""
     tally = _new_tally()
+    tally["gap_maps"] = []
     for imgs in itertools.product(range(n), repeat=n):
         _, checked, findings = _claims(imgs)
         tally["checks"].update(checked)
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                tally["sanctioned"].append((claim, imgs))
+                tally["gap_maps"].append((claim, imgs))
             else:
                 _fail(tally, claim, imgs, ",".join(map(str, imgs)), detail)
+    for claim, imgs in tally["gap_maps"]:
+        values = sorted(set(imgs))
+        tally["sanctioned"][claim] += 1
+        tally["gaps"].setdefault(claim, set()).add(tuple(map(values.index, imgs)))
     return tally
+
+
+def spread(pattern: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """The maps of [n] a walked pattern of rank r stands for: each pattern
+    of its :func:`orbit`, in each of its r value rotations v → (v + s) mod
+    r, read through every r-point image set."""
+    rank = max(pattern) + 1
+    for member in orbit(pattern):
+        for shift in range(rank):
+            rotated = [(v + shift) % rank for v in member]
+            for values in itertools.combinations(range(n), rank):
+                yield tuple(map(values.__getitem__, rotated))
 
 
 def dihedral_orbits(n):

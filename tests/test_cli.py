@@ -340,10 +340,10 @@ def test_verify_refuses_n_max_above_the_bound_before_any_suite(capsys, monkeypat
         verification, "equivalence_suite", lambda n, **k: started.append(n)
     )
     code, out, err = run_cli(
-        capsys, "verify", "--n-max", "10", "--suites", "equivalence", "--threads", "2"
+        capsys, "verify", "--n-max", "11", "--suites", "equivalence", "--threads", "2"
     )
     assert code == 2 and not out and started == []
-    assert err == "error: equivalence suite n_max must be within 1..9, got 10\n"
+    assert err == "error: equivalence suite n_max must be within 1..10, got 11\n"
 
 
 def test_chords_ascii_size_limit(capsys, monkeypatch):

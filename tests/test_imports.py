@@ -143,6 +143,29 @@ def test_cli_and_per_map_calls_leave_the_suites_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_only_the_machine_format_loads_hashlib():
+    # Loading OpenSSL adds about 3.6 MB to a process's peak RSS, so the
+    # suites never import hashlib; format_machine does, to digest each gaps
+    # line's patterns.
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import cyclorient
+        reports = cyclorient.run_verify(4)
+        assert reports[3].sanctioned_exceptions, "no gap row at n = 4"
+        assert "hashlib" not in sys.modules, "suites"
+        cyclorient.format_text(reports[3])
+        assert "hashlib" not in sys.modules, "format_text"
+        cyclorient.format_machine(reports)
+        assert "hashlib" in sys.modules, "format_machine"
+    """)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_public_names_are_sorted_bound_by_star_import_and_documented():
     names = cyclorient.__all__
     assert names == sorted(set(names))

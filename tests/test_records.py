@@ -73,9 +73,10 @@ RECORDS = [
     ),
     (
         SanctionedException,
-        ("claim", "witness"),
-        ("triple-preserve-literal", "0,1,0,1"),
-        "SanctionedException(claim='triple-preserve-literal', witness='0,1,0,1')",
+        ("claim", "count", "witness", "patterns"),
+        ("triple-preserve-literal", 12, "0,1,0,1", ((0, 1, 0, 1), (1, 0, 1, 0))),
+        "SanctionedException(claim='triple-preserve-literal', count=12, witness='0,1,0,1',"
+        " patterns=((0, 1, 0, 1), (1, 0, 1, 0)))",
     ),
     (
         Disagreement,
@@ -184,7 +185,7 @@ def test_equality_and_hash_follow_the_field_values(kind, names, values, text):
 def test_equal_fields_of_different_types_are_unequal():
     assert Seq(3, (0, 1, 2)) != Mapping(3, (0, 1, 2))
     assert TripleWitness((0, 1, 2), "1") != QuadWitness((0, 1, 2), "1")
-    assert SanctionedException("c", "w") != TripleWitness("c", "w")
+    assert SanctionedException("c", 1, "w", ()) != Violation("c", 1, "w", ())
     assert len({Seq(3, (0, 1, 2)), Mapping(3, (0, 1, 2))}) == 2
 
 

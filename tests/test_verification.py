@@ -1,5 +1,6 @@
 """Suite reports: correctness, determinism, merging, serialization."""
 
+from collections import Counter
 from pathlib import Path
 
 import oracles
@@ -33,48 +34,59 @@ def test_equivalence_n3_no_exceptions():
     assert not report.sanctioned_exceptions  # every rank <= 2 map on [3] is a member
 
 
+def _gap_rows(report):
+    # Each literal claim's sanctioned row, by claim.
+    return {s.claim: s for s in report.sanctioned_exceptions}
+
+
 def test_equivalence_n4_sanctioned_set():
     report = equivalence_suite(4)
     assert report.passed
-    preserve = {
-        s.witness for s in report.sanctioned_exceptions if s.claim == "triple-preserve-literal"
-    }
-    reverse = {
-        s.witness for s in report.sanctioned_exceptions if s.claim == "triple-reverse-literal"
-    }
-    assert "0,1,0,1" in preserve and "1,0,1,0" in preserve
-    assert preserve == reverse
-    # Independent description of the exception set: rank <= 2 non-members.
-    expected = {
-        str(m)
-        for m in enumerate_all(4)
-        if classify(m).image_size <= 2 and not classify(m).in_op
-    }
-    assert preserve == expected
+    rows = _gap_rows(report)
+    preserve, reverse = rows["triple-preserve-literal"], rows["triple-reverse-literal"]
+    assert (0, 1, 0, 1) in preserve.patterns and (1, 0, 1, 0) in preserve.patterns
+    assert (preserve.count, preserve.witness, preserve.patterns) == (
+        reverse.count, reverse.witness, reverse.patterns
+    )
+    # Independent description of the exception set: rank <= 2 non-members,
+    # each read as its value pattern, the least of them the row's witness.
+    expected = [
+        m for m in enumerate_all(4) if classify(m).image_size <= 2 and not classify(m).in_op
+    ]
+    assert preserve.patterns == tuple(sorted({_pattern_of(m.images) for m in expected}))
+    least = ",".join(map(str, min(m.images for m in expected)))
+    assert (preserve.count, preserve.witness) == (len(expected), least)
 
 
 def test_equivalence_n5_sanctioned_set_exact():
     report = equivalence_suite(5)
     assert report.passed
+    rows = _gap_rows(report)
     for claim, flag in (
         ("triple-preserve-literal", "in_op"),
         ("triple-reverse-literal", "in_or"),
     ):
-        got = {s.witness for s in report.sanctioned_exceptions if s.claim == claim}
-        expected = {
-            str(m)
+        expected = [
+            m
             for m in enumerate_all(5)
             if classify(m).image_size <= 2 and not getattr(classify(m), flag)
-        }
-        assert got == expected
-    # classify's reader carries the same sanctioned rows as the suite's.
-    per_map = {
-        (d.claim, str(m))
+        ]
+        row = rows[claim]
+        assert row.patterns == tuple(sorted({_pattern_of(m.images) for m in expected}))
+        least = ",".join(map(str, min(m.images for m in expected)))
+        assert (row.count, row.witness) == (len(expected), least)
+    # classify's reader carries the same sanctioned rows as the suite's:
+    # one per map, read back as the maps' value patterns.
+    per_map = [
+        (d.claim, m.images)
         for m in enumerate_all(5)
         for d in cross_check(m).discrepancies
         if d.sanctioned
+    ]
+    assert {claim: row.count for claim, row in rows.items()} == Counter(c for c, _ in per_map)
+    assert {(claim, _pattern_of(imgs)) for claim, imgs in per_map} == {
+        (claim, p) for claim, row in rows.items() for p in row.patterns
     }
-    assert per_map == {(s.claim, s.witness) for s in report.sanctioned_exceptions}
 
 
 def test_equivalence_claims_present():
@@ -149,11 +161,13 @@ def test_equivalence_suite_checks_its_tallies_against_closed_forms(monkeypatch):
         ("witness-triple-preserve", "closed-form", 2, triples),
         ("witness-triple-reverse", "closed-form", 2, triples),
     }
-    assert len(report.sanctioned_exceptions) == 200
-    # The merged gate alone, on the report's checks and gaps.
+    assert sum(s.count for s in report.sanctioned_exceptions) == 200
+    # The merged gate alone, on the report's checks and gap rows.
     merged = verification._new_tally()
     merged["checks"].update({c.claim: c.checks for c in report.claims})
-    merged["sanctioned"] = [(s.claim, ()) for s in report.sanctioned_exceptions]
+    for s in report.sanctioned_exceptions:
+        merged["sanctioned"][s.claim] = s.count
+        merged["gaps"][s.claim] = list(s.patterns)
     verification._check_tallies(5, merged)
     routes = "3100 counted but the closed form gives 3125"
     assert {claim: row[2] for claim, row in merged["violations"].items()} == {
@@ -206,7 +220,7 @@ def test_patterns_hold_each_value_pattern_once():
         ]
         assert len(rotations) == len(set(rotations)), n
         assert set(rotations) == {_pattern_of(imgs) for imgs in every_map}, n
-        spreads = [(p, weight, list(patterns.spread(p, n))) for _, p, weight in walked]
+        spreads = [(p, weight, list(oracles.spread(p, n))) for _, p, weight in walked]
         for (pattern, weight, maps), orbit in zip(spreads, orbits):
             assert len(maps) == weight, (n, pattern)
             want = set().union(*map(_value_rotations, orbit))
@@ -255,7 +269,7 @@ def test_equivalence_suite_gates_each_route_count_at_n_to_the_n(monkeypatch):
     }
     dropped = {claim: checks[claim] - 205 for claim in _ROUTE_CLAIMS}
     assert {c.claim: c.checks for c in report.claims} == checks | dropped
-    assert len(report.sanctioned_exceptions) == 200
+    assert sum(s.count for s in report.sanctioned_exceptions) == 200
 
 
 def test_equivalence_suite_gates_each_rank_against_its_closed_forms(monkeypatch):
@@ -286,11 +300,12 @@ def test_equivalence_suite_gates_each_rank_against_its_closed_forms(monkeypatch)
 
 
 def test_a_gap_dropped_from_one_literal_claim_fails_that_claim_alone(monkeypatch):
-    # Both triple-*-literal rows of a rank-2 gap pattern list the maps it
-    # stands for.  A claim table that drops triple-reverse-literal on one
-    # walked pattern at n = 5 takes its orbit's maps from that claim alone:
-    # its rank-2 gate and the merged one fail, the rank-2 detail kept, and
-    # triple-preserve-literal keeps every line.
+    # Both triple-*-literal rows of a rank-2 gap pattern count the maps it
+    # stands for and list their value patterns.  A claim table that drops
+    # triple-reverse-literal on one walked pattern at n = 5 takes its
+    # orbit's maps and patterns from that claim alone: its rank-2 gate and
+    # the merged one fail, the rank-2 detail kept, and
+    # triple-preserve-literal keeps its whole row.
     from cyclorient import patterns, verification
 
     before = equivalence_suite(5, workers=1)
@@ -308,21 +323,65 @@ def test_a_gap_dropped_from_one_literal_claim_fails_that_claim_alone(monkeypatch
     monkeypatch.setattr(verification, "_claims", claims)
     report = equivalence_suite(5, workers=1)
 
-    def lines(r, claim):
-        return [s.witness for s in r.sanctioned_exceptions if s.claim == claim]
-
-    lost = {",".join(map(str, imgs)) for imgs in patterns.spread(target, 5)}
-    assert len(lost) == walked[target]
-    assert lines(report, "triple-preserve-literal") == lines(before, "triple-preserve-literal")
-    assert lines(report, "triple-reverse-literal") == [
-        line for line in lines(before, "triple-reverse-literal") if line not in lost
-    ]
+    lost = list(oracles.spread(target, 5))
+    assert len(set(lost)) == len(lost) == walked[target]
+    kept, cut = _gap_rows(before), _gap_rows(report)
+    assert cut["triple-preserve-literal"] == kept["triple-preserve-literal"]
+    # The reverse row keeps the other orbits' patterns; at n = 5 the target's
+    # orbit holds all ten, so no row is left.
+    reverse, row = kept["triple-reverse-literal"], cut.get("triple-reverse-literal")
+    left = tuple(p for p in reverse.patterns if p not in set(map(_pattern_of, lost)))
+    assert ((row.count, row.patterns) if row else (0, ())) == (reverse.count - len(lost), left)
     # C(5, 2)·(2^5 − 2 − 5·4) = 100 gaps at rank 2, all of n = 5's.
     detail = f"{100 - len(lost)} counted but the closed form gives 100 at rank 2"
     assert [(v.claim, v.witness, v.count, v.detail) for v in report.violations] == [
         ("triple-reverse-literal", "closed-form", 2, detail)
     ]
     assert report.claims == before.claims
+
+
+def test_a_gap_moved_to_a_pattern_of_the_same_weight_fails_on_the_digest(monkeypatch):
+    # A claim table that moves both gap findings at n = 6 from the walked
+    # gap pattern 0,0,1,0,0,1 to the non-gap 0,0,0,1,1,1, each of weight 90
+    # (three patterns in two value rotations, C(6, 2) maps each), keeps
+    # every count: each gate passes and so does the run.  The least gap map
+    # stays 0,0,0,1,0,1.  Only each gaps line's digest changes, so the
+    # golden file pins the move.
+    from cyclorient import patterns, verification
+
+    walked = dict(patterns.walk(6, 2))
+    gap, other = (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)
+    assert walked[gap] == walked[other] == 90
+    real = verification._claims
+    moved = [row for row in real(gap)[2] if row[2]]
+    assert len(moved) == 2 and not real(other)[2]
+
+    def claims(imgs):
+        verdicts, checked, findings = real(imgs)
+        if imgs == gap:
+            findings = [row for row in findings if not row[2]]
+        elif imgs == other:
+            findings = findings + moved
+        return verdicts, checked, findings
+
+    monkeypatch.setattr(verification, "_claims", claims)
+    report = equivalence_suite(6, workers=1)
+    assert report.passed
+    golden = [
+        line for line in GOLDEN.read_text().splitlines() if " suite=equivalence n=6 " in line
+    ]
+    got = format_machine([report]).splitlines()
+    assert [line for line in got if not line.startswith("gaps ")] == [
+        line for line in golden if not line.startswith("gaps ")
+    ]
+    pairs = [
+        (line.rsplit(" sha256=", 1), want.rsplit(" sha256=", 1))
+        for line, want in zip(got, golden)
+        if line.startswith("gaps ")
+    ]
+    assert len(pairs) == 2
+    for (fields, digest), (want_fields, want_digest) in pairs:
+        assert fields == want_fields and digest != want_digest
 
 
 def check_walk_orbits(n):
@@ -381,11 +440,33 @@ def test_partition_test_matches_the_move_and_renumber_oracle():
     assert [check_partition_test(n) for n in range(1, 9)] == [1, 2, 5, 15, 52, 203, 877, 4140]
 
 
+def _gap_lines(n, gap_maps):
+    """The report's ``gaps`` lines recomputed from per-map ``(claim, imgs)``
+    rows with no suite code: per claim, the number of maps, the least of
+    them, and the sha256 of their distinct value patterns, sorted, each
+    as comma-separated values and a newline."""
+    import hashlib
+
+    lines = []
+    for claim in sorted({claim for claim, _ in gap_maps}):
+        maps = [imgs for found, imgs in gap_maps if found == claim]
+        shapes = sorted(set(map(_pattern_of, maps)))
+        text = "".join(",".join(map(str, p)) + "\n" for p in shapes)
+        lines.append(
+            f"gaps suite=equivalence n={n} claim={claim} count={len(maps)}"
+            f" patterns={len(shapes)} least={','.join(map(str, min(maps)))}"
+            f" sha256={hashlib.sha256(text.encode()).hexdigest()}"
+        )
+    return lines
+
+
 def check_pattern_walk(n):
     """The suite's report at n equals the full n^n walk's, the oracle of
-    every map's own claim table and witness.  Up to n = 8 the jobs run in
-    process at any worker count, so one run covers them all;
-    test_pool_report_matches_one_worker_at_n9 starts the pool."""
+    every map's own claim table and witness, and each ``gaps`` line equals
+    the one :func:`_gap_lines` recomputes from the walk's per-map gap rows.
+    Up to n = 8 the jobs run in process at any worker count, so one run
+    covers them all; test_pool_report_matches_one_worker_at_n9 starts the
+    pool."""
     from oracles import equivalence_walk
 
     from cyclorient import verification
@@ -393,7 +474,10 @@ def check_pattern_walk(n):
     tally = equivalence_walk(n)
     verification._check_tallies(n, tally)
     want = format_machine([verification._finish("equivalence", n, tally, 0.0)])
-    assert format_machine([equivalence_suite(n)]) == want, n
+    got = format_machine([equivalence_suite(n)])
+    assert got == want, n
+    gaps = [line for line in got.splitlines() if line.startswith("gaps ")]
+    assert gaps == _gap_lines(n, tally["gap_maps"]), n
 
 
 def test_pattern_walk_matches_the_full_walk_up_to_n6():
@@ -659,7 +743,7 @@ def test_pool_report_matches_one_worker_at_n9(monkeypatch):
     report = format_machine([equivalence_suite(9, workers=2)])
     assert started == [2]
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "6d944de5fa2391847bf1461660d4ac892e193cc5c992d7fee596a84912028e4a"
+        "ec3f4fa4c26efb8d159102fa98b65aa2b97b8de0edc7fcad4fca9990764769b7"
     )
 
 
@@ -924,9 +1008,9 @@ def test_lemma_sample_budget_is_accepted_and_ignored():
 def test_lemma_bounds():
     from cyclorient import verification
 
-    assert verification.LEMMA_MAX_N == verification.EQUIVALENCE_MAX_N == 9
-    with pytest.raises(ValueError, match=r"lemma suite n must be within 1\.\.9, got 10$"):
-        lemma_suite(10)
+    assert verification.LEMMA_MAX_N == verification.EQUIVALENCE_MAX_N == 10
+    with pytest.raises(ValueError, match=r"lemma suite n must be within 1\.\.10, got 11$"):
+        lemma_suite(11)
     with pytest.raises(ValueError):
         lemma_suite(4, max_len=9)
     with pytest.raises(ValueError, match=r"lemma suite n must be an integer, got 3\.0"):
@@ -973,12 +1057,12 @@ def test_run_verify_caps_identity_and_lemma():
 
 
 def test_machine_format_is_parseable_and_time_free():
-    reports = run_verify(3)
+    reports = run_verify(4)
     text = format_machine(reports)
     assert "elapsed" not in text
     for line in text.strip().splitlines():
         kind, *fields = line.split(" ")
-        assert kind in ("report", "claim", "sanctioned", "violation")
+        assert kind in ("report", "claim", "gaps", "violation")
         parsed = dict(field.split("=", 1) for field in fields)
         assert parsed["suite"] in ("equivalence", "identity", "lemma")
         assert parsed["n"].isdigit()
@@ -1209,8 +1293,8 @@ def test_equivalence_suite_sanctions_only_low_rank_triple_gaps(monkeypatch):
         ("triple-preserve-refined", "0,1,3,2", 16),
         ("triple-reverse-refined", "0,1,3,2", 16),
     }
-    assert "0,1,3,2" not in {s.witness for s in report.sanctioned_exceptions}
-    assert len(report.sanctioned_exceptions) == len(equivalence_suite(4).sanctioned_exceptions)
+    assert all((0, 1, 3, 2) not in s.patterns for s in report.sanctioned_exceptions)
+    assert report.sanctioned_exceptions == equivalence_suite(4).sanctioned_exceptions
     # cross_check reads the same findings: same claims, same detail text.
     per_map = cross_check(Mapping.parse("0,1,3,2")).unsanctioned
     assert [(d.claim, d.detail) for d in per_map] == [
@@ -1274,14 +1358,15 @@ def test_run_verify_refuses_equivalence_above_its_bound(monkeypatch):
         monkeypatch.setattr(
             verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
         )
-    assert verification.EQUIVALENCE_MAX_N == 9
-    with pytest.raises(ValueError, match=r"equivalence suite n_max must be within 1\.\.9, got 10$"):
-        run_verify(10)
-    with pytest.raises(ValueError, match=r"equivalence suite n_max must be within 1\.\.9"):
-        run_verify(10, suites=("equivalence",))
+    assert verification.EQUIVALENCE_MAX_N == 10
+    refused = r"equivalence suite n_max must be within 1\.\.10, got 11$"
+    with pytest.raises(ValueError, match=refused):
+        run_verify(11)
+    with pytest.raises(ValueError, match=r"equivalence suite n_max must be within 1\.\.10"):
+        run_verify(11, suites=("equivalence",))
     assert started == []
     # Without the equivalence suite the other suites keep their own caps.
-    run_verify(10, suites=("identity",))
+    run_verify(11, suites=("identity",))
     assert started == [("identity_suite", n) for n in range(1, 6)]
 
 
@@ -1299,7 +1384,7 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
 
     def no_enumeration(*args):
         # Stands in for the per-map work: a missing bound fails here at once
-        # instead of walking 10^10 maps.
+        # instead of walking 11^11 maps.
         started.append(("enumeration", args))
         raise AssertionError("enumeration started")
 
@@ -1307,10 +1392,11 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
     monkeypatch.setattr(verification, "_equivalence_range", no_enumeration)
     monkeypatch.setattr(verification, "_tag", no_enumeration)
     monkeypatch.setattr(patterns, "cyclic", no_enumeration)
-    assert verification.EQUIVALENCE_MAX_N == 9
+    assert verification.EQUIVALENCE_MAX_N == 10
     for workers in (1, 2):
-        with pytest.raises(ValueError, match=r"equivalence suite n must be within 1\.\.9, got 10$"):
-            equivalence_suite(10, workers=workers)
+        refused = r"equivalence suite n must be within 1\.\.10, got 11$"
+        with pytest.raises(ValueError, match=refused):
+            equivalence_suite(11, workers=workers)
     with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
         count_classes(10)
     assert started == []
@@ -1333,19 +1419,19 @@ def test_count_keeps_its_own_bound_when_the_equivalence_bound_rises(capsys, monk
     for name in ("_equivalence_range", "_tag"):
         monkeypatch.setattr(verification, name, no_enumeration)
     monkeypatch.setattr(patterns, "cyclic", no_enumeration)
-    monkeypatch.setattr(verification, "EQUIVALENCE_MAX_N", 10)
+    monkeypatch.setattr(verification, "EQUIVALENCE_MAX_N", 11)
     assert verification.COUNT_MAX_N == 9
     with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
         count_classes(10)
     assert main(["count", "--n", "10"]) == 2
     assert capsys.readouterr() == ("", "error: count n must be within 1..9, got 10\n")
     assert started == []
-    # The raised bound lets run_verify reach the (stubbed) suite at n = 10.
+    # The raised bound lets run_verify reach the (stubbed) suite at n = 11.
     monkeypatch.setattr(
         verification, "equivalence_suite", lambda n, **k: started.append(("suite", n))
     )
-    run_verify(10, suites=("equivalence",))
-    assert started == [("suite", n) for n in range(1, 11)]
+    run_verify(11, suites=("equivalence",))
+    assert started == [("suite", n) for n in range(1, 12)]
 
 
 def _oriented_by_definition(items):
@@ -1417,16 +1503,16 @@ def test_run_verify_refuses_a_non_iterable_suites(started):
 
 
 def test_readme_machine_example_matches_golden():
-    # Every concrete report/claim/sanctioned line of the README's machine
-    # format example is a line of the golden report; the `...` template
-    # line is skipped.
+    # Every concrete report/claim/gaps line of the README's machine format
+    # example is a line of the golden report; the `...` template line is
+    # skipped.
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("### Machine report format", 1)[1].split("```text\n", 1)[1]
     example = block.split("```", 1)[0].splitlines()
     concrete = [
         line
         for line in example
-        if line.split(" ", 1)[0] in ("report", "claim", "sanctioned") and "..." not in line
+        if line.split(" ", 1)[0] in ("report", "claim", "gaps") and "..." not in line
     ]
     assert len(concrete) == 3
     golden = set(GOLDEN.read_text().splitlines())
