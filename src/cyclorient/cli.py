@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--threads", type=int, default=1, help="workers, capped at the CPUs")
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--lemma-max-len", type=int, default=4)
+    p.add_argument("--lemma-max-len", type=int, default=4, help="longest lemma sequence, within 3..8")
 
     p = sub.add_parser("count", help="count the orientation classes exactly")
     p.add_argument("--n", type=int, required=True)

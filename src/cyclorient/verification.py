@@ -43,15 +43,15 @@ from . import patterns
 from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
 from .sequences import Orientation, _Record, _tag, _within
 
+# One rule sets the size bounds: one run at the bound costs about 1 s and
+# 100 MB on a 2-vCPU x86-64 box.  The equivalence suite is past it at
+# n = 10 (8-9 s on two workers); the identity and lemma suites share its
+# bound, at n = 10 0.9-1.4 s at 26 MB and, at max-len 8, 0.3-0.5 s at 54 MB.
 EQUIVALENCE_MAX_N = 10
-# count_classes sums pattern weights, which is cheap past n = 9; raising this
-# bound, with per-rank counts, is ROADMAP item 9.
-COUNT_MAX_N = 9
-IDENTITY_MAX_N = 5
-LEMMA_MAX_N = EQUIVALENCE_MAX_N
+COUNT_MAX_N = 14  # count_classes(14): 0.7-1.2 s at 73 MB
 # Below length 3 the lemma constrains no sequence: the suite would check nothing.
 LEMMA_MIN_LEN = 3
-LEMMA_MAX_LEN = 6
+LEMMA_MAX_LEN = 8  # at n = 10, max-len 9 takes 1.3-1.6 s at 163 MB
 
 
 class Violation(_Record):
@@ -401,12 +401,12 @@ def identity_suite(n: int) -> SuiteReport:
     empty, and an inclusion when its difference is.  The witness is the
     least offending pattern, the least map it stands for.  The product
     claims must count |OP_n|² checks and ``op-and-or-is-low-rank-p`` |P_n|
-    (:func:`_closed_forms`, :func:`_gate`).  n lies within
-    1..``IDENTITY_MAX_N``; tier-1 checks the report against the products of
-    whole classes up to n = 6, and CI at n = 7.  With the cap raised, n = 8
-    takes about 0.07 s on one 2-vCPU x86-64 core.
+    (:func:`_closed_forms`, :func:`_gate`).  n must lie within
+    1..``EQUIVALENCE_MAX_N`` (10), checked before any pattern is built;
+    tier-1 checks the report against the products of whole classes up to
+    n = 6, and CI at n = 7.  n = 10 takes 0.9-1.4 s at 26 MB.
     """
-    n = _within(n, 1, IDENTITY_MAX_N, "identity suite n")
+    n = _within(n, 1, EQUIVALENCE_MAX_N, "identity suite n")
     started = time.perf_counter()
     tally = _new_tally()
 
@@ -464,7 +464,7 @@ def count_classes(n: int) -> ClassCounts:
     :func:`patterns.cyclic`'s (their reversals), so each count sums the
     C(n, r) maps of its patterns.  Tests check the counts against the
     per-map classifier and the member sets.  n must lie within
-    1..``COUNT_MAX_N`` (9), a bound of its own."""
+    1..``COUNT_MAX_N`` (14, 0.7-1.2 s at 73 MB), a bound of its own."""
     n = _within(n, 1, COUNT_MAX_N, "count n")
     op = patterns.cyclic(n)
     or_ = {q[::-1] for q in op}
@@ -523,7 +523,7 @@ def _loses(tag: Orientation, part: Orientation) -> bool:
 
 def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> SuiteReport:
     """Check, exhaustively, that members of rank >= 3 map every oriented
-    sequence of length 3..max_len (within 3..6) over [n] to one of the same
+    sequence of length 3..max_len (within 3..8) over [n] to one of the same
     (preserving case) or opposite (reversing case) orientation whenever the
     image keeps three distinct values, and that every nonempty subsequence
     of such a sequence keeps each orientation the sequence admits.
@@ -555,9 +555,10 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     summed over its lengths k; each image count must equal
     (|OP_n| − |OP_n ∩ OR_n|)·|pool|, and the subsequence checks the pool
     weighted by 2^k − 1.  ``sample_budget`` is accepted and ignored: the
-    suite once sampled the pool.
+    suite once sampled the pool.  n must lie within 1..``EQUIVALENCE_MAX_N``
+    (10); n = 10 at max_len 8 takes 0.3-0.5 s at 54 MB.
     """
-    n = _within(n, 1, LEMMA_MAX_N, "lemma suite n")
+    n = _within(n, 1, EQUIVALENCE_MAX_N, "lemma suite n")
     max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
     started = time.perf_counter()
     tally = _new_tally()
@@ -654,17 +655,15 @@ def run_verify(
 ) -> list[SuiteReport]:
     """Run the selected suites for n = 1..n_max and return their reports.
 
-    One table holds a ``(suite, cap, runner)`` row per suite, in ``SUITES``
-    order, and each selected suite runs for n = 1..min(n_max, cap): the
-    identity suite stops at n = 5 and the lemma suite at n = 10 (the
-    suites' own caps); the equivalence suite enumerates n^n maps (10^10 at
-    n = 10), so when it is selected n_max must lie within
-    1..``EQUIVALENCE_MAX_N`` (10).  The lemma suite checks every member
+    One table holds a ``(suite, runner)`` row per suite, in ``SUITES``
+    order, and each selected suite runs for every n = 1..n_max, so n_max
+    must lie within 1..``EQUIVALENCE_MAX_N`` (10), the bound every suite
+    shares, whatever the selection.  The lemma suite checks every member
     against every oriented sequence of length 3..``lemma_max_len`` (within
-    3..6).  Every argument is checked before any suite runs, each by one
+    3..8).  Every argument is checked before any suite runs, each by one
     bound check that names it.
     """
-    n_max = _within(n_max, 1, None, "n_max")
+    n_max = _within(n_max, 1, EQUIVALENCE_MAX_N, "n_max")
     if isinstance(suites, str):
         raise ValueError(f"suites must be a sequence of suite names, not the string {suites!r}")
     try:
@@ -677,20 +676,14 @@ def run_verify(
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {SUITES}")
-    if "equivalence" in suites:
-        _within(n_max, 1, EQUIVALENCE_MAX_N, "equivalence suite n_max")
     workers = _worker_count(workers)
     max_len = _within(lemma_max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")
     table = (
-        ("equivalence", EQUIVALENCE_MAX_N, lambda n: equivalence_suite(n, workers=workers)),
-        ("identity", IDENTITY_MAX_N, identity_suite),
-        ("lemma", LEMMA_MAX_N, lambda n: lemma_suite(n, max_len=max_len)),
+        ("equivalence", lambda n: equivalence_suite(n, workers=workers)),
+        ("identity", identity_suite),
+        ("lemma", lambda n: lemma_suite(n, max_len=max_len)),
     )
-    return [
-        runner(n)
-        for suite, cap, runner in table if suite in suites
-        for n in range(1, min(n_max, cap) + 1)
-    ]
+    return [runner(n) for suite, runner in table if suite in suites for n in range(1, n_max + 1)]
 
 
 def _token(text: str) -> str:

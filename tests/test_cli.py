@@ -196,8 +196,8 @@ def test_witness_failing_its_own_validation_exits_1(capsys, monkeypatch):
 
 
 def test_count_rejects_huge_n(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "10")
-    assert code == 2 and err == "error: count n must be within 1..9, got 10\n"
+    code, _, err = run_cli(capsys, "count", "--n", "15")
+    assert code == 2 and err == "error: count n must be within 1..14, got 15\n"
 
 
 def test_verify_text_and_exit(capsys):
@@ -324,26 +324,30 @@ def test_classify_map_size_limit(capsys, monkeypatch):
 
 
 def test_verify_rejects_lemma_max_len_out_of_range(capsys):
-    for value in ("0", "2", "7"):
+    for value in ("0", "2", "9"):
         code, out, err = run_cli(
             capsys, "verify", "--n-max", "3", "--suites", "lemma", "--lemma-max-len", value
         )
         assert code == 2 and not out, value
-        assert err == f"error: lemma max length must be within 3..6, got {value}\n"
+        assert err == f"error: lemma max length must be within 3..8, got {value}\n"
+    code, out, _ = run_cli(
+        capsys, "verify", "--n-max", "3", "--suites", "lemma", "--lemma-max-len", "8"
+    )
+    assert code == 0 and "overall: 3/3 suite runs passed" in out
 
 
 def test_verify_refuses_n_max_above_the_bound_before_any_suite(capsys, monkeypatch):
     from cyclorient import verification
 
     started = []
-    monkeypatch.setattr(
-        verification, "equivalence_suite", lambda n, **k: started.append(n)
-    )
-    code, out, err = run_cli(
-        capsys, "verify", "--n-max", "11", "--suites", "equivalence", "--threads", "2"
-    )
-    assert code == 2 and not out and started == []
-    assert err == "error: equivalence suite n_max must be within 1..10, got 11\n"
+    for name in ("equivalence_suite", "identity_suite", "lemma_suite"):
+        monkeypatch.setattr(verification, name, lambda n, **k: started.append(n))
+    for suites in ("equivalence", "identity", "lemma", "identity,lemma"):
+        code, out, err = run_cli(
+            capsys, "verify", "--n-max", "11", "--suites", suites, "--threads", "2"
+        )
+        assert code == 2 and not out and started == [], suites
+        assert err == "error: n_max must be within 1..10, got 11\n", suites
 
 
 def test_chords_ascii_size_limit(capsys, monkeypatch):

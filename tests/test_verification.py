@@ -806,7 +806,7 @@ def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatc
 
 def test_identity_bounds():
     with pytest.raises(ValueError):
-        identity_suite(6)
+        identity_suite(11)
     with pytest.raises(ValueError):
         identity_suite(0)
     # Sizes must be integers, refused in the library's words.
@@ -856,40 +856,27 @@ def test_restricting_class_members_gives_the_class_sequences():
 
 def check_identity_against_oracle(n):
     """The identity suite's machine report at n equals the one the products
-    of whole classes give (``oracles.identity_tally``).  The suite's cap is
-    raised for this call only."""
+    of whole classes give (``oracles.identity_tally``)."""
     from oracles import identity_tally
 
     from cyclorient import verification
 
     want = format_machine([verification._finish("identity", n, identity_tally(n), 0.0)])
-    cap = verification.IDENTITY_MAX_N
-    try:
-        verification.IDENTITY_MAX_N = max(cap, n)
-        got = format_machine([identity_suite(n)])
-    finally:
-        verification.IDENTITY_MAX_N = cap
-    assert got == want, n
+    assert format_machine([identity_suite(n)]) == want, n
 
 
 def test_identity_suite_matches_the_tuple_oracle():
     # CI runs check_identity_against_oracle(7).
-    from cyclorient import verification
-
     for n in range(1, 7):
         check_identity_against_oracle(n)
-    assert verification.IDENTITY_MAX_N == 5
 
 
-def test_identity_reports_are_pinned_by_digest_up_to_n8(monkeypatch):
-    # The machine reports for n = 1..8, concatenated, past the suite's cap
-    # of 5, so the rank grouping of the products stays checked where every
-    # rank up to 8 composes.
+def test_identity_reports_are_pinned_by_digest_up_to_n8():
+    # The machine reports for n = 1..8, concatenated, so the rank grouping
+    # of the products stays checked where every rank up to 8 composes; CI
+    # pins the same bytes as the first 56 lines of a --n-max 9 run.
     import hashlib
 
-    from cyclorient import verification
-
-    monkeypatch.setattr(verification, "IDENTITY_MAX_N", 8)
     reports = "".join(format_machine([identity_suite(n)]) for n in range(1, 9))
     assert hashlib.sha256(reports.encode()).hexdigest() == (
         "d8463fe3d19156099b877c0ee2c37e02edc59d97db4bad6b35cc6cf3b631906f"
@@ -1008,7 +995,7 @@ def test_lemma_sample_budget_is_accepted_and_ignored():
 def test_lemma_bounds():
     from cyclorient import verification
 
-    assert verification.LEMMA_MAX_N == verification.EQUIVALENCE_MAX_N == 10
+    assert verification.EQUIVALENCE_MAX_N == 10
     with pytest.raises(ValueError, match=r"lemma suite n must be within 1\.\.10, got 11$"):
         lemma_suite(11)
     with pytest.raises(ValueError):
@@ -1051,9 +1038,10 @@ def test_run_verify_takes_suites_from_any_iterable():
     assert format_machine(run_verify(3, suites=(s for s in names))) == want
 
 
-def test_run_verify_caps_identity_and_lemma():
+def test_run_verify_runs_the_identity_suite_at_every_n():
+    # No suite stops short of n_max: the identity suite runs at n = 6 too.
     reports = run_verify(6, suites=("identity",))
-    assert max(r.n for r in reports) == 5
+    assert [(r.suite, r.n) for r in reports] == [("identity", n) for n in range(1, 7)]
 
 
 def test_machine_format_is_parseable_and_time_free():
@@ -1201,15 +1189,15 @@ def test_machine_report_matches_golden_up_to_n5():
     assert format_machine(run_verify(5)).splitlines() == golden
 
 
-def test_lemma_max_len_must_be_3_to_6():
-    for max_len in (0, 2, 7):
-        words = f"lemma max length must be within 3..6, got {max_len}"
+def test_lemma_max_len_is_bounded():
+    for max_len in (0, 2, 9):
+        words = f"lemma max length must be within 3..8, got {max_len}"
         with pytest.raises(ValueError, match=words):
             lemma_suite(4, max_len=max_len)
         # Rejected before any suite runs, even one that never reads it.
         with pytest.raises(ValueError, match=words):
             run_verify(6, suites=("equivalence",), lemma_max_len=max_len)
-    for max_len in (3, 6):
+    for max_len in (3, 8):
         assert lemma_suite(3, max_len=max_len).checks_run > 0
     with pytest.raises(ValueError, match=r"lemma max length must be an integer, got 3\.5"):
         lemma_suite(3, max_len=3.5)
@@ -1350,7 +1338,7 @@ def test_claim_table_reprs_are_pinned_by_digest():
     )
 
 
-def test_run_verify_refuses_equivalence_above_its_bound(monkeypatch):
+def test_run_verify_refuses_n_max_above_the_bound_for_any_selection(monkeypatch):
     from cyclorient import verification
 
     started = []
@@ -1359,15 +1347,13 @@ def test_run_verify_refuses_equivalence_above_its_bound(monkeypatch):
             verification, name, lambda n, *a, _name=name, **k: started.append((_name, n))
         )
     assert verification.EQUIVALENCE_MAX_N == 10
-    refused = r"equivalence suite n_max must be within 1\.\.10, got 11$"
+    refused = r"^n_max must be within 1\.\.10, got 11$"
     with pytest.raises(ValueError, match=refused):
         run_verify(11)
-    with pytest.raises(ValueError, match=r"equivalence suite n_max must be within 1\.\.10"):
-        run_verify(11, suites=("equivalence",))
+    for suite in ("equivalence", "identity", "lemma"):
+        with pytest.raises(ValueError, match=refused):
+            run_verify(11, suites=(suite,))
     assert started == []
-    # Without the equivalence suite the other suites keep their own caps.
-    run_verify(11, suites=("identity",))
-    assert started == [("identity_suite", n) for n in range(1, 6)]
 
 
 def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatch):
@@ -1397,14 +1383,34 @@ def test_equivalence_suite_and_count_classes_refuse_n_above_the_bound(monkeypatc
         refused = r"equivalence suite n must be within 1\.\.10, got 11$"
         with pytest.raises(ValueError, match=refused):
             equivalence_suite(11, workers=workers)
-    with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
-        count_classes(10)
+    with pytest.raises(ValueError, match=r"count n must be within 1\.\.14, got 15$"):
+        count_classes(15)
+    assert started == []
+
+
+def test_identity_and_lemma_suites_refuse_sizes_above_the_bound(monkeypatch):
+    from cyclorient import patterns, verification
+
+    started = []
+
+    def no_patterns(*args):
+        # Every pattern set is built here, so a missing bound fails at once.
+        started.append(args)
+        raise AssertionError("patterns built")
+
+    monkeypatch.setattr(patterns, "cyclic", no_patterns)
+    with pytest.raises(ValueError, match=r"^identity suite n must be within 1\.\.10, got 11$"):
+        identity_suite(11)
+    with pytest.raises(ValueError, match=r"^lemma suite n must be within 1\.\.10, got 11$"):
+        lemma_suite(11)
+    with pytest.raises(ValueError, match=r"^lemma max length must be within 3\.\.8, got 9$"):
+        lemma_suite(3, max_len=9)
     assert started == []
 
 
 def test_count_keeps_its_own_bound_when_the_equivalence_bound_rises(capsys, monkeypatch):
-    # count_classes has a bound of its own (raising it is ROADMAP item 9), so
-    # raising the equivalence suite's bound must not raise count's with it.
+    # count_classes has a bound of its own, so raising the equivalence
+    # suite's bound must not raise count's with it.
     from cyclorient import patterns, verification
     from cyclorient.cli import main
 
@@ -1412,26 +1418,26 @@ def test_count_keeps_its_own_bound_when_the_equivalence_bound_rises(capsys, monk
 
     def no_enumeration(*args):
         # Stands in for the per-map work: a bound that moved with the
-        # equivalence suite's fails here at once instead of building 10^10 maps.
+        # equivalence suite's fails here at once instead of building 15^15 maps.
         started.append(("enumeration", args))
         raise AssertionError("enumeration started")
 
     for name in ("_equivalence_range", "_tag"):
         monkeypatch.setattr(verification, name, no_enumeration)
     monkeypatch.setattr(patterns, "cyclic", no_enumeration)
-    monkeypatch.setattr(verification, "EQUIVALENCE_MAX_N", 11)
-    assert verification.COUNT_MAX_N == 9
-    with pytest.raises(ValueError, match=r"count n must be within 1\.\.9, got 10$"):
-        count_classes(10)
-    assert main(["count", "--n", "10"]) == 2
-    assert capsys.readouterr() == ("", "error: count n must be within 1..9, got 10\n")
+    monkeypatch.setattr(verification, "EQUIVALENCE_MAX_N", 15)
+    assert verification.COUNT_MAX_N == 14
+    with pytest.raises(ValueError, match=r"count n must be within 1\.\.14, got 15$"):
+        count_classes(15)
+    assert main(["count", "--n", "15"]) == 2
+    assert capsys.readouterr() == ("", "error: count n must be within 1..14, got 15\n")
     assert started == []
-    # The raised bound lets run_verify reach the (stubbed) suite at n = 11.
+    # The raised bound lets run_verify reach the (stubbed) suite at n = 15.
     monkeypatch.setattr(
         verification, "equivalence_suite", lambda n, **k: started.append(("suite", n))
     )
-    run_verify(11, suites=("equivalence",))
-    assert started == [("suite", n) for n in range(1, 12)]
+    run_verify(15, suites=("equivalence",))
+    assert started == [("suite", n) for n in range(1, 16)]
 
 
 def _oriented_by_definition(items):
@@ -1599,9 +1605,9 @@ def check_closure_identities(n):
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_product_sets_keep_the_closure_identities_past_the_suite_cap(n):
-    # Sizes the identity suite's default report does not reach; CI runs
-    # check_closure_identities(8).
+def test_product_sets_of_whole_classes_keep_the_closure_identities(n):
+    # The tuple-level oracle, which shares no code with the identity suite;
+    # CI runs check_closure_identities(8).
     check_closure_identities(n)
 
 
@@ -1853,17 +1859,15 @@ def test_lemma_subsequence_claim_matches_the_per_pair_oracle(monkeypatch):
 def test_lemma_parts_are_the_parts_its_masks_pick():
     # The success path builds a row's distinct parts by combinations; the
     # failure walk reads the masks' position tuples.  Both give the same
-    # parts for every pool row at n <= 6 and every max_len.
+    # parts for every pool row at n <= 6 and every max_len: the n = 6 pool
+    # at the largest max_len holds each of those rows once.
     from cyclorient import verification
 
-    rows = 0
-    for n in range(1, 7):
-        for max_len in range(verification.LEMMA_MIN_LEN, verification.LEMMA_MAX_LEN + 1):
-            for q, _, _ in verification._oriented_pool(n, max_len):
-                picked = {tuple(map(q.__getitem__, at)) for at in verification._masks(len(q))}
-                assert verification._parts(q) == picked, (n, max_len, q)
-                rows += 1
-    assert rows > 0
+    pool = verification._oriented_pool(6, verification.LEMMA_MAX_LEN)
+    for q, _, _ in pool:
+        picked = {tuple(map(q.__getitem__, at)) for at in verification._masks(len(q))}
+        assert verification._parts(q) == picked, q
+    assert len(pool) == 3208
 
 
 def test_lemma_counts_are_gated_by_their_closed_form(monkeypatch):
