@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 
-def _moves(seq: tuple[int, ...], which: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """The images of ``seq`` under the moves numbered in ``which``: k < n
+def _moves(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The images of ``seq`` under the moves k = 0..2n − 1 in order: k < n
     rotates the positions left by k, and n + k reverses that rotation under
     the value reflection; each image is rotated in value to lead with 0."""
     n, rank = len(seq), max(seq) + 1
-    for k in which:
+    for k in range(2 * n):
         turned = seq[k % n:] + seq[:k % n]
         if k < n:
             lead = turned[0]
@@ -37,7 +37,7 @@ def _moves(seq: tuple[int, ...], which: Iterable[int]) -> Iterator[tuple[int, ..
 
 def orbit(pattern: tuple[int, ...]) -> set[tuple[int, ...]]:
     """The patterns that start with 0 in ``pattern``'s dihedral orbit."""
-    return set(_moves(pattern, range(2 * len(pattern))))
+    return set(_moves(pattern))
 
 
 def _partitions(n: int, rank: int) -> list[tuple[int, ...]]:
@@ -83,7 +83,8 @@ def _stabiliser(blocks: tuple[int, ...]) -> list[int] | None:
 def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(pattern, weight)``: one pattern of [n] with value set exactly
     0..rank - 1 that starts with 0 for each :func:`orbit`, weighted by the
-    |orbit|·r·C(n, r) maps of :func:`spread`.
+    |orbit|·r·C(n, r) maps it stands for: the orbit's patterns, each in its
+    r value rotations, read through the C(n, r) image sets.
 
     The set partitions of the positions into ``rank`` blocks are kept only
     when no move gives a smaller one.  A kept partition's labellings, each
@@ -108,9 +109,6 @@ def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
         reads = [(1, k) if k < n else (-1, k - 1) for k in stabiliser[1:]]
         for labels in itertools.permutations(range(1, rank)):
             pattern = tuple(map(((0,) + labels).__getitem__, blocks))
-            if not reads:
-                yield pattern, 2 * n * base
-                continue
             doubled = pattern + pattern
             fixed = 1  # the moves that give the pattern back
             for step, at in reads:

@@ -37,7 +37,7 @@ import math
 import os
 import time
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import patterns
 from .claims import _GAP_CLAIMS, _ROUTE_CLAIMS, _WITNESS_CLAIMS, SUITES, _claims
@@ -152,6 +152,15 @@ def _weight(n: int, seqs: Iterable[tuple[int, ...]]) -> int:
     return sum(math.comb(n, max(q) + 1) for q in seqs)
 
 
+def _class_sets(n: int) -> tuple[set[tuple[int, ...]], ...]:
+    """The value patterns of OP_n, OR_n (their reversals), P_n, OP_n ∩ OR_n
+    and P_n's members of rank <= 2, from :func:`patterns.cyclic`."""
+    op = patterns.cyclic(n)
+    or_ = {q[::-1] for q in op}
+    p = op | or_
+    return op, or_, p, op & or_, {q for q in p if max(q) <= 1}
+
+
 # ----------------------------------------------------------------------
 # Tally plumbing: plain dicts so partial results cross process boundaries.
 # ----------------------------------------------------------------------
@@ -239,8 +248,8 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
     above 0, and an unrotated one is entrywise at least its pattern.  Only
     a failure pays for this, so the report does not depend on which
     pattern stands for the orbit.  A sanctioned gap adds its weight to its
-    claim's count and those patterns, found once for both literal claims,
-    to the claim's patterns; no map is built.
+    claim's count and those patterns to the claim's patterns; no map is
+    built.
     Patterns with the same checked claims (at most five lists) are counted
     together and expanded into checks once per job, and the job gates its
     counts at its rank (:func:`_check_tallies`)."""
@@ -250,15 +259,13 @@ def _equivalence_range(args: tuple[int, int]) -> dict:
     for pattern, weight in patterns.walk(n, rank):
         _, checked, findings = _claims(pattern)
         counts[checked] = counts.get(checked, 0) + weight
-        shapes = None  # a gap pattern's value patterns, found once for both literal claims
         for claim, detail, sanctioned in findings:
             if sanctioned:
-                shapes = shapes or [
+                tally["sanctioned"][claim] += weight
+                tally["gaps"].setdefault(claim, []).extend(
                     tuple([(v + s) % rank for v in p])
                     for p in patterns.orbit(pattern) for s in range(rank)
-                ]
-                tally["sanctioned"][claim] += weight
-                tally["gaps"].setdefault(claim, []).extend(shapes)
+                )
             else:
                 member, detail = next(
                     (member, detail)
@@ -367,15 +374,13 @@ def _gate(tally: dict, n: int, counts: Counter, wants: dict, where: str = "") ->
 # ----------------------------------------------------------------------
 
 
-def _compose(left: Iterable[tuple[int, ...]], right: Collection[tuple[int, ...]]) -> set:
-    """Every q∘p, p in ``left`` and q in ``right``: p then q is (q[p[0]],
-    ..., q[p[k-1]]), so each p indexes positions of every q.  ``right`` is
-    held as columns, and each p composes with all of it at once as the
-    rows of its columns zipped in p's order.  An empty ``right`` gives
-    the empty set."""
-    if not right:
+def _compose(left: Iterable[tuple[int, ...]], columns: Sequence[tuple[int, ...]]) -> set:
+    """Every q∘p, p in ``left`` and q a right-hand pattern, the right-hand
+    patterns held as their ``columns``: p then q is (q[p[0]], ...,
+    q[p[k-1]]), so each p composes with every q at once as the rows of the
+    columns zipped in p's order.  Empty ``columns`` give the empty set."""
+    if not columns:
         return set()
-    columns = list(zip(*right))
     out = set()
     for p in left:
         out.update(zip(*map(columns.__getitem__, p)))
@@ -395,9 +400,10 @@ def identity_suite(n: int) -> SuiteReport:
     left-class pattern of length n and rank r, q a right-class one of length
     r (:func:`patterns.cyclic`; OR's are the reversals), each class's
     length-n patterns grouped by rank once and each group composed by
-    :func:`_compose`.  So each identity is one of pattern sets,
-    each pattern weighing the C(n, rank) maps it stands for in every check
-    and offender count: an equality holds when its symmetric difference is
+    :func:`_compose` with OP's length-r patterns as columns, transposed once
+    and read in reverse order for OR's.  So each identity is one of pattern
+    sets, each pattern weighing the C(n, rank) maps it stands for in every
+    check and offender count: an equality holds when its symmetric difference is
     empty, and an inclusion when its difference is.  The witness is the
     least offending pattern, the least map it stands for.  The product
     claims must count |OP_n|² checks and ``op-and-or-is-low-rank-p`` |P_n|
@@ -410,23 +416,21 @@ def identity_suite(n: int) -> SuiteReport:
     started = time.perf_counter()
     tally = _new_tally()
 
-    # OP's and OR's patterns of each length r <= n.
-    sized = {r: (c, {q[::-1] for q in c}) for r in range(1, n + 1) for c in [patterns.cyclic(r)]}
-    op_set, or_set = sized[n]
-    p_set = op_set | or_set
-    low_rank_p = {p for p in p_set if max(p) <= 1}
+    op_set, or_set, p_set, both_set, low_rank_p = _class_sets(n)
+    # OP's patterns of each length r <= n as columns; OR's are those columns reversed.
+    columns = {r: list(zip(*patterns.cyclic(r))) for r in range(1, n)} | {n: list(zip(*op_set))}
     # Each class's length-n patterns grouped by rank once; a reversal keeps its rank.
     op_ranks: dict[int, list[tuple[int, ...]]] = {}
     for p in op_set:
         op_ranks.setdefault(max(p) + 1, []).append(p)
     or_ranks = {r: [p[::-1] for p in group] for r, group in op_ranks.items()}
 
-    def product(left: dict, right: int) -> set:
-        # Each rank-r group of ``left`` composed with the length-r patterns
-        # of class ``right`` (0 for OP, 1 for OR).
+    def product(left: dict, flip: int) -> set:
+        # Each rank-r group of ``left`` composed with OP's length-r patterns,
+        # or with OR's if ``flip``.
         out = set()
         for r, group in left.items():
-            out |= _compose(group, sized[r][right])
+            out |= _compose(group, columns[r][::-1] if flip else columns[r])
         return out
 
     op_op, or_or = product(op_ranks, 0), product(or_ranks, 1)
@@ -440,7 +444,7 @@ def identity_suite(n: int) -> SuiteReport:
         ("op-or-equals-or", op_or ^ or_set, n_op * n_or),
         ("op-closed", op_op - op_set, n_op * n_op),
         ("p-closed", p_p - p_set, _weight(n, p_p)),
-        ("op-and-or-is-low-rank-p", (op_set & or_set) ^ low_rank_p, _weight(n, p_set)),
+        ("op-and-or-is-low-rank-p", both_set ^ low_rank_p, _weight(n, p_set)),
     ):
         tally["checks"][claim] += checks
         if offenders:
@@ -466,11 +470,7 @@ def count_classes(n: int) -> ClassCounts:
     per-map classifier and the member sets.  n must lie within
     1..``COUNT_MAX_N`` (14, 0.7-1.2 s at 73 MB), a bound of its own."""
     n = _within(n, 1, COUNT_MAX_N, "count n")
-    op = patterns.cyclic(n)
-    or_ = {q[::-1] for q in op}
-    p = op | or_
-    sizes = (op, or_, p, op & or_, {q for q in p if max(q) <= 1})
-    return ClassCounts(n, n**n, *(_weight(n, seqs) for seqs in sizes))
+    return ClassCounts(n, n**n, *(_weight(n, seqs) for seqs in _class_sets(n)))
 
 
 # ----------------------------------------------------------------------

@@ -156,7 +156,7 @@ def partition_stabiliser(blocks):
     identity first, or None if a move gives a smaller one: each move taken
     whole, its value rotation and reflection included."""
     found = []
-    for k, moved in enumerate(patterns._moves(blocks, range(2 * len(blocks)))):
+    for k, moved in enumerate(patterns._moves(blocks)):
         first = {}
         moved = tuple(first.setdefault(b, len(first)) for b in moved)
         if moved < blocks:

@@ -982,6 +982,12 @@ def test_lemma_reports_are_pinned_by_digest_at_every_length():
     assert hashlib.sha256(reports.encode()).hexdigest() == (
         "a9673fcc88f1381c21cee60342cc5f32e0e3e43c6d57955dba94a4c850aa77eb"
     )
+    # Max-len 7, n = 1..6: 20 lines, n = 6's image claims at 2,286 · 18,576
+    # checks, 18,576 the pool summed over k = 3..7 from _closed_forms(6, k).
+    reports = "".join(format_machine([lemma_suite(n, 7)]) for n in range(1, 7))
+    assert hashlib.sha256(reports.encode()).hexdigest() == (
+        "3b078bc08a4212efd7229f12099cc5488bf9c1582333820b703793e1afa575fb"
+    )
 
 
 def test_lemma_sample_budget_is_accepted_and_ignored():
@@ -1570,7 +1576,7 @@ def check_product_sets(n):
         for r in range(1, n + 1):
             shapes = [p for p in left if max(p) == r - 1]
             for right in sized[r]:
-                got = verification._compose(shapes, right)
+                got = verification._compose(shapes, list(zip(*right)))
                 assert got == product_set(shapes, right), ("identity", n, r)
 
 
@@ -1643,10 +1649,11 @@ def test_product_set_matches_the_pairwise_oracle_on_random_subsets():
             for right in rights + [[], rights[0][:1]]:
                 got = _composed(left, right)
                 assert got == product_set(left, right), (n, len(left), len(right))
-                assert verification._compose(left, right) == got, (n, len(left), len(right))
-            assert verification._compose(left, ()) == set(), n
+                columns = list(zip(*right))
+                assert verification._compose(left, columns) == got, (n, len(left), len(right))
+            assert verification._compose(left, []) == set(), n
         assert _composed([], maps) == set()
-        assert verification._compose([], maps) == set()
+        assert verification._compose([], list(zip(*maps))) == set()
     assert partial > 10
 
 
@@ -1755,7 +1762,7 @@ def test_lemma_rows_are_decided_against_every_class_pattern(monkeypatch):
     assert check_lemma_against_oracle(5, 4, 1) == 2
 
 
-def test_relabelling_keeps_every_lemma_image_tag_past_the_suite_cap():
+def test_relabelling_keeps_every_lemma_image_tag_on_members_that_are_not_patterns():
     # The lemma suite composes the pool with the members' patterns only, so
     # a member's image of each pool row must have its pattern's image's tag
     # and number of distinct values.  At n = 6..8 seeded rank >= 3 members
