@@ -10,7 +10,11 @@ and by reversing them under the value reflection v → r − 1 − v, each move
 followed by the value rotation v → (v − s) mod r that brings it back to a
 lead of 0.  The walk's canonicity tests read each moved string only up to
 its first entry that differs, which decides the comparison; :func:`_moves`
-builds whole images for :func:`orbit` and the tests' oracles.
+builds whole images for :func:`orbit` and the tests' oracles.  The walk
+builds only candidates no rotation beats: partitions whose leading run is a
+longest run and whose last position is off block 0 (:func:`_partitions`),
+and rank-n patterns whose first step is a least circular step
+(:func:`_least_steps`); every other one has a rotation that is smaller.
 """
 
 from __future__ import annotations
@@ -42,16 +46,51 @@ def orbit(pattern: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 def _partitions(n: int, rank: int) -> list[tuple[int, ...]]:
     """The set partitions of n positions into ``rank`` blocks, as restricted
-    growth strings in lexicographic order."""
-    rows = [((0,), 1)]  # (blocks so far, blocks used)
-    for left in range(n - 2, -1, -1):  # positions still to place after this one
-        rows = [
-            (blocks + (b,), max(used, b + 1))
-            for blocks, used in rows
-            for b in range(min(used + 1, rank))
-            if max(used, b + 1) + left >= rank
-        ]
-    return [blocks for blocks, _ in rows]
+    growth strings in lexicographic order, that may be canonical: the
+    leading run of block 0 is a longest run and, from rank 2, the last
+    entry is not in block 0.  Rotating a longer run, or the last position,
+    to the front gives a longer run of 0s and so a smaller string.  A
+    longer leading run is a smaller string, so the lengths go down."""
+    found = []
+    for lead in range(n - rank + 1, 0, -1):  # the leading run's length
+        rows = [((0,) * lead, 1, lead)]  # (blocks so far, blocks used, last run)
+        for left in range(n - lead - 1, -1, -1):  # positions still to place after this one
+            rows = [
+                (blocks + (b,), max(used, b + 1), run + 1 if b == blocks[-1] else 1)
+                for blocks, used, run in rows
+                for b in range(min(used + 1, rank))
+                if max(used, b + 1) + left >= rank
+                and (run < lead or b != blocks[-1])
+                and (left or b)
+            ]
+        found += [blocks for blocks, _, _ in rows]
+    return found
+
+
+def _least_steps(n: int) -> Iterator[tuple[int, ...]]:
+    """The patterns of [n] of rank n ≥ 2 that start 0, d, d the least of
+    their circular steps (π[k + 1] − π[k]) mod n, lexicographically, built
+    depth first by refusing any step below d.  Rotating to a smaller step
+    gives a smaller entry 1, so every other rank-n pattern has a smaller
+    image."""
+    for least in range(1, n):
+        nexts = [[v for v in range(1, n) if (v - u) % n >= least] for u in range(n)]
+        path, free = [0], [False] + [True] * (n - 1)
+        stack = [iter((least,))]  # the entries still to try after each of path
+        while stack:
+            for v in stack[-1]:  # the next free entry; the iterator keeps its place
+                if free[v]:
+                    break
+            else:
+                stack.pop()
+                free[path.pop()] = True
+                continue
+            if len(path) < n - 1:
+                path.append(v)
+                free[v] = False
+                stack.append(iter(nexts[v]))
+            elif n - v >= least:  # the closing step, back to 0
+                yield (*path, v)
 
 
 def _stabiliser(blocks: tuple[int, ...]) -> list[int] | None:
@@ -87,17 +126,22 @@ def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
     r value rotations, read through the C(n, r) image sets.
 
     The set partitions of the positions into ``rank`` blocks are kept only
-    when no move gives a smaller one.  A kept partition's labellings, each
-    ordering of 0..rank - 1 that gives the first block 0, are filtered under
-    its stabiliser alone (usually the identity, which keeps every
-    labelling): a labelling is kept when no move of the stabiliser lowers
-    it.  Each move's image is read entry by entry off the doubled pattern,
-    its value rotated (or reflected) back to a lead of 0, up to the first
-    entry that differs.  Every move that gives a pattern back lies in its
-    partition's stabiliser, so by orbit–stabiliser |orbit| is 2n over the
-    number of those moves.  So the representatives are generated, as in
-    orderly bracelet generation (Sawada, SIAM J. Comput. 31, 2001), rather
-    than picked by a test on every pattern.
+    when no move gives a smaller one, drawn only from those no rotation
+    beats outright (:func:`_partitions`: a rotation to a longer run of one
+    block, or to a last position in block 0, is smaller).  A kept
+    partition's labellings, each ordering of 0..rank - 1 that gives the
+    first block 0, are filtered under its stabiliser alone (usually the
+    identity, which keeps every labelling): a labelling is kept when no
+    move of the stabiliser lowers it.  At rank n they are drawn only from
+    the patterns whose first step is a least circular step
+    (:func:`_least_steps`: the rotation to a smaller step has a smaller
+    entry 1).  Each move's image is read entry by entry off the doubled
+    pattern, its value rotated (or reflected) back to a lead of 0, up to
+    the first entry that differs.  Every move that gives a pattern back
+    lies in its partition's stabiliser, so by orbit–stabiliser |orbit| is
+    2n over the number of those moves.  So the representatives are
+    generated, as in orderly bracelet generation (Sawada, SIAM J. Comput.
+    31, 2001), rather than picked by a test on every pattern.
     """
     base = rank * math.comb(n, rank)
     for blocks in _partitions(n, rank):
@@ -107,8 +151,14 @@ def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
         # (step, at) reads a move's image entry i as step·(doubled[at + step·i]
         # − doubled[at]) mod r: a rotation left by k, or one then reversed.
         reads = [(1, k) if k < n else (-1, k - 1) for k in stabiliser[1:]]
-        for labels in itertools.permutations(range(1, rank)):
-            pattern = tuple(map(((0,) + labels).__getitem__, blocks))
+        if 1 < rank == n:  # blocks is 0, 1, ..., n − 1, so a pattern is its labelling
+            candidates = _least_steps(n)
+        else:
+            candidates = (
+                tuple(map(((0,) + labels).__getitem__, blocks))
+                for labels in itertools.permutations(range(1, rank))
+            )
+        for pattern in candidates:
             doubled = pattern + pattern
             fixed = 1  # the moves that give the pattern back
             for step, at in reads:

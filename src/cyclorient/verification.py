@@ -46,7 +46,7 @@ from .sequences import Orientation, _Record, _tag, _within
 # One rule sets the size bounds: one run at the bound costs about 1 s and
 # 100 MB on a 2-vCPU x86-64 box.  The equivalence suite is past it at
 # n = 10 (8-9 s on two workers); the identity and lemma suites share its
-# bound, at n = 10 0.9-1.4 s at 26 MB and, at max-len 8, 0.3-0.5 s at 54 MB.
+# bound, at n = 10 0.45-0.51 s at 24 MB and, at max-len 8, 0.3-0.5 s at 54 MB.
 EQUIVALENCE_MAX_N = 10
 COUNT_MAX_N = 14  # count_classes(14): 0.7-1.2 s at 73 MB
 # Below length 3 the lemma constrains no sequence: the suite would check nothing.
@@ -398,10 +398,12 @@ def identity_suite(n: int) -> SuiteReport:
     by constant runs.  Each is its image set T read through a class pattern
     q of length r, so a product set is the maps T read through q∘p, p a
     left-class pattern of length n and rank r, q a right-class one of length
-    r (:func:`patterns.cyclic`; OR's are the reversals), each class's
-    length-n patterns grouped by rank once and each group composed by
+    r (:func:`patterns.cyclic`; OR's are the reversals), OP's length-n
+    patterns grouped by rank once and each group composed by
     :func:`_compose` with OP's length-r patterns as columns, transposed once
-    and read in reverse order for OR's.  So each identity is one of pattern
+    and read in reverse order for OR's.  An OR left operand is an OP one
+    reversed, and q∘p[::-1] = (q∘p)[::-1], so OR·OP and OR·OR are OP·OP and
+    OP·OR reversed.  So each identity is one of pattern
     sets, each pattern weighing the C(n, rank) maps it stands for in every
     check and offender count: an equality holds when its symmetric difference is
     empty, and an inclusion when its difference is.  The witness is the
@@ -410,7 +412,7 @@ def identity_suite(n: int) -> SuiteReport:
     (:func:`_closed_forms`, :func:`_gate`).  n must lie within
     1..``EQUIVALENCE_MAX_N`` (10), checked before any pattern is built;
     tier-1 checks the report against the products of whole classes up to
-    n = 6, and CI at n = 7.  n = 10 takes 0.9-1.4 s at 26 MB.
+    n = 6, and CI at n = 7.  n = 10 takes 0.45-0.51 s at 24 MB.
     """
     n = _within(n, 1, EQUIVALENCE_MAX_N, "identity suite n")
     started = time.perf_counter()
@@ -419,23 +421,23 @@ def identity_suite(n: int) -> SuiteReport:
     op_set, or_set, p_set, both_set, low_rank_p = _class_sets(n)
     # OP's patterns of each length r <= n as columns; OR's are those columns reversed.
     columns = {r: list(zip(*patterns.cyclic(r))) for r in range(1, n)} | {n: list(zip(*op_set))}
-    # Each class's length-n patterns grouped by rank once; a reversal keeps its rank.
+    # OP's length-n patterns grouped by rank once.
     op_ranks: dict[int, list[tuple[int, ...]]] = {}
     for p in op_set:
         op_ranks.setdefault(max(p) + 1, []).append(p)
-    or_ranks = {r: [p[::-1] for p in group] for r, group in op_ranks.items()}
 
-    def product(left: dict, flip: int) -> set:
-        # Each rank-r group of ``left`` composed with OP's length-r patterns,
-        # or with OR's if ``flip``.
+    def product(flip: int) -> set:
+        # Each rank-r group of OP composed with OP's length-r patterns, or
+        # with OR's if ``flip``.
         out = set()
-        for r, group in left.items():
+        for r, group in op_ranks.items():
             out |= _compose(group, columns[r][::-1] if flip else columns[r])
         return out
 
-    op_op, or_or = product(op_ranks, 0), product(or_ranks, 1)
-    or_op, op_or = product(or_ranks, 0), product(op_ranks, 1)
-    n_op, n_or = _weight(n, op_set), _weight(n, or_set)
+    # q∘p[::-1] = (q∘p)[::-1], so an OR left operand gives the reversed products.
+    op_op, op_or = product(0), product(1)
+    or_op, or_or = {q[::-1] for q in op_op}, {q[::-1] for q in op_or}
+    n_op = n_or = _weight(n, op_set)  # a reversal keeps its rank
     # P = OP u OR, so the product P.P is the union of the four products.
     p_p = op_op | or_or | or_op | op_or
     for claim, offenders, checks in (
@@ -573,10 +575,11 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     _gate(tally, n, {"oriented-pool": size}, {"oriented-pool": sum(sizes.values())})
     checks = tally["checks"]
     op, both = _closed_forms(n)
-    # OP's rank >= 3 patterns of each length m a pool row has; at m = n, the members'.
+    # OP's rank >= 3 patterns of each length m >= 3 a pool row has; at m = n,
+    # the members'.  No rank >= 3 pattern is shorter than 3.
     sized = {
         m: [s for s in patterns.cyclic(m) if max(s) >= 2]
-        for m in {max(q) + 1 for q, _, _ in pool} | {n}
+        for m in {max(q) + 1 for q, _, _ in pool if max(q) >= 2} | {n}
     }
     ranked = _weight(n, sized[n])  # the rank >= 3 members of each class; reversal keeps rank
     # Each rank's patterns as columns, so a row q composes with all of them
@@ -626,8 +629,9 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     }
     bad = [row for row, found in zip(pool, parts) if not found.isdisjoint(lacking[row[1]])]
     checks["subsequence-inheritance"] += sum(weight * (2 ** len(q) - 1) for q, _, weight in pool)
-    # Only a failing run walks its (sequence, mask) pairs, in pool order.
-    masks = {k: _masks(k) for k in range(LEMMA_MIN_LEN, max_len + 1)}
+    # Only a failing run builds the masks and walks its (sequence, mask)
+    # pairs, in pool order.
+    masks = {k: _masks(k) for k in range(LEMMA_MIN_LEN, max_len + 1)} if bad else {}
     for items, tag in _spread(bad, n):
         for mask, positions in enumerate(masks[len(items)], 1):
             if _loses(tag, _tag(tuple(map(items.__getitem__, positions)))):

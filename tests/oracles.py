@@ -150,6 +150,21 @@ def dihedral_orbits(n):
     return orbits
 
 
+def partitions(n, rank):
+    """Every set partition of n positions into ``rank`` blocks, as restricted
+    growth strings in lexicographic order; ``patterns._partitions`` yields
+    those of them a rotation may leave least."""
+    rows = [((0,), 1)]  # (blocks so far, blocks used)
+    for left in range(n - 2, -1, -1):  # positions still to place after this one
+        rows = [
+            (blocks + (b,), max(used, b + 1))
+            for blocks, used in rows
+            for b in range(min(used + 1, rank))
+            if max(used, b + 1) + left >= rank
+        ]
+    return [blocks for blocks, _ in rows]
+
+
 def partition_stabiliser(blocks):
     """The moves of ``patterns._moves`` that give the restricted growth
     string ``blocks`` back once its blocks are renumbered by first use, the

@@ -420,15 +420,15 @@ def check_partition_test(n):
     """patterns._stabiliser moves only the positions and stops at a moved
     string's first difference; the oracle moves the values too
     (patterns._moves), renumbers each whole string by first use and then
-    compares.  Both agree on every set partition of n positions, kept or
-    not.  Returns the number of partitions."""
-    from oracles import partition_stabiliser
+    compares.  Both agree on every set partition of n positions
+    (oracles.partitions), kept or not.  Returns the number of partitions."""
+    from oracles import partition_stabiliser, partitions
 
     from cyclorient import patterns
 
     count = 0
     for rank in range(1, n + 1):
-        for blocks in patterns._partitions(n, rank):
+        for blocks in partitions(n, rank):
             assert patterns._stabiliser(blocks) == partition_stabiliser(blocks), blocks
             count += 1
     return count
@@ -438,6 +438,101 @@ def test_partition_test_matches_the_move_and_renumber_oracle():
     # Every set partition of n <= 8 positions, 4,140 at n = 8; CI runs
     # check_partition_test(10), all 115,975.
     assert [check_partition_test(n) for n in range(1, 9)] == [1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+def check_walk_candidates(n):
+    """The walk's candidates are ordered subsequences of the oracles' lists
+    that drop nothing kept: patterns._partitions(n, r) of
+    oracles.partitions(n, r), holding every partition that
+    oracles.partition_stabiliser keeps, and patterns._least_steps(n) of the
+    lead-0 patterns of rank n in lexicographic order, holding every one that
+    no move of patterns._moves lowers.  Returns the numbers of candidate
+    partitions and of candidate rank-n patterns."""
+    import itertools
+
+    from oracles import partition_stabiliser, partitions
+
+    from cyclorient import patterns
+
+    def pruned_from(full, candidates, kept):
+        rest = iter(candidates)
+        want = next(rest, None)
+        for item in full:
+            if item == want:
+                want = next(rest, None)
+            else:
+                assert not kept(item), (n, item)
+        assert want is None, (n, want)  # every candidate met, in order
+
+    count = 0
+    for rank in range(1, n + 1):
+        found = patterns._partitions(n, rank)
+        pruned_from(partitions(n, rank), found, lambda b: partition_stabiliser(b) is not None)
+        count += len(found)
+    # At n = 1 the walk labels its one partition by permutations; _least_steps(1) is empty.
+    rank_n = list(patterns._least_steps(n))
+    lead_0 = [(0, *labels) for labels in itertools.permutations(range(1, n))] if n > 1 else []
+    pruned_from(lead_0, rank_n, lambda p: all(moved >= p for moved in patterns._moves(p)))
+    return count, len(rank_n)
+
+
+def test_walk_candidates_drop_only_what_a_move_lowers():
+    # Up to n = 8; CI runs check_walk_candidates(10).
+    assert [check_walk_candidates(n) for n in range(1, 9)] == [
+        (1, 0), (2, 1), (3, 2), (8, 3), (21, 11), (76, 35), (296, 187), (1301, 1098)
+    ]
+
+
+def test_dropping_a_kept_candidate_fails_the_rank_gate(monkeypatch):
+    # A partition generator that drops one canonical partition, or a rank-n
+    # candidate list that lacks one kept pattern, loses that partition's or
+    # pattern's maps, and the job's closed forms at its rank notice: for
+    # every canonical partition and every kept rank-n pattern up to n = 7.
+    from cyclorient import patterns, verification
+
+    def rank_gate_fails(n, rank):
+        failed = verification._equivalence_range((n, rank))["violations"]
+        _, _, detail, _ = failed.get("quad-vs-definitional", (None, None, "", 0))
+        return detail.endswith(f" at rank {rank}")
+
+    partitions, least_steps = patterns._partitions, patterns._least_steps
+    kept = {n: [p for p, _ in patterns.walk(n, n)] for n in range(2, 8)}
+    for n in range(1, 8):
+        for rank in range(1, n + 1):
+            for dropped in partitions(n, rank):
+                if patterns._stabiliser(dropped) is None:
+                    continue
+                monkeypatch.setattr(
+                    patterns,
+                    "_partitions",
+                    lambda n, r, d=dropped: [b for b in partitions(n, r) if b != d],
+                )
+                assert rank_gate_fails(n, rank), dropped
+    monkeypatch.setattr(patterns, "_partitions", partitions)
+    for n, patterns_kept in kept.items():
+        for dropped in patterns_kept:
+            monkeypatch.setattr(
+                patterns, "_least_steps", lambda n, d=dropped: (p for p in least_steps(n) if p != d)
+            )
+            assert rank_gate_fails(n, n), dropped
+
+
+def test_walk_is_pinned_by_digest_up_to_n9():
+    # Every walked pattern of n = 1..9, rank by rank, with its weight and in
+    # walk order, one line "n rank pattern weight" each.
+    import hashlib
+
+    from cyclorient import patterns
+
+    text = "".join(
+        f"{n} {rank} {','.join(map(str, pattern))} {weight}\n"
+        for n in range(1, 10)
+        for rank in range(1, n + 1)
+        for pattern, weight in patterns.walk(n, rank)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "00f8a15b22c3c0d4f75a04745508b76ea97996bac17fcac69f68708ea2d40424"
+    )
 
 
 def _gap_lines(n, gap_maps):
@@ -775,14 +870,19 @@ def test_identity_suite_reports_a_product_outside_p(monkeypatch):
     report = identity_suite(4)
     assert not report.passed
     # The suite composes patterns, so the injected pattern stands for its
-    # C(4, 2) = 6 maps.
-    products = {"or-or-equals-op", "or-op-equals-or", "op-or-equals-or", "op-closed", "p-closed"}
+    # C(4, 2) = 6 maps.  It composes only OP's left operands: an OR left
+    # operand's products are those reversed, so they hold 1,0,1,0 instead,
+    # and P.P both.
     assert {(v.claim, v.witness, v.count, v.detail) for v in report.violations} == {
-        (claim, "0,1,0,1", 1, "6 offending map(s)") for claim in products
+        ("op-closed", "0,1,0,1", 1, "6 offending map(s)"),
+        ("op-or-equals-or", "0,1,0,1", 1, "6 offending map(s)"),
+        ("or-op-equals-or", "1,0,1,0", 1, "6 offending map(s)"),
+        ("or-or-equals-op", "1,0,1,0", 1, "6 offending map(s)"),
+        ("p-closed", "0,1,0,1", 1, "12 offending map(s)"),
     }
     claims = {c.claim: c for c in report.claims}
     assert claims["op-and-or-is-low-rank-p"].violations == 0
-    assert claims["p-closed"].checks == 186  # P.P counts the maps of its distinct products
+    assert claims["p-closed"].checks == 192  # P.P counts the maps of its distinct products
 
 
 def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatch):
@@ -793,12 +893,12 @@ def test_identity_suite_reports_a_missing_product_only_for_equalities(monkeypatc
         verification, "_compose", lambda left, right: real(left, right) - {(0, 1, 2, 3)}
     )
     report = identity_suite(4)
-    # Only an equality notices a missing map, and the identity is in OP_4
-    # but not OR_4.
+    # Only an equality notices a missing map.  The identity is in OP_4 but
+    # not OR_4, and OP∘OP misses it, so its reversal OR∘OP misses 3,2,1,0.
     [violation] = report.violations
     assert (violation.claim, violation.witness, violation.count, violation.detail) == (
-        "or-or-equals-op",
-        "0,1,2,3",
+        "or-op-equals-or",
+        "3,2,1,0",
         1,
         "1 offending map(s)",
     )
