@@ -10,21 +10,15 @@ chord is a single point.  Two intersection predicates are implemented:
 * ``geometric`` — an exact oracle.  Point j is placed at integer
   coordinates (j, j*j) on the parabola y = x*x, a strictly convex position
   whose hull order realizes the circular order of [n], so chord
-  intersection is the same as on the circle.  One rule decides it, as the
-  geometric scan's side table does: two chords meet exactly when they
-  share an endpoint or the line through one strictly separates the
-  other's endpoints, by the signs of integer cross products with no
-  floating point anywhere.  Three distinct placed points are never
-  collinear, so no other case arises.
+  intersection is the same as on the circle; :func:`chords_intersect`
+  gives the rule, on integer cross products with no floating point.
 
 ``has_chord_property`` asks whether a map sends every intersecting chord
 pair to an intersecting pair; this holds exactly for the maps that preserve
-or reverse orientation.  It scans only the interleaved chords {a, c},
-{b, d} of the C(n, 4) sorted quadruples a < b < c < d.  The geometric scan,
-the chord claim of ``cross_check``, shares its loop and its side-table
-builder with the quadruple scan but not the order the builder is given:
-the triple and quadruple scans pass the circular order, while this one
-sorts the placed points around each one by exact cross-product signs.
+or reverse orientation.  Its geometric scan, the chord claim of
+``cross_check``, is :func:`~cyclorient.membership._first_apart` on the side
+table of :func:`_placed_sides`: they derive the scan, and the order that
+keeps it independent of the quadruple route.
 """
 
 from __future__ import annotations
@@ -120,10 +114,16 @@ def _placed_sides(n: int) -> list[list[int]]:
     KiB at n = 128), :func:`_sides_after` of the other points sorted by
     angle around P(v) by the sign of one exact cross product: ``L[v][k]``
     holds the values left of line P(v)P(k), those after k in that order.
-    A row whose points are not all strictly left of the ray to its first
-    point is refused, so a placement off strictly convex position is never
-    mis-sorted; a sort compares each pair it leaves adjacent, so any
-    points collinear with P(v) are refused too."""
+    The placed points lie in strictly convex position in the circular
+    order (``test_placement_is_in_strictly_convex_position``), so P(v) is a
+    hull vertex, the other points lie in one open cone at P(v), and a side
+    of line P(v)P(k) is a side of chord {v, k}.  A row whose points are not
+    all strictly left of the ray to its first point is refused, so a
+    placement off strictly convex position is never mis-sorted; a sort
+    compares each pair it leaves adjacent, so any points collinear with
+    P(v) are refused too.  This table and the circular order's differ only
+    in the order they are built from, which keeps the chord route
+    independent of the quadruple route."""
     placed = [_place(j) for j in range(n)]
 
     def around(v: int) -> list[int]:
@@ -144,10 +144,7 @@ def _placed_sides(n: int) -> list[list[int]]:
 def _first_disjoint(imgs: tuple[int, ...], after: list[int]) -> tuple[int, int, int, int] | None:
     """The first sorted quadruple a < b < c < d whose image chords are
     disjoint by exact geometry, or None: :func:`_first_apart` on the sides
-    of the lines through the placed points, with no orientation kernel
-    call.  A side of line wy is a side of chord wy because the points are in
-    strictly convex position (``test_placement_is_in_strictly_convex_position``).
-    """
+    of :func:`_placed_sides`, with no orientation kernel call."""
     return _first_apart(imgs, after, _placed_sides(len(imgs)))
 
 

@@ -133,8 +133,7 @@ def cross_check(m: Mapping) -> ConsistencyReport:
     quadruple test and the chord property agree with membership
     (``quad-vs-definitional``, ``chord-vs-definitional``), and every
     non-member that must have a witness yields one (``witness-*``); the
-    chord property is the exact-geometry scan, whose side table comes from
-    cross products, not from the circular order the other two scans read.
+    chord property is the exact-geometry scan.
     The discrepancies are :func:`_claims`' findings: each failing row, and
     the sanctioned ``triple-*-literal`` exemption of a triple test that
     passes outside its class at rank <= 2, named as the suites name it.

@@ -8,13 +8,8 @@ suite its pool, as their patterns (:func:`cyclic`), their only builder.
 The dihedral group acts on a pattern of rank r by rotating its positions,
 and by reversing them under the value reflection v → r − 1 − v, each move
 followed by the value rotation v → (v − s) mod r that brings it back to a
-lead of 0.  The walk's canonicity tests read each moved string only up to
-its first entry that differs, which decides the comparison; :func:`_moves`
-builds whole images for :func:`orbit` and the tests' oracles.  The walk
-builds only candidates no rotation beats: partitions whose leading run is a
-longest run and whose last position is off block 0 (:func:`_partitions`),
-and rank-n patterns whose first step is a least circular step
-(:func:`_least_steps`); every other one has a rotation that is smaller.
+lead of 0 (:func:`_moves`).  :func:`walk` derives how one pattern per orbit
+is generated.
 """
 
 from __future__ import annotations
@@ -126,20 +121,18 @@ def walk(n: int, rank: int) -> Iterator[tuple[tuple[int, ...], int]]:
     r value rotations, read through the C(n, r) image sets.
 
     The set partitions of the positions into ``rank`` blocks are kept only
-    when no move gives a smaller one, drawn only from those no rotation
-    beats outright (:func:`_partitions`: a rotation to a longer run of one
-    block, or to a last position in block 0, is smaller).  A kept
+    when no move gives a smaller one (:func:`_stabiliser`), drawn only from
+    those no rotation beats outright (:func:`_partitions`).  A kept
     partition's labellings, each ordering of 0..rank - 1 that gives the
     first block 0, are filtered under its stabiliser alone (usually the
     identity, which keeps every labelling): a labelling is kept when no
     move of the stabiliser lowers it.  At rank n they are drawn only from
     the patterns whose first step is a least circular step
-    (:func:`_least_steps`: the rotation to a smaller step has a smaller
-    entry 1).  Each move's image is read entry by entry off the doubled
-    pattern, its value rotated (or reflected) back to a lead of 0, up to
-    the first entry that differs.  Every move that gives a pattern back
-    lies in its partition's stabiliser, so by orbit–stabiliser |orbit| is
-    2n over the number of those moves.  So the representatives are
+    (:func:`_least_steps`).  Each move's image is read entry by entry off
+    the doubled pattern, its value rotated (or reflected) back to a lead of
+    0, up to the first entry that differs.  Every move that gives a pattern
+    back lies in its partition's stabiliser, so by orbit–stabiliser |orbit|
+    is 2n over the number of those moves.  So the representatives are
     generated, as in orderly bracelet generation (Sawada, SIAM J. Comput.
     31, 2001), rather than picked by a test on every pattern.
     """

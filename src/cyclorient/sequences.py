@@ -66,8 +66,8 @@ class _Record:
     builds ``__new__``), so Python binds the arguments and raises its own
     ``TypeError``.  An optional ``_normalise(*fields)`` staticmethod returns
     the values to store.  A record compares and hashes by its exact type and
-    field values, refuses assignment and deletion, and has the repr
-    ``Name(field=value, ...)``.
+    field values, refuses assignment and deletion, pickles and deep-copies,
+    and has the repr ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()

@@ -8,19 +8,11 @@ apart in ``sanctioned_exceptions``, one digested row per literal claim, so
 they stay visible without failing the run.
 
 The equivalence suite tallies the per-map claim table of
-:mod:`cyclorient.claims` over all n^n maps, each through its value pattern
-(:mod:`cyclorient.patterns`): the claims read image values only by
-comparing them, so a map of rank r has the claim rows of the pattern that
-replaces each image by its rank in the image set.  They depend only on the
-cyclic order of those values, which the rotation v → (v + 1) mod r keeps,
-and do not change under the dihedral moves of the positions (a reversal
-taken with the value reflection v → r − 1 − v), so one pattern that starts
-with 0 is walked per orbit (134 of the 1,082 such patterns, and of the
-4,683 in all, at n = 6), counting for the |orbit|·r·C(n, r) maps of its
-orbit's patterns in their r rotations; a gap adds those patterns, not
-their maps, to its claim's row.  The package (on first use of a suite
-name) and the ``verify`` and ``count`` verbs import this module when they
-need it, so per-map callers never compile it.
+:mod:`cyclorient.claims` over all n^n maps through one value pattern per
+dihedral orbit (:func:`_equivalence_range`; :func:`cyclorient.patterns.walk`
+derives the walk).  The package (on first use of a suite name) and the
+``verify`` and ``count`` verbs import this module when they need it, so
+per-map callers never compile it.
 
 Reports are deterministic: per-claim results keep the lexicographically
 smallest witness, whatever order the maps are visited in.  From n = 9 the
@@ -237,22 +229,22 @@ def _finish(suite: str, n: int, tally: dict, started: float) -> SuiteReport:
 def _equivalence_range(args: tuple[int, int]) -> dict:
     """Tally the claim table of every map of [n] of rank ``rank``, one
     :func:`_claims` call per pattern :func:`patterns.walk` yields, its
-    checked claims counted by its weight |orbit|·r·C(n, r): the claims
-    depend only on the cyclic order of the image values, up to the dihedral
-    moves of :mod:`cyclorient.patterns`, so each walked pattern stands for
-    its orbit's patterns that start with 0, each in its r value rotations
-    read through the C(n, r) image sets.  A failure's witness is the least
+    checked claims counted by the weight of the maps it stands for.  This
+    holds because the claims read image values only by comparing them, so
+    a map has its value pattern's claim rows, and those depend only on the
+    cyclic order of the values, up to the dihedral moves of
+    :mod:`cyclorient.patterns`.  A failure's witness is the least
     pattern of the orbit with that failure, with its own detail, found by a
     :func:`_claims` call on each orbit pattern in order; that is the
     lexicographically least map with the failure: a rotated map starts
     above 0, and an unrotated one is entrywise at least its pattern.  Only
     a failure pays for this, so the report does not depend on which
     pattern stands for the orbit.  A sanctioned gap adds its weight to its
-    claim's count and those patterns to the claim's patterns; no map is
-    built.
-    Patterns with the same checked claims (at most five lists) are counted
-    together and expanded into checks once per job, and the job gates its
-    counts at its rank (:func:`_check_tallies`)."""
+    claim's count, and its orbit's patterns in each value rotation to the
+    claim's patterns; no map is built.  Patterns with the same checked
+    claims (at most five lists) are counted together and expanded into
+    checks once per job, and the job gates its counts at its rank
+    (:func:`_check_tallies`)."""
     n, rank = args
     tally = _new_tally()
     counts: dict[tuple[str, ...], int] = {}
@@ -301,18 +293,14 @@ def equivalence_suite(n: int, workers: int = 1) -> SuiteReport:
     The claims are those of :func:`cross_check`, so the chord property is
     checked by exact geometry at every n, and the witness and gap tallies
     must match their closed forms (:func:`_check_tallies`), at each rank
-    and over all maps.  Each map is covered through its value pattern,
-    which has the same claim rows, and each pattern through the one
-    pattern walked for its dihedral orbit (:mod:`cyclorient.patterns`): one
-    :func:`_claims` call per orbit of rank r, counted for its
-    |orbit|·r·C(n, r) maps (:func:`_equivalence_range`).  There is one job
-    per rank, the largest first, run in process at one worker or below
-    n = 9, and otherwise on a pool of ``workers`` processes: on a 2-vCPU
-    box two workers took twice as long as one at n = 7, as long at n = 8,
-    and a fifth less at n = 9.
-    ``workers`` must be at least 1 and is clamped to ``os.cpu_count()``;
-    n must lie within 1..``EQUIVALENCE_MAX_N`` (10), checked before any
-    pattern is walked.
+    and over all maps.  Each map is covered through the one value pattern
+    walked for its dihedral orbit (:func:`_equivalence_range`).  There is
+    one job per rank, the largest first, run in process at one worker or
+    below n = 9, and otherwise on a pool of ``workers`` processes: on a
+    2-vCPU box two workers took twice as long as one at n = 7, as long at
+    n = 8, and a fifth less at n = 9.  ``workers`` must be at least 1 and
+    is clamped to ``os.cpu_count()``; n must lie within
+    1..``EQUIVALENCE_MAX_N`` (10), checked before any pattern is walked.
     """
     n = _within(n, 1, EQUIVALENCE_MAX_N, "equivalence suite n")
     workers = _worker_count(workers)
@@ -410,9 +398,7 @@ def identity_suite(n: int) -> SuiteReport:
     least offending pattern, the least map it stands for.  The product
     claims must count |OP_n|² checks and ``op-and-or-is-low-rank-p`` |P_n|
     (:func:`_closed_forms`, :func:`_gate`).  n must lie within
-    1..``EQUIVALENCE_MAX_N`` (10), checked before any pattern is built;
-    tier-1 checks the report against the products of whole classes up to
-    n = 6, and CI at n = 7.  n = 10 takes 0.45-0.51 s at 24 MB.
+    1..``EQUIVALENCE_MAX_N`` (10), checked before any pattern is built.
     """
     n = _within(n, 1, EQUIVALENCE_MAX_N, "identity suite n")
     started = time.perf_counter()
@@ -470,7 +456,7 @@ def count_classes(n: int) -> ClassCounts:
     :func:`patterns.cyclic`'s (their reversals), so each count sums the
     C(n, r) maps of its patterns.  Tests check the counts against the
     per-map classifier and the member sets.  n must lie within
-    1..``COUNT_MAX_N`` (14, 0.7-1.2 s at 73 MB), a bound of its own."""
+    1..``COUNT_MAX_N`` (14), a bound of its own."""
     n = _within(n, 1, COUNT_MAX_N, "count n")
     return ClassCounts(n, n**n, *(_weight(n, seqs) for seqs in _class_sets(n)))
 
@@ -558,7 +544,7 @@ def lemma_suite(n: int, max_len: int = 4, sample_budget: int | None = None) -> S
     (|OP_n| − |OP_n ∩ OR_n|)·|pool|, and the subsequence checks the pool
     weighted by 2^k − 1.  ``sample_budget`` is accepted and ignored: the
     suite once sampled the pool.  n must lie within 1..``EQUIVALENCE_MAX_N``
-    (10); n = 10 at max_len 8 takes 0.3-0.5 s at 54 MB.
+    (10).
     """
     n = _within(n, 1, EQUIVALENCE_MAX_N, "lemma suite n")
     max_len = _within(max_len, LEMMA_MIN_LEN, LEMMA_MAX_LEN, "lemma max length")

@@ -1,10 +1,13 @@
 """The package's import graph: acyclic and layered, with every import at
 the top but the loads of the suites, and a CLI or per-map import that loads
 neither a heavy standard-library module nor the suites; its public
-surface, which README documents name by name; and CI's checks past
+surface, which README documents name by name; README's refusal messages
+and code pointers, which must match the code; and CI's checks past
 tier-1's sizes, which call tier-1's own check functions."""
 
 import ast
+import hashlib
+import importlib
 import re
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import textwrap
 from pathlib import Path
 
 import cyclorient
+from cyclorient import cli, membership, verification
 
 PACKAGE = Path(__file__).parent.parent / "src" / "cyclorient"
 README = PACKAGE.parent.parent / "README.md"
@@ -175,6 +179,62 @@ def test_public_names_are_sorted_bound_by_star_import_and_documented():
     assert sorted(namespace) == names
     readme = README.read_text()
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_readme_quotes_every_size_refusal(capsys):
+    # Each bound is passed by one; README must quote its refusal word for
+    # word, so a bound that moves fails here until README moves with it.
+    refused = []
+    for call in (
+        lambda: verification.run_verify(verification.EQUIVALENCE_MAX_N + 1),
+        lambda: verification.count_classes(verification.COUNT_MAX_N + 1),
+        lambda: verification.lemma_suite(1, max_len=verification.LEMMA_MAX_LEN + 1),
+        # The scans refuse the length before any side table is built.
+        lambda: membership.quad_test(cyclorient.identity(membership.SIDES_MAX_N + 1)),
+    ):
+        try:
+            call()
+        except ValueError as exc:
+            refused.append(str(exc))
+    for argv in (
+        ["classify", "--map", ",".join(["0"] * (cli.CLASSIFY_MAX_N + 1))],
+        ["chords", "--n", str(cli.ASCII_MAX_N + 1), "--pair", "0-2:1-3", "--ascii"],
+    ):
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT, argv
+        refused.append(capsys.readouterr().err.removeprefix("error: "))
+    assert len(refused) == 6
+    readme = " ".join(README.read_text().split())
+    assert [text for text in refused if " ".join(text.split()) not in readme] == []
+
+
+def test_readme_code_pointers_resolve():
+    # README points to the docstring that derives each mechanism, so a
+    # rename must fail here rather than leave README pointing nowhere.
+    readme = README.read_text()
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    modules = {name: f"cyclorient.{name}" for name in package_modules() if name != "__init__"}
+    modules["oracles"] = "oracles"
+    pointer = re.compile(rf"(?:cyclorient\.)?({'|'.join(modules)})\.(\w+)")
+    found = {match.groups() for span in spans if (match := pointer.match(span))}
+    assert found, "README names no module attribute"
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(found)
+        if not hasattr(importlib.import_module(modules[module]), name)
+    ]
+    tests = set(re.findall(r"tests/(\w+)\.py::(\w+)", readme))
+    assert tests, "README names no test or oracle"
+    for module, name in sorted(tests):
+        tree = ast.parse((Path(__file__).parent / f"{module}.py").read_text())
+        defined = {node.name for node in tree.body if hasattr(node, "name")}
+        if name not in defined:
+            missing.append(f"tests/{module}.py::{name}")
+    assert missing == []
+    # The gaps line's digest is that of its patterns, one per line.
+    printf = re.search(r"`printf '([^']*)' \| sha256sum` gives the digest above", readme)
+    lines = printf.group(1).replace("\\n", "\n")
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert f"patterns=2 least=0,1,0,1 sha256={digest}" in readme
 
 
 def test_one_orientation_kernel_and_one_membership_report_builder():

@@ -197,8 +197,8 @@ def test_cross_check_exhaustive_small():
 
 
 def test_cross_check_definitional_report_is_classify():
-    # cross_check builds its MembershipReport from the claim table's own
-    # kernel call; classify builds it from the map's tag.
+    # cross_check takes its MembershipReport from membership.classify(m),
+    # the one builder of that report, beside the claim table's own verdicts.
     for n in range(1, 6):
         for m in enumerate_all(n):
             assert cross_check(m).definitional == classify(m), m
